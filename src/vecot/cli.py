@@ -81,6 +81,7 @@ def _report_dict(report: SolveReport) -> dict:
         "primal_residual": report.primal_residual,
         "dual_residual": report.dual_residual,
         "status": report.status,
+        "engine": report.engine,
         "notes": report.notes,
     }
 
@@ -170,23 +171,18 @@ def _balance_dict(report) -> dict:
 def _params_from_args(args) -> SolverParams:
     return SolverParams(
         max_iters=args.max_iters,
-        penalty=args.penalty,
         tol_primal=args.tol_primal,
-        tol_dual=args.tol_dual,
         tol_gap=args.tol_gap,
         edge_policy=args.edge_policy,
-        seed=args.seed,
     )
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--penalty", type=float, default=1.0)
-    p.add_argument("--tol-primal", type=float, default=1e-8)
-    p.add_argument("--tol-dual", type=float, default=1e-8)
-    p.add_argument("--tol-gap", type=float, default=1e-6)
-    p.add_argument("--edge-policy", default="complete")
-    p.add_argument("--seed", type=int, default=0)
+    defaults = SolverParams()
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    p.add_argument("--tol-primal", type=float, default=defaults.tol_primal)
+    p.add_argument("--tol-gap", type=float, default=defaults.tol_gap)
+    p.add_argument("--edge-policy", default=defaults.edge_policy)
 
 
 def _cmd_solve(args) -> tuple[dict, int]:

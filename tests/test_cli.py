@@ -42,6 +42,7 @@ def test_solve_two_point_document(tmp_path, capsys):
     assert doc["schema"] == "vecot/1"
     assert doc["command"] == "solve"
     assert doc["report"]["status"] == "Converged"
+    assert doc["report"]["engine"] == "tree"
     assert doc["report"]["primal_value"] == pytest.approx(5.0, rel=1e-9)
     assert doc["certificate"]["verdict"] == "Optimal"
     assert doc["instance"]["points"] == [[0.0, 0.0], [3.0, 4.0]]

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
+import vecot
 from vecot import (
+    NotConverged,
+    NumericalBreakdown,
     PotentialField,
     SolverParams,
+    VecotError,
     WrongDimension,
     build_instance,
     certify,
@@ -18,6 +27,8 @@ from vecot import (
     lipschitz_constant,
     marginals,
     pairing,
+    paper_preset,
+    smoothed_instance,
     solve,
 )
 
@@ -202,8 +213,10 @@ def test_knn_policy_gives_an_upper_bound():
     rng = np.random.default_rng(59)
     inst = random_instance(rng, 10, 2, 1)
     full = kr_norm(inst)
-    restricted = kr_norm(inst, SolverParams(edge_policy="knn:4"))
-    assert restricted >= full - 1e-6 * (1.0 + full)
+    # The subgraph misses edges of the optimal coupling, so the solve cannot
+    # certify and kr_norm would raise; the restricted value is still a bound.
+    _, _, report = solve(inst, SolverParams(edge_policy="knn:4"))
+    assert report.primal_value >= full - 1e-6 * (1.0 + full)
 
 
 def test_knn_disconnection_reports_infeasible():
@@ -221,8 +234,6 @@ def test_bad_params_are_rejected():
     with pytest.raises(ValueError):
         SolverParams(max_iters=0)
     with pytest.raises(ValueError):
-        SolverParams(penalty=-1.0)
-    with pytest.raises(ValueError):
         SolverParams(tol_gap=0.0)
     with pytest.raises(ValueError):
         SolverParams(edge_policy="knn:0")
@@ -236,3 +247,120 @@ def test_iter_limit_is_reported_not_raised():
     _, _, report = solve(inst, SolverParams(max_iters=3, tol_gap=1e-12))
     assert report.status == "IterLimit"
     assert report.iterations == 3
+
+
+def test_kr_norm_raises_on_an_unconverged_solve():
+    rng = np.random.default_rng(61)
+    inst = random_instance(rng, 9, 2, 2)
+    with pytest.raises(NotConverged) as info:
+        kr_norm(inst, SolverParams(max_iters=3))
+    assert isinstance(info.value, VecotError)
+    assert info.value.report.status == "IterLimit"
+    assert info.value.report.iterations == 3
+
+
+# ---------------------------------------------------------------------------
+# Engines
+# ---------------------------------------------------------------------------
+
+
+def hard_instances() -> dict:
+    rng = np.random.default_rng(0)
+    return {
+        "smoothed-eps0.05": smoothed_instance(paper_preset(), 0.05, 4),
+        "random-N50-m2": random_instance(rng, 50, 2, 2),
+        "random-N40-m3": random_instance(rng, 40, 3, 3),
+    }
+
+
+@pytest.mark.parametrize("name", ["smoothed-eps0.05", "random-N50-m2", "random-N40-m3"])
+def test_interior_point_engine_certifies_hard_instances(name):
+    inst = hard_instances()[name]
+    coupling, potential, report = solve(inst)
+    assert report.status == "Converged"
+    assert report.engine == "ipm"
+    assert report.iterations <= 50
+    assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
+
+
+def test_collinear_vector_measures_match_the_line_closed_form():
+    # On a line the flow across each gap is the cumulative vector mass F_k,
+    # so the norm is sum_k ||F_k|| (x_{k+1} - x_k), the m >= 2 line oracle.
+    rng = np.random.default_rng(67)
+    for n, m in ((1, 2), (2, 3), (3, 2), (2, 4)):
+        pos = rng.uniform(-3.0, 3.0, 12)
+        direction = rng.normal(size=n)
+        pts = rng.normal(size=n) + pos[:, None] * (direction / np.linalg.norm(direction))
+        w = rng.normal(size=(12, m))
+        w -= w.mean(axis=0)
+        order = np.argsort(pos)
+        cum = np.cumsum(w[order], axis=0)[:-1]
+        expected = float(np.dot(np.linalg.norm(cum, axis=1), np.diff(pos[order])))
+        inst = build_instance(pts, w)
+        coupling, potential, report = solve(inst)
+        assert report.engine == "tree"
+        assert report.status == "Converged"
+        assert abs(report.primal_value - expected) <= 1e-12 * expected
+        assert certify(inst, coupling, potential, tol=1e-9).verdict == "Optimal"
+
+
+def test_knn_graph_with_two_balanced_components_solves():
+    rng = np.random.default_rng(71)
+    left = rng.uniform(-1.0, 1.0, size=(6, 2))
+    right = rng.uniform(-1.0, 1.0, size=(6, 2)) + [50.0, 0.0]
+    w = rng.normal(size=(12, 2))
+    w[:6] -= w[:6].mean(axis=0)
+    w[6:] -= w[6:].mean(axis=0)
+    inst = build_instance(np.vstack([left, right]), w)
+    coupling, potential, report = solve(inst, SolverParams(edge_policy="knn:5"))
+    assert report.status == "Converged"
+    assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
+    separate = kr_norm(build_instance(left, w[:6])) + kr_norm(build_instance(right, w[6:]))
+    assert report.primal_value == pytest.approx(separate, rel=1e-6)
+
+
+def test_report_names_the_engine():
+    rng = np.random.default_rng(79)
+    two_points = build_instance([[0.0, 0.0], [3.0, 4.0]], [[1.0, 2.0], [-1.0, -2.0]])
+    assert solve(two_points)[2].engine == "tree"
+    assert solve(random_instance(rng, 8, 2, 1))[2].engine == "lp"
+    assert solve(random_instance(rng, 8, 2, 2))[2].engine == "ipm"
+    assert solve(build_instance([[0.0], [1.0]], [[0.0], [0.0]]))[2].engine == "none"
+
+
+def test_unfactorable_newton_system_raises_numerical_breakdown(monkeypatch):
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+    inst = random_instance(np.random.default_rng(83), 8, 2, 2)
+    with pytest.raises(NumericalBreakdown):
+        solve(inst)
+
+
+DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from vecot import build_instance, solve
+rng = np.random.default_rng(89)
+pts = rng.uniform(-1.0, 1.0, size=(120, 2))
+w = rng.normal(size=(120, 2))
+w -= w.mean(axis=0)
+coupling, potential, report = solve(build_instance(pts, w))
+digest = hashlib.sha256(coupling.flows.tobytes() + potential.values.tobytes())
+print(report.engine, report.status, report.iterations, report.primal_value.hex(), digest.hexdigest())
+"""
+
+
+def test_solve_is_bit_identical_across_runs_and_thread_counts():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vecot.__file__)))
+    outputs = []
+    for threads in ("1", "2", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        done = subprocess.run(
+            [sys.executable, "-c", DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0].startswith("ipm Converged ")
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
