@@ -91,7 +91,9 @@ def certify(
       ``||u_i - u_j|| >= (1 - tol) d_ij`` and the flow is aligned,
       ``<u_i - u_j, flow> >= (1 - tol) d_ij ||flow||``.
 
-    The verdict can only improve when ``tol`` is widened.
+    The verdict can only improve when ``tol`` is widened.  A coupling or
+    potential that does not fit the instance's points raises
+    DimensionMismatch.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -102,10 +104,14 @@ def certify(
         )
     if coupling.edge_count and int(coupling.pairs.max()) >= instance.size:
         raise DimensionMismatch("coupling references a point outside the instance")
+    if potential.cloud is not instance.cloud and not np.array_equal(
+        potential.cloud.points, instance.cloud.points
+    ):
+        raise DimensionMismatch("potential and instance describe different clouds")
 
     _, _, net = marginals(coupling, instance.size)
     feas_primal = float(np.linalg.norm(net - measure.weights))
-    lip = lipschitz_constant(potential, instance.distances)
+    lip = lipschitz_constant(potential)
 
     primal_value = cost(coupling, instance)
     dual_value = pairing(potential, measure)

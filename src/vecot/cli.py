@@ -24,6 +24,7 @@ from .core import (
     PotentialField,
     VecotError,
     VectorCoupling,
+    build_instance,
     instance_from_dict,
     instance_to_dict,
 )
@@ -376,8 +377,6 @@ def _selftest_checks() -> list[dict]:
         pts = rng.standard_normal((n_pts, int(rng.integers(1, 4))))
         w = rng.standard_normal((n_pts, int(rng.integers(1, 4))))
         w -= w.mean(axis=0)
-        from .core import build_instance
-
         inst = build_instance(pts, w)
         c, p, r = solve(inst)
         rel = abs(r.gap) / (1.0 + abs(r.primal_value))
@@ -399,8 +398,6 @@ def _selftest_checks() -> list[dict]:
         pts = np.unique(pts, axis=0)
         w = rng.standard_normal((len(pts), 1))
         w -= w.mean(axis=0)
-        from .core import build_instance
-
         inst = build_instance(pts, w)
         oracle = line_oracle(inst)
         _, _, r = solve(inst)

@@ -10,10 +10,13 @@ dual potentials as one R^m value per point.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 
 __all__ = [
     "ZERO_MASS_RTOL",
@@ -30,6 +33,8 @@ __all__ = [
     "LipschitzInfo",
     "build_instance",
     "distance_matrix",
+    "stretch_ratios",
+    "component_labels",
     "marginals",
     "total_variation",
     "cost",
@@ -103,6 +108,11 @@ class PointCloud:
     @property
     def ambient_dim(self) -> int:
         return self.points.shape[1]
+
+    @functools.cached_property
+    def distances(self) -> np.ndarray:
+        """Dense pairwise distance matrix, computed on first use."""
+        return distance_matrix(self.points)
 
 
 @dataclass(frozen=True)
@@ -213,25 +223,18 @@ class PotentialField:
 
 @dataclass(frozen=True)
 class Instance:
-    """A measure together with the cached pairwise distance matrix."""
+    """A measure on a point cloud, the unit the solver and certifier take."""
 
     measure: DiscreteVectorMeasure
-    distances: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.distances is None:
-            object.__setattr__(
-                self, "distances", distance_matrix(self.measure.cloud.points)
-            )
-        d = np.asarray(self.distances, dtype=float)
-        n = self.measure.size
-        if d.shape != (n, n):
-            raise DimensionMismatch(f"distance matrix must be ({n}, {n}), got {d.shape}")
-        object.__setattr__(self, "distances", d)
 
     @property
     def cloud(self) -> PointCloud:
         return self.measure.cloud
+
+    @property
+    def distances(self) -> np.ndarray:
+        """The cloud's pairwise distance matrix (cached on the cloud)."""
+        return self.measure.cloud.distances
 
     @property
     def size(self) -> int:
@@ -270,12 +273,39 @@ def _check_distinct(points: np.ndarray) -> None:
 
 
 def distance_matrix(points: np.ndarray) -> np.ndarray:
-    """Dense Euclidean distance matrix with an exactly zero diagonal."""
+    """Dense Euclidean distance matrix with an exactly zero diagonal.
+
+    Rows may be points or potential values; this is the one place that
+    forms pairwise norms.
+    """
     pts = np.asarray(points, dtype=float)
     diff = pts[:, None, :] - pts[None, :, :]
     d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def stretch_ratios(values: np.ndarray, distances: np.ndarray):
+    """Stretch ``||v_i - v_j|| / d_ij`` of every pair i < j.
+
+    Returns ``(iu, ju, ratios)`` with the pairs in lexicographic order.
+    """
+    iu, ju = np.triu_indices(distances.shape[0], k=1)
+    return iu, ju, distance_matrix(values)[iu, ju] / distances[iu, ju]
+
+
+def component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes joined by ``pairs``.
+
+    Labels are ordered by smallest member: node 0 has label 0, and each
+    new label first appears at a larger node than the previous one.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    # CSR built directly: the (row, col) constructor costs more than the labelling.
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))])
+    graph = scipy.sparse.csr_matrix((np.ones(len(pairs)), pairs[:, 1], indptr), shape=(n, n))
+    return scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
 
 
 def build_instance(points, weights) -> Instance:
@@ -338,32 +368,24 @@ def pairing(potential: PotentialField, measure: DiscreteVectorMeasure) -> float:
     return float(np.einsum("ij,ij->", potential.values, measure.weights))
 
 
-def lipschitz_info(potential: PotentialField, distances: np.ndarray | None = None) -> LipschitzInfo:
-    """Exact Lipschitz constant over all point pairs.
+def lipschitz_info(potential: PotentialField) -> LipschitzInfo:
+    """Exact Lipschitz constant over all point pairs of the potential's cloud.
 
     Returns the constant together with the first maximizing pair in
     lexicographic index order.  A single-point cloud has constant 0 by
     convention, reported with ``single_point=True``.
     """
-    pts = potential.cloud.points
-    n = pts.shape[0]
-    if n < 2:
+    if potential.cloud.size < 2:
         return LipschitzInfo(0.0, (0, 0), True)
-    if distances is None:
-        distances = distance_matrix(pts)
-    vals = potential.values
-    dv = vals[:, None, :] - vals[None, :, :]
-    num = np.sqrt(np.einsum("ijk,ijk->ij", dv, dv))
-    iu, ju = np.triu_indices(n, k=1)
-    ratios = num[iu, ju] / distances[iu, ju]
+    iu, ju, ratios = stretch_ratios(potential.values, potential.cloud.distances)
     k = int(np.argmax(ratios))
     # argmax returns the first maximizer and (iu, ju) is lexicographic.
     return LipschitzInfo(float(ratios[k]), (int(iu[k]), int(ju[k])), False)
 
 
-def lipschitz_constant(potential: PotentialField, distances: np.ndarray | None = None) -> float:
+def lipschitz_constant(potential: PotentialField) -> float:
     """Exact Lipschitz constant of the potential (0 for a single point)."""
-    return lipschitz_info(potential, distances).value
+    return lipschitz_info(potential).value
 
 
 # ---------------------------------------------------------------------------

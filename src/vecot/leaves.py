@@ -25,7 +25,8 @@ from .core import (
     PotentialField,
     VecotError,
     WrongDimension,
-    distance_matrix,
+    component_labels,
+    stretch_ratios,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "strengthened_lipschitz_residual",
     "derivative_modulus_check",
     "transport_set",
+    "maximal_transport_sets",
     "reconstructed_potential",
 ]
 
@@ -141,13 +143,7 @@ def isometry_graph(u: PotentialField, eps: float = 1e-6) -> IsometryGraph:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    pts = u.cloud.points
-    n = u.cloud.size
-    dist = distance_matrix(pts)
-    diff = u.values[:, None, :] - u.values[None, :, :]
-    vnorm = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    iu, ju = np.triu_indices(n, k=1)
-    ratios = vnorm[iu, ju] / dist[iu, ju]
+    iu, ju, ratios = stretch_ratios(u.values, u.cloud.distances)
     if ratios.size and float(ratios.max()) > 1.0 + eps:
         worst = int(np.argmax(ratios))
         raise NotLipschitz(
@@ -323,28 +319,21 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
     removed points regrow their own leaves, possibly re-using points that
     are already covered.  That is how branch points end up in two leaves.
     """
-    if u.cloud is not graph.cloud and u.cloud.size != graph.cloud.size:
-        raise DimensionMismatch("potential and graph describe different clouds")
     cloud = graph.cloud
+    if u.cloud is not cloud and not np.array_equal(u.cloud.points, cloud.points):
+        raise DimensionMismatch("potential and graph describe different clouds")
     n = cloud.size
     pts = cloud.points
     vals = u.values
     eps = graph.eps
     adj = graph.adjacency()
-    dist = distance_matrix(pts)
+    dist = cloud.distances
 
     member_sets: list[tuple[int, ...]] = []
-    seen = np.zeros(n, dtype=bool)
-    for root in range(n):
-        if seen[root]:
-            continue
-        comp = _component_of(root, adj)
-        seen[comp] = True
-        comp = sorted(int(i) for i in comp)
-        if len(comp) == 1:
-            member_sets.append((comp[0],))
-            continue
-        survivors, pending = _validate_component(comp, adj, dist, pts, vals, eps)
+    labels = component_labels(n, graph.edges)
+    by_label = np.argsort(labels, kind="stable")
+    for comp in np.split(by_label, np.cumsum(np.bincount(labels))[:-1]):
+        survivors, pending = _validate_component(comp.tolist(), adj, dist, pts, vals, eps)
         covered = set(survivors)
         member_sets.append(tuple(survivors))
         for p in sorted(pending):
@@ -368,18 +357,6 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
     return LeafDecomposition(
         graph=graph, leaves=leaves, assignment=assignment, boundary_flags=boundary
     )
-
-
-def _component_of(root: int, adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
-    mark = np.zeros(n, dtype=bool)
-    mark[root] = True
-    frontier = [root]
-    while frontier:
-        nxt = adj[frontier].any(axis=0) & ~mark
-        frontier = list(np.flatnonzero(nxt))
-        mark[nxt] = True
-    return np.flatnonzero(mark)
 
 
 def strengthened_lipschitz_residual(
@@ -434,6 +411,22 @@ def derivative_modulus_check(
     return lhs <= rhs + tol + leaf1.fit_residual + leaf2.fit_residual
 
 
+def _closure_classes(decomposition: LeafDecomposition):
+    """Return ``(flagged, labels, joined, joined_to)``: the branch-point flags,
+    the component labels of the isometry graph without its edges at flagged
+    points, and for each edge from a flagged to an unflagged point, the
+    flagged end and the label of the other.
+    """
+    n = decomposition.graph.cloud.size
+    edges = decomposition.graph.edges
+    flagged = np.zeros(n, dtype=bool)
+    flagged[decomposition.boundary_flags] = True
+    ends = flagged[edges]
+    labels = component_labels(n, edges[~ends.any(axis=1)])
+    cross = edges[ends[:, 0] != ends[:, 1]]
+    return flagged, labels, cross[flagged[cross]], labels[cross[~flagged[cross]]]
+
+
 def transport_set(decomposition: LeafDecomposition, seeds) -> np.ndarray:
     """Closure of the seeds under saturated pairs, stopped at branch points.
 
@@ -442,20 +435,30 @@ def transport_set(decomposition: LeafDecomposition, seeds) -> np.ndarray:
     pull in further points.  Returns sorted point indices.
     """
     n = decomposition.graph.cloud.size
-    adj = decomposition.graph.adjacency()
-    flagged = np.zeros(n, dtype=bool)
-    flagged[decomposition.boundary_flags] = True
-    mark = np.zeros(n, dtype=bool)
-    seeds = [int(s) for s in seeds]
-    if any(s < 0 or s >= n for s in seeds):
+    seeds = np.array([int(s) for s in seeds], dtype=np.int64)
+    if np.any((seeds < 0) | (seeds >= n)):
         raise DimensionMismatch("seed index out of range")
+    flagged, labels, joined, joined_to = _closure_classes(decomposition)
+    classes = labels[seeds[~flagged[seeds]]]
+    mark = np.isin(labels, classes)
     mark[seeds] = True
-    frontier = [s for s in seeds if not flagged[s]]
-    while frontier:
-        reach = adj[frontier].any(axis=0) & ~mark
-        mark |= reach
-        frontier = [int(i) for i in np.flatnonzero(reach) if not flagged[i]]
+    mark[joined[np.isin(joined_to, classes)]] = True
     return np.flatnonzero(mark)
+
+
+def maximal_transport_sets(decomposition: LeafDecomposition) -> list[np.ndarray]:
+    """The distinct transport sets of single points, by smallest member.
+
+    An unflagged point's set is its class plus the flagged points joined to
+    it; a flagged point in no such set is a set of its own.
+    """
+    _, labels, joined, joined_to = _closure_classes(decomposition)
+    n = labels.size
+    own = np.flatnonzero(np.bincount(joined, minlength=n) == 0)  # all but the joined points
+    keys = np.unique(np.concatenate([labels[own], joined_to]) * n + np.concatenate([own, joined]))
+    sets = np.split(keys % n, np.flatnonzero(np.diff(keys // n)) + 1)
+    sets.sort(key=lambda s: int(s[0]))
+    return sets
 
 
 def reconstructed_potential(decomposition: LeafDecomposition) -> PotentialField:

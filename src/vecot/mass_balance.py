@@ -25,9 +25,10 @@ from .core import (
     VectorCoupling,
     VecotError,
     build_instance,
+    distance_matrix,
     total_variation,
 )
-from .leaves import LeafDecomposition, transport_set
+from .leaves import LeafDecomposition, maximal_transport_sets
 
 __all__ = [
     "ZeroVector",
@@ -202,33 +203,6 @@ class MassBalanceReport:
     tol: float
 
 
-def _maximal_transport_sets(decomposition: LeafDecomposition) -> list[np.ndarray]:
-    """Closure classes of all singleton seeds, largest representatives only.
-
-    Non-flagged seeds within one component of the unflagged subgraph share
-    a closure, so each class is computed once; flagged points reachable
-    from no unflagged seed fall back to their own singleton class.  Classes
-    are ordered by smallest member.
-    """
-    n = decomposition.graph.cloud.size
-    flagged = np.zeros(n, dtype=bool)
-    flagged[decomposition.boundary_flags] = True
-    sets: list[np.ndarray] = []
-    covered = np.zeros(n, dtype=bool)
-    expanded = np.zeros(n, dtype=bool)
-    for p in range(n):
-        if flagged[p] or expanded[p]:
-            continue
-        members = transport_set(decomposition, [p])
-        expanded[members[~flagged[members]]] = True
-        covered[members] = True
-        sets.append(members)
-    for p in np.flatnonzero(flagged & ~covered):
-        sets.append(np.array([p]))
-    sets.sort(key=lambda s: int(s[0]))
-    return sets
-
-
 def mass_balance_report(
     instance: Instance, decomposition: LeafDecomposition, tol: float = 1e-8
 ) -> MassBalanceReport:
@@ -244,7 +218,7 @@ def mass_balance_report(
     scale = instance.measure.mass_scale
     entries = []
     witness = None
-    for set_id, members in enumerate(_maximal_transport_sets(decomposition)):
+    for set_id, members in enumerate(maximal_transport_sets(decomposition)):
         mass = weights[members].sum(axis=0)
         norm = float(np.linalg.norm(mass))
         entries.append(
@@ -312,13 +286,9 @@ def smoothed_instance(
         raise InvalidSpec("points_per_ball must be at least 1")
     if eps <= 0:
         raise InvalidSpec("eps must be positive")
-    diffs = spec.anchors[:, None, :] - spec.anchors[None, :, :]
-    gaps = np.linalg.norm(diffs, axis=2)
-    np.fill_diagonal(gaps, np.inf)
-    if eps >= 0.5 * gaps.min():
-        raise BallOverlap(
-            f"eps = {eps:.6g} reaches half the minimum anchor distance {gaps.min():.6g}"
-        )
+    gap = distance_matrix(spec.anchors)[np.triu_indices(spec.m + 1, k=1)].min()
+    if eps >= 0.5 * gap:
+        raise BallOverlap(f"eps = {eps:.6g} reaches half the minimum anchor distance {gap:.6g}")
     offsets = _ball_offsets(spec.n, points_per_ball, eps)
     points = (spec.anchors[:, None, :] + offsets[None, :, :]).reshape(-1, spec.n)
     weights = np.repeat(spec.vectors / points_per_ball, points_per_ball, axis=0)

@@ -44,6 +44,7 @@ import numpy as np
 import scipy.linalg.lapack
 import scipy.optimize
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from .core import (
     Instance,
@@ -51,6 +52,8 @@ from .core import (
     VecotError,
     VectorCoupling,
     WrongDimension,
+    component_labels,
+    distance_matrix,
 )
 
 __all__ = [
@@ -192,45 +195,9 @@ def _prune_metric_redundant(pairs: np.ndarray, dist: np.ndarray) -> np.ndarray:
         chain[rows, j] = np.inf
         keep[lo:hi] = chain.min(axis=1) > dist[i, j] * (1.0 + 1e-12)
     pruned = pairs[keep]
-    if pruned.shape[0] < e_count:
-        labels, _, _ = _spanning_forest(n, pruned)
-        if labels.max() > 0:
-            return pairs
+    if pruned.shape[0] < e_count and component_labels(n, pruned).max() > 0:
+        return pairs
     return pruned
-
-
-def _spanning_forest(n: int, pairs: np.ndarray):
-    """Spanning forest of the edge graph, by a stack-based graph search.
-
-    Returns ``(labels, order, parent_edge)``: the connected-component label
-    of each node (labels ordered by smallest member), the nodes in visiting
-    order, parents before children, with each component's smallest member
-    first as its root, and the index of the edge joining each node to its
-    parent (-1 at roots).
-    """
-    adj = [[] for _ in range(n)]
-    for e, (i, j) in enumerate(pairs.tolist()):
-        adj[i].append((j, e))
-        adj[j].append((i, e))
-    label = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    order = []
-    current = 0
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        stack = [start]
-        label[start] = current
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for t, e in adj[v]:
-                if label[t] < 0:
-                    label[t] = current
-                    parent_edge[t] = e
-                    stack.append(t)
-        current += 1
-    return label, np.array(order, dtype=np.int64), parent_edge
 
 
 _REPAIR_SWEEPS = 200
@@ -251,8 +218,7 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
     n = u.shape[0]
     if n < 2:
         return u
-    diff = u[:, None, :] - u[None, :, :]
-    num = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    num = distance_matrix(u)
     safe_d = np.where(distances > 0, distances, 1.0)
     np.fill_diagonal(safe_d, 1.0)
     for _ in range(_REPAIR_SWEEPS):
@@ -277,38 +243,48 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
     return u - u[0]
 
 
-def _tree_engine(w_hat, d_edge, pairs, order, parent_edge):
+def _tree_engine(w_hat, d_edge, pairs, roots):
     """Exact engine for a forest edge set: the constraint fixes the flows.
 
     The edge above a node carries the net mass of the node's subtree, and
     a potential that steps by ``d_e x_e / ||x_e||`` along every edge (by
     nothing where the flow vanishes) saturates and aligns with every flow.
-    Returns ``(flows, u_raw)``.
+    The forest hangs from ``roots``, one per component, and is walked level
+    by level; children add their subtree masses to their parent's in
+    increasing index order.  ``pairs`` must hold i < j, sorted
+    lexicographically.  Returns ``(flows, u_raw)``.
     """
     n, m = w_hat.shape
+    e_count = pairs.shape[0]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))])
+    graph = scipy.sparse.csr_matrix((np.ones(e_count), pairs[:, 1], indptr), shape=(n, n))
+    depth, parent, _ = scipy.sparse.csgraph.dijkstra(
+        graph, directed=False, indices=roots, unweighted=True,
+        return_predecessors=True, min_only=True,
+    )
+    child = np.flatnonzero(parent >= 0)
+    parent = parent[child]
+    lo, hi = np.minimum(child, parent), np.maximum(child, parent)
+    edge = np.searchsorted(pairs[:, 0] * n + pairs[:, 1], lo * n + hi)
+    # flows[e] enters net() with + at pairs[e, 0] and - at pairs[e, 1]
+    sign = np.where(lo == child, 1.0, -1.0)[:, None]
+    level = depth[child]
+    levels = range(1, int(level.max(initial=0)) + 1)
     subtree = w_hat.copy()
-    flows = np.zeros((pairs.shape[0], m))
-    for v in order[::-1].tolist():
-        e = parent_edge[v]
-        if e < 0:
-            continue
-        head, tail = pairs[e]
-        # flows[e] enters net() with + at pairs[e, 0] and - at pairs[e, 1]
-        flows[e] = subtree[v] if head == v else -subtree[v]
-        subtree[tail if head == v else head] += subtree[v]
+    for k in reversed(levels):
+        np.add.at(subtree, parent[level == k], subtree[child[level == k]])
+    flows = np.zeros((e_count, m))
+    flows[edge] = sign * subtree[child]
     norms = np.linalg.norm(flows, axis=1)
     steps = flows * (d_edge / np.where(norms > 0, norms, 1.0))[:, None]
     u_raw = np.zeros((n, m))
-    for v in order.tolist():
-        e = parent_edge[v]
-        if e < 0:
-            continue
-        head, tail = pairs[e]
-        u_raw[v] = u_raw[tail] + steps[e] if head == v else u_raw[head] - steps[e]
+    for k in levels:
+        at = level == k
+        u_raw[child[at]] = u_raw[parent[at]] + sign[at] * steps[edge[at]]
     return flows, u_raw
 
 
-def _scalar_simplex_engine(w_hat, d_edge, pairs, incidence, n):
+def _scalar_simplex_engine(w_hat, d_edge, pairs, incidence):
     """Exact engine for scalar weights: the problem is a plain LP.
 
     Splitting each signed flow into its positive and negative part turns
@@ -581,13 +557,10 @@ def solve(instance: Instance, params: SolverParams | None = None):
     if kind == "complete" and n > 2:
         pairs = _prune_metric_redundant(pairs, instance.distances)
     e_count = pairs.shape[0]
-    if kind == "complete" and e_count > n - 1:
-        # Connected (pruning keeps it so) and not a tree: skip the traversal,
-        # whose cost grows with the O(n^2) edges.
-        labels, order, parent_edge = np.zeros(n, dtype=np.int64), None, None
-    else:
-        labels, order, parent_edge = _spanning_forest(n, pairs)
+    # The complete graph is connected, and pruning never disconnects it.
+    labels = np.zeros(n, dtype=np.int64) if kind == "complete" else component_labels(n, pairs)
     components = int(labels.max()) + 1
+    roots = np.unique(labels, return_index=True)[1]  # smallest member of each component
 
     # Normalized problem: unit mass scale and unit diameter.  Scaling back at
     # the end keeps kr_norm exactly homogeneous in the weights and the points.
@@ -646,17 +619,16 @@ def solve(instance: Instance, params: SolverParams | None = None):
     u_hat = None
     if e_count == n - components:
         engine = "tree"
-        flows_hat, u_raw = _tree_engine(w_hat, d_edge, pairs, order, parent_edge)
+        flows_hat, u_raw = _tree_engine(w_hat, d_edge, pairs, roots)
         u_hat = accept(flows_hat, u_raw)
     elif m == 1:
-        lp = _scalar_simplex_engine(w_hat, d_edge, pairs, incidence, n)
+        lp = _scalar_simplex_engine(w_hat, d_edge, pairs, incidence)
         if lp is not None:
             engine = "lp"
             flows_hat, u_raw, it = lp
             u_hat = accept(flows_hat, u_raw)
     if u_hat is None:
         engine = "ipm"
-        roots = np.unique(labels, return_index=True)[1]  # smallest member of each component
         flows_hat, u_raw, it, comp, u_hat = _interior_point_engine(
             w_hat, d_edge, pairs, incidence, roots, params, accept
         )

@@ -109,6 +109,16 @@ def test_dimension_mismatches_are_rejected():
     out_of_range = VectorCoupling(np.array([[0, 5]]), np.array([[1.0]]))
     with pytest.raises(DimensionMismatch):
         certify(inst, out_of_range, potential)
+    coupling = VectorCoupling(np.array([[0, 1]]), np.array([[1.0]]))
+    three = build_instance([[0.0], [1.0], [2.0]], [[1.0], [0.0], [-1.0]])
+    four_points = PotentialField(PointCloud(np.arange(4.0)[:, None]), np.zeros((4, 1)))
+    with pytest.raises(DimensionMismatch):
+        certify(three, coupling, four_points)
+    moved = PotentialField(PointCloud(inst.cloud.points + 1.0), potential.values)
+    with pytest.raises(DimensionMismatch):
+        certify(inst, coupling, moved)
+    same_points = PotentialField(PointCloud(inst.cloud.points.copy()), potential.values)
+    assert certify(inst, coupling, same_points).verdict == "Optimal"
 
 
 def test_zero_coupling_on_zero_measure_is_optimal():

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import vecot
 from vecot import (
     DimensionMismatch,
     DiscreteVectorMeasure,
@@ -17,16 +18,21 @@ from vecot import (
     PotentialField,
     VectorCoupling,
     build_instance,
+    certify,
     cost,
     distance_matrix,
     dumps_instance,
+    extract_leaves,
     instance_from_dict,
     instance_to_dict,
+    isometry_graph,
     lipschitz_constant,
     lipschitz_info,
     loads_instance,
     marginals,
+    mass_balance_report,
     pairing,
+    solve,
     total_variation,
 )
 
@@ -93,6 +99,27 @@ def test_build_instance_properties():
     assert inst.ambient_dim == 2
     assert inst.target_dim == 1
     np.testing.assert_allclose(inst.distances, [[0.0, 5.0], [5.0, 0.0]])
+    assert inst.distances is inst.cloud.distances
+
+
+def test_point_distances_are_computed_once_per_cloud(monkeypatch):
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((12, 2))
+    inst = build_instance(rng.standard_normal((12, 2)), w - w.mean(axis=0))
+    on_points = []
+    real = vecot.core.distance_matrix
+
+    def counting(x):
+        on_points.append(np.array_equal(x, inst.cloud.points))
+        return real(x)
+
+    for module in (vecot.core, vecot.solver, vecot.leaves, vecot.mass_balance):
+        monkeypatch.setattr(module, "distance_matrix", counting, raising=False)
+    coupling, potential, _ = solve(inst)
+    assert certify(inst, coupling, potential).verdict == "Optimal"
+    decomposition = extract_leaves(isometry_graph(potential), potential)
+    mass_balance_report(inst, decomposition)
+    assert sum(on_points) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,16 @@ def test_transport_set_expands_through_interior_points():
     np.testing.assert_array_equal(ts, dec.leaves[0].member_indices)
 
 
+def test_extract_leaves_requires_the_graph_cloud():
+    cloud, u = two_rays()
+    graph = isometry_graph(u, eps=1e-9)
+    moved = PotentialField(PointCloud(cloud.points + 1.0), u.values)
+    with pytest.raises(DimensionMismatch):
+        extract_leaves(graph, moved)
+    same_points = PotentialField(PointCloud(cloud.points.copy()), u.values)
+    assert len(extract_leaves(graph, same_points).leaves) == len(extract_leaves(graph, u).leaves)
+
+
 def test_transport_set_validates_seeds():
     cloud, u = grid_projection(3)
     dec = extract_leaves(isometry_graph(u, eps=1e-9), u)
