@@ -19,7 +19,7 @@ from .core import (
     PotentialField,
     VectorCoupling,
     cost,
-    lipschitz_constant,
+    lipschitz_info,
     marginals,
     pairing,
     total_variation,
@@ -54,7 +54,10 @@ class OptimalityCertificate:
 
     ``verdict`` is "Optimal" when all checks pass, "Infeasible" when the
     coupling misses the measure or the potential is not Lipschitz within
-    tolerance, and "Suboptimal" otherwise.
+    tolerance, and "Suboptimal" otherwise.  ``dual_feasibility`` is the
+    potential's Lipschitz constant over all point pairs, and
+    ``worst_lipschitz_pair`` the first pair (i < j, lexicographic) attaining
+    it; a single-point cloud reports ``(0, 0)``.
     """
 
     gap: float
@@ -65,6 +68,7 @@ class OptimalityCertificate:
     tol: float
     primal_value: float
     dual_value: float
+    worst_lipschitz_pair: tuple[int, int]
 
 
 def _edge_geometry(instance: Instance, coupling: VectorCoupling, potential: PotentialField):
@@ -111,7 +115,7 @@ def certify(
 
     _, _, net = marginals(coupling, instance.size)
     feas_primal = float(np.linalg.norm(net - measure.weights))
-    lip = lipschitz_constant(potential)
+    lip = lipschitz_info(potential)
 
     primal_value = cost(coupling, instance)
     dual_value = pairing(potential, measure)
@@ -139,7 +143,7 @@ def certify(
                 )
 
     feasible = (
-        feas_primal <= tol * (1.0 + measure.mass_scale) and lip <= 1.0 + tol
+        feas_primal <= tol * (1.0 + measure.mass_scale) and lip.value <= 1.0 + tol
     )
     tight = abs(gap) <= tol * (1.0 + abs(primal_value)) and not violations
     if not feasible:
@@ -151,12 +155,13 @@ def certify(
     return OptimalityCertificate(
         gap=gap,
         primal_feasibility=feas_primal,
-        dual_feasibility=lip,
+        dual_feasibility=lip.value,
         slack_violations=violations,
         verdict=verdict,
         tol=tol,
         primal_value=primal_value,
         dual_value=dual_value,
+        worst_lipschitz_pair=lip.pair,
     )
 
 

@@ -95,6 +95,7 @@ def _certificate_dict(cert: OptimalityCertificate) -> dict:
         "dual_value": cert.dual_value,
         "primal_feasibility": cert.primal_feasibility,
         "dual_feasibility": cert.dual_feasibility,
+        "worst_lipschitz_pair": list(cert.worst_lipschitz_pair),
         "tol": cert.tol,
         "slack_violations": [
             {

@@ -210,9 +210,11 @@ def mass_balance_report(
 
     BalanceHolds when every set's mass norm is at most ``tol`` times the
     instance's total mass scale, BalanceFails otherwise with the first
-    offending set as witness.
+    offending set as witness.  A decomposition whose graph is not on the
+    instance's points raises DimensionMismatch.
     """
-    if decomposition.graph.cloud.size != instance.size:
+    cloud = decomposition.graph.cloud
+    if cloud is not instance.cloud and not np.array_equal(cloud.points, instance.cloud.points):
         raise DimensionMismatch("decomposition and instance describe different clouds")
     weights = instance.measure.weights
     scale = instance.measure.mass_scale

@@ -16,11 +16,20 @@ cone program
 and three engines solve it:
 
 * ``tree``: when the edge set is a forest (every two-point cloud, every
-  collinear cloud once metrically redundant edges are pruned), ``net(x) = mu``
-  fixes the flows, and the potential steps by ``d_e x_e / ||x_e||`` along
+  collinear cloud on the complete graph once metrically redundant edges are
+  pruned), ``net(x) = mu`` fixes the flows, and the potential steps by ``d_e x_e / ||x_e||`` along
   each edge.  Closed form, no iterations.
 * ``lp``: scalar weights (m = 1) make the problem a linear program, which
-  HiGHS finishes at a vertex.
+  HiGHS finishes at a vertex.  On the complete graph of a cloud of 80
+  points or more, the LP is solved by certificate-driven edge
+  generation: it starts on the k-nearest-neighbour graph (joined by a
+  minimum spanning tree if that graph is disconnected), every pair of the
+  cloud is scanned for ``|u_i - u_j| > d_ij`` under the returned potential,
+  the violated pairs join the edge set, and the LP is solved again until a
+  round adds no pair.  The coupling lists the final edge set only, and
+  ``SolveReport.notes`` records the rounds and its size.  Smaller clouds,
+  where a few LP solves cost more than one on every pair, keep the complete
+  graph with metrically redundant edges pruned.
 * ``ipm``: otherwise, and as the fallback of the other two, a primal-dual
   interior-point method with Nesterov-Todd scaling and a Mehrotra
   predictor-corrector.  Its Newton system reduces to a block graph
@@ -31,7 +40,9 @@ and three engines solve it:
 
 Whatever the engine, the answer is accepted only by one stopping rule: the
 potential is repaired into the global 1-Lipschitz set, and the duality gap
-against it and per-edge complementary slackness must both hold.  The
+against it and per-edge complementary slackness must both hold.  Because the
+repair covers every pair of the cloud, ``"complete"`` means certified against
+every pair, whichever edge set the engine ran on.  The
 instance is normalized internally (unit mass scale, unit diameter), so
 reported values are exactly equivariant under scaling of weights or points.
 """
@@ -54,6 +65,7 @@ from .core import (
     WrongDimension,
     component_labels,
     distance_matrix,
+    stretch_ratios,
 )
 
 __all__ = [
@@ -69,6 +81,11 @@ __all__ = [
 
 _GAP_FLOOR_HAT = 1e-12  # absolute gap floor, in mass * diameter units
 _STEP_TO_BOUNDARY = 0.99  # interior-point steps stop short of the cone boundary
+# Certificate-driven edge generation for the m = 1 complete graph: start
+# neighbour count, and the cloud size from which it beats the pruned
+# complete graph (measured crossover).
+_GENERATION_NEIGHBOURS = 12
+_GENERATION_MIN_N = 80
 
 
 class NumericalBreakdown(VecotError):
@@ -94,10 +111,14 @@ class SolverParams:
     """Tunable parameters of the coupling solver.
 
     ``max_iters`` caps the interior-point iterations.  ``edge_policy`` is
-    ``"complete"`` or ``"knn:<k>"``.  The k-nearest neighbor restriction
-    solves the problem on a subgraph; when the subgraph misses edges of an
-    optimal coupling the restricted value is an upper bound on the
-    unrestricted optimum, and no optimality guarantee is made.
+    ``"complete"`` or ``"knn:<k>"``.  ``"complete"`` means the answer is
+    certified against every pair of points: scalar instances on larger
+    clouds are solved by edge generation on the pairs the potential needs
+    (see the module docstring), the rest on the pruned complete graph.  The
+    k-nearest neighbor restriction solves the problem on a fixed subgraph;
+    when the subgraph misses edges of an optimal coupling the restricted
+    value is an upper bound on the unrestricted optimum, and no optimality
+    guarantee is made.
     """
 
     max_iters: int = 100
@@ -200,6 +221,71 @@ def _prune_metric_redundant(pairs: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return pruned
 
 
+def _incidence(n: int, pairs: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Signed n x E incidence matrix: +1 at ``pairs[e, 0]``, -1 at ``pairs[e, 1]``."""
+    e_count = pairs.shape[0]
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([np.arange(e_count), np.arange(e_count)])
+    vals = np.concatenate([np.ones(e_count), -np.ones(e_count)])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, e_count))
+
+
+def _start_keys(distances: np.ndarray, k: int) -> np.ndarray:
+    """Sorted keys ``i * n + j`` (i < j) of the k-nearest-neighbour graph,
+    united with a minimum spanning tree when it is not connected."""
+    n = distances.shape[0]
+    # Each row's k + 1 nearest points, the point itself included.
+    near = np.argpartition(distances, k, axis=1)[:, : k + 1]
+    i, j = np.repeat(np.arange(n), k + 1), near.ravel()
+    # On spread-out clouds the tree lies inside the neighbour graph, and
+    # scipy builds it from every pair, so it is only added where it matters.
+    if component_labels(n, np.column_stack([i, j])).max() > 0:
+        tree = scipy.sparse.csgraph.minimum_spanning_tree(distances).tocoo()
+        i, j = np.concatenate([i, tree.row]), np.concatenate([j, tree.col])
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    return np.unique((lo * n + hi)[lo != hi])
+
+
+def _generated_lp(w_hat: np.ndarray, dist_hat: np.ndarray):
+    """Scalar LP on the complete graph, solved on the edges its potential needs.
+
+    Starting from the k-nearest-neighbour graph (joined by a minimum
+    spanning tree where it is disconnected), each round solves the LP on
+    the active pairs and scans every pair of the cloud for
+    ``|u_i - u_j| > d_ij``; the violated pairs join the active set.  The
+    dual of the restricted LP is feasible for the complete one once no
+    pair is violated, and then the two optima coincide.  LP duals are
+    feasible only to the solver's tolerance, so the loop ends when a round
+    finds no violated pair outside the active set; the stopping rule's
+    global repair settles the rest, and it tests the same ratios.
+
+    Returns ``(pairs, (flows, u_raw, iterations), rounds)``, or None when
+    the start set is already the complete graph or the LP solver declined
+    a round.
+    """
+    n = dist_hat.shape[0]
+    keys = _start_keys(dist_hat, min(_GENERATION_NEIGHBOURS, n - 1))
+    if keys.size == n * (n - 1) // 2:
+        return None
+    rounds = iterations = 0
+    while True:
+        pairs = np.column_stack([keys // n, keys % n])
+        d_edge = dist_hat[pairs[:, 0], pairs[:, 1]]
+        lp = _scalar_simplex_engine(w_hat, d_edge, pairs, _incidence(n, pairs))
+        if lp is None:
+            return None
+        flows, u_raw, nit = lp
+        rounds += 1
+        iterations += nit
+        # The repair measures the potential anchored at point 0: scan the same numbers.
+        iu, ju, ratios = stretch_ratios(u_raw - u_raw[0], dist_hat)
+        violated = ratios > 1.0
+        fresh = np.setdiff1d(iu[violated] * n + ju[violated], keys, assume_unique=True)
+        if fresh.size == 0:
+            return pairs, (flows, u_raw, iterations), rounds
+        keys = np.union1d(keys, fresh)
+
+
 _REPAIR_SWEEPS = 200
 
 
@@ -221,8 +307,8 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
     num = distance_matrix(u)
     safe_d = np.where(distances > 0, distances, 1.0)
     np.fill_diagonal(safe_d, 1.0)
+    ratio = num / safe_d
     for _ in range(_REPAIR_SWEEPS):
-        ratio = num / safe_d
         i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
         if ratio[i, j] <= 1.0:
             break
@@ -232,11 +318,15 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
         shift = (0.5 * (nrm - distances[i, j] * (1.0 - 1e-12)) / nrm) * du
         u[i] -= shift
         u[j] += shift
+        # Only the rows and columns of i and j change: refresh those, not
+        # the whole n x n ratio (most sweeps settle a pair that is over by
+        # rounding only, and large clouds have hundreds of them).
         for k in (i, j):
             dk = u[k] - u
             num[k, :] = num[:, k] = np.sqrt(np.einsum("ij,ij->i", dk, dk))
             num[k, k] = 0.0
-    ratio = num / safe_d
+            ratio[k, :] = num[k, :] / safe_d[k, :]
+            ratio[:, k] = num[:, k] / safe_d[:, k]
     lip = float(ratio.max())
     if lip > 1.0:
         u = u * ((1.0 - 1e-15) / lip)
@@ -552,13 +642,15 @@ def solve(instance: Instance, params: SolverParams | None = None):
     if mass_scale == 0.0 or n == 1:
         return no_engine("Converged", 0.0, "zero measure")
 
-    pairs = _edge_list(instance, params.edge_policy)
     kind, _ = _parse_edge_policy(params.edge_policy)
-    if kind == "complete" and n > 2:
-        pairs = _prune_metric_redundant(pairs, instance.distances)
-    e_count = pairs.shape[0]
-    # The complete graph is connected, and pruning never disconnects it.
-    labels = np.zeros(n, dtype=np.int64) if kind == "complete" else component_labels(n, pairs)
+    if kind == "complete":
+        # The complete graph is connected, and so are the edge sets that stand
+        # in for it: pruning never disconnects it, and generation starts from
+        # a connected graph.
+        labels = np.zeros(n, dtype=np.int64)
+    else:
+        pairs = _edge_list(instance, params.edge_policy)
+        labels = component_labels(n, pairs)
     components = int(labels.max()) + 1
     roots = np.unique(labels, return_index=True)[1]  # smallest member of each component
 
@@ -566,12 +658,7 @@ def solve(instance: Instance, params: SolverParams | None = None):
     # the end keeps kr_norm exactly homogeneous in the weights and the points.
     dist_scale = float(instance.distances.max())
     w_hat = weights / mass_scale
-    d_edge = instance.distances[pairs[:, 0], pairs[:, 1]] / dist_scale
-
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([np.arange(e_count), np.arange(e_count)])
-    vals = np.concatenate([np.ones(e_count), -np.ones(e_count)])
-    incidence = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, e_count))
+    dist_hat = instance.distances / dist_scale
 
     for c in range(components):
         block = w_hat[labels == c].sum(axis=0)
@@ -582,13 +669,31 @@ def solve(instance: Instance, params: SolverParams | None = None):
                 f"edge subgraph component {c} carries nonzero mass",
             )
 
+    notes = []
+    lp = None
+    if kind == "complete":
+        generated = None
+        if m == 1 and n >= _GENERATION_MIN_N:
+            generated = _generated_lp(w_hat, dist_hat)
+        if generated is None:
+            pairs = _edge_list(instance, params.edge_policy)
+            if n > 2:
+                pairs = _prune_metric_redundant(pairs, instance.distances)
+        else:
+            pairs, lp, rounds = generated
+            notes.append(
+                f"edge generation: {rounds} rounds, {pairs.shape[0]} of {n * (n - 1) // 2} pairs"
+            )
+    e_count = pairs.shape[0]
+    d_edge = dist_hat[pairs[:, 0], pairs[:, 1]]
+    incidence = _incidence(n, pairs)
+
     value_scale = mass_scale * dist_scale
     # Stopping threshold in normalized units.  Both terms are invariant
     # under rescaling of the weights or the points, so kr_norm stays
     # exactly homogeneous; the absolute floor only matters when the
     # optimum is negligible against mass * diameter.
     gap_floor = _GAP_FLOOR_HAT
-    dist_hat = instance.distances / dist_scale
 
     def slackness_ok(flows_hat: np.ndarray, pot_hat: np.ndarray) -> bool:
         # Require every flow-carrying edge to be aligned with the potential
@@ -622,7 +727,8 @@ def solve(instance: Instance, params: SolverParams | None = None):
         flows_hat, u_raw = _tree_engine(w_hat, d_edge, pairs, roots)
         u_hat = accept(flows_hat, u_raw)
     elif m == 1:
-        lp = _scalar_simplex_engine(w_hat, d_edge, pairs, incidence)
+        if lp is None:
+            lp = _scalar_simplex_engine(w_hat, d_edge, pairs, incidence)
         if lp is not None:
             engine = "lp"
             flows_hat, u_raw, it = lp
@@ -633,7 +739,6 @@ def solve(instance: Instance, params: SolverParams | None = None):
             w_hat, d_edge, pairs, incidence, roots, params, accept
         )
     status = "Converged"
-    notes = []
     if u_hat is None:
         status = "IterLimit"
         u_hat = _feasible_potential(u_raw, dist_hat)

@@ -53,6 +53,20 @@ def test_infeasible_when_potential_stretches():
     assert cert.dual_feasibility == pytest.approx(1.2)
 
 
+def test_certificate_names_the_worst_lipschitz_pair():
+    inst = build_instance([[0.0], [1.0], [3.0]], [[1.0], [0.0], [-1.0]])
+    coupling = VectorCoupling(np.array([[0, 2]]), np.array([[1.0]]))
+    # Stretches: (0, 1) 0.5, (0, 2) 1.1, (1, 2) 1.4.
+    potential = PotentialField(inst.cloud, np.array([[0.0], [0.5], [3.3]]))
+    cert = certify(inst, coupling, potential)
+    assert cert.worst_lipschitz_pair == (1, 2)
+    assert cert.dual_feasibility == pytest.approx(1.4)
+    single = build_instance([[0.0, 0.0]], [[0.0]])
+    empty = VectorCoupling(np.zeros((0, 2)), np.zeros((0, 1)))
+    cert = certify(single, empty, PotentialField(single.cloud, np.zeros((1, 1))))
+    assert cert.worst_lipschitz_pair == (0, 0)
+
+
 def test_suboptimal_when_potential_is_slack():
     inst, coupling, _ = two_point()
     flat = PotentialField(inst.measure.cloud, np.array([[0.0], [-2.5]]))

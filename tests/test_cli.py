@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from vecot import build_instance, dumps_instance
+from vecot import build_instance, dumps_instance, instance_from_dict, solve
 from vecot.cli import main
 
 SQRT5 = float(np.sqrt(5.0))
@@ -83,6 +83,40 @@ def test_solution_round_trips_through_certify_leaves_massbalance(tmp_path, capsy
     balance = doc["mass_balance"]
     assert balance["verdict"] in ("BalanceHolds", "BalanceFails")
     assert len(balance["transport_sets"]) >= 1
+
+
+def test_generated_solution_round_trips_with_only_the_active_pairs(tmp_path, capsys):
+    # A scalar cloud large enough for edge generation: the document lists
+    # the pairs the generation loop kept, not all 4950.
+    rng = np.random.default_rng(3)
+    n_points = 100
+    pts = rng.uniform(-1, 1, size=(n_points, 2))
+    w = rng.normal(size=(n_points, 1))
+    w -= w.mean(axis=0)
+    path = write_instance(tmp_path, points=pts.tolist(), weights=w.tolist())
+    solution = tmp_path / "solution.json"
+    assert main(["solve", "--input", str(path), "--output", str(solution)]) == 0
+    doc = json.loads(solution.read_text())
+    pairs = doc["coupling"]["pairs"]
+    assert len(pairs) < 4950
+    assert doc["report"]["notes"].startswith("edge generation: ")
+    assert doc["report"]["notes"].endswith(f" rounds, {len(pairs)} of 4950 pairs")
+    coupling, _, _ = solve(instance_from_dict(doc["instance"]))
+    assert pairs == coupling.pairs.tolist()
+    assert doc["certificate"]["verdict"] == "Optimal"
+    i, j = doc["certificate"]["worst_lipschitz_pair"]
+    assert 0 <= i < j < n_points
+
+    code, cert = run(capsys, "certify", "--input", str(solution))
+    assert code == 0
+    assert cert["certificate"]["verdict"] == "Optimal"
+    assert cert["certificate"]["worst_lipschitz_pair"] == [i, j]
+    code, leaves = run(capsys, "leaves", "--input", str(solution))
+    assert code == 0
+    assert len(leaves["decomposition"]["assignment"]) == n_points
+    code, balance = run(capsys, "massbalance", "--input", str(solution))
+    assert code == 0
+    assert balance["mass_balance"]["verdict"] in ("BalanceHolds", "BalanceFails")
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,15 @@ def test_balance_report_checks_cloud_size():
     other = build_instance([[0.0], [1.0]], [[1.0], [-1.0]])
     with pytest.raises(DimensionMismatch):
         mass_balance_report(other, dec)
+    # Same size, other points: the decomposition's transport sets do not
+    # belong to this instance.
+    inst = build_instance([[0.0], [1.0], [2.0]], [[1.0], [1.0], [-2.0]])
+    moved = build_instance([[0.0], [5.0], [7.0]], [[1.0], [1.0], [-2.0]])
+    with pytest.raises(DimensionMismatch):
+        mass_balance_report(inst, decompose(moved, solve(moved)[1]))
+    # Equal points on another cloud object are the same cloud.
+    twin = build_instance([[0.0], [1.0], [2.0]], [[1.0], [1.0], [-2.0]])
+    assert mass_balance_report(inst, decompose(twin, solve(twin)[1])).verdict == "BalanceHolds"
 
 
 # ---------------------------------------------------------------------------

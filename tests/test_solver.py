@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg.lapack
 
 import vecot
+import vecot.solver
 from vecot import (
     NotConverged,
     NumericalBreakdown,
@@ -333,6 +334,116 @@ def test_unfactorable_newton_system_raises_numerical_breakdown(monkeypatch):
     inst = random_instance(np.random.default_rng(83), 8, 2, 2)
     with pytest.raises(NumericalBreakdown):
         solve(inst)
+
+
+# ---------------------------------------------------------------------------
+# Edge generation (m = 1, complete graph)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_points", [40, 100, 300])
+def test_edge_generation_matches_the_complete_graph_lp(n_points, dim, monkeypatch):
+    # Clouds below the measured crossover keep the pruned complete graph;
+    # the cut is lowered so that every size here runs the generation loop.
+    cut = min(n_points, vecot.solver._GENERATION_MIN_N)
+    monkeypatch.setattr(vecot.solver, "_GENERATION_MIN_N", cut)
+    inst = random_instance(np.random.default_rng([n_points, dim]), n_points, dim, 1)
+    all_pairs = n_points * (n_points - 1) // 2
+    coupling, potential, report = solve(inst)
+    assert report.status == "Converged"
+    assert report.engine == "lp"
+    assert coupling.edge_count < all_pairs
+    assert report.notes.startswith("edge generation: ")
+    assert report.notes.endswith(f" rounds, {coupling.edge_count} of {all_pairs} pairs")
+    full = solve(inst, SolverParams(edge_policy=f"knn:{n_points - 1}"))[2]
+    assert abs(report.primal_value - full.primal_value) <= 1e-9 * full.primal_value
+    assert abs(report.dual_value - full.dual_value) <= 1e-9 * full.primal_value
+    assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
+    again_coupling, again_potential, again_report = solve(inst)
+    assert again_report == report
+    np.testing.assert_array_equal(again_coupling.pairs, coupling.pairs)
+    np.testing.assert_array_equal(again_coupling.flows, coupling.flows)
+    np.testing.assert_array_equal(again_potential.values, potential.values)
+
+
+def test_edge_generation_on_a_collinear_cloud_matches_the_line_oracle():
+    rng = np.random.default_rng(97)
+    inst = random_instance(rng, 80, 1, 1)
+    coupling, potential, report = solve(inst)
+    assert report.notes.startswith("edge generation: ")
+    expected = line_oracle(inst)
+    assert abs(report.primal_value - expected) <= 1e-9 * expected
+    assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
+
+
+def test_below_the_crossover_the_pruned_complete_graph_is_solved():
+    n_points = vecot.solver._GENERATION_MIN_N - 1
+    inst = random_instance(np.random.default_rng(101), n_points, 2, 1)
+    coupling, _, report = solve(inst)
+    assert report.notes == ""
+    pruned = vecot.solver._prune_metric_redundant(
+        vecot.solver._edge_list(inst, "complete"), inst.distances
+    )
+    np.testing.assert_array_equal(coupling.pairs, pruned)
+
+
+def test_edge_generation_falls_back_when_the_lp_solver_declines(monkeypatch):
+    monkeypatch.setattr(vecot.solver, "_scalar_simplex_engine", lambda *args: None)
+    inst = random_instance(np.random.default_rng(103), 80, 2, 1)
+    all_pairs = 80 * 79 // 2
+    coupling, potential, report = solve(inst)
+    assert report.engine == "ipm"
+    assert report.status == "Converged"
+    assert report.notes == ""
+    assert coupling.edge_count == all_pairs
+    monkeypatch.undo()
+    assert report.primal_value == pytest.approx(kr_norm(inst), rel=1e-6)
+
+
+def reference_feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """The potential repair with a full scan of the stretch matrix per sweep."""
+    u = u_raw - u_raw[0]
+    num = vecot.distance_matrix(u)
+    safe_d = np.where(distances > 0, distances, 1.0)
+    np.fill_diagonal(safe_d, 1.0)
+    for _ in range(vecot.solver._REPAIR_SWEEPS):
+        ratio = num / safe_d
+        i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+        if ratio[i, j] <= 1.0:
+            break
+        du = u[i] - u[j]
+        nrm = num[i, j]
+        shift = (0.5 * (nrm - distances[i, j] * (1.0 - 1e-12)) / nrm) * du
+        u[i] -= shift
+        u[j] += shift
+        for k in (i, j):
+            dk = u[k] - u
+            num[k, :] = num[:, k] = np.sqrt(np.einsum("ij,ij->i", dk, dk))
+            num[k, k] = 0.0
+    lip = float((num / safe_d).max())
+    if lip > 1.0:
+        u = u * ((1.0 - 1e-15) / lip)
+    return u - u[0]
+
+
+def test_potential_repair_matches_the_full_scan_bit_for_bit():
+    # Stretched potentials need many sweeps (some more than the sweep limit);
+    # points on a coarse grid and rounded values make ties in the ratios.
+    rng = np.random.default_rng(107)
+    for trial in range(48):
+        n_points, n, m = int(rng.integers(2, 60)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        pts = rng.uniform(-1.0, 1.0, size=(n_points, n))
+        if trial % 4 == 0:
+            pts = np.round(pts * 3.0) / 3.0 + 1e-9 * np.arange(n_points)[:, None]
+        distances = vecot.distance_matrix(pts)
+        distances /= distances.max()
+        u_raw = rng.normal(size=(n_points, m)) * (0.3, 0.32, 0.45, 0.9)[trial % 4]
+        if trial % 3 == 0:
+            u_raw = np.round(u_raw, 1)
+        expected = reference_feasible_potential(u_raw.copy(), distances)
+        got = vecot.solver._feasible_potential(u_raw.copy(), distances)
+        np.testing.assert_array_equal(got, expected)
 
 
 DIGEST_SCRIPT = """
