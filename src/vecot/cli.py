@@ -13,23 +13,22 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__
-from .certifier import OptimalityCertificate, certify
+from .certifier import certify
 from .core import (
     Instance,
-    PointCloud,
     PotentialField,
     VecotError,
     VectorCoupling,
-    build_instance,
     instance_from_dict,
     instance_to_dict,
 )
 from .disintegration import (
-    Needle,
+    GridDensity,
     cd_check_1d,
     l1_distance,
     radial_disintegration,
@@ -47,7 +46,7 @@ from .mass_balance import (
     paper_preset,
     smoothed_instance,
 )
-from .solver import SolveReport, SolverParams, line_oracle, solve
+from .solver import SolverParams, solve
 
 SCHEMA = "vecot/1"
 
@@ -71,42 +70,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
-
-
-def _report_dict(report: SolveReport) -> dict:
-    return {
-        "primal_value": report.primal_value,
-        "dual_value": report.dual_value,
-        "gap": report.gap,
-        "iterations": report.iterations,
-        "primal_residual": report.primal_residual,
-        "dual_residual": report.dual_residual,
-        "status": report.status,
-        "engine": report.engine,
-        "notes": report.notes,
-    }
-
-
-def _certificate_dict(cert: OptimalityCertificate) -> dict:
-    return {
-        "verdict": cert.verdict,
-        "gap": cert.gap,
-        "primal_value": cert.primal_value,
-        "dual_value": cert.dual_value,
-        "primal_feasibility": cert.primal_feasibility,
-        "dual_feasibility": cert.dual_feasibility,
-        "worst_lipschitz_pair": list(cert.worst_lipschitz_pair),
-        "tol": cert.tol,
-        "slack_violations": [
-            {
-                "pair": list(v.pair),
-                "flow_norm": v.flow_norm,
-                "saturation": v.saturation,
-                "alignment": v.alignment,
-            }
-            for v in cert.slack_violations
-        ],
-    }
 
 
 def _solution_dict(instance: Instance, coupling: VectorCoupling, potential: PotentialField) -> dict:
@@ -171,20 +134,13 @@ def _balance_dict(report) -> dict:
 
 
 def _params_from_args(args) -> SolverParams:
-    return SolverParams(
-        max_iters=args.max_iters,
-        tol_primal=args.tol_primal,
-        tol_gap=args.tol_gap,
-        edge_policy=args.edge_policy,
-    )
+    return SolverParams(**{f.name: getattr(args, f.name) for f in fields(SolverParams)})
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
-    defaults = SolverParams()
-    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
-    p.add_argument("--tol-primal", type=float, default=defaults.tol_primal)
-    p.add_argument("--tol-gap", type=float, default=defaults.tol_gap)
-    p.add_argument("--edge-policy", default=defaults.edge_policy)
+    """One ``--flag-name`` per SolverParams field, with its type and default."""
+    for f in fields(SolverParams):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
@@ -196,8 +152,8 @@ def _cmd_solve(args) -> tuple[dict, int]:
     payload = {
         "command": "solve",
         **_solution_dict(instance, coupling, potential),
-        "report": _report_dict(report),
-        "certificate": _certificate_dict(cert),
+        "report": asdict(report),
+        "certificate": asdict(cert),
     }
     code = 3 if report.status == "IterLimit" else (2 if report.status == "Infeasible" else 0)
     return payload, code
@@ -208,7 +164,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
     cert = certify(instance, coupling, potential, tol=args.tol)
     return {
         "command": "certify",
-        "certificate": _certificate_dict(cert),
+        "certificate": asdict(cert),
     }, 0
 
 
@@ -256,9 +212,9 @@ def _cmd_counterexample(args) -> tuple[dict, int]:
         "spec": {"anchors": spec.anchors.tolist(), "vectors": spec.vectors.tolist()},
         "margin": margin,
         "analytic_value": value,
-        "report": _report_dict(report),
-        "certificate_analytic": _certificate_dict(cert_analytic),
-        "certificate_solver": _certificate_dict(cert_solver),
+        "report": asdict(report),
+        "certificate_analytic": asdict(cert_analytic),
+        "certificate_solver": asdict(cert_solver),
         "mass_balance": _balance_dict(balance),
         "marginal_surrogate": marginal_abs_continuity_surrogate(pi, instance),
     }
@@ -269,7 +225,7 @@ def _cmd_counterexample(args) -> tuple[dict, int]:
             "eps": args.smooth_eps,
             "points_per_ball": args.points_per_ball,
             "size": smoothed.size,
-            "report": _report_dict(smoothed_report),
+            "report": asdict(smoothed_report),
         }
     return payload, 0
 
@@ -289,8 +245,6 @@ def _cmd_disintegrate(args) -> tuple[dict, int]:
     if args.grid is not None:
         with open(args.grid, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        from .disintegration import GridDensity
-
         density = GridDensity(
             box=np.asarray(doc["box"], dtype=float),
             samples=np.asarray(doc["samples"], dtype=float),
@@ -328,11 +282,10 @@ def _cmd_disintegrate(args) -> tuple[dict, int]:
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
         for k, nd in enumerate(needles):
-            path = os.path.join(args.csv_dir, f"needle_{k:04d}.csv")
-            cols = np.column_stack([nd.axes[0], nd.g]) if nd.leaf_dim == 1 else None
-            if cols is None:
-                continue
-            np.savetxt(path, cols, delimiter=",", header="t,g", comments="")
+            if nd.leaf_dim == 1:
+                path = os.path.join(args.csv_dir, f"needle_{k:04d}.csv")
+                cols = np.column_stack([nd.axes[0], nd.g])
+                np.savetxt(path, cols, delimiter=",", header="t,g", comments="")
     payload = {
         "command": "disintegrate",
         "mode": args.mode,
@@ -347,103 +300,29 @@ def _cmd_disintegrate(args) -> tuple[dict, int]:
     return payload, 0
 
 
-def _selftest_checks() -> list[dict]:
-    checks = []
-
-    spec = paper_preset()
-    u, pi, value = analytic_optimum(spec)
-    instance = spec.instance()
-    coupling, potential, report = solve(instance)
-    cert = certify(instance, coupling, potential, tol=1e-5)
-    dec = extract_leaves(isometry_graph(u, eps=1e-6), u)
-    balance = mass_balance_report(instance, dec)
-    expected = 1.0 + np.sqrt(5.0)
-    checks.append(
-        {
-            "name": "counterexample",
-            "passed": bool(
-                abs(report.primal_value - expected) <= 1e-6 * expected
-                and cert.verdict == "Optimal"
-                and balance.verdict == "BalanceFails"
-            ),
-            "detail": f"value {report.primal_value:.9f}, verdict {cert.verdict}, {balance.verdict}",
-        }
-    )
-
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    all_opt = True
-    for _ in range(10):
-        n_pts = int(rng.integers(3, 15))
-        pts = rng.standard_normal((n_pts, int(rng.integers(1, 4))))
-        w = rng.standard_normal((n_pts, int(rng.integers(1, 4))))
-        w -= w.mean(axis=0)
-        inst = build_instance(pts, w)
-        c, p, r = solve(inst)
-        rel = abs(r.gap) / (1.0 + abs(r.primal_value))
-        worst = max(worst, rel)
-        if certify(inst, c, p, tol=1e-5).verdict != "Optimal":
-            all_opt = False
-    checks.append(
-        {
-            "name": "duality_batch",
-            "passed": bool(worst <= 1e-5 and all_opt),
-            "detail": f"worst relative gap {worst:.3e}",
-        }
-    )
-
-    worst_line = 0.0
-    for _ in range(5):
-        n_pts = int(rng.integers(2, 30))
-        pts = rng.uniform(-5, 5, (n_pts, 1))
-        pts = np.unique(pts, axis=0)
-        w = rng.standard_normal((len(pts), 1))
-        w -= w.mean(axis=0)
-        inst = build_instance(pts, w)
-        oracle = line_oracle(inst)
-        _, _, r = solve(inst)
-        worst_line = max(worst_line, abs(r.primal_value - oracle) / (1.0 + oracle))
-    checks.append(
-        {
-            "name": "line_oracle",
-            "passed": bool(worst_line <= 1e-6),
-            "detail": f"worst relative error {worst_line:.3e}",
-        }
-    )
-
-    g = np.arange(5, dtype=float)
-    pts = np.array([[x, y, z] for x in g for y in g for z in g])
-    cloud = PointCloud(points=pts)
-    proj = PotentialField(cloud=cloud, values=pts[:, :2].copy())
-    dec = extract_leaves(isometry_graph(proj, eps=1e-9), proj)
-    checks.append(
-        {
-            "name": "leaf_recovery",
-            "passed": bool(
-                len(dec.leaves) == 5
-                and all(l.size == 25 and l.dimension == 2 for l in dec.leaves)
-            ),
-            "detail": f"{len(dec.leaves)} leaves, sizes {sorted({l.size for l in dec.leaves})}",
-        }
-    )
-
-    t = np.linspace(-4, 4, 258)
-    t = (t[:-1] + t[1:]) / 2.0
-    gneedle = Needle(
-        axes=(t,), g=np.exp(-0.5 * t * t), base=np.zeros(1), directions=np.eye(1)
-    )
-    uneedle = Needle(axes=(t,), g=np.ones_like(t), base=np.zeros(1), directions=np.eye(1))
-    cd_ok = (
-        cd_check_1d(gneedle, 1.0, np.inf).passed
-        and not cd_check_1d(gneedle, 1.01, np.inf).passed
-        and not cd_check_1d(uneedle, 0.1, np.inf).passed
-    )
-    checks.append({"name": "cd_checks", "passed": bool(cd_ok), "detail": "gaussian/uniform trio"})
-    return checks
-
-
 def _cmd_selftest(args) -> tuple[dict, int]:
-    checks = _selftest_checks()
+    """Smoke run of the presets: each must solve to its analytic value,
+    certify Optimal and break the mass balance."""
+    parser = _build_parser()
+    checks = []
+    for name, preset_args in (("paper", []), ("orthant", ["--m", "3"])):
+        doc, _ = _cmd_counterexample(
+            parser.parse_args(["counterexample", "--preset", name, *preset_args])
+        )
+        value, expected = doc["report"]["primal_value"], doc["analytic_value"]
+        verdict = doc["certificate_solver"]["verdict"]
+        balance = doc["mass_balance"]["verdict"]
+        checks.append(
+            {
+                "name": name,
+                "passed": bool(
+                    verdict == "Optimal"
+                    and abs(value - expected) <= 1e-6 * abs(expected)
+                    and balance == "BalanceFails"
+                ),
+                "detail": f"value {value:.9f} (analytic {expected:.9f}), verdict {verdict}, {balance}",
+            }
+        )
     all_passed = all(c["passed"] for c in checks)
     return {
         "command": "selftest",
@@ -519,22 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap() -> None:
-    limit = os.environ.get("VECOT_THREADS")
-    if not limit:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, limit)
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(int(limit))
-    except Exception:
-        pass
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -400,8 +400,8 @@ def instance_to_dict(instance: Instance) -> dict:
     return {
         "n": instance.ambient_dim,
         "m": instance.target_dim,
-        "points": [[float(v) for v in row] for row in instance.cloud.points],
-        "weights": [[float(v) for v in row] for row in instance.measure.weights],
+        "points": instance.cloud.points.tolist(),
+        "weights": instance.measure.weights.tolist(),
     }
 
 

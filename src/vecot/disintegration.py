@@ -312,17 +312,27 @@ def _index_fractions(density: GridDensity, points: np.ndarray):
     return idx, frac
 
 
-def _interpolate(density: GridDensity, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of the cell-center samples."""
-    idx, frac = _index_fractions(density, points)
-    out = np.zeros(len(points))
-    for corner in np.ndindex(*(2,) * density.dim):
+def _corners(grid: GridDensity, points: np.ndarray):
+    """Yield ``(cell, weight)`` for each of the 2^dim multilinear corners.
+
+    ``cell`` indexes the grid (edge-clamped) and ``weight`` holds every
+    point's interpolation weight at that corner.
+    """
+    idx, frac = _index_fractions(grid, points)
+    for corner in np.ndindex(*(2,) * grid.dim):
         weight = np.ones(len(points))
         cell = []
         for a, c in enumerate(corner):
             weight *= frac[:, a] if c else 1.0 - frac[:, a]
-            cell.append(np.minimum(idx[:, a] + c, density.resolution[a] - 1))
-        out += weight * density.samples[tuple(cell)]
+            cell.append(np.minimum(idx[:, a] + c, grid.resolution[a] - 1))
+        yield tuple(cell), weight
+
+
+def _interpolate(density: GridDensity, points: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of the cell-center samples."""
+    out = np.zeros(len(points))
+    for cell, weight in _corners(density, points):
+        out += weight * density.samples[cell]
     return out
 
 
@@ -343,14 +353,8 @@ def reassemble(needles: list[Needle], weights, target: GridDensity) -> GridDensi
         if needle.base.shape != (n,) or needle.directions.shape[0] != n:
             raise GeometryMismatch("needle geometry does not match the target grid")
         points, masses = needle.quadrature()
-        idx, frac = _index_fractions(target, points)
-        for corner in np.ndindex(*(2,) * n):
-            weight = np.ones(len(points))
-            cell = []
-            for a, c in enumerate(corner):
-                weight *= frac[:, a] if c else 1.0 - frac[:, a]
-                cell.append(np.minimum(idx[:, a] + c, target.resolution[a] - 1))
-            np.add.at(mass_grid, tuple(cell), w * masses * weight)
+        for cell, weight in _corners(target, points):
+            np.add.at(mass_grid, cell, w * masses * weight)
     return GridDensity(box=target.box, samples=mass_grid / target.cell_volume)
 
 

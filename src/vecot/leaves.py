@@ -204,14 +204,13 @@ def _fit(points: np.ndarray, values: np.ndarray):
     return tmap, b, y0, residual, rank, tangent, errors
 
 
-def _boundary_distances(coords: np.ndarray, all_coords: np.ndarray | None = None) -> np.ndarray:
+def _boundary_distances(coords: np.ndarray) -> np.ndarray:
     """Per-member distance to the sampled boundary in tangent coordinates.
 
-    Dimension 0 gives zeros, dimension 1 uses the interval ends, dimensions
-    2 and 3 use convex-hull facets; above that we fall back to the nearest
-    in-hull non-member (``all_coords``) or, lacking one, to zeros.  The
-    estimate is conservative: understating sigma only weakens diagnostics,
-    never invalidates them.
+    Dimension 0 gives zeros, dimension 1 uses the interval ends, and higher
+    dimensions use the facets of the members' convex hull; a hull Qhull
+    cannot build gives zeros.  The estimate is conservative: understating
+    sigma only weakens diagnostics, never invalidates them.
     """
     k, r = coords.shape
     if r == 0 or k <= r:
@@ -219,20 +218,15 @@ def _boundary_distances(coords: np.ndarray, all_coords: np.ndarray | None = None
     if r == 1:
         c = coords[:, 0]
         return np.minimum(c - c.min(), c.max() - c)
-    if r <= 3:
-        try:
-            from scipy.spatial import ConvexHull, QhullError
+    from scipy.spatial import ConvexHull, QhullError  # deferred: keeps it out of `import vecot`
 
-            hull = ConvexHull(coords)
-            # equations rows are (normal, offset) with normal . x + offset <= 0 inside
-            gaps = -(coords @ hull.equations[:, :-1].T + hull.equations[:, -1])
-            return np.maximum(gaps.min(axis=1), 0.0)
-        except (QhullError, ValueError):
-            return np.zeros(k)
-    if all_coords is not None and all_coords.size:
-        gaps = np.linalg.norm(coords[:, None, :] - all_coords[None, :, :], axis=2)
-        return gaps.min(axis=1)
-    return np.zeros(k)
+    try:
+        hull = ConvexHull(coords)
+    except (QhullError, ValueError):
+        return np.zeros(k)
+    # equations rows are (normal, offset) with normal . x + offset <= 0 inside
+    gaps = -(coords @ hull.equations[:, :-1].T + hull.equations[:, -1])
+    return np.maximum(gaps.min(axis=1), 0.0)
 
 
 def _build_leaf(members: list[int], cloud: PointCloud, values: np.ndarray) -> Leaf:
@@ -240,16 +234,6 @@ def _build_leaf(members: list[int], cloud: PointCloud, values: np.ndarray) -> Le
     pts = cloud.points[idx]
     vals = values[idx]
     tmap, b, y0, residual, rank, tangent, _ = _fit(pts, vals)
-    coords = (pts - y0) @ tangent
-    non_members = np.setdiff1d(np.arange(cloud.size), idx)
-    all_coords = None
-    if rank > 3 and non_members.size:
-        rel = cloud.points[non_members] - y0
-        inplane = rel @ tangent
-        off = np.linalg.norm(rel - inplane @ tangent.T, axis=1)
-        scale = float(np.linalg.norm(pts - y0, axis=1).max()) or 1.0
-        all_coords = inplane[off <= 1e-9 * scale]
-    sigma = _boundary_distances(coords, all_coords)
     return Leaf(
         member_indices=idx,
         points=pts,
@@ -260,7 +244,7 @@ def _build_leaf(members: list[int], cloud: PointCloud, values: np.ndarray) -> Le
         base_point=y0,
         offset=b,
         fit_residual=residual,
-        sigma=sigma,
+        sigma=_boundary_distances((pts - y0) @ tangent),
     )
 
 
@@ -318,6 +302,11 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
     clique with an isometric affine fit is shrunk member by member, and the
     removed points regrow their own leaves, possibly re-using points that
     are already covered.  That is how branch points end up in two leaves.
+
+    Every point lies in some leaf, but not every saturated pair does: a
+    removed point regrows a leaf only when no earlier leaf covers it, and
+    the greedy regrowth need not take all its neighbours, so a pair of the
+    graph whose two ends are already covered can lie in no leaf.
     """
     cloud = graph.cloud
     if u.cloud is not cloud and not np.array_equal(u.cloud.points, cloud.points):

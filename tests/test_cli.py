@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from vecot import build_instance, dumps_instance, instance_from_dict, solve
+import vecot.cli
+from vecot import (
+    OptimalityCertificate,
+    SolveReport,
+    SolverParams,
+    build_instance,
+    dumps_instance,
+    instance_from_dict,
+    solve,
+)
 from vecot.cli import main
 
 SQRT5 = float(np.sqrt(5.0))
@@ -47,6 +58,14 @@ def test_solve_two_point_document(tmp_path, capsys):
     assert doc["certificate"]["verdict"] == "Optimal"
     assert doc["instance"]["points"] == [[0.0, 0.0], [3.0, 4.0]]
     assert "coupling" in doc and "potential" in doc
+    # The records are written field for field, and every solver knob is a flag.
+    assert set(doc["report"]) == {f.name for f in dataclasses.fields(SolveReport)}
+    assert set(doc["certificate"]) == {f.name for f in dataclasses.fields(OptimalityCertificate)}
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    knobs = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(SolverParams)}
+    assert flags - {"--help", "--input", "--output", "--certify-tol"} == knobs
 
 
 def test_solve_output_is_deterministic(tmp_path):
@@ -286,8 +305,21 @@ def test_selftest_passes(capsys):
     code, doc = run(capsys, "selftest")
     assert code == 0
     assert doc["all_passed"] is True
-    names = {c["name"] for c in doc["checks"]}
-    assert {"counterexample", "duality_batch", "line_oracle", "leaf_recovery", "cd_checks"} <= names
+    assert [c["name"] for c in doc["checks"]] == ["paper", "orthant"]
+    assert all(c["passed"] for c in doc["checks"])
+
+
+def test_selftest_fails_when_the_balance_holds(monkeypatch, capsys):
+    real = vecot.cli.mass_balance_report
+
+    def balanced(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), verdict="BalanceHolds", witness=None)
+
+    monkeypatch.setattr(vecot.cli, "mass_balance_report", balanced)
+    code, doc = run(capsys, "selftest")
+    assert code == 4
+    assert doc["all_passed"] is False
+    assert not any(c["passed"] for c in doc["checks"])
 
 
 def test_console_script_entry_point(tmp_path):

@@ -148,6 +148,24 @@ def test_grid_leaf_boundary_distances():
     assert float(leaf.sigma.max()) == pytest.approx(2.0)
 
 
+def test_four_dimensional_leaf_boundary_distances_use_the_hull():
+    # The 3^4 grid in R^5 mapped onto its first four coordinates is one
+    # 4-D leaf; a far point in its affine hull is not a boundary of it.
+    axis = np.arange(3.0)
+    grid = np.stack(np.meshgrid(*(axis,) * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    pts = np.vstack([np.column_stack([grid, np.zeros(81)]), [[10.0, 0.0, 0.0, 0.0, 0.0]]])
+    cloud = PointCloud(pts)
+    u = PotentialField(cloud, np.vstack([grid, np.zeros((1, 4))]))
+    dec = extract_leaves(isometry_graph(u, eps=1e-9), u)
+    (leaf,) = [leaf for leaf in dec.leaves if leaf.size == 81]
+    assert leaf.dimension == 4
+    corner = leaf.member_position(0)  # (0, 0, 0, 0)
+    center = leaf.member_position(27 + 9 + 3 + 1)  # (1, 1, 1, 1)
+    assert leaf.sigma[corner] == pytest.approx(0.0, abs=1e-12)
+    assert leaf.sigma[center] == pytest.approx(1.0)
+    assert float(leaf.sigma.max()) == pytest.approx(1.0)
+
+
 def test_reconstruction_is_idempotent():
     cloud, u = grid_projection(4)
     dec = extract_leaves(isometry_graph(u, eps=1e-9), u)
