@@ -5,181 +5,27 @@ generalizes earth-mover distance to them, optimality certificates, leaf
 decompositions of optimal potentials, the counterexample family for mass
 balance on transport sets, and needle disintegration with CD(kappa, N)
 checks.
+
+Every name in a module's ``__all__`` is available here as ``vecot.<name>``.
 """
 
 from __future__ import annotations
 
-from .certifier import (
-    OptimalityCertificate,
-    SlackViolation,
-    certify,
-    isometry_saturation_set,
-)
-from .core import (
-    DimensionMismatch,
-    DiscreteVectorMeasure,
-    DuplicatePoint,
-    Instance,
-    LipschitzInfo,
-    NonzeroTotalMass,
-    PointCloud,
-    PotentialField,
-    VecotError,
-    VectorCoupling,
-    WrongDimension,
-    build_instance,
-    cost,
-    distance_matrix,
-    dumps_instance,
-    instance_from_dict,
-    instance_to_dict,
-    lipschitz_constant,
-    lipschitz_info,
-    loads_instance,
-    marginals,
-    pairing,
-    total_variation,
-)
-from .disintegration import (
-    CdReport,
-    CenterOutsideBox,
-    EmptySlice,
-    GeometryMismatch,
-    GridDensity,
-    Needle,
-    NonpositiveDensity,
-    TooFewPoints,
-    cd_check_1d,
-    l1_distance,
-    radial_disintegration,
-    reassemble,
-    slice_disintegration,
-    tabulate_density,
-)
-from .leaves import (
-    DegenerateLeaf,
-    IsometryGraph,
-    Leaf,
-    LeafDecomposition,
-    NotLipschitz,
-    affine_isometry_fit,
-    derivative_modulus_check,
-    extract_leaves,
-    isometry_graph,
-    reconstructed_potential,
-    strengthened_lipschitz_residual,
-    transport_set,
-)
-from .mass_balance import (
-    BallOverlap,
-    CounterexampleSpec,
-    InvalidSpec,
-    MassBalanceReport,
-    RankDeficiency,
-    TransportSetMass,
-    ZeroVector,
-    analytic_optimum,
-    check_counterexample_spec,
-    marginal_abs_continuity_surrogate,
-    mass_balance_report,
-    orthant_spec,
-    paper_preset,
-    smoothed_instance,
-)
-from .solver import (
-    NotConverged,
-    NumericalBreakdown,
-    SolveReport,
-    SolverParams,
-    kr_norm,
-    line_optimal_potential,
-    line_oracle,
-    solve,
-)
+from . import certifier, core, disintegration, leaves, mass_balance, solver
+from .certifier import *  # noqa: F403
+from .core import *  # noqa: F403
+from .disintegration import *  # noqa: F403
+from .leaves import *  # noqa: F403
+from .mass_balance import *  # noqa: F403
+from .solver import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "__version__",
-    # core
-    "VecotError",
-    "DimensionMismatch",
-    "DuplicatePoint",
-    "NonzeroTotalMass",
-    "WrongDimension",
-    "PointCloud",
-    "DiscreteVectorMeasure",
-    "VectorCoupling",
-    "PotentialField",
-    "Instance",
-    "LipschitzInfo",
-    "build_instance",
-    "distance_matrix",
-    "marginals",
-    "total_variation",
-    "cost",
-    "pairing",
-    "lipschitz_info",
-    "lipschitz_constant",
-    "instance_to_dict",
-    "instance_from_dict",
-    "dumps_instance",
-    "loads_instance",
-    # solver
-    "NotConverged",
-    "NumericalBreakdown",
-    "SolverParams",
-    "SolveReport",
-    "solve",
-    "kr_norm",
-    "line_oracle",
-    "line_optimal_potential",
-    # certifier
-    "OptimalityCertificate",
-    "SlackViolation",
-    "certify",
-    "isometry_saturation_set",
-    # leaves
-    "NotLipschitz",
-    "DegenerateLeaf",
-    "IsometryGraph",
-    "Leaf",
-    "LeafDecomposition",
-    "isometry_graph",
-    "extract_leaves",
-    "affine_isometry_fit",
-    "strengthened_lipschitz_residual",
-    "derivative_modulus_check",
-    "transport_set",
-    "reconstructed_potential",
-    # mass balance
-    "ZeroVector",
-    "RankDeficiency",
-    "InvalidSpec",
-    "BallOverlap",
-    "CounterexampleSpec",
-    "paper_preset",
-    "orthant_spec",
-    "check_counterexample_spec",
-    "analytic_optimum",
-    "TransportSetMass",
-    "MassBalanceReport",
-    "mass_balance_report",
-    "marginal_abs_continuity_surrogate",
-    "smoothed_instance",
-    # disintegration
-    "EmptySlice",
-    "CenterOutsideBox",
-    "GeometryMismatch",
-    "NonpositiveDensity",
-    "TooFewPoints",
-    "GridDensity",
-    "Needle",
-    "CdReport",
-    "tabulate_density",
-    "slice_disintegration",
-    "radial_disintegration",
-    "reassemble",
-    "l1_distance",
-    "cd_check_1d",
+    *core.__all__,
+    *solver.__all__,
+    *certifier.__all__,
+    *leaves.__all__,
+    *mass_balance.__all__,
+    *disintegration.__all__,
 ]

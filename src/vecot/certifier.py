@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     DimensionMismatch,
     Instance,
+    InvalidParameter,
     PotentialField,
     VectorCoupling,
     cost,
@@ -99,8 +100,8 @@ def certify(
     potential that does not fit the instance's points raises
     DimensionMismatch.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # nan fails too
+        raise InvalidParameter("tol must be positive")
     measure = instance.measure
     if coupling.target_dim != measure.target_dim:
         raise DimensionMismatch(

@@ -3,14 +3,16 @@
 Every run emits exactly one JSON document (schema "vecot/1"), either to
 stdout or to --output.  Identical invocations produce identical bytes:
 keys are sorted, arrays come from deterministic computations, and floats
-round-trip through repr.  Exit codes: 0 success, 2 validation error,
-3 iteration limit hit, 4 internal error.
+round-trip through repr.  Documents are strict JSON: a number that can be
+non-finite is written as a string, "inf", "-inf" or "nan".  Exit codes:
+0 success, 2 validation error, 3 iteration limit hit, 4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -51,25 +53,9 @@ from .solver import SolverParams, solve
 SCHEMA = "vecot/1"
 
 
-def _jsonable(obj):
-    """Recursively convert to JSON-serializable values.
-
-    Non-finite floats become strings so the output stays strict JSON.
-    """
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return f if np.isfinite(f) else repr(f)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _number(x: float) -> float | str:
+    """A float that may be non-finite, as strict JSON: its repr when it is."""
+    return x if math.isfinite(x) else repr(float(x))
 
 
 def _solution_dict(instance: Instance, coupling: VectorCoupling, potential: PotentialField) -> dict:
@@ -210,7 +196,7 @@ def _cmd_counterexample(args) -> tuple[dict, int]:
         "command": "counterexample",
         "preset": args.preset,
         "spec": {"anchors": spec.anchors.tolist(), "vectors": spec.vectors.tolist()},
-        "margin": margin,
+        "margin": _number(margin),
         "analytic_value": value,
         "report": asdict(report),
         "certificate_analytic": asdict(cert_analytic),
@@ -266,16 +252,17 @@ def _cmd_disintegrate(args) -> tuple[dict, int]:
     err = l1_distance(rebuilt, density)
     cd_reports = []
     for spec in args.cd or []:
-        kappa_text, n_text = spec.split(",")
-        kappa = float(kappa_text)
-        n_param = float("inf") if n_text.strip().lower() in ("inf", "infinity") else float(n_text)
+        try:
+            kappa, n_param = (float(v) for v in spec.split(","))
+        except ValueError:
+            raise VecotError(f"--cd expects KAPPA,N, got {spec!r}") from None
         per_needle = [cd_check_1d(nd, kappa, n_param) for nd in needles]
         cd_reports.append(
             {
-                "kappa": kappa,
-                "N": n_param,
+                "kappa": _number(kappa),
+                "N": _number(n_param),
                 "all_pass": all(r.passed for r in per_needle),
-                "worst_violation": min(r.worst_violation for r in per_needle),
+                "worst_violation": _number(min(r.worst_violation for r in per_needle)),
                 "tol": per_needle[0].tol,
             }
         )
@@ -403,6 +390,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.func(args)
+        document = {"schema": SCHEMA, **payload}
+        text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except VecotError as exc:
         print(f"vecot: {exc}", file=sys.stderr)
         return 2
@@ -412,8 +401,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"vecot: internal error: {exc!r}", file=sys.stderr)
         return 4
-    document = {"schema": SCHEMA, **payload}
-    text = json.dumps(_jsonable(document), sort_keys=True, indent=2) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -25,6 +25,7 @@ __all__ = [
     "DuplicatePoint",
     "NonzeroTotalMass",
     "WrongDimension",
+    "InvalidParameter",
     "PointCloud",
     "DiscreteVectorMeasure",
     "VectorCoupling",
@@ -78,6 +79,10 @@ class NonzeroTotalMass(VecotError):
 
 class WrongDimension(VecotError):
     """An operation received data of an unsupported dimension."""
+
+
+class InvalidParameter(VecotError, ValueError):
+    """A tolerance, count or policy argument is out of its range."""
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,6 @@ def slice_disintegration(density: GridDensity, m: int) -> tuple[list[Needle], np
     tail_centers = [density.centers(m + a) for a in range(n - m)]
     directions = np.eye(n)[:, :m]
     total = density.total_mass
-    head_volume = float(np.prod(density.steps[:m]))
     needles: list[Needle] = []
     weights: list[float] = []
     for tail_idx in np.ndindex(*tail_res):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     DimensionMismatch,
+    InvalidParameter,
     PointCloud,
     PotentialField,
     VecotError,
@@ -141,8 +142,8 @@ def isometry_graph(u: PotentialField, eps: float = 1e-6) -> IsometryGraph:
     Raises NotLipschitz if some pair stretches by more than ``1 + eps``;
     the saturation graph of a non-Lipschitz map would be meaningless.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:  # nan fails too
+        raise InvalidParameter("eps must be positive")
     iu, ju, ratios = stretch_ratios(u.values, u.cloud.distances)
     if ratios.size and float(ratios.max()) > 1.0 + eps:
         worst = int(np.argmax(ratios))
@@ -171,22 +172,11 @@ def affine_isometry_fit(
 
 def _fit(points: np.ndarray, values: np.ndarray):
     """Procrustes fit returning all intermediates the extractor needs."""
-    k, n = points.shape
     m = values.shape[1]
     y0 = points.mean(axis=0)
     b = values.mean(axis=0)
     centered = points - y0
     target = values - b
-    if k == 1:
-        return (
-            np.zeros((m, n)),
-            b,
-            y0,
-            0.0,
-            0,
-            np.zeros((n, 0)),
-            np.zeros(1),
-        )
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     smax = float(svals[0]) if svals.size else 0.0
     rank = int(np.sum(svals > _RANK_RTOL * smax)) if smax > 0 else 0

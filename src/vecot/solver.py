@@ -59,6 +59,7 @@ import scipy.sparse.csgraph
 
 from .core import (
     Instance,
+    InvalidParameter,
     PotentialField,
     VecotError,
     VectorCoupling,
@@ -128,10 +129,10 @@ class SolverParams:
 
     def __post_init__(self):
         if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+            raise InvalidParameter("max_iters must be positive")
         for name in ("tol_primal", "tol_gap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:  # nan fails too
+                raise InvalidParameter(f"{name} must be positive")
         _parse_edge_policy(self.edge_policy)
 
 
@@ -170,11 +171,11 @@ def _parse_edge_policy(policy: str) -> tuple[str, int]:
         try:
             k = int(policy[4:])
         except ValueError:
-            raise ValueError(f"bad edge policy {policy!r}") from None
+            raise InvalidParameter(f"bad edge policy {policy!r}") from None
         if k < 1:
-            raise ValueError("knn neighbor count must be >= 1")
+            raise InvalidParameter("knn neighbor count must be >= 1")
         return "knn", k
-    raise ValueError(f"bad edge policy {policy!r}; expected 'complete' or 'knn:<k>'")
+    raise InvalidParameter(f"bad edge policy {policy!r}; expected 'complete' or 'knn:<k>'")
 
 
 def _edge_list(instance: Instance, policy: str) -> np.ndarray:
@@ -260,13 +261,12 @@ def _generated_lp(w_hat: np.ndarray, dist_hat: np.ndarray):
     global repair settles the rest, and it tests the same ratios.
 
     Returns ``(pairs, (flows, u_raw, iterations), rounds)``, or None when
-    the start set is already the complete graph or the LP solver declined
-    a round.
+    the LP solver declined a round.  The start set has at most (k + 1)n - 1
+    pairs, fewer than all n(n - 1)/2 from n = 2k + 3 on, and the solver
+    runs this from ``_GENERATION_MIN_N`` points.
     """
     n = dist_hat.shape[0]
     keys = _start_keys(dist_hat, min(_GENERATION_NEIGHBOURS, n - 1))
-    if keys.size == n * (n - 1) // 2:
-        return None
     rounds = iterations = 0
     while True:
         pairs = np.column_stack([keys // n, keys % n])

@@ -180,6 +180,37 @@ def test_iteration_limit_exits_3(tmp_path, capsys):
     assert doc["report"]["status"] == "IterLimit"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--input", "{instance}", "--max-iters", "0"],
+        ["solve", "--input", "{instance}", "--edge-policy", "bogus"],
+        ["certify", "--input", "{solution}", "--tol", "0"],
+        ["leaves", "--input", "{solution}", "--eps", "0"],
+        ["massbalance", "--input", "{solution}", "--eps", "-1"],
+        ["counterexample", "--certify-tol", "0"],
+        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--cd", "1"],
+        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--cd", "a,inf"],
+        ["solve", "--input", "{instance}", "--tol-gap", "nan"],
+        ["leaves", "--input", "{solution}", "--eps", "nan"],
+        ["massbalance", "--input", "{solution}", "--tol", "-1"],
+    ],
+    ids=["max-iters", "edge-policy", "certify-tol", "leaves-eps", "massbalance-eps",
+         "counterexample-tol", "cd-one-number", "cd-not-a-number", "nan-tol-gap",
+         "nan-eps", "negative-balance-tol"],
+)
+def test_invalid_parameters_exit_2(tmp_path, capsys, argv):
+    instance = write_instance(tmp_path)
+    solution = tmp_path / "solution.json"
+    assert main(["solve", "--input", str(instance), "--output", str(solution)]) == 0
+    paths = {"instance": str(instance), "solution": str(solution)}
+    code = main([a.format(**paths) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("vecot: ")
+    assert "internal error" not in err
+
+
 def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -237,30 +268,47 @@ def test_counterexample_rejects_contradictory_flags(capsys):
 # ---------------------------------------------------------------------------
 
 
+def _strict(constant):
+    raise AssertionError(f"non-strict JSON constant {constant}")
+
+
 def test_disintegrate_slice_gaussian(capsys):
-    code, doc = run(
-        capsys,
-        "disintegrate",
-        "--family",
-        "gaussian",
-        "--box",
-        "-4", "4", "-4", "4",
-        "--resolution",
-        "257",
-        "--mode",
-        "slice",
-        "--cd",
-        "1,inf",
-        "--cd",
-        "1.01,inf",
+    code = main(
+        [
+            "disintegrate",
+            "--family",
+            "gaussian",
+            "--box",
+            "-4", "4", "-4", "4",
+            "--resolution",
+            "257",
+            "--mode",
+            "slice",
+            "--cd",
+            "1,inf",
+            "--cd",
+            "1.01,inf",
+            "--cd",
+            "0,1",
+            "--cd=-inf,3",
+        ]
     )
+    # Non-finite numbers are strings, so the document is strict JSON.
+    doc = json.loads(capsys.readouterr().out, parse_constant=_strict)
     assert code == 0
     assert doc["needle_count"] == 257
     assert doc["weight_sum"] == pytest.approx(1.0)
     assert doc["reassembly_l1"] <= 1e-12
-    first, second = doc["cd_reports"]
+    first, second, flat, unbounded = doc["cd_reports"]
     assert first["all_pass"] is True
+    assert first["N"] == "inf"
     assert second["all_pass"] is False
+    # N = 1 demands a constant -log g, which a Gaussian slice is not.
+    assert flat["all_pass"] is False
+    assert flat["worst_violation"] == "-inf"
+    assert unbounded["kappa"] == "-inf"
+    assert unbounded["worst_violation"] == "inf"
+    assert unbounded["all_pass"] is True
 
 
 def test_disintegrate_radial_from_grid_file(tmp_path, capsys):

@@ -284,3 +284,31 @@ def test_instance_from_dict_checks_declared_dims():
     }
     with pytest.raises(DimensionMismatch):
         instance_from_dict(d)
+
+
+def test_package_reexports_each_module_public_name_once():
+    from vecot import certifier, core, disintegration, leaves, mass_balance, solver
+
+    modules = (core, solver, certifier, leaves, mass_balance, disintegration)
+    expected = [name for module in modules for name in module.__all__]
+    assert vecot.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(vecot, name) is getattr(module, name)
+
+
+def test_invalid_parameters_raise_invalid_parameter():
+    # A VecotError for the CLI's exit code 2, a ValueError for library callers.
+    assert issubclass(vecot.InvalidParameter, vecot.VecotError)
+    assert issubclass(vecot.InvalidParameter, ValueError)
+    inst = two_point_instance()
+    coupling, potential, _ = solve(inst)
+    for call in (
+        lambda: vecot.SolverParams(max_iters=0),
+        lambda: vecot.SolverParams(edge_policy="mesh"),
+        lambda: certify(inst, coupling, potential, tol=0.0),
+        lambda: isometry_graph(potential, eps=-1.0),
+    ):
+        with pytest.raises(vecot.InvalidParameter):
+            call()

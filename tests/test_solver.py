@@ -377,6 +377,27 @@ def test_edge_generation_on_a_collinear_cloud_matches_the_line_oracle():
     assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
 
 
+def test_edge_generation_joins_a_disconnected_neighbour_graph_by_a_spanning_tree():
+    # Two clusters 20 apart: the 12-nearest-neighbour graph has a component
+    # per cluster, each carrying net mass, so without the tree the first
+    # LP is infeasible.
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-1.0, 1.0, size=(120, 2))
+    pts[60:, 0] += 20.0
+    w = rng.normal(size=(120, 1))
+    w -= w.mean(axis=0)
+    inst = build_instance(pts, w)
+    start = vecot.solver._start_keys(inst.distances, vecot.solver._GENERATION_NEIGHBOURS)
+    assert np.any((start // 120 < 60) & (start % 120 >= 60))
+    coupling, potential, report = solve(inst)
+    assert report.status == "Converged"
+    assert report.engine == "lp"
+    assert report.notes.startswith("edge generation: ")
+    full = solve(inst, SolverParams(edge_policy="knn:119"))[2]
+    assert abs(report.primal_value - full.primal_value) <= 1e-9 * full.primal_value
+    assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
+
+
 def test_below_the_crossover_the_pruned_complete_graph_is_solved():
     n_points = vecot.solver._GENERATION_MIN_N - 1
     inst = random_instance(np.random.default_rng(101), n_points, 2, 1)
