@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VecotError
+from .core import InvalidParameter, VecotError
 
 __all__ = [
     "EmptySlice",
@@ -257,8 +257,10 @@ def radial_disintegration(
     n = density.dim
     if center.shape != (n,):
         raise GeometryMismatch(f"center must have {n} coordinates")
-    if np.any(center <= density.box[:, 0]) or np.any(center >= density.box[:, 1]):
+    if not np.all((density.box[:, 0] < center) & (center < density.box[:, 1])):
         raise CenterOutsideBox(f"center {center.tolist()} is not strictly inside the box")
+    if n > 1 and n_directions < 1:
+        raise InvalidParameter(f"need at least one direction, got {n_directions}")
     if n == 1:
         fan = np.array([[1.0], [-1.0]])
     elif n == 2:
@@ -269,6 +271,8 @@ def radial_disintegration(
         raise GeometryMismatch("radial fans are implemented for dimensions 1 to 3")
     if n_radial is None:
         n_radial = 4 * max(density.resolution)
+    if n_radial < 1:
+        raise InvalidParameter(f"need at least one radial cell, got {n_radial}")
     needles: list[Needle] = []
     raw = []
     for direction in fan:
@@ -335,6 +339,11 @@ def _interpolate(density: GridDensity, points: np.ndarray) -> np.ndarray:
     return out
 
 
+# Quadrature points per reassemble block; each point makes 2^dim (index,
+# value) pairs, so a block's buffers stay near 8 MB in three dimensions.
+_BLOCK_POINTS = 1 << 16
+
+
 def reassemble(needles: list[Needle], weights, target: GridDensity) -> GridDensity:
     """Deposit the weighted needle mixture back onto a grid.
 
@@ -342,19 +351,40 @@ def reassemble(needles: list[Needle], weights, target: GridDensity) -> GridDensi
     the result is a unit-mass density regardless of the target's samples
     (only its geometry is used).  Slice needles land exactly on cell
     centers, so their reassembly is exact up to rounding.
+
+    Every needle's geometry is checked before anything is deposited.  The
+    needles are then splatted in blocks of whole needles holding at most
+    ``_BLOCK_POINTS`` quadrature points (a larger needle is a block of its
+    own), so the index and value buffers stay bounded whatever the needle
+    count.  Each block is one ``np.add.at`` whose entries run needle by
+    needle, then corner by corner, then point by point: every cell receives
+    the same additions in the same order as splatting one needle at a time.
     """
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(needles):
         raise GeometryMismatch("one weight per needle required")
     n = target.dim
-    mass_grid = np.zeros(target.resolution)
-    for needle, w in zip(needles, weights):
-        if needle.base.shape != (n,) or needle.directions.shape[0] != n:
-            raise GeometryMismatch("needle geometry does not match the target grid")
-        points, masses = needle.quadrature()
+    if any(nd.base.shape != (n,) or nd.directions.shape[0] != n for nd in needles):
+        raise GeometryMismatch("needle geometry does not match the target grid")
+    mass = np.zeros(math.prod(target.resolution))
+    start = 0
+    while start < len(needles):
+        stop, size = start + 1, needles[start].g.size
+        while stop < len(needles) and size + needles[stop].g.size <= _BLOCK_POINTS:
+            size += needles[stop].g.size
+            stop += 1
+        quads = [nd.quadrature() for nd in needles[start:stop]]
+        points = np.concatenate([p for p, _ in quads])
+        masses = np.concatenate([w * m for (_, m), w in zip(quads, weights[start:stop])])
+        cells, values = [], []
         for cell, weight in _corners(target, points):
-            np.add.at(mass_grid, cell, w * masses * weight)
-    return GridDensity(box=target.box, samples=mass_grid / target.cell_volume)
+            cells.append(np.ravel_multi_index(cell, target.resolution))
+            values.append(masses * weight)
+        owner = np.repeat(np.arange(stop - start), [len(m) for _, m in quads])
+        order = np.argsort(owner * 2**n + np.arange(2**n)[:, None], axis=None, kind="stable")
+        np.add.at(mass, np.concatenate(cells)[order], np.concatenate(values)[order])
+        start = stop
+    return GridDensity(box=target.box, samples=mass.reshape(target.resolution) / target.cell_volume)
 
 
 def l1_distance(a: GridDensity, b: GridDensity, normalize: bool = True) -> float:

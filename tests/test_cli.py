@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,26 @@ def test_disintegrate_radial_from_grid_file(tmp_path, capsys):
     assert doc["needle_count"] == 32
     assert doc["weight_sum"] == pytest.approx(1.0)
     assert len(list(csv_dir.glob("needle_*.csv"))) == 32
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--directions", "0"], ["--directions", "-3"], ["--radial-cells", "0"], ["--center", "nan", "0"]],
+    ids=["no-directions", "negative-directions", "no-radial-cells", "nan-center"],
+)
+def test_disintegrate_rejects_bad_radial_parameters(capsys, flags):
+    argv = ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--mode", "radial"]
+    if "--center" not in flags:
+        argv += ["--center", "0", "0"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("vecot: ")
+    assert "internal error" not in err
+    assert "density" not in err
+    assert caught == []
 
 
 def test_disintegrate_family_requires_box(capsys):

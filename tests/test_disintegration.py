@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import vecot.disintegration
 from vecot import (
     CdReport,
     CenterOutsideBox,
     EmptySlice,
     GeometryMismatch,
     GridDensity,
+    InvalidParameter,
     Needle,
     NonpositiveDensity,
     TooFewPoints,
@@ -202,6 +204,11 @@ def test_radial_validates_center_and_dimension():
     d = gaussian_2d(res=17)
     with pytest.raises(CenterOutsideBox):
         radial_disintegration(d, [5.0, 0.0])
+    with pytest.raises(CenterOutsideBox):
+        radial_disintegration(d, [np.nan, 0.0])
+    for counts in ({"n_directions": 0}, {"n_directions": -3}, {"n_radial": 0}):
+        with pytest.raises(InvalidParameter):
+            radial_disintegration(d, [0.0, 0.0], **counts)
     with pytest.raises(GeometryMismatch):
         radial_disintegration(d, [0.0, 0.0, 0.0])
     d4 = tabulate_density([[0.0, 1.0]] * 4, 4, lambda p: np.ones(len(p)))
@@ -237,6 +244,76 @@ def test_reassemble_validates_weights_and_geometry():
     line = tabulate_density([[0.0, 1.0]], 8, lambda p: np.ones(len(p)))
     with pytest.raises(GeometryMismatch):
         reassemble(needles, weights, line)
+
+
+def reference_reassemble(needles, weights, target: GridDensity) -> np.ndarray:
+    """The one-needle-at-a-time splat that blocked reassembly replaced."""
+    mass_grid = np.zeros(target.resolution)
+    for needle, w in zip(needles, np.asarray(weights, dtype=float)):
+        points, masses = needle.quadrature()
+        for cell, weight in vecot.disintegration._corners(target, points):
+            np.add.at(mass_grid, cell, w * masses * weight)
+    return mass_grid / target.cell_volume
+
+
+def _skewed_3d(res) -> GridDensity:
+    return tabulate_density(
+        [[-3.0, 2.5], [-2.0, 3.0], [-2.5, 2.0]],
+        res,
+        lambda p: np.exp(-0.5 * (p ** 2).sum(axis=1) - 0.4 * p[:, 0] * p[:, 2]),
+    )
+
+
+def _mixed_needles():
+    # Slice needles of both leaf dimensions and rays from two centers, with
+    # unrelated weights, on a target whose cells none of them land on.
+    d = _skewed_3d((9, 10, 11))
+    lines, _ = slice_disintegration(d, 1)
+    sheets, _ = slice_disintegration(d, 2)
+    rays, _ = radial_disintegration(d, [0.2, -0.1, 0.3], n_directions=12, n_radial=7)
+    more_rays, _ = radial_disintegration(d, [-1.0, 0.5, 0.0], n_directions=5)
+    needles = sheets[:3] + lines[::7] + rays + sheets[3:5] + more_rays + lines[1::11]
+    weights = np.random.default_rng(11).uniform(0.1, 1.0, size=len(needles))
+    return needles, weights, _skewed_3d((7, 13, 6))
+
+
+def _reassembly_case(name):
+    if name == "mixed":
+        return _mixed_needles()
+    if name.startswith("slice"):
+        d = _skewed_3d((9, 10, 11))
+        needles, weights = slice_disintegration(d, int(name[-1]))
+        return needles, weights, d
+    if name == "radial-2d":
+        d = gaussian_2d(res=21)
+        needles, weights = radial_disintegration(d, [0.3, -0.7], n_directions=40, n_radial=9)
+        return needles, weights, d
+    d = _skewed_3d(16)
+    needles, weights = radial_disintegration(d, [0.1, 0.2, -0.3], n_directions=30)
+    return needles, weights, d
+
+
+@pytest.mark.parametrize("case", ["slice-m1", "slice-m2", "radial-2d", "radial-3d", "mixed"])
+def test_blocked_reassembly_matches_the_per_needle_loop_bit_for_bit(monkeypatch, case):
+    needles, weights, target = _reassembly_case(case)
+    expected = reference_reassemble(needles, weights, target).tobytes()
+    assert reassemble(needles, weights, target).samples.tobytes() == expected
+    # Small blocks split the list many times; the m = 2 slices (90 points)
+    # and the 3-D rays (64 points) are each larger than a block.
+    monkeypatch.setattr(vecot.disintegration, "_BLOCK_POINTS", 50)
+    assert reassemble(needles, weights, target).samples.tobytes() == expected
+
+
+def test_reassemble_checks_every_needle_before_depositing(monkeypatch):
+    monkeypatch.setattr(vecot.disintegration, "_BLOCK_POINTS", 50)
+    needles, weights, target = _mixed_needles()
+    stray = Needle(
+        axes=(np.linspace(0.0, 1.0, 5),), g=np.ones(5), base=np.zeros(2), directions=np.eye(2)[:, :1]
+    )
+    with pytest.raises(GeometryMismatch):
+        reassemble(needles + [stray], np.append(weights, 1.0), target)
+    with pytest.raises(NonpositiveDensity, match="positive total mass"):
+        reassemble([], [], target)
 
 
 def test_l1_distance_requires_matching_grids():
