@@ -19,11 +19,12 @@ from .core import (
     InvalidParameter,
     PotentialField,
     VectorCoupling,
+    _dot,
     cost,
+    edge_slackness,
     lipschitz_info,
     marginals,
     pairing,
-    total_variation,
 )
 
 __all__ = [
@@ -72,13 +73,6 @@ class OptimalityCertificate:
     worst_lipschitz_pair: tuple[int, int]
 
 
-def _edge_geometry(instance: Instance, coupling: VectorCoupling, potential: PotentialField):
-    i, j = coupling.pairs[:, 0], coupling.pairs[:, 1]
-    d = instance.distances[i, j]
-    du = potential.values[i] - potential.values[j]
-    return i, j, d, du
-
-
 def certify(
     instance: Instance,
     coupling: VectorCoupling,
@@ -115,33 +109,20 @@ def certify(
         raise DimensionMismatch("potential and instance describe different clouds")
 
     _, _, net = marginals(coupling, instance.size)
-    feas_primal = float(np.linalg.norm(net - measure.weights))
+    residual = net - measure.weights
+    feas_primal = float(np.sqrt(_dot(residual, residual)))
     lip = lipschitz_info(potential)
 
     primal_value = cost(coupling, instance)
     dual_value = pairing(potential, measure)
     gap = primal_value - dual_value
 
-    tv = total_variation(coupling)
-    violations: list[SlackViolation] = []
-    if coupling.edge_count:
-        i, j, d, du = _edge_geometry(instance, coupling, potential)
-        flow_norms = np.linalg.norm(coupling.flows, axis=1)
-        carrying = flow_norms > tol * tv
-        du_norms = np.linalg.norm(du, axis=1)
-        align = np.einsum("ij,ij->i", du, coupling.flows)
-        for e in np.flatnonzero(carrying):
-            sat_ratio = du_norms[e] / d[e]
-            align_ratio = align[e] / (d[e] * flow_norms[e])
-            if sat_ratio < 1.0 - tol or align_ratio < 1.0 - tol:
-                violations.append(
-                    SlackViolation(
-                        pair=(int(i[e]), int(j[e])),
-                        flow_norm=float(flow_norms[e]),
-                        saturation=float(sat_ratio),
-                        alignment=float(align_ratio),
-                    )
-                )
+    edges, flow_norms, saturation, alignment = edge_slackness(
+        coupling.pairs, coupling.flows, potential.values, instance.distances, tol
+    )
+    bad = np.minimum(saturation, alignment) < 1.0 - tol
+    rows = (coupling.pairs[edges[bad]], flow_norms[bad], saturation[bad], alignment[bad])
+    violations = [SlackViolation(tuple(p), *rest) for p, *rest in zip(*(r.tolist() for r in rows))]
 
     feasible = (
         feas_primal <= tol * (1.0 + measure.mass_scale) and lip.value <= 1.0 + tol
@@ -174,16 +155,11 @@ def isometry_saturation_set(
 ) -> list[tuple[int, int]]:
     """Flow-carrying edges whose endpoints the potential maps isometrically.
 
-    Returns the pairs with flow norm above ``tol * tv`` and
-    ``||u_i - u_j|| >= (1 - tol) d_ij``, sorted lexicographically.  Adding
+    Returns the pairs with flow norm above ``tol * tv`` and saturation
+    ``||u_i - u_j|| / d_ij`` at least ``1 - tol``, sorted lexicographically.  Adding
     a constant vector to the potential does not change the result.
     """
-    if coupling.edge_count == 0:
-        return []
-    tv = total_variation(coupling)
-    i, j, d, du = _edge_geometry(instance, coupling, potential)
-    flow_norms = np.linalg.norm(coupling.flows, axis=1)
-    du_norms = np.linalg.norm(du, axis=1)
-    mask = (flow_norms > tol * tv) & (du_norms >= (1.0 - tol) * d)
-    sel = sorted((int(a), int(b)) for a, b in zip(i[mask], j[mask]))
-    return sel
+    edges, _, saturation, _ = edge_slackness(
+        coupling.pairs, coupling.flows, potential.values, instance.distances, tol
+    )
+    return sorted(map(tuple, coupling.pairs[edges[saturation >= 1.0 - tol]].tolist()))

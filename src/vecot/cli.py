@@ -176,14 +176,11 @@ def _cmd_massbalance(args) -> tuple[dict, int]:
 
 def _cmd_counterexample(args) -> tuple[dict, int]:
     if args.preset == "paper":
-        if (args.n, args.m) not in ((None, None), (2, 2)):
+        if args.m is not None:
             raise VecotError("--preset paper is the fixed n=2, m=2 construction")
         spec = paper_preset()
     else:
-        m = args.m if args.m is not None else (args.n if args.n is not None else 2)
-        if args.n is not None and args.n != m:
-            raise VecotError("--preset orthant uses n = m")
-        spec = orthant_spec(m)
+        spec = orthant_spec(2 if args.m is None else args.m)
     margin = check_counterexample_spec(spec)
     u, pi, value = analytic_optimum(spec)
     instance = spec.instance()
@@ -238,8 +235,7 @@ def _cmd_disintegrate(args) -> tuple[dict, int]:
     else:
         if args.box is None or args.resolution is None:
             raise VecotError("--family requires --box and --resolution")
-        box = np.asarray(args.box, dtype=float).reshape(-1, 2)
-        density = tabulate_density(box, args.resolution, _FAMILIES[args.family])
+        density = tabulate_density(args.box, args.resolution, _FAMILIES[args.family])
     if args.mode == "slice":
         needles, weights = slice_disintegration(density, args.m)
     else:
@@ -355,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="build and analyze a mass-balance counterexample")
     p.add_argument("--preset", choices=("paper", "orthant"), default="paper")
-    p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--output")
     p.add_argument("--eps", type=float, default=1e-6)

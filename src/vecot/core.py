@@ -35,6 +35,7 @@ __all__ = [
     "build_instance",
     "distance_matrix",
     "stretch_ratios",
+    "edge_slackness",
     "component_labels",
     "marginals",
     "total_variation",
@@ -299,17 +300,38 @@ def stretch_ratios(values: np.ndarray, distances: np.ndarray):
     return iu, ju, distance_matrix(values)[iu, ju] / distances[iu, ju]
 
 
+def edge_slackness(pairs, flows, values, distances, tol: float):
+    """Slackness of the edges whose flow norm exceeds ``tol`` times the total.
+
+    Returns their indices into ``pairs``, flow norms, saturations
+    ``||u_i - u_j|| / d_ij`` and alignments ``<u_i - u_j, flow> / (d_ij
+    ||flow||)``.  Optimality needs both ratios at least ``1 - tol``.
+    """
+    norms = np.linalg.norm(flows, axis=1)
+    edges = np.flatnonzero(norms > tol * norms.sum())
+    i, j = pairs[edges, 0], pairs[edges, 1]
+    d = distances[i, j]
+    du = values[i] - values[j]
+    saturation = np.linalg.norm(du, axis=1) / d
+    alignment = np.einsum("ij,ij->i", du, flows[edges]) / (d * norms[edges])
+    return edges, norms[edges], saturation, alignment
+
+
+def _pair_graph(n: int, pairs: np.ndarray) -> scipy.sparse.csr_matrix:
+    """n x n CSR matrix with a one at each pair, built from the row counts
+    directly: the (row, col) constructor costs more than the searches."""
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))])
+    return scipy.sparse.csr_matrix((np.ones(len(pairs)), pairs[:, 1], indptr), shape=(n, n))
+
+
 def component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
     """Connected-component label of each of ``n`` nodes joined by ``pairs``.
 
     Labels are ordered by smallest member: node 0 has label 0, and each
     new label first appears at a larger node than the previous one.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    # CSR built directly: the (row, col) constructor costs more than the labelling.
-    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))])
-    graph = scipy.sparse.csr_matrix((np.ones(len(pairs)), pairs[:, 1], indptr), shape=(n, n))
+    graph = _pair_graph(n, np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
     return scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
 
 
@@ -360,7 +382,13 @@ def cost(coupling: VectorCoupling, instance: Instance) -> float:
     if coupling.edge_count == 0:
         return 0.0
     d = instance.distances[coupling.pairs[:, 0], coupling.pairs[:, 1]]
-    return float(np.dot(d, np.linalg.norm(coupling.flows, axis=1)))
+    return _dot(d, np.linalg.norm(coupling.flows, axis=1))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product summed in a fixed order: OpenBLAS splits ``np.dot`` and
+    whole-array norms over its threads, which changes the rounding."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def pairing(potential: PotentialField, measure: DiscreteVectorMeasure) -> float:

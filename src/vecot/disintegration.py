@@ -68,7 +68,7 @@ class GridDensity:
     samples: np.ndarray
 
     def __post_init__(self):
-        box = np.asarray(self.box, dtype=float).reshape(-1, 2)
+        box = _box(self.box)
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != box.shape[0]:
             raise GeometryMismatch(
@@ -100,9 +100,7 @@ class GridDensity:
         return float(np.prod(self.steps))
 
     def centers(self, axis: int) -> np.ndarray:
-        lo, hi = self.box[axis]
-        k = self.resolution[axis]
-        return lo + (np.arange(k) + 0.5) * (hi - lo) / k
+        return _cell_centers(*self.box[axis], self.resolution[axis])
 
     @property
     def total_mass(self) -> float:
@@ -110,23 +108,37 @@ class GridDensity:
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell centers and the mass each cell carries."""
-        grids = np.meshgrid(*[self.centers(a) for a in range(self.dim)], indexing="ij")
-        points = np.stack([g.ravel() for g in grids], axis=1)
+        points = _product_grid([self.centers(a) for a in range(self.dim)])
         return points, self.samples.ravel() * self.cell_volume
+
+
+def _box(box) -> np.ndarray:
+    box = np.asarray(box, dtype=float)
+    if box.size == 0 or box.size % 2:
+        raise GeometryMismatch(f"the box needs a lo and a hi per axis, got {box.size} bounds")
+    return box.reshape(-1, 2)
+
+
+def _cell_centers(lo: float, hi: float, k: int) -> np.ndarray:
+    return lo + (np.arange(k) + 0.5) * (hi - lo) / k
+
+
+def _product_grid(axes) -> np.ndarray:
+    """Points of the product of 1-D grids, one per row, last axis fastest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def tabulate_density(box, resolution, fn) -> GridDensity:
     """Evaluate a density function at the cell centers of a regular grid."""
-    box = np.asarray(box, dtype=float).reshape(-1, 2)
+    box = _box(box)
     resolution = tuple(int(r) for r in np.atleast_1d(resolution))
-    if len(resolution) == 1 and box.shape[0] > 1:
+    if len(resolution) == 1:
         resolution = resolution * box.shape[0]
-    axes = [
-        box[a, 0] + (np.arange(resolution[a]) + 0.5) * (box[a, 1] - box[a, 0]) / resolution[a]
-        for a in range(box.shape[0])
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
+    if len(resolution) != box.shape[0]:
+        raise GeometryMismatch(f"{len(resolution)} cell counts for {box.shape[0]} axes")
+    if min(resolution) < 1:
+        raise InvalidParameter(f"need at least one cell per axis, got {list(resolution)}")
+    points = _product_grid([_cell_centers(*b, k) for b, k in zip(box, resolution)])
     samples = np.asarray(fn(points), dtype=float).reshape(resolution)
     return GridDensity(box=box, samples=samples)
 
@@ -182,9 +194,7 @@ class Needle:
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Embedded cell positions and their masses (summing to 1)."""
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        params = np.stack([g.ravel() for g in grids], axis=1)
-        points = self.base[None, :] + params @ self.directions.T
+        points = self.base[None, :] + _product_grid(self.axes) @ self.directions.T
         masses = self.g.ravel() * float(np.prod(self.spacing))
         return points, masses
 

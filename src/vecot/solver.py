@@ -40,11 +40,12 @@ and three engines solve it:
 
 Whatever the engine, the answer is accepted only by one stopping rule: the
 potential is repaired into the global 1-Lipschitz set, and the duality gap
-against it and per-edge complementary slackness must both hold.  Because the
-repair covers every pair of the cloud, ``"complete"`` means certified against
-every pair, whichever edge set the engine ran on.  The
-instance is normalized internally (unit mass scale, unit diameter), so
-reported values are exactly equivariant under scaling of weights or points.
+against it and the certifier's own slackness test (``edge_slackness``) must
+both pass at ``tol_gap``.  Because the repair covers every pair of the
+cloud, ``"complete"`` means certified against every pair, whichever edge
+set the engine ran on.  The instance is normalized internally (unit mass
+scale, unit diameter), so reported values are exactly equivariant under
+scaling of weights or points.
 """
 
 from __future__ import annotations
@@ -64,8 +65,11 @@ from .core import (
     VecotError,
     VectorCoupling,
     WrongDimension,
+    _dot,
+    _pair_graph,
     component_labels,
     distance_matrix,
+    edge_slackness,
     stretch_ratios,
 )
 
@@ -80,7 +84,10 @@ __all__ = [
     "line_optimal_potential",
 ]
 
-_GAP_FLOOR_HAT = 1e-12  # absolute gap floor, in mass * diameter units
+# Absolute gap floor of the stopping rule, in normalized (mass * diameter)
+# units: invariant under rescaling, so kr_norm stays exactly homogeneous.  It
+# only matters when the optimum is negligible against mass * diameter.
+_GAP_FLOOR_HAT = 1e-12
 _STEP_TO_BOUNDARY = 0.99  # interior-point steps stop short of the cone boundary
 # Certificate-driven edge generation for the m = 1 complete graph: start
 # neighbour count, and the cloud size from which it beats the pruned
@@ -179,11 +186,13 @@ def _parse_edge_policy(policy: str) -> tuple[str, int]:
 
 
 def _edge_list(instance: Instance, policy: str) -> np.ndarray:
+    """The complete graph pruned of metrically redundant edges, or the k-NN graph."""
     kind, k = _parse_edge_policy(policy)
     n = instance.size
-    if kind == "complete" or k >= n - 1:
+    if kind == "complete":
         iu, ju = np.triu_indices(n, k=1)
-        return np.column_stack([iu, ju]).astype(np.int64)
+        return _prune_metric_redundant(np.column_stack([iu, ju]), instance.distances)
+    k = min(k, n - 1)
     order = np.argsort(instance.distances, axis=1, kind="stable")
     neigh = order[:, 1 : k + 1]  # skip self at distance 0
     src = np.repeat(np.arange(n), k)
@@ -345,11 +354,8 @@ def _tree_engine(w_hat, d_edge, pairs, roots):
     lexicographically.  Returns ``(flows, u_raw)``.
     """
     n, m = w_hat.shape
-    e_count = pairs.shape[0]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))])
-    graph = scipy.sparse.csr_matrix((np.ones(e_count), pairs[:, 1], indptr), shape=(n, n))
     depth, parent, _ = scipy.sparse.csgraph.dijkstra(
-        graph, directed=False, indices=roots, unweighted=True,
+        _pair_graph(n, pairs), directed=False, indices=roots, unweighted=True,
         return_predecessors=True, min_only=True,
     )
     child = np.flatnonzero(parent >= 0)
@@ -363,7 +369,7 @@ def _tree_engine(w_hat, d_edge, pairs, roots):
     subtree = w_hat.copy()
     for k in reversed(levels):
         np.add.at(subtree, parent[level == k], subtree[child[level == k]])
-    flows = np.zeros((e_count, m))
+    flows = np.zeros((pairs.shape[0], m))
     flows[edge] = sign * subtree[child]
     norms = np.linalg.norm(flows, axis=1)
     steps = flows * (d_edge / np.where(norms > 0, norms, 1.0))[:, None]
@@ -414,10 +420,6 @@ _TILE = 32
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def _tiled_cholesky(a: np.ndarray) -> np.ndarray | None:
@@ -642,24 +644,30 @@ def solve(instance: Instance, params: SolverParams | None = None):
     if mass_scale == 0.0 or n == 1:
         return no_engine("Converged", 0.0, "zero measure")
 
-    kind, _ = _parse_edge_policy(params.edge_policy)
-    if kind == "complete":
-        # The complete graph is connected, and so are the edge sets that stand
-        # in for it: pruning never disconnects it, and generation starts from
-        # a connected graph.
-        labels = np.zeros(n, dtype=np.int64)
-    else:
-        pairs = _edge_list(instance, params.edge_policy)
-        labels = component_labels(n, pairs)
-    components = int(labels.max()) + 1
-    roots = np.unique(labels, return_index=True)[1]  # smallest member of each component
-
     # Normalized problem: unit mass scale and unit diameter.  Scaling back at
     # the end keeps kr_norm exactly homogeneous in the weights and the points.
     dist_scale = float(instance.distances.max())
     w_hat = weights / mass_scale
     dist_hat = instance.distances / dist_scale
 
+    # Edge set: generated for a scalar measure on a larger cloud under
+    # "complete", else the policy's fixed graph.
+    notes = []
+    generated = None
+    if params.edge_policy == "complete" and m == 1 and n >= _GENERATION_MIN_N:
+        generated = _generated_lp(w_hat, dist_hat)
+    if generated is None:
+        pairs, lp = _edge_list(instance, params.edge_policy), None
+    else:
+        pairs, lp, rounds = generated
+        notes.append(
+            f"edge generation: {rounds} rounds, {pairs.shape[0]} of {n * (n - 1) // 2} pairs"
+        )
+    labels = np.zeros(n, dtype=np.int64)  # pruning and generation keep the graph connected
+    if params.edge_policy != "complete":
+        labels = component_labels(n, pairs)
+    components = int(labels.max()) + 1
+    roots = np.unique(labels, return_index=True)[1]  # smallest member of each component
     for c in range(components):
         block = w_hat[labels == c].sum(axis=0)
         if float(np.abs(block).max()) > params.tol_primal:
@@ -668,61 +676,27 @@ def solve(instance: Instance, params: SolverParams | None = None):
                 float(np.linalg.norm(weights.sum(axis=0))),
                 f"edge subgraph component {c} carries nonzero mass",
             )
-
-    notes = []
-    lp = None
-    if kind == "complete":
-        generated = None
-        if m == 1 and n >= _GENERATION_MIN_N:
-            generated = _generated_lp(w_hat, dist_hat)
-        if generated is None:
-            pairs = _edge_list(instance, params.edge_policy)
-            if n > 2:
-                pairs = _prune_metric_redundant(pairs, instance.distances)
-        else:
-            pairs, lp, rounds = generated
-            notes.append(
-                f"edge generation: {rounds} rounds, {pairs.shape[0]} of {n * (n - 1) // 2} pairs"
-            )
-    e_count = pairs.shape[0]
     d_edge = dist_hat[pairs[:, 0], pairs[:, 1]]
     incidence = _incidence(n, pairs)
 
-    value_scale = mass_scale * dist_scale
-    # Stopping threshold in normalized units.  Both terms are invariant
-    # under rescaling of the weights or the points, so kr_norm stays
-    # exactly homogeneous; the absolute floor only matters when the
-    # optimum is negligible against mass * diameter.
-    gap_floor = _GAP_FLOOR_HAT
-
-    def slackness_ok(flows_hat: np.ndarray, pot_hat: np.ndarray) -> bool:
-        # Require every flow-carrying edge to be aligned with the potential
-        # difference, so a converged solve certifies at any tol >= tol_gap.
-        # Alignment never exceeds saturation, so it implies saturation too.
-        norms = np.linalg.norm(flows_hat, axis=1)
-        carrying = norms > params.tol_gap * norms.sum()
-        if not carrying.any():
-            return True
-        du = pot_hat[pairs[carrying, 0]] - pot_hat[pairs[carrying, 1]]
-        align = np.einsum("ij,ij->i", du, flows_hat[carrying])
-        bound = (1.0 - params.tol_gap) * d_edge[carrying] * norms[carrying]
-        return bool(np.all(align >= bound))
-
+    # Engine: closed form on a forest, the LP for scalar weights, else (and
+    # whenever those fail the stopping rule) the interior-point method.
     def accept(flows_hat: np.ndarray, u_raw: np.ndarray):
         """The stopping rule: the repaired potential if the pair passes, else None."""
         u_hat = _feasible_potential(u_raw, dist_hat)
         primal_hat = _dot(d_edge, np.linalg.norm(flows_hat, axis=1))
         dual_hat = float(np.einsum("ij,ij->", u_hat, w_hat))
-        if primal_hat - dual_hat <= gap_floor + params.tol_gap * abs(
-            primal_hat
-        ) and slackness_ok(flows_hat, u_hat):
-            return u_hat
+        tol = params.tol_gap
+        if primal_hat - dual_hat <= _GAP_FLOOR_HAT + tol * abs(primal_hat):
+            _, _, saturation, alignment = edge_slackness(pairs, flows_hat, u_hat, dist_hat, tol)
+            if not np.any(np.minimum(saturation, alignment) < 1.0 - tol):
+                return u_hat
         return None
 
     it = 0
     comp = 0.0
     u_hat = None
-    if e_count == n - components:
+    if pairs.shape[0] == n - components:
         engine = "tree"
         flows_hat, u_raw = _tree_engine(w_hat, d_edge, pairs, roots)
         u_hat = accept(flows_hat, u_raw)
@@ -745,10 +719,12 @@ def solve(instance: Instance, params: SolverParams | None = None):
         if it < params.max_iters:
             notes.append("interior-point iterates reached the limits of double precision")
 
+    # Report, in original units.
     flows = flows_hat * mass_scale
     coupling = VectorCoupling(pairs, flows)
     potential = PotentialField(instance.cloud, u_hat * dist_scale)
 
+    value_scale = mass_scale * dist_scale
     primal_value = _dot(d_edge, np.linalg.norm(flows_hat, axis=1)) * value_scale
     dual_value = float(np.einsum("ij,ij->", u_hat, w_hat)) * value_scale
     net = np.zeros((n, m))
@@ -756,7 +732,7 @@ def solve(instance: Instance, params: SolverParams | None = None):
     np.add.at(net, pairs[:, 1], -flows)
     feas = float(np.sqrt(_dot(net - weights, net - weights)))
 
-    if kind == "knn":
+    if params.edge_policy != "complete":
         notes.append(
             "edge subgraph restriction: value is an upper bound on the complete-graph optimum"
         )
@@ -811,7 +787,7 @@ def line_oracle(instance: Instance) -> float:
     xs = xs[order]
     cum = np.cumsum(instance.measure.weights[order, 0])[:-1]
     gaps = np.diff(xs)
-    return float(np.dot(np.abs(cum), gaps))
+    return _dot(np.abs(cum), gaps)
 
 
 def line_optimal_potential(instance: Instance) -> PotentialField:

@@ -5,13 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import vecot.solver
 from vecot import (
     DimensionMismatch,
     PointCloud,
     PotentialField,
+    SlackViolation,
+    SolverParams,
     VectorCoupling,
     build_instance,
     certify,
+    edge_slackness,
     isometry_saturation_set,
     solve,
 )
@@ -197,3 +201,90 @@ def test_saturation_set_ignores_negligible_flows():
     )
     potential = PotentialField(pts, np.array([[0.0], [-1.0], [-2.0]]))
     assert isometry_saturation_set(inst, coupling, potential) == [(0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# The one slackness test
+# ---------------------------------------------------------------------------
+
+
+def test_edge_slackness_reports_the_carrying_edges_and_their_ratios():
+    inst = build_instance(
+        [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]
+    )
+    coupling = VectorCoupling(
+        np.array([[0, 1], [0, 2], [1, 2]]), np.array([[3.0, 4.0], [1e-9, 0.0], [0.0, 2.0]])
+    )
+    # (0, 1) is saturated and aligned; (1, 2) is saturated, but its flow is not aligned.
+    potential = PotentialField(inst.cloud, np.array([[0.0, 0.0], [-1.2, -1.6], [-3.2, -2.6]]))
+    edges, flow_norms, saturation, alignment = edge_slackness(
+        coupling.pairs, coupling.flows, potential.values, inst.distances, 1e-6
+    )
+    # Edge (0, 2) carries 1e-9 of a total variation of 7: below 1e-6 of it.
+    np.testing.assert_array_equal(edges, [0, 2])
+    np.testing.assert_allclose(flow_norms, [5.0, 2.0], rtol=1e-15)
+    np.testing.assert_allclose(saturation, [1.0, 1.0], rtol=1e-14)
+    np.testing.assert_allclose(alignment, [1.0, 1.0 / np.sqrt(5.0)], rtol=1e-14)
+    [violation] = certify(inst, coupling, potential, tol=1e-6).slack_violations
+    assert violation.pair == (1, 2)
+    assert (violation.flow_norm, violation.saturation, violation.alignment) == (
+        flow_norms[1], saturation[1], alignment[1]
+    )
+
+
+def reference_violations(instance, coupling, potential, tol):
+    """The certifier's former per-edge loop, kept as the reference."""
+    i, j = coupling.pairs[:, 0], coupling.pairs[:, 1]
+    d = instance.distances[i, j]
+    du = potential.values[i] - potential.values[j]
+    flow_norms = np.linalg.norm(coupling.flows, axis=1)
+    du_norms = np.linalg.norm(du, axis=1)
+    align = np.einsum("ij,ij->i", du, coupling.flows)
+    violations = []
+    for e in np.flatnonzero(flow_norms > tol * float(flow_norms.sum())):
+        sat_ratio = du_norms[e] / d[e]
+        align_ratio = align[e] / (d[e] * flow_norms[e])
+        if sat_ratio < 1.0 - tol or align_ratio < 1.0 - tol:
+            violations.append(
+                SlackViolation(
+                    (int(i[e]), int(j[e])), float(flow_norms[e]), float(sat_ratio), float(align_ratio)
+                )
+            )
+    return violations
+
+
+def test_slack_violations_match_the_per_edge_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    flagged = 0
+    for size, m, max_iters in ((9, 2, 6), (14, 3, 9), (20, 1, 100), (12, 2, 100)):
+        pts = rng.uniform(-1, 1, size=(size, 2))
+        w = rng.normal(size=(size, m))
+        inst = build_instance(pts, w - w.mean(axis=0))
+        coupling, potential, _ = solve(inst, SolverParams(max_iters=max_iters))
+        for tol in (1e-2, 1e-6, 1e-12):
+            expected = reference_violations(inst, coupling, potential, tol)
+            assert certify(inst, coupling, potential, tol=tol).slack_violations == expected
+            flagged += len(expected)
+    assert flagged > 0
+
+
+def test_solver_stopping_rule_applies_the_slackness_test_at_tol_gap(monkeypatch):
+    rng = np.random.default_rng(32)
+    w = rng.normal(size=(10, 2))
+    inst = build_instance(rng.uniform(-1, 1, size=(10, 2)), w - w.mean(axis=0))
+    params = SolverParams(tol_gap=1e-7)
+    coupling, potential, report = solve(inst, params)
+    assert report.status == "Converged"
+    assert not certify(inst, coupling, potential, tol=1e-7).slack_violations
+    # The same solve, with every carrying edge reported misaligned, cannot stop.
+    tols = []
+    real = vecot.solver.edge_slackness
+
+    def misaligned(pairs, flows, values, distances, tol):
+        tols.append(tol)
+        edges, flow_norms, saturation, alignment = real(pairs, flows, values, distances, tol)
+        return edges, flow_norms, saturation, alignment - 1.0
+
+    monkeypatch.setattr(vecot.solver, "edge_slackness", misaligned)
+    assert solve(inst, params)[2].status == "IterLimit"
+    assert tols and set(tols) == {1e-7}

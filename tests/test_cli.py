@@ -195,16 +195,23 @@ def test_iteration_limit_exits_3(tmp_path, capsys):
         ["solve", "--input", "{instance}", "--tol-gap", "nan"],
         ["leaves", "--input", "{solution}", "--eps", "nan"],
         ["massbalance", "--input", "{solution}", "--tol", "-1"],
+        ["disintegrate", "--box", "-1", "1", "-1", "--resolution", "9"],
+        ["disintegrate", "--box", "-1", "1", "-1", "1", "--resolution", "-3"],
+        ["disintegrate", "--box", "-1", "1", "-1", "1", "--resolution", "9", "9", "9"],
+        ["disintegrate", "--grid", "{grid}"],
     ],
     ids=["max-iters", "edge-policy", "certify-tol", "leaves-eps", "massbalance-eps",
          "counterexample-tol", "cd-one-number", "cd-not-a-number", "nan-tol-gap",
-         "nan-eps", "negative-balance-tol"],
+         "nan-eps", "negative-balance-tol", "odd-box", "negative-resolution",
+         "resolution-count", "grid-odd-box"],
 )
 def test_invalid_parameters_exit_2(tmp_path, capsys, argv):
     instance = write_instance(tmp_path)
     solution = tmp_path / "solution.json"
     assert main(["solve", "--input", str(instance), "--output", str(solution)]) == 0
-    paths = {"instance": str(instance), "solution": str(solution)}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"box": [-1.0, 1.0, -1.0], "samples": [[1.0, 1.0], [1.0, 1.0]]}))
+    paths = {"instance": str(instance), "solution": str(solution), "grid": str(grid)}
     code = main([a.format(**paths) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
@@ -261,6 +268,11 @@ def test_counterexample_orthant_with_smoothing(capsys):
 
 def test_counterexample_rejects_contradictory_flags(capsys):
     assert main(["counterexample", "--preset", "paper", "--m", "3"]) == 2
+    capsys.readouterr()
+    # --n is gone: --m alone sets the orthant dimension.
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--preset", "orthant", "--n", "3"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

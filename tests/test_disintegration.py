@@ -66,6 +66,27 @@ def test_tabulate_density_broadcasts_resolution():
     assert d.resolution == (8, 8)
 
 
+def test_tabulate_density_validates_and_orders_its_grid():
+    def ones(p):
+        return np.ones(len(p))
+
+    # Samples are indexed by cell, the last axis fastest.
+    d = tabulate_density([[0.0, 1.0], [0.0, 3.0]], [2, 3], lambda p: 1.0 + p[:, 0] + 10.0 * p[:, 1])
+    np.testing.assert_allclose(d.samples, 1.0 + d.centers(0)[:, None] + 10.0 * d.centers(1)[None, :])
+    points, masses = d.quadrature()
+    np.testing.assert_allclose(masses, (1.0 + points[:, 0] + 10.0 * points[:, 1]) * d.cell_volume)
+
+    with pytest.raises(GeometryMismatch, match="lo and a hi"):
+        tabulate_density([-1.0, 1.0, -1.0], 9, ones)
+    with pytest.raises(GeometryMismatch, match="3 cell counts for 2 axes"):
+        tabulate_density([-1.0, 1.0, -1.0, 1.0], [9, 9, 9], ones)
+    for resolution in (-3, 0, [9, 0]):
+        with pytest.raises(InvalidParameter, match="at least one cell"):
+            tabulate_density([-1.0, 1.0, -1.0, 1.0], resolution, ones)
+    with pytest.raises(GeometryMismatch, match="lo and a hi"):
+        GridDensity(box=[-1.0, 1.0, -1.0], samples=np.ones((2, 2)))
+
+
 def test_needle_normalizes_to_unit_mass():
     t = np.linspace(0.05, 0.95, 10)
     needle = Needle(

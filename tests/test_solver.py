@@ -496,3 +496,34 @@ def test_solve_is_bit_identical_across_runs_and_thread_counts():
     assert outputs[0].startswith("ipm Converged ")
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+REDUCTION_SCRIPT = """
+import numpy as np
+from vecot import VectorCoupling, build_instance, cost, line_oracle
+rng = np.random.default_rng(0)
+cloud = build_instance(rng.uniform(-1.0, 1.0, (300, 2)), np.zeros((300, 1)))
+iu, ju = np.triu_indices(300, k=1)
+coupling = VectorCoupling(np.column_stack([iu, ju]), rng.normal(size=(len(iu), 2)))
+w = rng.normal(size=(50_000, 1))
+line = build_instance(rng.uniform(-1.0, 1.0, (50_000, 1)), w - w.mean())
+print(cost(coupling, cloud).hex(), line_oracle(line).hex())
+"""
+
+
+def test_cost_and_line_oracle_are_bit_identical_across_thread_counts():
+    # 44,850 edges and 50,000 gaps: long enough for OpenBLAS to split a dot
+    # product over two threads.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vecot.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        done = subprocess.run(
+            [sys.executable, "-c", REDUCTION_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[1] == outputs[0]
