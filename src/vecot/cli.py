@@ -31,6 +31,7 @@ from .core import (
 )
 from .disintegration import (
     GridDensity,
+    _product_grid,
     cd_check_1d,
     l1_distance,
     radial_disintegration,
@@ -265,10 +266,11 @@ def _cmd_disintegrate(args) -> tuple[dict, int]:
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
         for k, nd in enumerate(needles):
-            if nd.leaf_dim == 1:
-                path = os.path.join(args.csv_dir, f"needle_{k:04d}.csv")
-                cols = np.column_stack([nd.axes[0], nd.g])
-                np.savetxt(path, cols, delimiter=",", header="t,g", comments="")
+            # One row per cell of the needle's grid: its parameters t1..tk, then g.
+            params = ["t"] if nd.leaf_dim == 1 else [f"t{a + 1}" for a in range(nd.leaf_dim)]
+            cols = np.column_stack([_product_grid(nd.axes), nd.g.ravel()])
+            path = os.path.join(args.csv_dir, f"needle_{k:04d}.csv")
+            np.savetxt(path, cols, delimiter=",", header=",".join([*params, "g"]), comments="")
     payload = {
         "command": "disintegrate",
         "mode": args.mode,

@@ -216,16 +216,15 @@ def slice_disintegration(density: GridDensity, m: int) -> tuple[list[Needle], np
         raise GeometryMismatch(f"need 0 < m < {n}, got m = {m}")
     head_axes = tuple(density.centers(a) for a in range(m))
     tail_res = density.resolution[m:]
-    tail_centers = [density.centers(m + a) for a in range(n - m)]
+    # One base per tail cell, in the np.ndindex (C) order of the loop below.
+    bases = np.zeros((int(np.prod(tail_res)), n))
+    bases[:, m:] = _product_grid([density.centers(m + a) for a in range(n - m)])
     directions = np.eye(n)[:, :m]
     total = density.total_mass
     needles: list[Needle] = []
     weights: list[float] = []
-    for tail_idx in np.ndindex(*tail_res):
+    for tail_idx, base in zip(np.ndindex(*tail_res), bases):
         block = density.samples[(slice(None),) * m + tail_idx]
-        base = np.zeros(n)
-        for a, idx in enumerate(tail_idx):
-            base[m + a] = tail_centers[a][idx]
         try:
             needle = Needle(axes=head_axes, g=block, base=base, directions=directions)
         except EmptySlice:

@@ -290,7 +290,7 @@ def smoothed_instance(
     """
     if points_per_ball < 1:
         raise InvalidSpec("points_per_ball must be at least 1")
-    if eps <= 0:
+    if not eps > 0:  # nan fails too
         raise InvalidSpec("eps must be positive")
     gap = distance_matrix(spec.anchors)[np.triu_indices(spec.m + 1, k=1)].min()
     if eps >= 0.5 * gap:

@@ -4,9 +4,9 @@ The problem is posed on the edges of a graph over the point cloud: find one
 R^m flow vector per edge minimizing ``sum_e d_e ||flow_e||`` subject to the
 signed edge-incidence constraint ``net(flow) = mu``.  Its dual is the
 maximization of ``sum_i <u_i, mu_i>`` over potentials u that are 1-Lipschitz
-across the edges.  With the complete graph (the default) the edge constraint
-set equals the global 1-Lipschitz condition, so primal and dual optimal
-values both equal the transport norm of the measure.
+across the edges.  On the complete graph the edge constraint set equals
+the global 1-Lipschitz condition, so primal and dual optimal values both
+equal the transport norm of the measure.
 
 Written with one epigraph variable per edge, the problem is the second-order
 cone program
@@ -34,18 +34,17 @@ and three engines solve it:
   interior-point method with Nesterov-Todd scaling and a Mehrotra
   predictor-corrector.  Its Newton system reduces to a block graph
   Laplacian ``sum_e b_e b_e^T (x) H_e`` with one m x m block per edge, solved
-  by a dense Cholesky factorization after pinning one node per connected
-  component.  The dual iterate stays exactly feasible, and it is the
-  potential.
+  by a dense Cholesky factorization after pinning point 0.  The dual
+  iterate stays exactly feasible, and it is the potential.
 
 Whatever the engine, the answer is accepted only by one stopping rule: the
 potential is repaired into the global 1-Lipschitz set, and the duality gap
 against it and the certifier's own slackness test (``edge_slackness``) must
 both pass at ``tol_gap``.  Because the repair covers every pair of the
-cloud, ``"complete"`` means certified against every pair, whichever edge
-set the engine ran on.  The instance is normalized internally (unit mass
-scale, unit diameter), so reported values are exactly equivariant under
-scaling of weights or points.
+cloud, the answer is certified against every pair, whichever edge set the
+engine ran on.  The instance is normalized internally (unit mass scale,
+unit diameter), so reported values are exactly equivariant under scaling
+of weights or points.
 """
 
 from __future__ import annotations
@@ -118,21 +117,17 @@ class NotConverged(VecotError):
 class SolverParams:
     """Tunable parameters of the coupling solver.
 
-    ``max_iters`` caps the interior-point iterations.  ``edge_policy`` is
-    ``"complete"`` or ``"knn:<k>"``.  ``"complete"`` means the answer is
-    certified against every pair of points: scalar instances on larger
-    clouds are solved by edge generation on the pairs the potential needs
-    (see the module docstring), the rest on the pruned complete graph.  The
-    k-nearest neighbor restriction solves the problem on a fixed subgraph;
-    when the subgraph misses edges of an optimal coupling the restricted
-    value is an upper bound on the unrestricted optimum, and no optimality
-    guarantee is made.
+    ``max_iters`` caps the interior-point iterations, ``tol_primal`` the
+    residual of ``net(x) = mu`` and ``tol_gap`` the relative duality gap
+    (normalized units).  The edge set is not a parameter: scalar instances
+    on larger clouds are solved by edge generation (see the module
+    docstring), the rest on the pruned complete graph; the interior-point
+    method pins point 0.
     """
 
     max_iters: int = 100
     tol_primal: float = 1e-8
     tol_gap: float = 1e-6
-    edge_policy: str = "complete"
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -140,7 +135,6 @@ class SolverParams:
         for name in ("tol_primal", "tol_gap"):
             if not getattr(self, name) > 0:  # nan fails too
                 raise InvalidParameter(f"{name} must be positive")
-        _parse_edge_policy(self.edge_policy)
 
 
 @dataclass(frozen=True)
@@ -171,34 +165,10 @@ class SolveReport:
     notes: str = ""
 
 
-def _parse_edge_policy(policy: str) -> tuple[str, int]:
-    if policy == "complete":
-        return "complete", 0
-    if policy.startswith("knn:"):
-        try:
-            k = int(policy[4:])
-        except ValueError:
-            raise InvalidParameter(f"bad edge policy {policy!r}") from None
-        if k < 1:
-            raise InvalidParameter("knn neighbor count must be >= 1")
-        return "knn", k
-    raise InvalidParameter(f"bad edge policy {policy!r}; expected 'complete' or 'knn:<k>'")
-
-
-def _edge_list(instance: Instance, policy: str) -> np.ndarray:
-    """The complete graph pruned of metrically redundant edges, or the k-NN graph."""
-    kind, k = _parse_edge_policy(policy)
-    n = instance.size
-    if kind == "complete":
-        iu, ju = np.triu_indices(n, k=1)
-        return _prune_metric_redundant(np.column_stack([iu, ju]), instance.distances)
-    k = min(k, n - 1)
-    order = np.argsort(instance.distances, axis=1, kind="stable")
-    neigh = order[:, 1 : k + 1]  # skip self at distance 0
-    src = np.repeat(np.arange(n), k)
-    pairs = np.sort(np.column_stack([src, neigh.ravel()]), axis=1)
-    pairs = np.unique(pairs, axis=0)
-    return pairs.astype(np.int64)
+def _edge_list(instance: Instance) -> np.ndarray:
+    """The complete graph pruned of metrically redundant edges."""
+    iu, ju = np.triu_indices(instance.size, k=1)
+    return _prune_metric_redundant(np.column_stack([iu, ju]), instance.distances)
 
 
 def _prune_metric_redundant(pairs: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -492,7 +462,7 @@ def _block_laplacian(h: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
-def _interior_point_engine(w_hat, d_edge, pairs, incidence, roots, params, accept):
+def _interior_point_engine(w_hat, d_edge, pairs, incidence, params, accept):
     """Primal-dual interior-point method for the edge cone program.
 
     Primal cone points are ``z_e = (t_e, x_e)``; the dual slack is
@@ -503,7 +473,8 @@ def _interior_point_engine(w_hat, d_edge, pairs, incidence, roots, params, accep
     Laplacian of the x-blocks of ``W_e^-2``, and takes a Mehrotra
     predictor-corrector step.  ``accept(flows, u_raw)`` is the stopping
     rule; it runs once the complementarity and the primal residual are
-    within the tolerances of ``params``.
+    within the tolerances of ``params``.  The edge set is connected, so
+    pinning point 0 (its m rows and columns) makes the Laplacian definite.
 
     Returns ``(flows, u_raw, iterations, complementarity, u_accepted)``,
     with ``u_accepted`` None when ``params.max_iters`` ran out first, or
@@ -512,8 +483,6 @@ def _interior_point_engine(w_hat, d_edge, pairs, incidence, roots, params, accep
     """
     n, m = w_hat.shape
     e_count = d_edge.shape[0]
-    free = np.setdiff1d(np.arange(n), roots)
-    free_idx = (free[:, None] * m + np.arange(m)).ravel()
     eye = np.eye(m)
     no_t = np.zeros(e_count)
     incidence_t = incidence.T.tocsr()
@@ -541,7 +510,7 @@ def _interior_point_engine(w_hat, d_edge, pairs, incidence, roots, params, accep
         lam_det = zj * sj  # lam_0^2 - ||lam_1||^2
 
         h = (eye + 2.0 * w1[:, :, None] * w1[:, None, :]) / beta2[:, None, None]
-        chol = _tiled_cholesky(_block_laplacian(h, pairs, n)[np.ix_(free_idx, free_idx)])
+        chol = _tiled_cholesky(_block_laplacian(h, pairs, n)[m:, m:])
         if chol is None:
             raise NumericalBreakdown(
                 f"interior-point Newton system is not positive definite (iteration {it})"
@@ -554,9 +523,9 @@ def _interior_point_engine(w_hat, d_edge, pairs, incidence, roots, params, accep
             wq = _rowdot(w1, q1)
             v0 = (w0 * q0 - wq) / beta
             v1 = (q1 - w1 * (q0 - wq / (1.0 + w0))[:, None]) / beta[:, None]
-            rhs = (r_p - incidence @ v1).ravel()[free_idx]
+            rhs = (r_p - incidence @ v1).ravel()[m:]
             du = np.zeros(n * m)
-            du[free_idx] = _tiled_solve(chol, rhs)
+            du[m:] = _tiled_solve(chol, rhs)
             du = du.reshape(n, m)
             g = incidence_t @ du
             wg = _rowdot(w1, g)
@@ -650,32 +619,26 @@ def solve(instance: Instance, params: SolverParams | None = None):
     w_hat = weights / mass_scale
     dist_hat = instance.distances / dist_scale
 
-    # Edge set: generated for a scalar measure on a larger cloud under
-    # "complete", else the policy's fixed graph.
+    # Both edge sets below are connected, so the measure is feasible on them
+    # exactly when its total mass vanishes.
+    if float(np.abs(w_hat.sum(axis=0)).max()) > params.tol_primal:
+        return no_engine(
+            "Infeasible",
+            float(np.linalg.norm(weights.sum(axis=0))),
+            "the total mass of the measure is not zero",
+        )
+
+    # Edge set: generated for a scalar measure on a larger cloud, else the
+    # pruned complete graph.
     notes = []
-    generated = None
-    if params.edge_policy == "complete" and m == 1 and n >= _GENERATION_MIN_N:
-        generated = _generated_lp(w_hat, dist_hat)
+    generated = _generated_lp(w_hat, dist_hat) if m == 1 and n >= _GENERATION_MIN_N else None
     if generated is None:
-        pairs, lp = _edge_list(instance, params.edge_policy), None
+        pairs, lp = _edge_list(instance), None
     else:
         pairs, lp, rounds = generated
         notes.append(
             f"edge generation: {rounds} rounds, {pairs.shape[0]} of {n * (n - 1) // 2} pairs"
         )
-    labels = np.zeros(n, dtype=np.int64)  # pruning and generation keep the graph connected
-    if params.edge_policy != "complete":
-        labels = component_labels(n, pairs)
-    components = int(labels.max()) + 1
-    roots = np.unique(labels, return_index=True)[1]  # smallest member of each component
-    for c in range(components):
-        block = w_hat[labels == c].sum(axis=0)
-        if float(np.abs(block).max()) > params.tol_primal:
-            return no_engine(
-                "Infeasible",
-                float(np.linalg.norm(weights.sum(axis=0))),
-                f"edge subgraph component {c} carries nonzero mass",
-            )
     d_edge = dist_hat[pairs[:, 0], pairs[:, 1]]
     incidence = _incidence(n, pairs)
 
@@ -696,9 +659,9 @@ def solve(instance: Instance, params: SolverParams | None = None):
     it = 0
     comp = 0.0
     u_hat = None
-    if pairs.shape[0] == n - components:
+    if pairs.shape[0] == n - 1:
         engine = "tree"
-        flows_hat, u_raw = _tree_engine(w_hat, d_edge, pairs, roots)
+        flows_hat, u_raw = _tree_engine(w_hat, d_edge, pairs, [0])
         u_hat = accept(flows_hat, u_raw)
     elif m == 1:
         if lp is None:
@@ -710,7 +673,7 @@ def solve(instance: Instance, params: SolverParams | None = None):
     if u_hat is None:
         engine = "ipm"
         flows_hat, u_raw, it, comp, u_hat = _interior_point_engine(
-            w_hat, d_edge, pairs, incidence, roots, params, accept
+            w_hat, d_edge, pairs, incidence, params, accept
         )
     status = "Converged"
     if u_hat is None:
@@ -732,10 +695,6 @@ def solve(instance: Instance, params: SolverParams | None = None):
     np.add.at(net, pairs[:, 1], -flows)
     feas = float(np.sqrt(_dot(net - weights, net - weights)))
 
-    if params.edge_policy != "complete":
-        notes.append(
-            "edge subgraph restriction: value is an upper bound on the complete-graph optimum"
-        )
     report = SolveReport(
         primal_value=primal_value,
         dual_value=dual_value,

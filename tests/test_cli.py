@@ -185,7 +185,7 @@ def test_iteration_limit_exits_3(tmp_path, capsys):
     "argv",
     [
         ["solve", "--input", "{instance}", "--max-iters", "0"],
-        ["solve", "--input", "{instance}", "--edge-policy", "bogus"],
+        ["solve", "--input", "{instance}", "--tol-primal", "0"],
         ["certify", "--input", "{solution}", "--tol", "0"],
         ["leaves", "--input", "{solution}", "--eps", "0"],
         ["massbalance", "--input", "{solution}", "--eps", "-1"],
@@ -200,7 +200,7 @@ def test_iteration_limit_exits_3(tmp_path, capsys):
         ["disintegrate", "--box", "-1", "1", "-1", "1", "--resolution", "9", "9", "9"],
         ["disintegrate", "--grid", "{grid}"],
     ],
-    ids=["max-iters", "edge-policy", "certify-tol", "leaves-eps", "massbalance-eps",
+    ids=["max-iters", "tol-primal", "certify-tol", "leaves-eps", "massbalance-eps",
          "counterexample-tol", "cd-one-number", "cd-not-a-number", "nan-tol-gap",
          "nan-eps", "negative-balance-tol", "odd-box", "negative-resolution",
          "resolution-count", "grid-odd-box"],
@@ -322,6 +322,27 @@ def test_disintegrate_slice_gaussian(capsys):
     assert unbounded["kappa"] == "-inf"
     assert unbounded["worst_violation"] == "inf"
     assert unbounded["all_pass"] is True
+
+
+def test_disintegrate_writes_a_csv_for_every_two_dimensional_needle(tmp_path, capsys):
+    csv_dir = tmp_path / "needles"
+    code, doc = run(
+        capsys, "disintegrate", "--box", "-3", "3", "-3", "3", "-3", "3",
+        "--resolution", "9", "--m", "2", "--csv-dir", str(csv_dir),
+    )
+    assert code == 0
+    files = sorted(csv_dir.iterdir())
+    assert len(files) == doc["needle_count"] == 9
+    for path in files:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t1,t2,g"
+        assert len(lines) == 1 + 9**2
+    # The rows are the needle's grid, last axis fastest, and its density.
+    table = np.loadtxt(files[0], delimiter=",", skiprows=1)
+    centers = -3.0 + (np.arange(9) + 0.5) * 6.0 / 9
+    np.testing.assert_array_equal(table[:, 0], np.repeat(centers, 9))
+    np.testing.assert_array_equal(table[:, 1], np.tile(centers, 9))
+    assert table[:, 2].sum() * (6.0 / 9) ** 2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_disintegrate_radial_from_grid_file(tmp_path, capsys):

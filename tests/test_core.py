@@ -306,7 +306,7 @@ def test_invalid_parameters_raise_invalid_parameter():
     coupling, potential, _ = solve(inst)
     for call in (
         lambda: vecot.SolverParams(max_iters=0),
-        lambda: vecot.SolverParams(edge_policy="mesh"),
+        lambda: vecot.SolverParams(tol_primal=float("nan")),
         lambda: certify(inst, coupling, potential, tol=0.0),
         lambda: isometry_graph(potential, eps=-1.0),
     ):

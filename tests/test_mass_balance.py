@@ -298,6 +298,8 @@ def test_smoothed_instance_rejects_overlap_and_bad_counts():
         smoothed_instance(spec, eps=0.1, points_per_ball=0)
     with pytest.raises(InvalidSpec):
         smoothed_instance(spec, eps=-0.1, points_per_ball=2)
+    with pytest.raises(InvalidSpec):
+        smoothed_instance(spec, eps=float("nan"), points_per_ball=2)
 
 
 def test_smoothing_converges_to_the_atomic_value():

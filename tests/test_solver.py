@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+import scipy.optimize
+import scipy.sparse
 
 import vecot
 import vecot.solver
@@ -206,28 +208,22 @@ def test_solve_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Edge policies and parameter validation
+# Feasibility and parameter validation
 # ---------------------------------------------------------------------------
 
 
-def test_knn_policy_gives_an_upper_bound():
+def test_residual_total_mass_above_tol_primal_reports_infeasible():
+    # The edge set is connected, so only the total mass can block feasibility:
+    # a sum of 5e-13 times the mass scale passes the instance check but not
+    # a tol_primal of 1e-14.
     rng = np.random.default_rng(59)
-    inst = random_instance(rng, 10, 2, 1)
-    full = kr_norm(inst)
-    # The subgraph misses edges of the optimal coupling, so the solve cannot
-    # certify and kr_norm would raise; the restricted value is still a bound.
-    _, _, report = solve(inst, SolverParams(edge_policy="knn:4"))
-    assert report.primal_value >= full - 1e-6 * (1.0 + full)
-
-
-def test_knn_disconnection_reports_infeasible():
-    # Two far clusters, k=1 edges stay inside each cluster, but mass must
-    # cross between them.
-    pts = np.array([[0.0, 0.0], [0.1, 0.0], [100.0, 0.0], [100.1, 0.0]])
-    w = np.array([[1.0], [1.0], [-1.0], [-1.0]])
-    inst = build_instance(pts, w)
-    coupling, _, report = solve(inst, SolverParams(edge_policy="knn:1"))
+    w = rng.normal(size=(6, 1))
+    w -= w.mean(axis=0)
+    w[0] += 5e-13 * np.abs(w).sum()
+    inst = build_instance(rng.uniform(-1.0, 1.0, size=(6, 2)), w)
+    coupling, _, report = solve(inst, SolverParams(tol_primal=1e-14))
     assert report.status == "Infeasible"
+    assert report.engine == "none"
     assert coupling.edge_count == 0
 
 
@@ -237,9 +233,9 @@ def test_bad_params_are_rejected():
     with pytest.raises(ValueError):
         SolverParams(tol_gap=0.0)
     with pytest.raises(ValueError):
-        SolverParams(edge_policy="knn:0")
+        SolverParams(tol_primal=float("nan"))
     with pytest.raises(ValueError):
-        SolverParams(edge_policy="mesh")
+        SolverParams(tol_primal=0.0)
 
 
 def test_iter_limit_is_reported_not_raised():
@@ -305,21 +301,6 @@ def test_collinear_vector_measures_match_the_line_closed_form():
         assert certify(inst, coupling, potential, tol=1e-9).verdict == "Optimal"
 
 
-def test_knn_graph_with_two_balanced_components_solves():
-    rng = np.random.default_rng(71)
-    left = rng.uniform(-1.0, 1.0, size=(6, 2))
-    right = rng.uniform(-1.0, 1.0, size=(6, 2)) + [50.0, 0.0]
-    w = rng.normal(size=(12, 2))
-    w[:6] -= w[:6].mean(axis=0)
-    w[6:] -= w[6:].mean(axis=0)
-    inst = build_instance(np.vstack([left, right]), w)
-    coupling, potential, report = solve(inst, SolverParams(edge_policy="knn:5"))
-    assert report.status == "Converged"
-    assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
-    separate = kr_norm(build_instance(left, w[:6])) + kr_norm(build_instance(right, w[6:]))
-    assert report.primal_value == pytest.approx(separate, rel=1e-6)
-
-
 def test_report_names_the_engine():
     rng = np.random.default_rng(79)
     two_points = build_instance([[0.0, 0.0], [3.0, 4.0]], [[1.0, 2.0], [-1.0, -2.0]])
@@ -341,6 +322,28 @@ def test_unfactorable_newton_system_raises_numerical_breakdown(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def complete_graph_lp_value(inst) -> float:
+    """The scalar transport LP on all N(N-1)/2 pairs, solved by HiGHS directly."""
+    n = inst.size
+    i, j = np.triu_indices(n, k=1)
+    e_count = i.size
+    edges = np.arange(e_count)
+    incidence = scipy.sparse.csr_matrix(
+        (np.r_[np.ones(e_count), -np.ones(e_count)], (np.r_[i, j], np.r_[edges, edges])),
+        shape=(n, e_count),
+    )
+    d = inst.distances[i, j]
+    res = scipy.optimize.linprog(
+        np.r_[d, d],
+        A_eq=scipy.sparse.hstack([incidence, -incidence]),
+        b_eq=inst.measure.weights[:, 0],
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.success
+    return float(res.fun)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("n_points", [40, 100, 300])
 def test_edge_generation_matches_the_complete_graph_lp(n_points, dim, monkeypatch):
@@ -356,9 +359,9 @@ def test_edge_generation_matches_the_complete_graph_lp(n_points, dim, monkeypatc
     assert coupling.edge_count < all_pairs
     assert report.notes.startswith("edge generation: ")
     assert report.notes.endswith(f" rounds, {coupling.edge_count} of {all_pairs} pairs")
-    full = solve(inst, SolverParams(edge_policy=f"knn:{n_points - 1}"))[2]
-    assert abs(report.primal_value - full.primal_value) <= 1e-9 * full.primal_value
-    assert abs(report.dual_value - full.dual_value) <= 1e-9 * full.primal_value
+    full = complete_graph_lp_value(inst)
+    assert abs(report.primal_value - full) <= 1e-9 * full
+    assert abs(report.dual_value - full) <= 1e-9 * full
     assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
     again_coupling, again_potential, again_report = solve(inst)
     assert again_report == report
@@ -393,8 +396,8 @@ def test_edge_generation_joins_a_disconnected_neighbour_graph_by_a_spanning_tree
     assert report.status == "Converged"
     assert report.engine == "lp"
     assert report.notes.startswith("edge generation: ")
-    full = solve(inst, SolverParams(edge_policy="knn:119"))[2]
-    assert abs(report.primal_value - full.primal_value) <= 1e-9 * full.primal_value
+    full = complete_graph_lp_value(inst)
+    assert abs(report.primal_value - full) <= 1e-9 * full
     assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
 
 
@@ -404,7 +407,7 @@ def test_below_the_crossover_the_pruned_complete_graph_is_solved():
     coupling, _, report = solve(inst)
     assert report.notes == ""
     pruned = vecot.solver._prune_metric_redundant(
-        vecot.solver._edge_list(inst, "complete"), inst.distances
+        vecot.solver._edge_list(inst), inst.distances
     )
     np.testing.assert_array_equal(coupling.pairs, pruned)
 
