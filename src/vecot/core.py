@@ -83,7 +83,7 @@ class WrongDimension(VecotError):
 
 
 class InvalidParameter(VecotError, ValueError):
-    """A tolerance, count or policy argument is out of its range."""
+    """A tolerance or count argument is out of its range."""
 
 
 @dataclass(frozen=True)

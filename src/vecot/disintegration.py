@@ -15,6 +15,7 @@ interior; cd_check_1d evaluates that with central differences.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,18 +92,18 @@ class GridDensity:
     def resolution(self) -> tuple[int, ...]:
         return self.samples.shape
 
-    @property
+    @functools.cached_property
     def steps(self) -> np.ndarray:
         return (self.box[:, 1] - self.box[:, 0]) / np.array(self.resolution)
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.steps))
 
     def centers(self, axis: int) -> np.ndarray:
         return _cell_centers(*self.box[axis], self.resolution[axis])
 
-    @property
+    @functools.cached_property
     def total_mass(self) -> float:
         return float(self.samples.sum() * self.cell_volume)
 
@@ -215,16 +216,15 @@ def slice_disintegration(density: GridDensity, m: int) -> tuple[list[Needle], np
     if not 0 < m < n:
         raise GeometryMismatch(f"need 0 < m < {n}, got m = {m}")
     head_axes = tuple(density.centers(a) for a in range(m))
-    tail_res = density.resolution[m:]
-    # One base per tail cell, in the np.ndindex (C) order of the loop below.
-    bases = np.zeros((int(np.prod(tail_res)), n))
+    # One block and one base per tail cell, both in C order of the tail cells.
+    blocks = np.moveaxis(density.samples.reshape(density.resolution[:m] + (-1,)), -1, 0)
+    bases = np.zeros((len(blocks), n))
     bases[:, m:] = _product_grid([density.centers(m + a) for a in range(n - m)])
     directions = np.eye(n)[:, :m]
     total = density.total_mass
     needles: list[Needle] = []
     weights: list[float] = []
-    for tail_idx, base in zip(np.ndindex(*tail_res), bases):
-        block = density.samples[(slice(None),) * m + tail_idx]
+    for block, base in zip(blocks, bases):
         try:
             needle = Needle(axes=head_axes, g=block, base=base, directions=directions)
         except EmptySlice:

@@ -219,15 +219,21 @@ def _boundary_distances(coords: np.ndarray) -> np.ndarray:
     return np.maximum(gaps.min(axis=1), 0.0)
 
 
-def _build_leaf(members: list[int], cloud: PointCloud, values: np.ndarray) -> Leaf:
-    idx = np.array(sorted(members), dtype=int)
+def _accept(members: list[int], pts: np.ndarray, vals: np.ndarray, dist: np.ndarray, eps: float):
+    """Fit sorted members once: ``(residual <= eps * diameter, fit)``."""
+    sub = np.array(members)
+    fit = _fit(pts[sub], vals[sub])
+    return fit[3] <= eps * dist[np.ix_(sub, sub)].max(), fit
+
+
+def _build_leaf(members: tuple[int, ...], fit, cloud: PointCloud, values: np.ndarray) -> Leaf:
+    idx = np.array(members, dtype=int)
     pts = cloud.points[idx]
-    vals = values[idx]
-    tmap, b, y0, residual, rank, tangent, _ = _fit(pts, vals)
+    tmap, b, y0, residual, rank, tangent, _ = fit
     return Leaf(
         member_indices=idx,
         points=pts,
-        values=vals,
+        values=values[idx],
         dimension=rank,
         tangent=tangent,
         map_matrix=tmap,
@@ -238,51 +244,45 @@ def _build_leaf(members: list[int], cloud: PointCloud, values: np.ndarray) -> Le
     )
 
 
-def _diameter(dist: np.ndarray, members: list[int]) -> float:
-    sub = dist[np.ix_(members, members)]
-    return float(sub.max()) if len(members) > 1 else 0.0
-
-
 def _validate_component(
     comp: list[int], adj: np.ndarray, dist: np.ndarray, pts: np.ndarray, vals: np.ndarray, eps: float
-) -> tuple[list[int], list[int]]:
+):
     """Shrink a component until it is a clique with an isometric fit.
 
     Removes the worst fit violator while the residual is too large, then the
-    member with the most missing edges while the set is not a clique.  The
-    removed members are returned for regrowth.
+    member with the most missing edges while the set is not a clique.
+    Returns the survivors, their accepting fit and the removed members,
+    which regrow leaves of their own.
     """
     members = sorted(comp)
     pending: list[int] = []
-    while len(members) > 1:
-        sub = np.array(members)
-        _, _, _, residual, _, _, errors = _fit(pts[sub], vals[sub])
-        if residual > eps * _diameter(dist, members):
-            drop = int(np.argmax(errors))
+    while True:
+        ok, fit = _accept(members, pts, vals, dist, eps)
+        if not ok:
+            drop = int(np.argmax(fit[-1]))  # the largest per-member misfit
         else:
+            sub = np.array(members)
             missing = (~adj[np.ix_(sub, sub)]).sum(axis=1) - 1
             if not missing.any():
-                break
+                return members, fit, pending
             drop = int(np.argmax(missing))
         pending.append(members.pop(drop))
-    return members, pending
 
 
 def _grow_leaf(
     start: int, adj: np.ndarray, dist: np.ndarray, pts: np.ndarray, vals: np.ndarray, eps: float
-) -> list[int]:
-    """Greedily grow a clique with a passing fit around one point."""
-    members = [start]
+):
+    """Greedily grow a clique with a passing fit around one point; return it and that fit."""
+    members, fit = [start], None
     for q in np.flatnonzero(adj[start]):
         q = int(q)
         if not all(adj[q, s] for s in members):
             continue
         trial = sorted(members + [q])
-        sub = np.array(trial)
-        _, _, _, residual, _, _, _ = _fit(pts[sub], vals[sub])
-        if residual <= eps * _diameter(dist, trial):
-            members = trial
-    return members
+        ok, trial_fit = _accept(trial, pts, vals, dist, eps)
+        if ok:
+            members, fit = trial, trial_fit
+    return members, fit or _accept(members, pts, vals, dist, eps)[1]
 
 
 def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition:
@@ -308,31 +308,28 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
     adj = graph.adjacency()
     dist = cloud.distances
 
-    member_sets: list[tuple[int, ...]] = []
+    fits: dict[tuple[int, ...], tuple] = {}
     labels = component_labels(n, graph.edges)
     by_label = np.argsort(labels, kind="stable")
     for comp in np.split(by_label, np.cumsum(np.bincount(labels))[:-1]):
-        survivors, pending = _validate_component(comp.tolist(), adj, dist, pts, vals, eps)
+        survivors, fit, pending = _validate_component(comp.tolist(), adj, dist, pts, vals, eps)
         covered = set(survivors)
-        member_sets.append(tuple(survivors))
+        fits[tuple(survivors)] = fit
         for p in sorted(pending):
             if p in covered:
                 continue
-            grown = _grow_leaf(p, adj, dist, pts, vals, eps)
+            grown, fit = _grow_leaf(p, adj, dist, pts, vals, eps)
             covered.update(grown)
-            member_sets.append(tuple(grown))
+            fits[tuple(grown)] = fit
 
-    member_sets = sorted(set(member_sets))
-    leaves = tuple(_build_leaf(list(s), cloud, vals) for s in member_sets)
-
-    assignment = np.full(n, -1, dtype=int)
-    counts = np.zeros(n, dtype=int)
-    for leaf_id, s in enumerate(member_sets):
-        for p in s:
-            counts[p] += 1
-            if assignment[p] < 0:
-                assignment[p] = leaf_id
-    boundary = np.flatnonzero(counts >= 2)
+    member_sets = sorted(fits)
+    leaves = tuple(_build_leaf(s, fits[s], cloud, vals) for s in member_sets)
+    # minimum.at, not assignment: numpy does not say which repeated-index write wins.
+    flat = np.concatenate(member_sets)
+    leaf_ids = np.repeat(np.arange(len(member_sets)), [len(s) for s in member_sets])
+    assignment = np.full(n, len(member_sets), dtype=int)
+    np.minimum.at(assignment, flat, leaf_ids)
+    boundary = np.flatnonzero(np.bincount(flat, minlength=n) >= 2)
     return LeafDecomposition(
         graph=graph, leaves=leaves, assignment=assignment, boundary_flags=boundary
     )

@@ -312,20 +312,20 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
     return u - u[0]
 
 
-def _tree_engine(w_hat, d_edge, pairs, roots):
-    """Exact engine for a forest edge set: the constraint fixes the flows.
+def _tree_engine(w_hat, d_edge, pairs):
+    """Exact engine for a spanning-tree edge set: the constraint fixes the flows.
 
     The edge above a node carries the net mass of the node's subtree, and
     a potential that steps by ``d_e x_e / ||x_e||`` along every edge (by
     nothing where the flow vanishes) saturates and aligns with every flow.
-    The forest hangs from ``roots``, one per component, and is walked level
-    by level; children add their subtree masses to their parent's in
-    increasing index order.  ``pairs`` must hold i < j, sorted
-    lexicographically.  Returns ``(flows, u_raw)``.
+    The tree hangs from point 0 and is walked level by level; children add
+    their subtree masses to their parent's in increasing index order.
+    ``pairs`` must hold i < j, sorted lexicographically.  Returns
+    ``(flows, u_raw)``.
     """
     n, m = w_hat.shape
     depth, parent, _ = scipy.sparse.csgraph.dijkstra(
-        _pair_graph(n, pairs), directed=False, indices=roots, unweighted=True,
+        _pair_graph(n, pairs), directed=False, indices=0, unweighted=True,
         return_predecessors=True, min_only=True,
     )
     child = np.flatnonzero(parent >= 0)
@@ -661,7 +661,7 @@ def solve(instance: Instance, params: SolverParams | None = None):
     u_hat = None
     if pairs.shape[0] == n - 1:
         engine = "tree"
-        flows_hat, u_raw = _tree_engine(w_hat, d_edge, pairs, [0])
+        flows_hat, u_raw = _tree_engine(w_hat, d_edge, pairs)
         u_hat = accept(flows_hat, u_raw)
     elif m == 1:
         if lp is None:

@@ -199,11 +199,12 @@ def test_iteration_limit_exits_3(tmp_path, capsys):
         ["disintegrate", "--box", "-1", "1", "-1", "1", "--resolution", "-3"],
         ["disintegrate", "--box", "-1", "1", "-1", "1", "--resolution", "9", "9", "9"],
         ["disintegrate", "--grid", "{grid}"],
+        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--mode", "radial"],
     ],
     ids=["max-iters", "tol-primal", "certify-tol", "leaves-eps", "massbalance-eps",
          "counterexample-tol", "cd-one-number", "cd-not-a-number", "nan-tol-gap",
          "nan-eps", "negative-balance-tol", "odd-box", "negative-resolution",
-         "resolution-count", "grid-odd-box"],
+         "resolution-count", "grid-odd-box", "radial-no-center"],
 )
 def test_invalid_parameters_exit_2(tmp_path, capsys, argv):
     instance = write_instance(tmp_path)
@@ -322,6 +323,16 @@ def test_disintegrate_slice_gaussian(capsys):
     assert unbounded["kappa"] == "-inf"
     assert unbounded["worst_violation"] == "inf"
     assert unbounded["all_pass"] is True
+
+
+def test_disintegrate_slices_over_an_axis_of_one_cell(capsys):
+    code, doc = run(
+        capsys, "disintegrate", "--box", "-4", "4", "-4", "4",
+        "--resolution", "33", "1", "--m", "1", "--cd", "0,inf",
+    )
+    assert code == 0
+    assert doc["needle_count"] == 1
+    assert doc["reassembly_l1"] <= 1e-12
 
 
 def test_disintegrate_writes_a_csv_for_every_two_dimensional_needle(tmp_path, capsys):

@@ -245,6 +245,17 @@ def test_radial_line_uses_two_rays():
     np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
 
 
+def test_radial_rays_that_carry_no_mass_are_skipped():
+    # Mass only in the corner cells [24:, 24:]; seen from (-2, -2), two of
+    # the sixteen rays cross it.
+    samples = np.zeros((33, 33))
+    samples[24:, 24:] = 1.0
+    d = GridDensity(box=[[-4.0, 4.0], [-4.0, 4.0]], samples=samples)
+    needles, weights = radial_disintegration(d, [-2.0, -2.0], 16)
+    assert len(needles) == 2
+    assert weights.sum() == pytest.approx(1.0, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Reassembly plumbing
 # ---------------------------------------------------------------------------

@@ -119,14 +119,14 @@ def reference_maximal_transport_sets(decomposition: LeafDecomposition) -> list[n
 def random_graph(rng, kind: str):
     """``(n, pairs)`` with unique pairs i < j in lexicographic order."""
     n = int(rng.integers(1, 40))
-    if kind == "forest":
-        # Attach each node to an earlier one or start a new tree, then
-        # shuffle the node names so parents are not always smaller.
+    if kind in ("forest", "tree"):
+        # Attach each node to an earlier one or (in a forest) start a new
+        # tree, then shuffle the node names so parents are not always smaller.
         perm = rng.permutation(n)
         pairs = [
             (perm[v], perm[int(rng.integers(0, v))])
             for v in range(1, n)
-            if rng.random() < 0.85
+            if kind == "tree" or rng.random() < 0.85
         ]
     else:
         p = 0.6 if kind == "dense" else 1.5 / max(n, 1)
@@ -176,12 +176,12 @@ def test_component_labels_match_the_graph_searches(kind):
 def test_tree_engine_matches_the_node_by_node_engine_bit_for_bit():
     rng = np.random.default_rng(4)
     for _ in range(60):
-        n, pairs = random_graph(rng, "forest")
-        labels, order, parent_edge = reference_spanning_forest(n, pairs)
-        roots = np.unique(labels, return_index=True)[1]
+        # A connected tree, so the reference search starts at node 0 as the engine does.
+        n, pairs = random_graph(rng, "tree")
+        _, order, parent_edge = reference_spanning_forest(n, pairs)
         w = rng.standard_normal((n, int(rng.integers(1, 4))))
         d = rng.uniform(0.1, 1.0, pairs.shape[0])
-        new = _tree_engine(w, d, pairs, roots)
+        new = _tree_engine(w, d, pairs)
         ref = reference_tree_engine(w, d, pairs, order, parent_edge)
         for a, b in zip(new, ref):
             assert a.tobytes() == b.tobytes()

@@ -2,24 +2,36 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecot import (
     DegenerateLeaf,
     DimensionMismatch,
+    Leaf,
+    LeafDecomposition,
     NotLipschitz,
     PointCloud,
     PotentialField,
     WrongDimension,
     affine_isometry_fit,
+    build_instance,
     derivative_modulus_check,
     extract_leaves,
     isometry_graph,
+    orthant_spec,
+    paper_preset,
     reconstructed_potential,
+    solve,
     strengthened_lipschitz_residual,
     transport_set,
 )
+from vecot.core import component_labels
+from vecot.leaves import _boundary_distances, _fit
 
 
 def grid_projection(side: int = 5):
@@ -42,6 +54,19 @@ def two_rays(angle_deg: float = 60.0):
     vals = np.concatenate([s, s])[:, None]
     cloud = PointCloud(pts)
     return cloud, PotentialField(cloud, vals)
+
+
+def short_pair_line():
+    """x = 0, 1, ..., 10, 10.001 with u = x, except u(10.001) = 10.0005.
+
+    With eps = 0.01 the whole cloud is one component whose fit passes, but
+    the short pair (10, 11) is no edge: it stretches by 0.5 only.
+    """
+    x = np.append(np.arange(11.0), 10.001)
+    cloud = PointCloud(x[:, None])
+    values = x.copy()
+    values[11] = 10.0005
+    return cloud, PotentialField(cloud, values[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +227,19 @@ def test_tent_potential_splits_into_overlapping_leaves():
     np.testing.assert_allclose(rebuilt.values, u.values, atol=1e-12)
 
 
+def test_a_component_with_a_passing_fit_still_needs_to_be_a_clique():
+    cloud, u = short_pair_line()
+    graph = isometry_graph(u, eps=0.01)
+    assert graph.adjacency().sum() == 12 * 11 - 2
+    dec = extract_leaves(graph, u)
+    assert [l.member_indices.tolist() for l in dec.leaves] == [
+        list(range(11)),
+        list(range(10)) + [11],
+    ]
+    np.testing.assert_array_equal(dec.boundary_flags, np.arange(10))
+    np.testing.assert_array_equal(dec.assignment, [0] * 11 + [1])
+
+
 def test_leaves_are_pairwise_isometric_sets():
     cloud, u = two_rays()
     dec = extract_leaves(isometry_graph(u), u)
@@ -338,3 +376,175 @@ def test_derivative_check_vacuous_at_zero_boundary_distance():
     # Two-member leaves have sigma = 0 everywhere, so the check is vacuous
     # even though the derivatives differ by 2.
     assert derivative_modulus_check(dec.leaves[0], dec.leaves[1], 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# The extraction against a reference, and the leaf contract
+# ---------------------------------------------------------------------------
+
+
+def reference_extract_leaves(graph, u) -> LeafDecomposition:
+    """The extraction as it stood before each leaf was built from the fit
+    that accepted it: every accepted set is fitted again, and the assignment
+    and branch points come from a loop over the members."""
+    cloud, pts, vals, eps = graph.cloud, graph.cloud.points, u.values, graph.eps
+    adj, dist = graph.adjacency(), cloud.distances
+
+    def diameter(members):
+        sub = dist[np.ix_(members, members)]
+        return float(sub.max()) if len(members) > 1 else 0.0
+
+    def validate_component(comp):
+        members = sorted(comp)
+        pending = []
+        while len(members) > 1:
+            sub = np.array(members)
+            _, _, _, residual, _, _, errors = _fit(pts[sub], vals[sub])
+            if residual > eps * diameter(members):
+                drop = int(np.argmax(errors))
+            else:
+                missing = (~adj[np.ix_(sub, sub)]).sum(axis=1) - 1
+                if not missing.any():
+                    break
+                drop = int(np.argmax(missing))
+            pending.append(members.pop(drop))
+        return members, pending
+
+    def grow_leaf(start):
+        members = [start]
+        for q in np.flatnonzero(adj[start]):
+            q = int(q)
+            if not all(adj[q, s] for s in members):
+                continue
+            trial = sorted(members + [q])
+            sub = np.array(trial)
+            _, _, _, residual, _, _, _ = _fit(pts[sub], vals[sub])
+            if residual <= eps * diameter(trial):
+                members = trial
+        return members
+
+    def build_leaf(members):
+        idx = np.array(sorted(members), dtype=int)
+        tmap, b, y0, residual, rank, tangent, _ = _fit(pts[idx], vals[idx])
+        return Leaf(
+            member_indices=idx, points=pts[idx], values=vals[idx], dimension=rank,
+            tangent=tangent, map_matrix=tmap, base_point=y0, offset=b, fit_residual=residual,
+            sigma=_boundary_distances((pts[idx] - y0) @ tangent),
+        )
+
+    n = cloud.size
+    member_sets = []
+    labels = component_labels(n, graph.edges)
+    by_label = np.argsort(labels, kind="stable")
+    for comp in np.split(by_label, np.cumsum(np.bincount(labels))[:-1]):
+        survivors, pending = validate_component(comp.tolist())
+        covered = set(survivors)
+        member_sets.append(tuple(survivors))
+        for p in sorted(pending):
+            if p in covered:
+                continue
+            grown = grow_leaf(p)
+            covered.update(grown)
+            member_sets.append(tuple(grown))
+    member_sets = sorted(set(member_sets))
+    assignment = np.full(n, -1, dtype=int)
+    counts = np.zeros(n, dtype=int)
+    for leaf_id, members in enumerate(member_sets):
+        for p in members:
+            counts[p] += 1
+            if assignment[p] < 0:
+                assignment[p] = leaf_id
+    return LeafDecomposition(
+        graph=graph,
+        leaves=tuple(build_leaf(list(s)) for s in member_sets),
+        assignment=assignment,
+        boundary_flags=np.flatnonzero(counts >= 2),
+    )
+
+
+def as_bytes(a: np.ndarray):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def assert_same_decomposition(new: LeafDecomposition, ref: LeafDecomposition):
+    assert len(new.leaves) == len(ref.leaves)
+    for a, b in zip(new.leaves, ref.leaves):
+        for f in dataclasses.fields(Leaf):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert as_bytes(x) == as_bytes(y), f.name
+            else:
+                assert x == y, f.name
+    assert as_bytes(new.assignment) == as_bytes(ref.assignment)
+    assert as_bytes(new.boundary_flags) == as_bytes(ref.boundary_flags)
+
+
+def solved_potential(points, weights) -> PotentialField:
+    _, potential, _ = solve(build_instance(points, weights))
+    return potential
+
+
+def reference_cases():
+    """``(name, potential, eps)``: solved random and preset instances and the
+    hand-built fixtures of this file."""
+    rng = np.random.default_rng(1234)
+    for k in range(30):
+        size, n, m = int(rng.integers(2, 26)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        weights = rng.normal(size=(size, m))
+        points = rng.uniform(-1.0, 1.0, (size, n))
+        yield f"random-{k}", solved_potential(points, weights - weights.mean(axis=0)), 1e-6
+    weights = rng.normal(size=(120, 1))
+    points = rng.uniform(-1.0, 1.0, (120, 2))
+    yield "scalar-120", solved_potential(points, weights - weights.mean()), 1e-6
+    for name, spec in (("paper", paper_preset()), ("orthant", orthant_spec(3))):
+        inst = spec.instance()
+        yield name, solved_potential(inst.cloud.points, inst.measure.weights), 1e-6
+    yield "grid", grid_projection(5)[1], 1e-9
+    yield "two-rays", two_rays()[1], 1e-9
+    tent = PointCloud(np.array([[0.0], [1.0], [2.0]]))
+    yield "tent", PotentialField(tent, np.array([[0.0], [1.0], [0.0]])), 1e-6
+    yield "short-pair", short_pair_line()[1], 0.01
+
+
+def test_extraction_matches_the_reference_bit_for_bit():
+    for name, u, eps in reference_cases():
+        graph = isometry_graph(u, eps=eps)
+        new, ref = extract_leaves(graph, u), reference_extract_leaves(graph, u)
+        try:
+            assert_same_decomposition(new, ref)
+        except AssertionError as err:
+            raise AssertionError(f"{name}: {err}") from err
+
+
+@st.composite
+def solved_instances(draw):
+    """A potential solved on 2-15 distinct lattice points in R^n, n <= 3,
+    for integer weights in R^m, m <= 2; lattices make many saturated pairs."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    lattice = st.tuples(*[st.integers(-3, 3)] * n)
+    points = draw(st.lists(lattice, min_size=2, max_size=15, unique=True))
+    size = len(points)
+    weights = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m), min_size=size, max_size=size))
+    weights = np.array(weights, dtype=float)
+    return solved_potential(np.array(points, dtype=float), weights - weights.mean(axis=0))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(solved_instances())
+def test_leaves_keep_their_contract(u):
+    graph = isometry_graph(u)
+    dec = extract_leaves(graph, u)
+    n = u.cloud.size
+    adj = graph.adjacency() | np.eye(n, dtype=bool)
+    holders = [[] for _ in range(n)]
+    for k, leaf in enumerate(dec.leaves):
+        idx = leaf.member_indices
+        assert adj[np.ix_(idx, idx)].all()
+        assert leaf.fit_residual <= graph.eps * u.cloud.distances[np.ix_(idx, idx)].max()
+        for p in idx:
+            holders[p].append(k)
+    assert all(holders)
+    np.testing.assert_array_equal(dec.assignment, [h[0] for h in holders])
+    shared = [p for p in range(n) if len(holders[p]) > 1]
+    np.testing.assert_array_equal(dec.boundary_flags, shared)
+    assert_same_decomposition(dec, reference_extract_leaves(graph, u))
