@@ -253,22 +253,25 @@ def _cmd_disintegrate(args) -> tuple[dict, int]:
             kappa, n_param = (float(v) for v in spec.split(","))
         except ValueError:
             raise VecotError(f"--cd expects KAPPA,N, got {spec!r}") from None
-        per_needle = [cd_check_1d(nd, kappa, n_param) for nd in needles]
+        reports = cd_check_1d(needles, kappa, n_param)
         cd_reports.append(
             {
                 "kappa": _number(kappa),
                 "N": _number(n_param),
-                "all_pass": all(r.passed for r in per_needle),
-                "worst_violation": _number(min(r.worst_violation for r in per_needle)),
-                "tol": per_needle[0].tol,
+                "all_pass": all(r.passed for r in reports),
+                "worst_violation": _number(min(r.worst_violation for r in reports)),
+                "tol": reports[0].tol,
             }
         )
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
-        for k, nd in enumerate(needles):
-            # One row per cell of the needle's grid: its parameters t1..tk, then g.
-            params = ["t"] if nd.leaf_dim == 1 else [f"t{a + 1}" for a in range(nd.leaf_dim)]
-            cols = np.column_stack([_product_grid(nd.axes), nd.g.ravel()])
+        # One row per cell of a needle's grid: its parameters t1..tk, then g.
+        dim = needles.leaf_dim
+        params = ["t"] if dim == 1 else [f"t{a + 1}" for a in range(dim)]
+        grid = _product_grid(needles.axes)
+        grid = np.broadcast_to(grid, (len(needles),) + grid.shape[-2:])
+        for k, g in enumerate(needles.g):
+            cols = np.column_stack([grid[k], g.ravel()])
             path = os.path.join(args.csv_dir, f"needle_{k:04d}.csv")
             np.savetxt(path, cols, delimiter=",", header=",".join([*params, "g"]), comments="")
     payload = {

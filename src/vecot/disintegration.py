@@ -8,6 +8,13 @@ densities on those leaves (needles), with mixture weights, and check that
 the weighted mixture reassembles the original.  Ray conditionals pick up
 the Jacobian factor r^(n-1).
 
+A disintegration returns its needles as one NeedleBatch: the leaf grids,
+every conditional density in one array, checked and normalized once, and
+the embedding of each leaf.  Iterating a batch gives Needle views of it.
+Reassembly and CD checks take whole batches, ray sampling and reassembly
+run in blocks of at most ``_BLOCK_POINTS`` points, and every result is
+bit-identical to handling the needles one at a time.
+
 A 1-D needle with density g = e^(-rho) satisfies the curvature-dimension
 condition CD(kappa, N) when rho'' - (rho')^2/(N-1) >= kappa on its
 interior; cd_check_1d evaluates that with central differences.
@@ -16,7 +23,9 @@ interior; cd_check_1d evaluates that with central differences.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +40,7 @@ __all__ = [
     "TooFewPoints",
     "GridDensity",
     "Needle",
+    "NeedleBatch",
     "CdReport",
     "tabulate_density",
     "slice_disintegration",
@@ -125,7 +135,14 @@ def _cell_centers(lo: float, hi: float, k: int) -> np.ndarray:
 
 
 def _product_grid(axes) -> np.ndarray:
-    """Points of the product of 1-D grids, one per row, last axis fastest."""
+    """Points of the product of 1-D grids, one per row, last axis fastest.
+
+    Grids given per needle, shape (K, L), give points per needle, (K, P, k).
+    """
+    per_needle = [len(a) for a in axes if a.ndim == 2]
+    if per_needle:
+        one_needle = ([a if a.ndim == 1 else a[j] for a in axes] for j in range(per_needle[0]))
+        return np.stack([_product_grid(grids) for grids in one_needle])
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
@@ -161,23 +178,8 @@ class Needle:
     directions: np.ndarray
 
     def __post_init__(self):
-        axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
-        g = np.asarray(self.g, dtype=float)
-        base = np.asarray(self.base, dtype=float)
-        directions = np.asarray(self.directions, dtype=float)
-        if g.shape != tuple(len(a) for a in axes):
-            raise GeometryMismatch(f"density shape {g.shape} does not match axes")
-        if directions.ndim != 2 or directions.shape[1] != len(axes):
-            raise GeometryMismatch("directions must be one column per needle axis")
-        if np.any(g < 0) or not np.all(np.isfinite(g)):
-            raise NonpositiveDensity("needle density must be finite and nonnegative")
-        mass = g.sum() * np.prod([_spacing(a) for a in axes])
-        if mass <= 0.0:
-            raise EmptySlice("needle carries no mass")
-        object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "g", g / mass)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "directions", directions)
+        g, base = np.asarray(self.g)[None], np.asarray(self.base)[None]
+        self.__dict__.update(NeedleBatch(self.axes, g, base, self.directions)[0].__dict__)
 
     @property
     def leaf_dim(self) -> int:
@@ -189,22 +191,115 @@ class Needle:
             raise GeometryMismatch("parameter grid t is defined for 1-d needles only")
         return self.axes[0]
 
-    @property
-    def spacing(self) -> np.ndarray:
-        return np.array([_spacing(a) for a in self.axes])
-
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Embedded cell positions and their masses (summing to 1)."""
         points = self.base[None, :] + _product_grid(self.axes) @ self.directions.T
-        masses = self.g.ravel() * float(np.prod(self.spacing))
+        masses = self.g.ravel() * _cell_volume(self.axes)
         return points, masses
 
 
-def _spacing(axis: np.ndarray) -> float:
-    return float(axis[1] - axis[0]) if len(axis) > 1 else 1.0
+@dataclass(frozen=True, eq=False)
+class NeedleBatch:
+    """K needles whose leaf grids have one shape, held as arrays.
+
+    ``axes`` hold the leaf grids, each shared by all needles, shape (L,), or
+    given per needle, shape (K, L); ``g`` has shape (K, *grid shape); needle
+    k embeds p as ``base[k] + directions @ p``, with ``directions`` shared,
+    shape (n, leaf_dim), or per needle, shape (K, n, leaf_dim).  The
+    densities are checked and normalized to unit quadrature mass once for
+    the whole batch; a massless needle raises EmptySlice.
+
+    A batch is a sequence: ``len``, indexing and iteration give Needle views
+    of its arrays that are not checked again, and a slice gives a batch.
+    """
+
+    axes: tuple[np.ndarray, ...]
+    g: np.ndarray
+    base: np.ndarray
+    directions: np.ndarray
+
+    def __post_init__(self):
+        axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
+        g = np.asarray(self.g, dtype=float)
+        base = np.asarray(self.base, dtype=float)
+        directions = np.asarray(self.directions, dtype=float)
+        count, k = len(g), len(axes)
+        if (
+            any(a.ndim == 0 or a.shape[:-1] not in ((), (count,)) for a in axes)
+            or g.shape[1:] != tuple(a.shape[-1] for a in axes)
+            or base.ndim != 2
+            or len(base) != count
+            or directions.shape not in ((base.shape[1], k), (count, base.shape[1], k))
+        ):
+            raise GeometryMismatch(
+                "need axes (L,) or (K, L), densities (K, *grid shape) matching them, "
+                "bases (K, n) and directions (n, leaf_dim) or (K, n, leaf_dim)"
+            )
+        self.__dict__.update(axes=axes, g=_unit_mass(g, axes), base=base, directions=directions)
+
+    def __len__(self) -> int:
+        return len(self.g)
+
+    def __getitem__(self, key):
+        one = not isinstance(key, slice)
+        key = operator.index(key) if one else key
+        return _unchecked(
+            Needle if one else NeedleBatch,
+            tuple(a if a.ndim == 1 else a[key] for a in self.axes),
+            self.g[key],
+            self.base[key],
+            self.directions if self.directions.ndim == 2 else self.directions[key],
+        )
+
+    def __iter__(self):
+        def rows(array, shared_ndim):
+            return itertools.repeat(array) if array.ndim == shared_ndim else iter(array)
+
+        axes = zip(*(rows(a, 1) for a in self.axes))
+        directions = rows(self.directions, 2)
+        return map(_unchecked, itertools.repeat(Needle), axes, self.g, self.base, directions)
+
+    @property
+    def leaf_dim(self) -> int:
+        return len(self.axes)
+
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Embedded cell positions (K, P, n) and masses (K, P), as Needle.quadrature per row.
+
+        The rows equal the per-needle results bit for bit: a 1-D needle's
+        matmul has one product per entry, which ``t * direction`` repeats.
+        """
+        if self.leaf_dim == 1:
+            offsets = self.axes[0][..., None] * self.directions[..., 0][..., None, :]
+        else:
+            offsets = _product_grid(self.axes) @ np.swapaxes(self.directions, -1, -2)
+        masses = self.g.reshape(len(self), -1) * np.reshape(_cell_volume(self.axes), (-1, 1))
+        return self.base[:, None, :] + offsets, masses
 
 
-def slice_disintegration(density: GridDensity, m: int) -> tuple[list[Needle], np.ndarray]:
+def _unchecked(cls, axes, g, base, directions):
+    """A Needle or NeedleBatch holding the given arrays as they are."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(axes=axes, g=g, base=base, directions=directions)
+    return obj
+
+
+def _unit_mass(g: np.ndarray, axes) -> np.ndarray:
+    """Check densities (one per needle along axis 0) and scale each to unit mass."""
+    if np.any(g < 0) or not np.all(np.isfinite(g)):
+        raise NonpositiveDensity("needle density must be finite and nonnegative")
+    mass = g.sum(axis=tuple(range(1, g.ndim))) * _cell_volume(axes)
+    if np.any(mass <= 0.0):
+        raise EmptySlice("needle carries no mass")
+    return g / mass.reshape(mass.shape + (1,) * (g.ndim - 1))
+
+
+def _cell_volume(axes):
+    """Product of the leaf grid steps (per needle for per-needle grids); one cell counts 1."""
+    return math.prod(a[..., 1] - a[..., 0] if a.shape[-1] > 1 else 1.0 for a in axes)
+
+
+def slice_disintegration(density: GridDensity, m: int) -> tuple[NeedleBatch, np.ndarray]:
     """Split a density into its slices over the first m coordinates.
 
     These are the leaves of the projection potential onto the last n - m
@@ -217,21 +312,20 @@ def slice_disintegration(density: GridDensity, m: int) -> tuple[list[Needle], np
         raise GeometryMismatch(f"need 0 < m < {n}, got m = {m}")
     head_axes = tuple(density.centers(a) for a in range(m))
     # One block and one base per tail cell, both in C order of the tail cells.
-    blocks = np.moveaxis(density.samples.reshape(density.resolution[:m] + (-1,)), -1, 0)
+    blocks = density.samples.reshape(density.resolution[:m] + (-1,))
+    blocks = np.ascontiguousarray(np.moveaxis(blocks, -1, 0))
+    sums = blocks.sum(axis=tuple(range(1, m + 1)))
     bases = np.zeros((len(blocks), n))
     bases[:, m:] = _product_grid([density.centers(m + a) for a in range(n - m)])
-    directions = np.eye(n)[:, :m]
-    total = density.total_mass
-    needles: list[Needle] = []
-    weights: list[float] = []
-    for block, base in zip(blocks, bases):
-        try:
-            needle = Needle(axes=head_axes, g=block, base=base, directions=directions)
-        except EmptySlice:
-            continue
-        needles.append(needle)
-        weights.append(block.sum() * density.cell_volume / total)
-    return needles, np.array(weights)
+    blocks, bases, sums = _rows_with_mass(sums * _cell_volume(head_axes), blocks, bases, sums)
+    needles = NeedleBatch(axes=head_axes, g=blocks, base=bases, directions=np.eye(n)[:, :m])
+    return needles, sums * density.cell_volume / density.total_mass
+
+
+def _rows_with_mass(mass, *arrays):
+    """The arrays' rows where ``mass`` is positive; no copies when all of it is."""
+    keep = mass > 0.0
+    return arrays if keep.all() else tuple(a[keep] for a in arrays)
 
 
 def _circle_fan(count: int) -> np.ndarray:
@@ -253,7 +347,7 @@ def radial_disintegration(
     center,
     n_directions: int = 64,
     n_radial: int | None = None,
-) -> tuple[list[Needle], np.ndarray]:
+) -> tuple[NeedleBatch, np.ndarray]:
     """Split a density into ray conditionals around a center.
 
     The rays of the distance-from-center potential are the leaves; along a
@@ -261,6 +355,8 @@ def radial_disintegration(
     density, normalized.  Directions form a deterministic fan (midpoint
     angles on the circle, a Fibonacci lattice on the sphere) with equal
     angular weights, and each ray is sampled up to its exit from the box.
+    Rays that carry no mass are skipped.  The density is interpolated in
+    blocks of at most ``_BLOCK_POINTS`` ray points.
     """
     center = np.asarray(center, dtype=float)
     n = density.dim
@@ -282,67 +378,64 @@ def radial_disintegration(
         n_radial = 4 * max(density.resolution)
     if n_radial < 1:
         raise InvalidParameter(f"need at least one radial cell, got {n_radial}")
-    needles: list[Needle] = []
-    raw = []
-    for direction in fan:
-        with np.errstate(divide="ignore"):
-            exits = np.where(
-                direction > 0,
-                (density.box[:, 1] - center) / direction,
-                np.where(direction < 0, (density.box[:, 0] - center) / direction, np.inf),
-            )
-        r_max = float(exits.min())
-        dt = r_max / n_radial
-        t = (np.arange(n_radial) + 0.5) * dt
-        rho = _interpolate(density, center[None, :] + t[:, None] * direction[None, :])
-        g = t ** (n - 1) * rho
-        mass = g.sum() * dt
-        if mass <= 0.0:
-            continue
-        needles.append(
-            Needle(axes=(t,), g=g, base=center, directions=direction[:, None])
+    with np.errstate(divide="ignore"):
+        exits = np.where(
+            fan > 0,
+            (density.box[:, 1] - center) / fan,
+            np.where(fan < 0, (density.box[:, 0] - center) / fan, np.inf),
         )
-        raw.append(mass)
-    raw = np.array(raw)
-    return needles, raw / raw.sum()
+    dt = exits.min(axis=1) / n_radial
+    t = (np.arange(n_radial) + 0.5) * dt[:, None]
+    g = np.empty_like(t)
+    rows, cols = max(1, _BLOCK_POINTS // n_radial), min(n_radial, _BLOCK_POINTS)
+    for r in range(0, len(fan), rows):
+        for c in range(0, n_radial, cols):
+            block = np.s_[r : r + rows, c : c + cols]
+            points = center + t[block][..., None] * fan[r : r + rows, None, :]
+            g[block] = t[block] ** (n - 1) * _interpolate(density, points)
+    mass = g.sum(axis=1) * dt
+    t, g, fan, mass = _rows_with_mass(mass, t, g, fan, mass)
+    needles = NeedleBatch(
+        axes=(t,), g=g, base=np.tile(center, (len(fan), 1)), directions=fan[:, :, None]
+    )
+    return needles, mass / mass.sum()
 
 
-def _index_fractions(density: GridDensity, points: np.ndarray):
-    """Lower cell index and interpolation fraction per axis, edge-clamped."""
-    idx = np.empty(points.shape, dtype=int)
-    frac = np.empty(points.shape)
-    for a in range(density.dim):
-        q = (points[:, a] - density.box[a, 0]) / density.steps[a] - 0.5
-        lo = np.clip(np.floor(q).astype(int), 0, density.resolution[a] - 2)
-        if density.resolution[a] == 1:
-            lo = np.zeros(len(points), dtype=int)
-            f = np.zeros(len(points))
-        else:
-            f = np.clip(q - lo, 0.0, 1.0)
-        idx[:, a] = lo
-        frac[:, a] = f
-    return idx, frac
+def _stencil(grid: GridDensity, points: np.ndarray) -> list:
+    """Per axis, the edge-clamped cells below and above each point, and their weights.
+
+    ``points`` have shape (..., P, dim).  Each axis gives ``(cells,
+    weights)``, two arrays of shape (..., 2, P) holding the lower cell's
+    index and weight first; their products over the axes are the
+    multilinear interpolation weights.
+    """
+    stencil = []
+    for a, res in enumerate(grid.resolution):
+        q = (points[..., a] - grid.box[a, 0]) / grid.steps[a] - 0.5
+        lo = np.clip(np.floor(q).astype(int), 0, max(res - 2, 0))
+        f = np.clip(q - lo, 0.0, 1.0) if res > 1 else np.zeros(q.shape)
+        cells = np.stack([lo, np.minimum(lo + 1, res - 1)], axis=-2)
+        stencil.append((cells, np.stack([1.0 - f, f], axis=-2)))
+    return stencil
 
 
 def _corners(grid: GridDensity, points: np.ndarray):
     """Yield ``(cell, weight)`` for each of the 2^dim multilinear corners.
 
-    ``cell`` indexes the grid (edge-clamped) and ``weight`` holds every
-    point's interpolation weight at that corner.
+    The corners come in ``np.ndindex`` order.  ``cell`` indexes the grid
+    (edge-clamped) and ``weight`` holds every point's interpolation weight
+    at that corner; both are combined from one ``_stencil`` of the points.
     """
-    idx, frac = _index_fractions(grid, points)
+    stencil = _stencil(grid, points)
     for corner in np.ndindex(*(2,) * grid.dim):
-        weight = np.ones(len(points))
-        cell = []
-        for a, c in enumerate(corner):
-            weight *= frac[:, a] if c else 1.0 - frac[:, a]
-            cell.append(np.minimum(idx[:, a] + c, grid.resolution[a] - 1))
-        yield tuple(cell), weight
+        cell = tuple(cells[..., c, :] for (cells, _), c in zip(stencil, corner))
+        weight = functools.reduce(np.multiply, [w[..., c, :] for (_, w), c in zip(stencil, corner)])
+        yield cell, weight
 
 
 def _interpolate(density: GridDensity, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of the cell-center samples."""
-    out = np.zeros(len(points))
+    """Multilinear interpolation of the cell-center samples at points (..., dim)."""
+    out = np.zeros(points.shape[:-1])
     for cell, weight in _corners(density, points):
         out += weight * density.samples[cell]
     return out
@@ -353,9 +446,11 @@ def _interpolate(density: GridDensity, points: np.ndarray) -> np.ndarray:
 _BLOCK_POINTS = 1 << 16
 
 
-def reassemble(needles: list[Needle], weights, target: GridDensity) -> GridDensity:
+def reassemble(needles, weights, target: GridDensity) -> GridDensity:
     """Deposit the weighted needle mixture back onto a grid.
 
+    ``needles`` is a NeedleBatch or a list of Needles; a list is taken as
+    batches of its runs of consecutive needles with equal shapes.
     Each needle cell splats its mass multilinearly onto the target cells;
     the result is a unit-mass density regardless of the target's samples
     (only its geometry is used).  Slice needles land exactly on cell
@@ -373,27 +468,44 @@ def reassemble(needles: list[Needle], weights, target: GridDensity) -> GridDensi
     if len(weights) != len(needles):
         raise GeometryMismatch("one weight per needle required")
     n = target.dim
-    if any(nd.base.shape != (n,) or nd.directions.shape[0] != n for nd in needles):
+    if isinstance(needles, NeedleBatch):
+        batches = [needles]
+    else:
+        runs = itertools.groupby(needles, lambda nd: (nd.g.shape, nd.base.shape))
+        batches = [_stacked(list(run)) for _, run in runs]
+    if any(batch.base.shape[1] != n for batch in batches):
         raise GeometryMismatch("needle geometry does not match the target grid")
+    strides = [math.prod(target.resolution[a + 1 :]) for a in range(n)]
     mass = np.zeros(math.prod(target.resolution))
-    start = 0
-    while start < len(needles):
-        stop, size = start + 1, needles[start].g.size
-        while stop < len(needles) and size + needles[stop].g.size <= _BLOCK_POINTS:
-            size += needles[stop].g.size
-            stop += 1
-        quads = [nd.quadrature() for nd in needles[start:stop]]
-        points = np.concatenate([p for p, _ in quads])
-        masses = np.concatenate([w * m for (_, m), w in zip(quads, weights[start:stop])])
-        cells, values = [], []
-        for cell, weight in _corners(target, points):
-            cells.append(np.ravel_multi_index(cell, target.resolution))
-            values.append(masses * weight)
-        owner = np.repeat(np.arange(stop - start), [len(m) for _, m in quads])
-        order = np.argsort(owner * 2**n + np.arange(2**n)[:, None], axis=None, kind="stable")
-        np.add.at(mass, np.concatenate(cells)[order], np.concatenate(values)[order])
-        start = stop
+    done = 0
+    for batch in batches:
+        per_block = max(1, _BLOCK_POINTS // math.prod(batch.g.shape[1:]))
+        for start in range(0, len(batch), per_block):
+            points, masses = batch[start : start + per_block].quadrature()
+            masses *= weights[done + start : done + start + len(masses), None]
+            # Axis a's corner bit goes on axis 1 + a, so the broadcast products
+            # run needle by needle, corner by corner in np.ndindex order, then
+            # point by point.
+            cells, weight = 0, 1.0
+            for a, (axis_cells, axis_weights) in enumerate(_stencil(target, points)):
+                at = (len(masses),) + (1,) * a + (2,) + (1,) * (n - 1 - a) + (masses.shape[1],)
+                cells = cells + axis_cells.reshape(at) * strides[a]
+                weight = weight * axis_weights.reshape(at)
+            values = masses.reshape((len(masses),) + (1,) * n + (-1,)) * weight
+            np.add.at(mass, cells.reshape(-1), values.reshape(-1))
+        done += len(batch)
     return GridDensity(box=target.box, samples=mass.reshape(target.resolution) / target.cell_volume)
+
+
+def _stacked(needles: list[Needle]) -> NeedleBatch:
+    """Needles of one grid shape as a batch of their (already normalized) arrays."""
+    return _unchecked(
+        NeedleBatch,
+        tuple(np.stack(a) for a in zip(*(nd.axes for nd in needles))),
+        np.stack([nd.g for nd in needles]),
+        np.stack([nd.base for nd in needles]),
+        np.stack([nd.directions for nd in needles]),
+    )
 
 
 def l1_distance(a: GridDensity, b: GridDensity, normalize: bool = True) -> float:
@@ -418,40 +530,60 @@ class CdReport:
     tol: float
 
 
-def cd_check_1d(needle: Needle, kappa: float, N: float, tol: float | None = None) -> CdReport:
+def cd_check_1d(needle, kappa: float, N: float, tol: float | None = None):
     """Check CD(kappa, N) for a 1-D needle density by finite differences.
 
     With rho = -log g the condition is ``rho'' - (rho')^2/(N-1) >= kappa``
     at interior grid points; for N = inf the middle term is dropped, and
     N = 1 demands a constant rho (then the condition reduces to kappa <= 0).
-    Zeros at the ends of the grid are trimmed; interior zeros make rho
-    undefined and raise NonpositiveDensity.  The default tolerance is ten
-    times the squared grid spacing, matching the truncation error of the
-    second-order stencils.  Normalization constants shift rho and leave the
-    report unchanged.
+    The condition needs a finite kappa and N >= 1; other values raise
+    InvalidParameter.  Zeros at the ends of the grid are trimmed; interior
+    zeros make rho undefined and raise NonpositiveDensity.  The default
+    tolerance is ten times the squared grid spacing, matching the
+    truncation error of the second-order stencils.  Normalization constants
+    shift rho and leave the report unchanged.
+
+    A Needle gives one CdReport.  A NeedleBatch gives a list with one report
+    per needle, equal to checking its needles one at a time; when they all
+    trim to the same cells, one stencil over the batch computes them.
     """
-    t = needle.t
-    g = needle.g
-    positive = g > 0.0
-    first, last = int(np.argmax(positive)), len(g) - 1 - int(np.argmax(positive[::-1]))
-    g = g[first : last + 1]
-    if np.any(g <= 0.0):
-        raise NonpositiveDensity("needle density vanishes in its interior")
-    if len(g) < 5:
-        raise TooFewPoints(f"need at least 5 positive cells, got {len(g)}")
-    h = float(t[1] - t[0])
-    if tol is None:
-        tol = 10.0 * h * h
+    kappa, N = float(kappa), float(N)
+    if not math.isfinite(kappa) or not N >= 1.0:
+        raise InvalidParameter(f"CD(kappa, N) needs a finite kappa and N >= 1, got ({kappa}, {N})")
+    batch = isinstance(needle, NeedleBatch)
+    if batch and needle.leaf_dim != 1:
+        raise GeometryMismatch("parameter grid t is defined for 1-d needles only")
+    # One needle is checked on 1-D arrays, a batch on (K, L) arrays.
+    t, g = (needle.axes[0], needle.g) if batch else (needle.t, needle.g)
+    if g.size and g.min() <= 0.0:
+        positive = g > 0.0
+        first = positive.argmax(axis=-1)
+        last = g.shape[-1] - 1 - positive[..., ::-1].argmax(axis=-1)
+        if np.ptp(first) or np.ptp(last):
+            return [cd_check_1d(nd, kappa, N, tol) for nd in needle]
+        g = g[..., first.min() : last.min() + 1]
+        if g.min() <= 0.0:
+            raise NonpositiveDensity("needle density vanishes in its interior")
+    if g.shape[-1] < 5:
+        raise TooFewPoints(f"need at least 5 positive cells, got {g.shape[-1]}")
+    h = t[..., 1] - t[..., 0]
+    hc = h[..., None]
+    tols = 10.0 * h * h if tol is None else tol
     rho = -np.log(g)
-    d1 = (rho[2:] - rho[:-2]) / (2.0 * h)
-    d2 = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / (h * h)
-    if N == 1:
-        flat = max(float(np.abs(d1).max()), float(np.abs(d2).max()))
-        worst = -kappa if flat <= np.sqrt(tol) else -np.inf
-    elif np.isinf(N):
-        worst = float((d2 - kappa).min())
+    d2 = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / (hc * hc)
+    if math.isinf(N):
+        worst = (d2 - kappa).min(axis=-1)
     else:
-        worst = float((d2 - d1 * d1 / (N - 1.0) - kappa).min())
-    return CdReport(
-        kappa=float(kappa), N=float(N), worst_violation=worst, passed=worst >= -tol, tol=float(tol)
-    )
+        d1 = (rho[..., 2:] - rho[..., :-2]) / (2.0 * hc)
+        if N == 1.0:
+            flat = np.maximum(np.abs(d1).max(axis=-1), np.abs(d2).max(axis=-1))
+            worst = np.where(flat <= np.sqrt(tols), -kappa, -np.inf)
+        else:
+            worst = (d2 - d1 * d1 / (N - 1.0) - kappa).min(axis=-1)
+
+    def report(w, s):
+        return CdReport(kappa, N, worst_violation=float(w), passed=bool(w >= -s), tol=float(s))
+
+    if not batch:
+        return report(worst, tols)
+    return [report(w, s) for w, s in zip(*np.broadcast_arrays(worst, tols))]

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import vecot
 import vecot.cli
 from vecot import (
     OptimalityCertificate,
@@ -192,6 +193,11 @@ def test_iteration_limit_exits_3(tmp_path, capsys):
         ["counterexample", "--certify-tol", "0"],
         ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--cd", "1"],
         ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--cd", "a,inf"],
+        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "17", "--cd", "0,0.5"],
+        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "17", "--cd", "0,-3"],
+        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "17", "--cd", "0,nan"],
+        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "17", "--cd", "nan,inf"],
+        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "17", "--cd=-inf,3"],
         ["solve", "--input", "{instance}", "--tol-gap", "nan"],
         ["leaves", "--input", "{solution}", "--eps", "nan"],
         ["massbalance", "--input", "{solution}", "--tol", "-1"],
@@ -202,7 +208,8 @@ def test_iteration_limit_exits_3(tmp_path, capsys):
         ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--mode", "radial"],
     ],
     ids=["max-iters", "tol-primal", "certify-tol", "leaves-eps", "massbalance-eps",
-         "counterexample-tol", "cd-one-number", "cd-not-a-number", "nan-tol-gap",
+         "counterexample-tol", "cd-one-number", "cd-not-a-number", "cd-n-below-one",
+         "cd-negative-n", "cd-nan-n", "cd-nan-kappa", "cd-infinite-kappa", "nan-tol-gap",
          "nan-eps", "negative-balance-tol", "odd-box", "negative-resolution",
          "resolution-count", "grid-odd-box", "radial-no-center"],
 )
@@ -304,7 +311,6 @@ def test_disintegrate_slice_gaussian(capsys):
             "1.01,inf",
             "--cd",
             "0,1",
-            "--cd=-inf,3",
         ]
     )
     # Non-finite numbers are strings, so the document is strict JSON.
@@ -313,16 +319,13 @@ def test_disintegrate_slice_gaussian(capsys):
     assert doc["needle_count"] == 257
     assert doc["weight_sum"] == pytest.approx(1.0)
     assert doc["reassembly_l1"] <= 1e-12
-    first, second, flat, unbounded = doc["cd_reports"]
+    first, second, flat = doc["cd_reports"]
     assert first["all_pass"] is True
     assert first["N"] == "inf"
     assert second["all_pass"] is False
     # N = 1 demands a constant -log g, which a Gaussian slice is not.
     assert flat["all_pass"] is False
     assert flat["worst_violation"] == "-inf"
-    assert unbounded["kappa"] == "-inf"
-    assert unbounded["worst_violation"] == "inf"
-    assert unbounded["all_pass"] is True
 
 
 def test_disintegrate_slices_over_an_axis_of_one_cell(capsys):
@@ -354,6 +357,41 @@ def test_disintegrate_writes_a_csv_for_every_two_dimensional_needle(tmp_path, ca
     np.testing.assert_array_equal(table[:, 0], np.repeat(centers, 9))
     np.testing.assert_array_equal(table[:, 1], np.tile(centers, 9))
     assert table[:, 2].sum() * (6.0 / 9) ** 2 == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--box", "-3", "3", "-3", "3", "-3", "3", "--resolution", "9", "--m", "2"],
+        ["--box", "-4", "4", "-4", "4", "--resolution", "33", "--mode", "radial",
+         "--center", "0.3", "-0.2", "--directions", "16", "--radial-cells", "20"],
+    ],
+    ids=["slice-m2", "radial"],
+)
+def test_disintegrate_csv_files_match_a_per_needle_writer(tmp_path, capsys, argv):
+    code, _ = run(capsys, "disintegrate", *argv, "--csv-dir", str(tmp_path / "cli"))
+    assert code == 0
+    args = vecot.cli._build_parser().parse_args(["disintegrate", *argv])
+    density = vecot.tabulate_density(args.box, args.resolution, vecot.cli._FAMILIES["gaussian"])
+    if args.mode == "slice":
+        needles, _ = vecot.slice_disintegration(density, args.m)
+    else:
+        needles, _ = vecot.radial_disintegration(
+            density, args.center, args.directions, args.radial_cells
+        )
+    # The writer as it was: one parameter grid and one file per needle.
+    (tmp_path / "ref").mkdir()
+    for k, nd in enumerate(needles):
+        params = ["t"] if nd.leaf_dim == 1 else [f"t{a + 1}" for a in range(nd.leaf_dim)]
+        grid = np.stack([g.ravel() for g in np.meshgrid(*nd.axes, indexing="ij")], axis=1)
+        path = tmp_path / "ref" / f"needle_{k:04d}.csv"
+        table, header = np.column_stack([grid, nd.g.ravel()]), ",".join([*params, "g"])
+        np.savetxt(path, table, delimiter=",", header=header, comments="")
+    written = sorted((tmp_path / "cli").iterdir())
+    expected = sorted((tmp_path / "ref").iterdir())
+    assert [p.name for p in written] == [p.name for p in expected] and len(written) == len(needles)
+    for got, want in zip(written, expected):
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_disintegrate_radial_from_grid_file(tmp_path, capsys):

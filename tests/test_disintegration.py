@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from vecot import (
     GridDensity,
     InvalidParameter,
     Needle,
+    NeedleBatch,
     NonpositiveDensity,
     TooFewPoints,
     cd_check_1d,
@@ -111,6 +114,59 @@ def test_needle_rejects_bad_data():
     )
     with pytest.raises(GeometryMismatch):
         two_d.t
+
+
+# ---------------------------------------------------------------------------
+# Needle batches
+# ---------------------------------------------------------------------------
+
+
+def test_needle_batch_is_a_sequence_of_unchecked_views():
+    t = np.linspace(0.05, 0.95, 10)
+    g = np.arange(1.0, 31.0).reshape(3, 10)
+    batch = NeedleBatch(axes=(t,), g=g, base=np.eye(3)[:, :2], directions=np.array([[1.0], [0.0]]))
+    assert len(batch) == 3 and batch.leaf_dim == 1
+    for k, needle in enumerate(batch):
+        one = Needle(axes=(t,), g=g[k], base=np.eye(3)[k, :2], directions=[[1.0], [0.0]])
+        assert needle.g.tobytes() == one.g.tobytes()
+        assert np.shares_memory(needle.g, batch.g)
+        points, masses = needle.quadrature()
+        assert points.tobytes() == one.quadrature()[0].tobytes()
+        assert masses.tobytes() == one.quadrature()[1].tobytes()
+    assert batch[-1].base.tolist() == [0.0, 0.0]
+    tail = batch[1:]
+    assert isinstance(tail, NeedleBatch) and len(tail) == 2
+    assert tail.g.tobytes() == batch.g[1:].tobytes()
+    points, masses = batch.quadrature()
+    assert points.shape == (3, 10, 2) and masses.shape == (3, 10)
+    with pytest.raises(IndexError):
+        batch[3]
+    with pytest.raises(TypeError):
+        batch[[0, 1]]
+
+
+def test_needle_batch_validates_once_for_the_whole_batch():
+    t = np.linspace(0.0, 1.0, 8)
+    ok = {"axes": (t,), "g": np.ones((2, 8)), "base": np.zeros((2, 1)), "directions": np.eye(1)}
+    for bad in (
+        {"g": np.ones((2, 7))},
+        {"base": np.zeros((3, 1))},
+        {"base": np.zeros(2)},
+        {"directions": np.eye(2)},
+        {"directions": np.ones((3, 1, 1))},
+        {"axes": (np.ones((3, 8)),)},
+    ):
+        with pytest.raises(GeometryMismatch):
+            NeedleBatch(**{**ok, **bad})
+    with pytest.raises(NonpositiveDensity):
+        NeedleBatch(**{**ok, "g": np.array([np.ones(8), np.full(8, np.nan)])})
+    with pytest.raises(EmptySlice):
+        NeedleBatch(**{**ok, "g": np.array([np.ones(8), np.zeros(8)])})
+    # Per-needle grids and directions.
+    per_needle = {"axes": (np.stack([t, 2.0 * t]),), "directions": -np.ones((2, 1, 1))}
+    batch = NeedleBatch(**{**ok, **per_needle})
+    assert batch[1].t.tobytes() == (2.0 * t).tobytes()
+    assert batch[1].g.sum() * (2.0 * t[1]) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +360,7 @@ def _mixed_needles():
     sheets, _ = slice_disintegration(d, 2)
     rays, _ = radial_disintegration(d, [0.2, -0.1, 0.3], n_directions=12, n_radial=7)
     more_rays, _ = radial_disintegration(d, [-1.0, 0.5, 0.0], n_directions=5)
+    lines, sheets, rays, more_rays = (list(b) for b in (lines, sheets, rays, more_rays))
     needles = sheets[:3] + lines[::7] + rays + sheets[3:5] + more_rays + lines[1::11]
     weights = np.random.default_rng(11).uniform(0.1, 1.0, size=len(needles))
     return needles, weights, _skewed_3d((7, 13, 6))
@@ -334,6 +391,128 @@ def test_blocked_reassembly_matches_the_per_needle_loop_bit_for_bit(monkeypatch,
     # and the 3-D rays (64 points) are each larger than a block.
     monkeypatch.setattr(vecot.disintegration, "_BLOCK_POINTS", 50)
     assert reassemble(needles, weights, target).samples.tobytes() == expected
+
+
+def reference_slices(density: GridDensity, m: int):
+    """Slice needles and weights built one Needle at a time."""
+    n = density.dim
+    head = tuple(density.centers(a) for a in range(m))
+    needles, weights = [], []
+    for tail in np.ndindex(*density.resolution[m:]):
+        block = density.samples[(slice(None),) * m + tail]
+        base = np.zeros(n)
+        base[m:] = [density.centers(m + a)[i] for a, i in enumerate(tail)]
+        try:
+            needles.append(Needle(axes=head, g=block, base=base, directions=np.eye(n)[:, :m]))
+        except EmptySlice:
+            continue
+        weights.append(block.sum() * density.cell_volume / density.total_mass)
+    return needles, np.array(weights)
+
+
+def reference_rays(density: GridDensity, center, n_directions: int, n_radial: int):
+    """Ray needles and weights built one Needle (and one interpolation) per direction."""
+    center = np.asarray(center, dtype=float)
+    n = density.dim
+    fans = {1: lambda k: np.array([[1.0], [-1.0]]), 2: vecot.disintegration._circle_fan}
+    fan = fans.get(n, vecot.disintegration._sphere_fan)(n_directions)
+    box = density.box
+    needles, raw = [], []
+    for direction in fan:
+        with np.errstate(divide="ignore"):
+            exits = np.where(
+                direction > 0,
+                (box[:, 1] - center) / direction,
+                np.where(direction < 0, (box[:, 0] - center) / direction, np.inf),
+            )
+        dt = float(exits.min()) / n_radial
+        t = (np.arange(n_radial) + 0.5) * dt
+        rho = np.zeros(n_radial)
+        points = center[None, :] + t[:, None] * direction[None, :]
+        for cell, weight in vecot.disintegration._corners(density, points):
+            rho += weight * density.samples[cell]
+        g = t ** (n - 1) * rho
+        if g.sum() * dt <= 0.0:
+            continue
+        needles.append(Needle(axes=(t,), g=g, base=center, directions=direction[:, None]))
+        raw.append(g.sum() * dt)
+    return needles, np.array(raw) / np.sum(raw)
+
+
+def _with_zeros(density: GridDensity, where) -> GridDensity:
+    samples = density.samples.copy()
+    samples[where] = 0.0
+    return GridDensity(box=density.box, samples=samples)
+
+
+def _batch_case(name):
+    """A density, its disintegration, the one-needle-at-a-time reference and
+    the number of leaves tried; every case has massless leaves to skip."""
+    if name.startswith("slice"):
+        m = int(name[-1])
+        d = _with_zeros(_skewed_3d((9, 10, 11)), np.s_[:, 2, :] if m == 1 else np.s_[:, :, 4])
+        return d, slice_disintegration(d, m), reference_slices(d, m), math.prod(d.resolution[m:])
+    if name == "radial-1d":
+        # From -0.5 the ray to the left crosses only empty cells.
+        d = tabulate_density([[-1.0, 1.0]], 64, lambda p: np.exp(-p[:, 0] ** 2) * (p[:, 0] > 0.0))
+        return d, radial_disintegration(d, [-0.5]), reference_rays(d, [-0.5], 1, 256), 2
+    if name == "radial-2d":
+        d = _with_zeros(gaussian_2d(res=33), np.s_[:20, :])
+        center = [-2.0, 0.3]
+        return d, radial_disintegration(d, center, 40, 9), reference_rays(d, center, 40, 9), 40
+    # Rays from z = -1.2 that point down never reach the mass above z = 0.
+    d = _with_zeros(_skewed_3d(12), np.s_[:, :, :6])
+    center = [0.1, 0.2, -1.2]
+    return d, radial_disintegration(d, center, 30), reference_rays(d, center, 30, 48), 30
+
+
+@pytest.mark.parametrize("case", ["slice-m1", "slice-m2", "radial-1d", "radial-2d", "radial-3d"])
+def test_batches_match_needles_built_one_at_a_time_bit_for_bit(case):
+    d, (batch, weights), (needles, expected_weights), tried = _batch_case(case)
+    assert isinstance(batch, NeedleBatch)
+    assert 0 < len(batch) == len(needles) < tried
+    assert weights.tobytes() == expected_weights.tobytes()
+    points, masses = batch.quadrature()
+    for k, (got, want) in enumerate(zip(batch, needles)):
+        assert [a.tobytes() for a in got.axes] == [a.tobytes() for a in want.axes]
+        for name in ("g", "base", "directions"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        want_points, want_masses = want.quadrature()
+        assert points[k].tobytes() == want_points.tobytes()
+        assert masses[k].tobytes() == want_masses.tobytes()
+    expected = reference_reassemble(needles, expected_weights, d).tobytes()
+    assert reassemble(batch, weights, d).samples.tobytes() == expected
+
+
+@pytest.mark.parametrize("block", [None, 50])
+def test_radial_steps_take_at_most_a_block_of_points(monkeypatch, block):
+    # 512 rays of 260 points on 65^2 fill three default blocks; with 50-point
+    # blocks each 64-point ray of the 3-D case is interpolated in two pieces.
+    if block is not None:
+        monkeypatch.setattr(vecot.disintegration, "_BLOCK_POINTS", block)
+    if block is None:
+        d, center, rays, cells = gaussian_2d(res=65), [0.3, -0.2], 512, 260
+    else:
+        d, center, rays, cells = _skewed_3d(16), [0.1, 0.2, -0.3], 30, 64
+    expected, expected_weights = reference_rays(d, center, rays, cells)
+    sizes = {"_interpolate": [], "_stencil": []}
+    for name, seen in sizes.items():
+        def spy(grid, points, real=getattr(vecot.disintegration, name), seen=seen):
+            seen.append(math.prod(points.shape[:-1]))
+            return real(grid, points)
+
+        monkeypatch.setattr(vecot.disintegration, name, spy)
+    batch, weights = radial_disintegration(d, center, rays)
+    limit = vecot.disintegration._BLOCK_POINTS
+    assert max(sizes["_interpolate"]) <= limit
+    assert sum(sizes["_interpolate"]) == rays * cells
+    assert weights.tobytes() == expected_weights.tobytes()
+    assert batch.g.tobytes() == np.stack([nd.g for nd in expected]).tobytes()
+    sizes["_stencil"].clear()
+    rebuilt = reassemble(batch, weights, d)
+    # A needle larger than a block is a block of its own.
+    assert max(sizes["_stencil"]) <= max(limit, cells)
+    assert rebuilt.samples.tobytes() == reference_reassemble(expected, expected_weights, d).tobytes()
 
 
 def test_reassemble_checks_every_needle_before_depositing(monkeypatch):
@@ -471,6 +650,86 @@ def test_cd_is_invariant_under_density_scaling():
     assert ra.worst_violation == rb.worst_violation
     assert ra.worst_violation == pytest.approx(rc.worst_violation, abs=1e-9)
     assert ra.passed == rb.passed == rc.passed
+
+
+def _cd_batch(case) -> NeedleBatch:
+    t = (np.arange(40) + 0.5) / 40.0
+    rows = np.exp(-np.outer([1.0, 2.0, 3.0], (t - 0.4) ** 2))
+    if case == "shared-grid":
+        d = tabulate_density(
+            [[-3.0, 3.0], [-3.0, 3.0]],
+            65,
+            lambda p: np.exp(-0.5 * (p ** 2).sum(axis=1) - 0.3 * p[:, 0] * p[:, 1]),
+        )
+        return slice_disintegration(d, 1)[0]
+    if case == "per-needle-grids":
+        return radial_disintegration(gaussian_2d(res=33), [0.3, -0.2], 24)[0]
+    if case == "same-end-zeros":
+        rows[:, :3] = 0.0
+        rows[:, -2:] = 0.0
+    else:
+        rows[0, :3] = 0.0
+        rows[2, -5:] = 0.0
+    return NeedleBatch(axes=(t,), g=rows, base=np.zeros((3, 1)), directions=np.eye(1))
+
+
+@pytest.mark.parametrize(
+    "kappa, N, tol", [(0.0, math.inf, None), (0.5, 5.0, None), (0.0, 1.0, None), (-1.0, 3.0, 1e-3)]
+)
+@pytest.mark.parametrize(
+    "case", ["shared-grid", "per-needle-grids", "same-end-zeros", "different-end-zeros"]
+)
+def test_cd_on_a_batch_equals_one_needle_at_a_time(case, kappa, N, tol):
+    batch = _cd_batch(case)
+
+    def exact(r):
+        return r.kappa, r.N, r.worst_violation.hex(), r.passed, r.tol.hex()
+
+    reports = cd_check_1d(batch, kappa, N, tol)
+    assert [exact(r) for r in reports] == [exact(cd_check_1d(nd, kappa, N, tol)) for nd in batch]
+
+
+def test_cd_on_a_batch_without_needles_reports_nothing():
+    # Mass on the y-axis only, seen from the origin along the four diagonals.
+    samples = np.zeros((33, 33))
+    samples[16, 32] = 1.0
+    d = GridDensity(box=[[-4.0, 4.0], [-4.0, 4.0]], samples=samples)
+    rays, weights = radial_disintegration(d, [0.0, 0.0], 4)
+    assert len(rays) == 0 and len(weights) == 0
+    assert cd_check_1d(rays, 0.0, math.inf) == []
+    with pytest.raises(NonpositiveDensity, match="positive total mass"):
+        reassemble(rays, weights, d)
+
+
+def test_cd_on_a_batch_rejects_what_one_needle_rejects():
+    t = (np.arange(40) + 0.5) / 40.0
+
+    def lines(rows):
+        return NeedleBatch(axes=(t,), g=rows, base=np.zeros((3, 1)), directions=np.eye(1))
+
+    hole, short = np.ones((3, 40)), np.ones((3, 40))
+    hole[1, 20] = 0.0
+    short[:, 4:] = 0.0
+    with pytest.raises(NonpositiveDensity):
+        cd_check_1d(lines(hole), 0.0, math.inf)
+    with pytest.raises(TooFewPoints):
+        cd_check_1d(lines(short), 0.0, math.inf)
+    sheets, _ = slice_disintegration(_skewed_3d(9), 2)
+    with pytest.raises(GeometryMismatch):
+        cd_check_1d(sheets, 0.0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "kappa, N",
+    [(0.0, 0.5), (0.0, -3.0), (0.0, math.nan), (math.nan, math.inf), (math.inf, 3.0),
+     (-math.inf, 3.0)],
+)
+def test_cd_rejects_meaningless_parameters(kappa, N):
+    # CD(kappa, N) on a needle needs N >= 1 and a finite kappa.
+    with pytest.raises(InvalidParameter):
+        cd_check_1d(gaussian_needle(), kappa, N)
+    with pytest.raises(InvalidParameter):
+        cd_check_1d(_cd_batch("shared-grid"), kappa, N)
 
 
 def test_log_concave_slices_pass_cd_0_inf():
