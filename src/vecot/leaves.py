@@ -61,13 +61,15 @@ class DegenerateLeaf(VecotError):
 
 @dataclass(frozen=True)
 class IsometryGraph:
-    """Pairs (i, j), i < j, with ||u_i - u_j|| >= (1 - eps) * d_ij."""
+    """Pairs (i, j), i < j, with ||u_i - u_j|| >= (1 - eps) * d_ij, for a finite eps > 0."""
 
     cloud: PointCloud
     edges: np.ndarray
     eps: float
 
     def __post_init__(self):
+        if not 0.0 < self.eps < np.inf:  # nan fails too
+            raise InvalidParameter("eps must be finite and positive")
         e = np.asarray(self.edges, dtype=int).reshape(-1, 2)
         object.__setattr__(self, "edges", e)
 
@@ -142,17 +144,15 @@ def isometry_graph(u: PotentialField, eps: float = 1e-6) -> IsometryGraph:
     Raises NotLipschitz if some pair stretches by more than ``1 + eps``;
     the saturation graph of a non-Lipschitz map would be meaningless.
     """
-    if not eps > 0:  # nan fails too
-        raise InvalidParameter("eps must be positive")
     iu, ju, ratios = stretch_ratios(u.values, u.cloud.distances)
+    keep = ratios >= 1.0 - eps
+    graph = IsometryGraph(cloud=u.cloud, edges=np.column_stack([iu[keep], ju[keep]]), eps=eps)
     if ratios.size and float(ratios.max()) > 1.0 + eps:
         worst = int(np.argmax(ratios))
         raise NotLipschitz(
             f"pair ({iu[worst]}, {ju[worst]}) stretches by {ratios[worst]:.6g}"
         )
-    keep = ratios >= 1.0 - eps
-    edges = np.column_stack([iu[keep], ju[keep]])
-    return IsometryGraph(cloud=u.cloud, edges=edges, eps=eps)
+    return graph
 
 
 def affine_isometry_fit(
@@ -219,11 +219,20 @@ def _boundary_distances(coords: np.ndarray) -> np.ndarray:
     return np.maximum(gaps.min(axis=1), 0.0)
 
 
-def _accept(members: list[int], pts: np.ndarray, vals: np.ndarray, dist: np.ndarray, eps: float):
-    """Fit sorted members once: ``(residual <= eps * diameter, fit)``."""
+def _accept(
+    members: list[int], pts: np.ndarray, vals: np.ndarray, dist: np.ndarray, eps: float, bound=np.inf
+):
+    """Fit sorted members once: ``(residual <= eps * diameter, fit, diameter)``.
+
+    ``bound`` may be any upper bound on the diameter: a residual above
+    ``eps * bound`` fails exactly, skips the k x k gather and returns the bound.
+    """
     sub = np.array(members)
     fit = _fit(pts[sub], vals[sub])
-    return fit[3] <= eps * dist[np.ix_(sub, sub)].max(), fit
+    if fit[3] > eps * bound:
+        return False, fit, bound
+    diameter = dist[np.ix_(sub, sub)].max()
+    return fit[3] <= eps * diameter, fit, diameter
 
 
 def _build_leaf(members: tuple[int, ...], fit, cloud: PointCloud, values: np.ndarray) -> Leaf:
@@ -256,8 +265,9 @@ def _validate_component(
     """
     members = sorted(comp)
     pending: list[int] = []
+    diameter = np.inf  # members only leave, so every diameter bounds the next
     while True:
-        ok, fit = _accept(members, pts, vals, dist, eps)
+        ok, fit, diameter = _accept(members, pts, vals, dist, eps, diameter)
         if not ok:
             drop = int(np.argmax(fit[-1]))  # the largest per-member misfit
         else:
@@ -279,7 +289,7 @@ def _grow_leaf(
         if not all(adj[q, s] for s in members):
             continue
         trial = sorted(members + [q])
-        ok, trial_fit = _accept(trial, pts, vals, dist, eps)
+        ok, trial_fit, _ = _accept(trial, pts, vals, dist, eps)
         if ok:
             members, fit = trial, trial_fit
     return members, fit or _accept(members, pts, vals, dist, eps)[1]

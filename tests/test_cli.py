@@ -200,6 +200,9 @@ def test_iteration_limit_exits_3(tmp_path, capsys):
         ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "17", "--cd=-inf,3"],
         ["solve", "--input", "{instance}", "--tol-gap", "nan"],
         ["leaves", "--input", "{solution}", "--eps", "nan"],
+        ["leaves", "--input", "{solution}", "--eps", "inf"],
+        ["massbalance", "--input", "{solution}", "--eps", "nan"],
+        ["massbalance", "--input", "{solution}", "--eps", "inf"],
         ["massbalance", "--input", "{solution}", "--tol", "-1"],
         ["disintegrate", "--box", "-1", "1", "-1", "--resolution", "9"],
         ["disintegrate", "--box", "-1", "1", "-1", "1", "--resolution", "-3"],
@@ -210,7 +213,8 @@ def test_iteration_limit_exits_3(tmp_path, capsys):
     ids=["max-iters", "tol-primal", "certify-tol", "leaves-eps", "massbalance-eps",
          "counterexample-tol", "cd-one-number", "cd-not-a-number", "cd-n-below-one",
          "cd-negative-n", "cd-nan-n", "cd-nan-kappa", "cd-infinite-kappa", "nan-tol-gap",
-         "nan-eps", "negative-balance-tol", "odd-box", "negative-resolution",
+         "nan-eps", "infinite-eps", "massbalance-nan-eps", "massbalance-infinite-eps",
+         "negative-balance-tol", "odd-box", "negative-resolution",
          "resolution-count", "grid-odd-box", "radial-no-center"],
 )
 def test_invalid_parameters_exit_2(tmp_path, capsys, argv):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from vecot import (
     DegenerateLeaf,
     DimensionMismatch,
+    InvalidParameter,
+    IsometryGraph,
     Leaf,
     LeafDecomposition,
     NotLipschitz,
@@ -31,7 +33,7 @@ from vecot import (
     transport_set,
 )
 from vecot.core import component_labels
-from vecot.leaves import _boundary_distances, _fit
+from vecot.leaves import _boundary_distances, _fit, _validate_component
 
 
 def grid_projection(side: int = 5):
@@ -69,6 +71,30 @@ def short_pair_line():
     return cloud, PotentialField(cloud, values[:, None])
 
 
+def stale_bound_line():
+    """x = 0, 5, 8, 9, 10 with u = 0, -4, -1, -2, -3, for eps = 0.25.
+
+    The saturated pairs (0, 1), (1, 2), (2, 3), (2, 4) and (3, 4) make one
+    component of diameter 10.  Its fit fails and drops x = 0; the other four
+    span 5 and fit with a residual between 0.25 * 5 and 0.25 * 10, so they
+    pass the stale diameter bound and still fail.
+    """
+    cloud = PointCloud(np.array([[0.0], [5.0], [8.0], [9.0], [10.0]]))
+    return cloud, PotentialField(cloud, np.array([[0.0], [-4.0], [-1.0], [-2.0], [-3.0]]))
+
+
+class GatherLog:
+    """A distance matrix that records the width of every block read from it."""
+
+    def __init__(self, dist: np.ndarray):
+        self.dist, self.widths = dist, []
+
+    def __getitem__(self, key):
+        block = self.dist[key]
+        self.widths.append(block.shape[0])
+        return block
+
+
 # ---------------------------------------------------------------------------
 # Saturation graph
 # ---------------------------------------------------------------------------
@@ -95,8 +121,11 @@ def test_isometry_graph_eps_widens_the_graph():
     u = PotentialField(cloud, np.array([[0.0], [0.9]]))
     assert isometry_graph(u, eps=1e-6).edges.size == 0
     assert isometry_graph(u, eps=0.2).edges.shape == (1, 2)
-    with pytest.raises(ValueError):
-        isometry_graph(u, eps=0.0)
+    for eps in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InvalidParameter):
+            isometry_graph(u, eps=eps)
+        with pytest.raises(InvalidParameter):
+            IsometryGraph(cloud=cloud, edges=[[0, 1]], eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +525,11 @@ def reference_cases():
     weights = rng.normal(size=(120, 1))
     points = rng.uniform(-1.0, 1.0, (120, 2))
     yield "scalar-120", solved_potential(points, weights - weights.mean()), 1e-6
+    # m = 1 at a scale where the isometry graph is one spanning tree of all
+    # 300 points, so the shrink loop runs about 300 steps on one component.
+    weights = rng.normal(size=(300, 1))
+    points = rng.uniform(-1.0, 1.0, (300, 2))
+    yield "scalar-300", solved_potential(points, weights - weights.mean()), 1e-6
     for name, spec in (("paper", paper_preset()), ("orthant", orthant_spec(3))):
         inst = spec.instance()
         yield name, solved_potential(inst.cloud.points, inst.measure.weights), 1e-6
@@ -504,6 +538,7 @@ def reference_cases():
     tent = PointCloud(np.array([[0.0], [1.0], [2.0]]))
     yield "tent", PotentialField(tent, np.array([[0.0], [1.0], [0.0]])), 1e-6
     yield "short-pair", short_pair_line()[1], 0.01
+    yield "stale-bound", stale_bound_line()[1], 0.25
 
 
 def test_extraction_matches_the_reference_bit_for_bit():
@@ -514,6 +549,42 @@ def test_extraction_matches_the_reference_bit_for_bit():
             assert_same_decomposition(new, ref)
         except AssertionError as err:
             raise AssertionError(f"{name}: {err}") from err
+
+
+def test_the_shrink_loop_gathers_a_wide_diameter_once_per_component():
+    # Members only leave a component, so its first diameter bounds every
+    # later one; a fit that fails that bound needs no k x k gather.
+    for name, u, eps in reference_cases():
+        if name not in ("scalar-120", "scalar-300"):
+            continue
+        graph = isometry_graph(u, eps=eps)
+        adj, n = graph.adjacency(), u.cloud.size
+        labels = component_labels(n, graph.edges)
+        assert name == "scalar-120" or not labels.any()  # scalar-300 is one component
+        for label in range(labels.max() + 1):
+            dist = GatherLog(u.cloud.distances)
+            comp = np.flatnonzero(labels == label).tolist()
+            _validate_component(comp, adj, dist, u.cloud.points, u.values, eps)
+            wide = sum(w > 3 for w in dist.widths)
+            assert wide == (len(comp) > 3), (name, len(comp), dist.widths)
+
+
+def test_a_stale_diameter_bound_only_defers_the_rejection():
+    cloud, u = stale_bound_line()
+    graph = isometry_graph(u, eps=0.25)
+    assert not component_labels(5, graph.edges).any()
+    x, values = cloud.points, u.values
+    assert affine_isometry_fit(x, values)[2] > 0.25 * 10.0
+    assert 0.25 * 5.0 < affine_isometry_fit(x[1:], values[1:])[2] <= 0.25 * 10.0
+    dist = GatherLog(cloud.distances)
+    survivors, _, pending = _validate_component(
+        list(range(5)), graph.adjacency(), dist, x, values, 0.25
+    )
+    assert (survivors, pending) == ([2, 3], [0, 4, 1])
+    # One gather per passing bound: 4 members fail their exact diameter, 3 fit
+    # but are no clique, 2 are accepted.
+    assert dist.widths == [5, 4, 3, 2]
+    assert_same_decomposition(extract_leaves(graph, u), reference_extract_leaves(graph, u))
 
 
 @st.composite
