@@ -15,8 +15,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 __all__ = [
     "ZERO_MASS_RTOL",
@@ -317,22 +315,23 @@ def edge_slackness(pairs, flows, values, distances, tol: float):
     return edges, norms[edges], saturation, alignment
 
 
-def _pair_graph(n: int, pairs: np.ndarray) -> scipy.sparse.csr_matrix:
-    """n x n CSR matrix with a one at each pair, built from the row counts
-    directly: the (row, col) constructor costs more than the searches."""
-    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))])
-    return scipy.sparse.csr_matrix((np.ones(len(pairs)), pairs[:, 1], indptr), shape=(n, n))
-
-
 def component_labels(n: int, pairs: np.ndarray) -> np.ndarray:
     """Connected-component label of each of ``n`` nodes joined by ``pairs``.
 
     Labels are ordered by smallest member: node 0 has label 0, and each
-    new label first appears at a larger node than the previous one.
+    new label first appears at a larger node than the previous one.  Each
+    round hooks the larger root of every pair joining two trees to the
+    smallest root it meets, then jumps pointers to the roots; a component's
+    trees at least halve per round, and its last root is its smallest member.
     """
-    graph = _pair_graph(n, np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
-    return scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
+    i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    root = np.arange(n)
+    while (split := root[i] != root[j]).any():
+        ri, rj = root[i[split]], root[j[split]]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while ((up := root[root]) != root).any():
+            root = up
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 def build_instance(points, weights) -> Instance:

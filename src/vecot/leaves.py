@@ -15,6 +15,7 @@ are ordered by their member tuples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,17 +165,24 @@ def affine_isometry_fit(
     ``values``; T solves the orthogonal Procrustes problem restricted to the
     span of the centered points, so ``T^T T`` is the projection onto that
     span.  Returns ``(T, b, residual)`` with residual the RMS misfit; it is
-    zero exactly when the samples are genuinely isometric.
+    zero exactly when the samples are genuinely isometric.  Raises
+    DimensionMismatch unless they are finite (k, n) and (k, m) arrays, k >= 1.
     """
-    T, b, _, residual, _, _, _ = _fit(np.asarray(points, float), np.asarray(values, float))
+    points, values = np.asarray(points, float), np.asarray(values, float)
+    shaped = points.ndim == values.ndim == 2 and 0 < len(points) == len(values)
+    if not (shaped and np.isfinite(points).all() and np.isfinite(values).all()):
+        raise DimensionMismatch(
+            f"need finite (k, n) points, (k, m) values, k >= 1; got {points.shape}, {values.shape}"
+        )
+    T, b, _, residual, _, _, _ = _fit(points, values)
     return T, b, residual
 
 
 def _fit(points: np.ndarray, values: np.ndarray):
     """Procrustes fit returning all intermediates the extractor needs."""
-    m = values.shape[1]
-    y0 = points.mean(axis=0)
-    b = values.mean(axis=0)
+    k, m = values.shape  # mean and norm below are spelled as the reductions they run
+    y0 = points.sum(axis=0) / k
+    b = values.sum(axis=0) / k
     centered = points - y0
     target = values - b
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
@@ -189,8 +197,9 @@ def _fit(points: np.ndarray, values: np.ndarray):
     else:
         rot = np.zeros((m, 0))
     tmap = rot @ tangent.T
-    errors = np.linalg.norm(target - coords @ rot.T, axis=1)
-    residual = float(np.sqrt(np.mean(errors**2)))
+    misfit = target - coords @ rot.T
+    errors = np.sqrt(np.add.reduce(misfit * misfit, axis=1))
+    residual = math.sqrt(np.add.reduce(errors * errors) / k)
     return tmap, b, y0, residual, rank, tangent, errors
 
 

@@ -32,10 +32,10 @@ and three engines solve it:
   graph with metrically redundant edges pruned.
 * ``ipm``: otherwise, and as the fallback of the other two, a primal-dual
   interior-point method with Nesterov-Todd scaling and a Mehrotra
-  predictor-corrector.  Its Newton system reduces to a block graph
-  Laplacian ``sum_e b_e b_e^T (x) H_e`` with one m x m block per edge, solved
-  by a dense Cholesky factorization after pinning point 0.  The dual
-  iterate stays exactly feasible, and it is the potential.
+  predictor-corrector.  Its Newton system reduces to a block graph Laplacian
+  ``sum_e b_e b_e^T (x) H_e`` (one m x m block per edge), whose upper
+  triangle without point 0 (pinned) is assembled in place and factored by a
+  dense Cholesky.  The dual iterate stays exactly feasible: it is the potential.
 
 Whatever the engine, the answer is accepted only by one stopping rule: the
 potential is repaired into the global 1-Lipschitz set, and the duality gap
@@ -65,7 +65,6 @@ from .core import (
     VectorCoupling,
     WrongDimension,
     _dot,
-    _pair_graph,
     component_labels,
     distance_matrix,
     edge_slackness,
@@ -312,6 +311,14 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
     return u - u[0]
 
 
+def _pair_graph(n: int, pairs: np.ndarray) -> scipy.sparse.csr_matrix:
+    """n x n CSR matrix with a one at each pair, built from the row counts
+    directly: the (row, col) constructor costs more than the search."""
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))])
+    return scipy.sparse.csr_matrix((np.ones(len(pairs)), pairs[:, 1], indptr), shape=(n, n))
+
+
 def _tree_engine(w_hat, d_edge, pairs):
     """Exact engine for a spanning-tree edge set: the constraint fixes the flows.
 
@@ -392,11 +399,10 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _tiled_cholesky(a: np.ndarray) -> np.ndarray | None:
-    """Upper Cholesky factor ``r`` with ``a = r^T r``, or None if ``a`` is
-    not numerically positive definite."""
-    n = a.shape[0]
-    r = np.triu(a)
+def _tiled_cholesky(r: np.ndarray) -> np.ndarray | None:
+    """Factor in place: ``r``, a symmetric matrix's upper triangle (zeros below),
+    becomes its upper Cholesky factor and is returned; None if not positive definite."""
+    n = r.shape[0]
     for k0 in range(0, n, _TILE):
         k1 = min(k0 + _TILE, n)
         if k0:
@@ -418,11 +424,13 @@ def _tiled_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     y = b.copy()
     for k0 in starts:
         k1 = min(k0 + _TILE, n)
-        y[k0:k1] -= np.einsum("ki,k->i", r[:k0, k0:k1], y[:k0])
+        if k0:  # an empty sum is +0.0, which leaves y as it is
+            y[k0:k1] -= np.einsum("ki,k->i", r[:k0, k0:k1], y[:k0])
         y[k0:k1] = scipy.linalg.lapack.dtrtrs(r[k0:k1, k0:k1], y[k0:k1], trans=1)[0]
     for k0 in reversed(starts):
         k1 = min(k0 + _TILE, n)
-        y[k0:k1] -= np.einsum("ij,j->i", r[k0:k1, k1:], y[k1:])
+        if k1 < n:
+            y[k0:k1] -= np.einsum("ij,j->i", r[k0:k1, k1:], y[k1:])
         y[k0:k1] = scipy.linalg.lapack.dtrtrs(r[k0:k1, k0:k1], y[k0:k1])[0]
     return y
 
@@ -433,36 +441,53 @@ def _cone_det(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
     return (u0 - un) * (u0 + un)
 
 
-def _max_step(u0, u1, uj, du0, du1) -> float:
+def _step_frame(u0, u1, uj):
+    """``(u0 / uj, u1 / uj, 1 + u0 / uj, uj)`` for ``uj = sqrt(u0^2 - ||u1||^2)``."""
+    ub0 = u0 / uj
+    return ub0, u1 / uj[:, None], ub0 + 1.0, uj
+
+
+def _max_step(frame, du0, du1) -> float:
     """Largest step keeping every cone point ``u + alpha du`` in its cone.
 
-    ``uj`` is ``sqrt(u0^2 - ||u1||^2)``.  Works in coordinates where ``u``
-    is the cone's identity, which keeps the ratio test accurate next to
-    the boundary; inf when no cone binds.
+    ``frame`` is :func:`_step_frame` of ``u``: coordinates where ``u`` is the
+    cone's identity, which keep the ratio test accurate next to the
+    boundary.  inf when no cone binds.
     """
-    ub0 = u0 / uj
-    ub1 = u1 / uj[:, None]
+    ub0, ub1, ub0_1, uj = frame
     ubdu = ub0 * du0 - _rowdot(ub1, du1)
-    rho1 = (du1 - ((ubdu + du0) / (ub0 + 1.0))[:, None] * ub1) / uj[:, None]
+    rho1 = (du1 - ((ubdu + du0) / ub0_1)[:, None] * ub1) / uj[:, None]
     sigma = float(np.max(np.sqrt(_rowdot(rho1, rho1)) - ubdu / uj))
     return 1.0 / sigma if sigma > 0.0 else np.inf
 
 
-def _block_laplacian(h: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
-    """Dense ``sum_e b_e b_e^T (x) h_e`` for incidence vectors ``b_e = e_i - e_j``."""
-    m = h.shape[1]
-    i, j = pairs[:, 0], pairs[:, 1]
-    blocks = np.zeros((n, n, m, m))
-    blocks[i, j] = -h
-    blocks[j, i] = -h
-    diag = np.zeros((n, m, m))
-    np.add.at(diag, i, h)
-    np.add.at(diag, j, h)
-    blocks[np.arange(n), np.arange(n)] = diag
-    return blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m)
+def _newton_assembly(pairs: np.ndarray, n: int, m: int):
+    """``h ->`` the upper triangle of ``sum_e b_e b_e^T (x) h_e`` (``b_e = e_i - e_j``,
+    i < j) without point 0's rows and columns, at positions computed once.
+
+    Edge e's off-diagonal block lies wholly above the diagonal unless i = 0.
+    The diagonal blocks sum h over the i-incidences, then the j-incidences,
+    in edge order (the order of two ``np.add.at`` calls).
+    """
+    size, i, j, span = (n - 1) * m, pairs[:, 0], pairs[:, 1], np.arange(m)
+    off = i > 0
+    rows, cols = (i[off, None] - 1) * m + span, (j[off, None] - 1) * m + span
+    off_at = (rows[:, :, None] * size + cols[:, None, :]).ravel()
+    sums_at = (np.concatenate([i, j])[:, None] * (m * m) + np.arange(m * m)).ravel()
+    (p, q), nodes = np.triu_indices(m), np.arange(n - 1)[:, None] * m
+    diag_at = ((nodes + p) * size + nodes + q).ravel()
+    diag_from = ((nodes + m) * m + p * m + q).ravel()
+
+    def assemble(h: np.ndarray) -> np.ndarray:
+        a = np.zeros(size * size)
+        a[off_at] = -h[off].ravel()
+        a[diag_at] = np.bincount(sums_at, np.concatenate([h, h]).ravel(), n * m * m)[diag_from]
+        return a.reshape(size, size)
+
+    return assemble
 
 
-def _interior_point_engine(w_hat, d_edge, pairs, incidence, params, accept):
+def _interior_point_engine(w_hat, d_edge, pairs, params, accept):
     """Primal-dual interior-point method for the edge cone program.
 
     Primal cone points are ``z_e = (t_e, x_e)``; the dual slack is
@@ -485,7 +510,9 @@ def _interior_point_engine(w_hat, d_edge, pairs, incidence, params, accept):
     e_count = d_edge.shape[0]
     eye = np.eye(m)
     no_t = np.zeros(e_count)
+    incidence = _incidence(n, pairs)
     incidence_t = incidence.T.tocsr()
+    assemble = _newton_assembly(pairs, n, m)
     t = np.ones(e_count)
     x = np.zeros((e_count, m))
     u = np.zeros((n, m))
@@ -499,44 +526,48 @@ def _interior_point_engine(w_hat, d_edge, pairs, incidence, params, accept):
     for it in range(1, params.max_iters + 1):
         # Nesterov-Todd point w (w_0^2 - ||w_1||^2 = 1): W = beta H(w), with
         # H(w) the hyperbolic rotation taking (1, 0) to w.
-        gamma = np.sqrt(0.5 * (1.0 + (t * d_edge + _rowdot(x, sx)) / (zj * sj)))
-        w0 = (d_edge / sj + t / zj) / (2.0 * gamma)
-        w1 = (sx / sj[:, None] - x / zj[:, None]) / (2.0 * gamma)[:, None]
+        gamma2 = 2.0 * np.sqrt(0.5 * (1.0 + (t * d_edge + _rowdot(x, sx)) / (zj * sj)))
+        w0 = (d_edge / sj + t / zj) / gamma2
+        w1 = (sx / sj[:, None] - x / zj[:, None]) / gamma2[:, None]
+        w0_1, w0_2, w1_2 = 1.0 + w0, 2.0 * w0, 2.0 * w1
         beta = np.sqrt(sj / zj)
-        beta2 = beta * beta
+        beta_c, beta2 = beta[:, None], beta * beta
         w1x = _rowdot(w1, x)
         lam0 = beta * (w0 * t + w1x)
-        lam1 = beta[:, None] * (t[:, None] * w1 + x + w1 * (w1x / (1.0 + w0))[:, None])
+        lam0_c = lam0[:, None]
+        lam1 = beta_c * (t[:, None] * w1 + x + w1 * (w1x / w0_1)[:, None])
         lam_det = zj * sj  # lam_0^2 - ||lam_1||^2
 
-        h = (eye + 2.0 * w1[:, :, None] * w1[:, None, :]) / beta2[:, None, None]
-        chol = _tiled_cholesky(_block_laplacian(h, pairs, n)[m:, m:])
+        h = (eye + w1_2[:, :, None] * w1[:, None, :]) / beta2[:, None, None]
+        chol = _tiled_cholesky(assemble(h))
         if chol is None:
             raise NumericalBreakdown(
                 f"interior-point Newton system is not positive definite (iteration {it})"
             )
+        frame_z, frame_s = _step_frame(t, x, zj), _step_frame(d_edge, sx, sj)
 
         def direction(rc0, rc1):
             # Solve lam o (W dz + W^-1 ds) = rc, A dz = r_p, ds = -A^T du.
             q0 = (lam0 * rc0 - _rowdot(lam1, rc1)) / lam_det
-            q1 = (rc1 - lam1 * q0[:, None]) / lam0[:, None]
+            q1 = (rc1 - lam1 * q0[:, None]) / lam0_c
             wq = _rowdot(w1, q1)
             v0 = (w0 * q0 - wq) / beta
-            v1 = (q1 - w1 * (q0 - wq / (1.0 + w0))[:, None]) / beta[:, None]
+            v1 = (q1 - w1 * (q0 - wq / w0_1)[:, None]) / beta_c
             rhs = (r_p - incidence @ v1).ravel()[m:]
             du = np.zeros(n * m)
             du[m:] = _tiled_solve(chol, rhs)
             du = du.reshape(n, m)
             g = incidence_t @ du
             wg = _rowdot(w1, g)
-            dt = v0 - 2.0 * w0 * wg / beta2
-            dx = v1 + (g + 2.0 * w1 * wg[:, None]) / beta2[:, None]
-            step = min(_max_step(t, x, zj, dt, dx), _max_step(d_edge, sx, sj, no_t, -g))
-            return dt, dx, du, -g, step
+            dt = v0 - w0_2 * wg / beta2
+            dx = v1 + (g + w1_2 * wg[:, None]) / beta2[:, None]
+            dsx = -g
+            step = min(_max_step(frame_z, dt, dx), _max_step(frame_s, no_t, dsx))
+            return dt, dx, du, dsx, step
 
         # Predictor: the affine-scaling direction, rc = -lam o lam.
         lam_sq0 = lam0 * lam0 + _rowdot(lam1, lam1)
-        lam_sq1 = 2.0 * lam0[:, None] * lam1
+        lam_sq1 = 2.0 * lam0_c * lam1
         dt, dx, du, dsx, step = direction(-lam_sq0, -lam_sq1)
         alpha = min(1.0, step)
         comp_aff = _dot(t + alpha * dt, d_edge) + _dot(x + alpha * dx, sx + alpha * dsx)
@@ -545,9 +576,9 @@ def _interior_point_engine(w_hat, d_edge, pairs, incidence, params, accept):
         w1dx = _rowdot(w1, dx)
         w1ds = _rowdot(w1, dsx)
         a0 = beta * (w0 * dt + w1dx)
-        a1 = beta[:, None] * (dt[:, None] * w1 + dx + w1 * (w1dx / (1.0 + w0))[:, None])
+        a1 = beta_c * (dt[:, None] * w1 + dx + w1 * (w1dx / w0_1)[:, None])
         b0 = -w1ds / beta
-        b1 = (dsx + w1 * (w1ds / (1.0 + w0))[:, None]) / beta[:, None]
+        b1 = (dsx + w1 * (w1ds / w0_1)[:, None]) / beta_c
         rc0 = sigma * comp / e_count - lam_sq0 - (a0 * b0 + _rowdot(a1, b1))
         rc1 = -lam_sq1 - (a0[:, None] * b1 + b0[:, None] * a1)
         dt, dx, du, dsx, step = direction(rc0, rc1)
@@ -640,7 +671,6 @@ def solve(instance: Instance, params: SolverParams | None = None):
             f"edge generation: {rounds} rounds, {pairs.shape[0]} of {n * (n - 1) // 2} pairs"
         )
     d_edge = dist_hat[pairs[:, 0], pairs[:, 1]]
-    incidence = _incidence(n, pairs)
 
     # Engine: closed form on a forest, the LP for scalar weights, else (and
     # whenever those fail the stopping rule) the interior-point method.
@@ -665,7 +695,7 @@ def solve(instance: Instance, params: SolverParams | None = None):
         u_hat = accept(flows_hat, u_raw)
     elif m == 1:
         if lp is None:
-            lp = _scalar_simplex_engine(w_hat, d_edge, pairs, incidence)
+            lp = _scalar_simplex_engine(w_hat, d_edge, pairs, _incidence(n, pairs))
         if lp is not None:
             engine = "lp"
             flows_hat, u_raw, it = lp
@@ -673,7 +703,7 @@ def solve(instance: Instance, params: SolverParams | None = None):
     if u_hat is None:
         engine = "ipm"
         flows_hat, u_raw, it, comp, u_hat = _interior_point_engine(
-            w_hat, d_edge, pairs, incidence, params, accept
+            w_hat, d_edge, pairs, params, accept
         )
     status = "Converged"
     if u_hat is None:

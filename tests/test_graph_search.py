@@ -1,9 +1,10 @@
 """The graph searches of solver, leaves and mass balance against reference loops.
 
 Each reference below is the hand-written search the package used before the
-searches moved onto ``component_labels`` (scipy's csgraph).  On seeded
-random dense, sparse and forest graphs, with random branch-point flags, the
-package must give exactly what the loops give.
+searches moved onto ``component_labels``.  On seeded random dense, sparse
+and forest graphs, with random branch-point flags, and on edge cases (no
+nodes, isolated nodes, repeated and self pairs, a long path), the package
+must give exactly what the loops give.
 """
 
 from __future__ import annotations
@@ -137,6 +138,33 @@ def random_graph(rng, kind: str):
     return n, np.unique(pairs, axis=0)
 
 
+def edge_case_graphs(rng):
+    """``(n, pairs)`` beyond ``random_graph``: pairs in either orientation,
+    repeated and self pairs, isolated nodes, and a long path."""
+    yield 0, np.zeros((0, 2), dtype=np.int64)
+    yield 1, np.zeros((0, 2), dtype=np.int64)
+    yield 1, np.array([[0, 0], [0, 0]])
+    yield 5, np.zeros((0, 2), dtype=np.int64)
+    yield 6, np.array([[4, 2], [2, 4], [2, 2], [4, 2], [5, 1]])
+    for _ in range(6):
+        # The k-nearest-neighbour pairs as the solver's edge generation passes
+        # them: every point with itself and both orientations, on clusters far
+        # enough apart that the graph splits.
+        n, k = int(rng.integers(8, 40)), int(rng.integers(1, 4))
+        centres = rng.uniform(-50.0, 50.0, size=(4, 2))
+        pts = centres[rng.integers(0, 4, n)] + rng.normal(size=(n, 2))
+        dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        near = np.argpartition(dist, k, axis=1)[:, : k + 1]
+        yield n, np.column_stack([np.repeat(np.arange(n), k + 1), near.ravel()])
+    for _ in range(4):
+        # A forest on part of the nodes, the rest isolated, names shuffled.
+        n = int(rng.integers(20, 60))
+        perm = rng.permutation(n)
+        yield n, np.array([(perm[v], perm[int(rng.integers(0, v))]) for v in range(1, n // 2)])
+    perm = rng.permutation(4000)
+    yield 4000, np.column_stack([perm[:-1], perm[1:]])
+
+
 def decomposition(n: int, pairs: np.ndarray, flags: np.ndarray) -> LeafDecomposition:
     cloud = PointCloud(np.arange(float(n))[:, None])
     graph = IsometryGraph(cloud=cloud, edges=pairs, eps=1e-6)
@@ -148,16 +176,22 @@ def decomposition(n: int, pairs: np.ndarray, flags: np.ndarray) -> LeafDecomposi
 KINDS = ("dense", "sparse", "forest")
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ("edge-cases",))
 def test_component_labels_match_the_graph_searches(kind):
-    rng = np.random.default_rng({"dense": 1, "sparse": 2, "forest": 3}[kind])
-    for _ in range(40):
-        n, pairs = random_graph(rng, kind)
+    rng = np.random.default_rng({"dense": 1, "sparse": 2, "forest": 3, "edge-cases": 8}[kind])
+    if kind == "edge-cases":
+        graphs = edge_case_graphs(rng)
+    else:
+        graphs = (random_graph(rng, kind) for _ in range(40))
+    for n, pairs in graphs:
         labels = component_labels(n, pairs)
         reference, _, _ = reference_spanning_forest(n, pairs)
         np.testing.assert_array_equal(labels, reference)
         # Labels are ordered by smallest member.
         first = np.unique(labels, return_index=True)[1]
+        if n == 0:  # a cloud needs at least one point
+            assert labels.shape == (0,)
+            continue
         assert first[0] == 0 and np.all(np.diff(first) > 0)
         # The components extract_leaves visits, in the root-by-root order.
         adj = decomposition(n, pairs, np.zeros(0, dtype=int)).graph.adjacency()

@@ -173,6 +173,78 @@ def test_fit_single_point_is_exact():
     np.testing.assert_array_equal(b, [3.0])
 
 
+@pytest.mark.parametrize(
+    "points, values",
+    [
+        (np.zeros((0, 2)), np.zeros((0, 1))),  # no points
+        (np.zeros((3, 2)), np.zeros((4, 1))),  # row counts differ
+        (np.zeros((3, 2)), np.zeros(3)),  # 1-D values
+        ([[0.0, 0.0], [np.nan, 1.0], [1.0, 0.0]], np.zeros((3, 1))),  # a nan point
+    ],
+)
+def test_fit_rejects_malformed_samples_with_a_typed_error(points, values):
+    with pytest.raises(DimensionMismatch):
+        affine_isometry_fit(points, values)
+
+
+def reference_fit(points: np.ndarray, values: np.ndarray):
+    """``_fit`` as written with ``mean`` and ``norm``, before it called the
+    reductions underneath them directly."""
+    m = values.shape[1]
+    y0 = points.mean(axis=0)
+    b = values.mean(axis=0)
+    centered = points - y0
+    target = values - b
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    smax = float(svals[0]) if svals.size else 0.0
+    rank = int(np.sum(svals > 1e-7 * smax)) if smax > 0 else 0
+    tangent = vt[:rank].T
+    coords = centered @ tangent
+    cross = target.T @ coords
+    if rank:
+        uc, _, vct = np.linalg.svd(cross, full_matrices=False)
+        rot = uc @ vct
+    else:
+        rot = np.zeros((m, 0))
+    tmap = rot @ tangent.T
+    errors = np.linalg.norm(target - coords @ rot.T, axis=1)
+    residual = float(np.sqrt(np.mean(errors**2)))
+    return tmap, b, y0, residual, rank, tangent, errors
+
+
+def test_fit_matches_the_mean_and_norm_fit_bit_for_bit():
+    # General, collinear, coincident and rank-deficient member sets, with
+    # random, isometric and constant values.
+    rng = np.random.default_rng(131)
+    for trial in range(400):
+        k, d, m = int(rng.integers(1, 61)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        shape = trial % 4
+        if shape == 0:
+            pts = rng.normal(size=(k, d))
+        elif shape == 1:  # collinear
+            pts = rng.normal(size=d) + rng.normal(size=(k, 1)) * rng.normal(size=d)
+        elif shape == 2:  # coincident, in whole or in part
+            pts = np.repeat(rng.normal(size=(1 + k // 3, d)), 3, axis=0)[:k]
+        else:  # in a subspace of lower dimension
+            r = int(rng.integers(0, d + 1))
+            pts = rng.normal(size=(k, r)) @ rng.normal(size=(r, d)) + rng.normal(size=d)
+        kind = trial % 3
+        if kind == 0:
+            vals = rng.normal(size=(k, m))
+        elif kind == 1:
+            q = np.linalg.qr(rng.normal(size=(max(d, m), max(d, m))))[0][:m, :d]
+            vals = pts @ q.T + rng.normal(size=m)
+        else:
+            vals = np.full((k, m), rng.normal())
+        got, expected = _fit(pts, vals), reference_fit(pts, vals)
+        for a, b in zip(got, expected):
+            assert type(a) is type(b)
+            if isinstance(a, np.ndarray):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            else:
+                assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Leaf extraction
 # ---------------------------------------------------------------------------
