@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DimensionMismatch,
     Instance,
     InvalidParameter,
     PotentialField,
     VectorCoupling,
+    _check_solution,
     _dot,
     cost,
     edge_slackness,
@@ -96,17 +96,8 @@ def certify(
     """
     if not tol > 0:  # nan fails too
         raise InvalidParameter("tol must be positive")
+    _check_solution(instance, coupling, potential)
     measure = instance.measure
-    if coupling.target_dim != measure.target_dim:
-        raise DimensionMismatch(
-            f"coupling dimension {coupling.target_dim} != measure {measure.target_dim}"
-        )
-    if coupling.edge_count and int(coupling.pairs.max()) >= instance.size:
-        raise DimensionMismatch("coupling references a point outside the instance")
-    if potential.cloud is not instance.cloud and not np.array_equal(
-        potential.cloud.points, instance.cloud.points
-    ):
-        raise DimensionMismatch("potential and instance describe different clouds")
 
     _, _, net = marginals(coupling, instance.size)
     residual = net - measure.weights

@@ -11,6 +11,7 @@ non-finite is written as a string, "inf", "-inf" or "nan".  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -22,10 +23,12 @@ import numpy as np
 from . import __version__
 from .certifier import certify
 from .core import (
+    DimensionMismatch,
     Instance,
     PotentialField,
     VecotError,
     VectorCoupling,
+    _check_solution,
     instance_from_dict,
     instance_to_dict,
 )
@@ -71,16 +74,22 @@ def _solution_dict(instance: Instance, coupling: VectorCoupling, potential: Pote
 
 
 def _load_solution(path: str) -> tuple[Instance, VectorCoupling, PotentialField]:
+    """Read a solution document, raising DimensionMismatch unless its coupling
+    and potential fit its instance."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    instance = instance_from_dict(doc["instance"])
-    coupling = VectorCoupling(
-        pairs=np.asarray(doc["coupling"]["pairs"], dtype=int),
-        flows=np.asarray(doc["coupling"]["flows"], dtype=float),
-    )
-    potential = PotentialField(
-        cloud=instance.cloud, values=np.asarray(doc["potential"], dtype=float)
-    )
+    try:
+        instance = instance_from_dict(doc["instance"])
+        pairs = np.asarray(doc["coupling"]["pairs"], dtype=float)
+        flows = np.asarray(doc["coupling"]["flows"], dtype=float)
+        values = np.asarray(doc["potential"], dtype=float)
+        if pairs.size == 0:  # a coupling without edges is written as [] and []
+            pairs, flows = pairs.reshape(0, 2), flows.reshape(0, instance.target_dim)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"malformed solution document: {exc}") from exc
+    coupling = VectorCoupling(pairs=pairs, flows=flows)
+    potential = PotentialField(cloud=instance.cloud, values=values)
+    _check_solution(instance, coupling, potential)
     return instance, coupling, potential
 
 
@@ -319,7 +328,9 @@ def _cmd_selftest(args) -> tuple[dict, int]:
     }, 0 if all_passed else 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="vecot",
         description="Kantorovich-Rubinstein transport for vector measures: "

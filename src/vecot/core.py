@@ -156,6 +156,13 @@ class DiscreteVectorMeasure:
         return float(np.linalg.norm(self.weights, axis=1).sum())
 
 
+def _integer_valued(a: np.ndarray) -> bool:
+    """Whether ``a`` is an integer array or a float array of finite integers."""
+    if a.dtype.kind == "f":
+        return bool((np.isfinite(a) & (a == np.floor(a))).all())
+    return a.dtype.kind in "iu"
+
+
 @dataclass(frozen=True)
 class VectorCoupling:
     """Edge list with one R^m flow per unordered point pair.
@@ -169,7 +176,10 @@ class VectorCoupling:
     flows: np.ndarray
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.int64)
+        pairs = np.asarray(self.pairs)
+        if not _integer_valued(pairs):
+            raise DimensionMismatch("pairs must be integer point indices")
+        pairs = pairs.astype(np.int64)
         flows = np.asarray(self.flows, dtype=float)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise DimensionMismatch(f"pairs must be (E, 2), got {pairs.shape}")
@@ -251,6 +261,22 @@ class Instance:
     @property
     def target_dim(self) -> int:
         return self.measure.target_dim
+
+
+def _check_solution(instance: Instance, coupling: VectorCoupling, potential: PotentialField):
+    """Raise DimensionMismatch unless the coupling and the potential live on
+    the instance: its points, its target dimension m and its point indices."""
+    m = instance.target_dim
+    if coupling.target_dim != m:
+        raise DimensionMismatch(f"coupling dimension {coupling.target_dim} != measure {m}")
+    if potential.target_dim != m:
+        raise DimensionMismatch(f"potential dimension {potential.target_dim} != measure {m}")
+    if coupling.edge_count and int(coupling.pairs.max()) >= instance.size:
+        raise DimensionMismatch("coupling references a point outside the instance")
+    if potential.cloud is not instance.cloud and not np.array_equal(
+        potential.cloud.points, instance.cloud.points
+    ):
+        raise DimensionMismatch("potential and instance describe different clouds")
 
 
 @dataclass(frozen=True)

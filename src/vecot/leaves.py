@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 
 from .core import (
     DimensionMismatch,
@@ -27,6 +28,7 @@ from .core import (
     PotentialField,
     VecotError,
     WrongDimension,
+    _integer_valued,
     component_labels,
     stretch_ratios,
 )
@@ -62,7 +64,11 @@ class DegenerateLeaf(VecotError):
 
 @dataclass(frozen=True)
 class IsometryGraph:
-    """Pairs (i, j), i < j, with ||u_i - u_j|| >= (1 - eps) * d_ij, for a finite eps > 0."""
+    """Pairs (i, j), i < j, with ||u_i - u_j|| >= (1 - eps) * d_ij, for a finite eps > 0.
+
+    ``edges`` must be integer-valued with 0 <= i < j < n, else
+    DimensionMismatch; it is stored as an (E, 2) int array.
+    """
 
     cloud: PointCloud
     edges: np.ndarray
@@ -71,8 +77,14 @@ class IsometryGraph:
     def __post_init__(self):
         if not 0.0 < self.eps < np.inf:  # nan fails too
             raise InvalidParameter("eps must be finite and positive")
-        e = np.asarray(self.edges, dtype=int).reshape(-1, 2)
-        object.__setattr__(self, "edges", e)
+        e = np.asarray(self.edges)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2 or not _integer_valued(e):
+            raise DimensionMismatch(f"edges must be (E, 2) point indices, got {e.dtype} {e.shape}")
+        if not ((0 <= e[:, 0]) & (e[:, 0] < e[:, 1]) & (e[:, 1] < self.cloud.size)).all():
+            raise DimensionMismatch(f"edges must be pairs i < j of indices below {self.cloud.size}")
+        object.__setattr__(self, "edges", e.astype(int, copy=False))
 
     def adjacency(self) -> np.ndarray:
         """Symmetric boolean adjacency matrix."""
@@ -178,21 +190,34 @@ def affine_isometry_fit(
     return T, b, residual
 
 
+def _svd(a: np.ndarray):
+    """``np.linalg.svd(a, full_matrices=False)`` as one LAPACK call.
+
+    numpy runs the same ``dgesdd``; U and V^T come back in Fortran order and
+    are copied to C order, the layout numpy returns, because matmul rounds
+    differently on the two.
+    """
+    u, s, vt, info = dgesdd(a, full_matrices=0)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
+
+
 def _fit(points: np.ndarray, values: np.ndarray):
     """Procrustes fit returning all intermediates the extractor needs."""
     k, m = values.shape  # mean and norm below are spelled as the reductions they run
-    y0 = points.sum(axis=0) / k
-    b = values.sum(axis=0) / k
+    y0 = np.add.reduce(points, axis=0) / k
+    b = np.add.reduce(values, axis=0) / k
     centered = points - y0
     target = values - b
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    _, svals, vt = _svd(centered)
     smax = float(svals[0]) if svals.size else 0.0
-    rank = int(np.sum(svals > _RANK_RTOL * smax)) if smax > 0 else 0
+    rank = int(np.count_nonzero(svals > _RANK_RTOL * smax)) if smax > 0 else 0
     tangent = vt[:rank].T
     coords = centered @ tangent
     cross = target.T @ coords
     if rank:
-        uc, _, vct = np.linalg.svd(cross, full_matrices=False)
+        uc, _, vct = _svd(cross)
         rot = uc @ vct
     else:
         rot = np.zeros((m, 0))
@@ -229,18 +254,19 @@ def _boundary_distances(coords: np.ndarray) -> np.ndarray:
 
 
 def _accept(
-    members: list[int], pts: np.ndarray, vals: np.ndarray, dist: np.ndarray, eps: float, bound=np.inf
+    members, pts: np.ndarray, vals: np.ndarray, dist: np.ndarray, eps: float, bound=np.inf
 ):
-    """Fit sorted members once: ``(residual <= eps * diameter, fit, diameter)``.
+    """Fit sorted members (a list or an index array) once:
+    ``(residual <= eps * diameter, fit, diameter)``.
 
     ``bound`` may be any upper bound on the diameter: a residual above
     ``eps * bound`` fails exactly, skips the k x k gather and returns the bound.
     """
-    sub = np.array(members)
+    sub = np.asarray(members)
     fit = _fit(pts[sub], vals[sub])
     if fit[3] > eps * bound:
         return False, fit, bound
-    diameter = dist[np.ix_(sub, sub)].max()
+    diameter = dist[sub[:, None], sub].max()
     return fit[3] <= eps * diameter, fit, diameter
 
 
@@ -263,7 +289,7 @@ def _build_leaf(members: tuple[int, ...], fit, cloud: PointCloud, values: np.nda
 
 
 def _validate_component(
-    comp: list[int], adj: np.ndarray, dist: np.ndarray, pts: np.ndarray, vals: np.ndarray, eps: float
+    comp, adj: np.ndarray, dist: np.ndarray, pts: np.ndarray, vals: np.ndarray, eps: float
 ):
     """Shrink a component until it is a clique with an isometric fit.
 
@@ -272,20 +298,20 @@ def _validate_component(
     Returns the survivors, their accepting fit and the removed members,
     which regrow leaves of their own.
     """
-    members = sorted(comp)
+    sub = np.sort(comp)
     pending: list[int] = []
     diameter = np.inf  # members only leave, so every diameter bounds the next
     while True:
-        ok, fit, diameter = _accept(members, pts, vals, dist, eps, diameter)
+        ok, fit, diameter = _accept(sub, pts, vals, dist, eps, diameter)
         if not ok:
             drop = int(np.argmax(fit[-1]))  # the largest per-member misfit
         else:
-            sub = np.array(members)
-            missing = (~adj[np.ix_(sub, sub)]).sum(axis=1) - 1
+            missing = (~adj[sub[:, None], sub]).sum(axis=1) - 1
             if not missing.any():
-                return members, fit, pending
+                return sub.tolist(), fit, pending
             drop = int(np.argmax(missing))
-        pending.append(members.pop(drop))
+        pending.append(int(sub[drop]))
+        sub = np.concatenate((sub[:drop], sub[drop + 1 :]))
 
 
 def _grow_leaf(
@@ -331,7 +357,7 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
     labels = component_labels(n, graph.edges)
     by_label = np.argsort(labels, kind="stable")
     for comp in np.split(by_label, np.cumsum(np.bincount(labels))[:-1]):
-        survivors, fit, pending = _validate_component(comp.tolist(), adj, dist, pts, vals, eps)
+        survivors, fit, pending = _validate_component(comp, adj, dist, pts, vals, eps)
         covered = set(survivors)
         fits[tuple(survivors)] = fit
         for p in sorted(pending):

@@ -169,6 +169,100 @@ def test_invalid_instance_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def solved_document(tmp_path) -> dict:
+    """The `vecot solve` document of a 5-point m = 2 instance."""
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=(5, 2))
+    points, weights = rng.uniform(-1, 1, (5, 2)), w - w.mean(axis=0)
+    path = write_instance(tmp_path, points=points.tolist(), weights=weights.tolist())
+    solution = tmp_path / "solution.json"
+    assert main(["solve", "--input", str(path), "--output", str(solution)]) == 0
+    return json.loads(solution.read_text())
+
+
+def malform(doc: dict, case: str) -> None:
+    """Edit one field of a solution document into the named fault."""
+    coupling = doc["coupling"]
+    if case == "pair-index-past-the-cloud":
+        coupling["pairs"][0][1] = len(doc["potential"])
+    elif case == "fractional-pair-index":
+        coupling["pairs"][0][1] = 1.5
+    elif case == "potential-of-the-wrong-m":
+        for row in doc["potential"]:
+            row.append(0.0)
+    elif case == "flows-of-the-wrong-m":
+        for row in coupling["flows"]:
+            row.append(0.0)
+    elif case == "null-coupling":
+        doc["coupling"] = None
+    else:
+        assert case == "string-in-potential"
+        doc["potential"][0][0] = "north"
+
+
+MALFORMED_SOLUTIONS = (
+    "pair-index-past-the-cloud",
+    "fractional-pair-index",
+    "potential-of-the-wrong-m",
+    "flows-of-the-wrong-m",
+    "null-coupling",
+    "string-in-potential",
+)
+
+
+@pytest.mark.parametrize("case", MALFORMED_SOLUTIONS)
+@pytest.mark.parametrize("command", ["certify", "leaves", "massbalance"])
+def test_malformed_solution_documents_exit_2(tmp_path, capsys, command, case):
+    doc = solved_document(tmp_path)
+    malform(doc, case)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, "--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("vecot: ")
+
+
+def test_a_solution_without_edges_round_trips(tmp_path, capsys):
+    # A zero measure solves to an empty coupling, written as "pairs": [].
+    path = write_instance(tmp_path, points=[[0.0], [1.0]], weights=[[0.0], [0.0]])
+    solution = tmp_path / "solution.json"
+    assert main(["solve", "--input", str(path), "--output", str(solution)]) == 0
+    assert json.loads(solution.read_text())["coupling"] == {"pairs": [], "flows": []}
+    for command in ("certify", "leaves", "massbalance"):
+        code, doc = run(capsys, command, "--input", str(solution))
+        assert code == 0 and doc["command"] == command
+
+
+def test_consecutive_calls_match_calls_with_a_fresh_parser(tmp_path, capsys):
+    path = write_instance(tmp_path)
+    solution = tmp_path / "solution.json"
+    box = ["disintegrate", "--box", "-3", "3", "-3", "3", "--resolution", "9"]
+    calls = [
+        box + ["--cd", "0,inf", "--cd", "0,3"],
+        box,
+        ["solve", "--input", str(path), "--output", str(solution)],
+        ["leaves", "--input", str(solution), "--eps", "1e-5"],
+        box + ["--cd", "1,2"],
+        ["leaves", "--input", str(solution)],
+        ["certify", "--input", str(solution)],
+    ]
+
+    def documents(fresh: bool) -> list:
+        out = []
+        for argv in calls:
+            if fresh:
+                vecot.cli._build_parser.cache_clear()
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out or solution.read_text())
+        return out
+
+    shared = documents(fresh=False)
+    assert vecot.cli._build_parser() is vecot.cli._build_parser()
+    assert shared == documents(fresh=True)
+    assert [len(json.loads(shared[k])["cd_reports"]) for k in (0, 1, 4)] == [2, 0, 1]
+
+
 def test_iteration_limit_exits_3(tmp_path, capsys):
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1, 1, size=(8, 2))

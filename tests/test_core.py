@@ -145,6 +145,18 @@ def test_coupling_rejects_self_loops_and_negatives():
         VectorCoupling(np.array([[-1, 2]]), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("pairs", [[[0, 1.5]], [[0, np.nan]], [[0, np.inf]], [[True, False]]])
+def test_coupling_rejects_indices_that_are_not_integers(pairs):
+    # A cast to int would truncate 1.5 to 1 without a word.
+    with pytest.raises(DimensionMismatch):
+        VectorCoupling(np.array(pairs), np.array([[1.0]]))
+
+
+def test_coupling_takes_integer_valued_float_pairs():
+    c = VectorCoupling(np.array([[2.0, 0.0]]), np.array([[1.0]]))
+    assert c.pairs.dtype == np.int64 and c.pairs.tolist() == [[0, 2]]
+
+
 def test_coupling_rejects_duplicate_pairs_after_orientation():
     # (0, 1) and (1, 0) describe the same unordered pair.
     with pytest.raises(DimensionMismatch):

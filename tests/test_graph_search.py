@@ -193,8 +193,10 @@ def test_component_labels_match_the_graph_searches(kind):
             assert labels.shape == (0,)
             continue
         assert first[0] == 0 and np.all(np.diff(first) > 0)
-        # The components extract_leaves visits, in the root-by-root order.
-        adj = decomposition(n, pairs, np.zeros(0, dtype=int)).graph.adjacency()
+        # The components extract_leaves visits, in the root-by-root order, on
+        # the pairs i < j an isometry graph holds (component_labels takes any).
+        edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        adj = decomposition(n, edges, np.zeros(0, dtype=int)).graph.adjacency()
         seen = np.zeros(n, dtype=bool)
         components = []
         for root in range(n):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgesdd
 
+import vecot.leaves
 from vecot import (
     DegenerateLeaf,
     DimensionMismatch,
@@ -128,6 +130,34 @@ def test_isometry_graph_eps_widens_the_graph():
             IsometryGraph(cloud=cloud, edges=[[0, 1]], eps=eps)
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [[0, 9]],  # an index past the cloud
+        [[3, 3]],  # a self-loop
+        [[-1, 2]],  # a negative index, which numpy would read as point 5
+        [[2.7, 4]],  # a fractional index, which a cast would truncate to 2
+        [[np.nan, 1]],
+        [[4, 2]],  # i > j
+        np.zeros((2, 3), dtype=int),  # three columns
+        [[True, False]],
+        [["0", "1"]],
+    ],
+)
+def test_isometry_graph_rejects_malformed_edges(edges):
+    cloud = PointCloud(np.arange(6.0)[:, None])
+    with pytest.raises(DimensionMismatch):
+        IsometryGraph(cloud=cloud, edges=edges, eps=1e-6)
+
+
+def test_isometry_graph_stores_integer_valued_edges_as_ints():
+    cloud = PointCloud(np.arange(6.0)[:, None])
+    for edges, expected in (([], []), ([[0.0, 2.0], [1, 5]], [[0, 2], [1, 5]])):
+        graph = IsometryGraph(cloud=cloud, edges=edges, eps=1e-6)
+        assert graph.edges.dtype == int and graph.edges.shape == (len(expected), 2)
+        assert graph.edges.tolist() == expected
+
+
 # ---------------------------------------------------------------------------
 # Affine isometry fit
 # ---------------------------------------------------------------------------
@@ -243,6 +273,16 @@ def test_fit_matches_the_mean_and_norm_fit_bit_for_bit():
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
             else:
                 assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_fit_raises_when_lapack_does_not_converge(monkeypatch):
+    def no_convergence(a, **kwargs):
+        u, s, vt, _ = dgesdd(a, **kwargs)
+        return u, s, vt, 1  # info > 0: the bidiagonal SVD did not converge
+
+    monkeypatch.setattr(vecot.leaves, "dgesdd", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError):
+        _fit(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros((3, 1)))
 
 
 # ---------------------------------------------------------------------------
