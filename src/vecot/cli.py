@@ -29,6 +29,7 @@ from .core import (
     VecotError,
     VectorCoupling,
     _check_solution,
+    _json_numbers,
     instance_from_dict,
     instance_to_dict,
 )
@@ -80,9 +81,9 @@ def _load_solution(path: str) -> tuple[Instance, VectorCoupling, PotentialField]
         doc = json.load(fh)
     try:
         instance = instance_from_dict(doc["instance"])
-        pairs = np.asarray(doc["coupling"]["pairs"], dtype=float)
-        flows = np.asarray(doc["coupling"]["flows"], dtype=float)
-        values = np.asarray(doc["potential"], dtype=float)
+        pairs = _json_numbers(doc["coupling"]["pairs"], "coupling pairs")
+        flows = _json_numbers(doc["coupling"]["flows"], "coupling flows")
+        values = _json_numbers(doc["potential"], "potential")
         if pairs.size == 0:  # a coupling without edges is written as [] and []
             pairs, flows = pairs.reshape(0, 2), flows.reshape(0, instance.target_dim)
     except (KeyError, TypeError, ValueError) as exc:
@@ -238,9 +239,10 @@ def _cmd_disintegrate(args) -> tuple[dict, int]:
     if args.grid is not None:
         with open(args.grid, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise VecotError("a grid file holds a JSON object with box and samples")
         density = GridDensity(
-            box=np.asarray(doc["box"], dtype=float),
-            samples=np.asarray(doc["samples"], dtype=float),
+            box=_json_numbers(doc["box"], "box"), samples=_json_numbers(doc["samples"], "samples")
         )
     else:
         if args.box is None or args.resolution is None:

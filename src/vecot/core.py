@@ -11,6 +11,7 @@ dual potentials as one R^m value per point.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -463,14 +464,34 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _json_numbers(value, what: str) -> np.ndarray:
+    """A JSON array of finite numbers, nested to any depth, as a float array.
+
+    Only JSON integers and floats are numbers: a string, boolean, null or
+    object anywhere in ``value``, ragged nesting, or a NaN or infinity
+    (which JSON cannot write) raises DimensionMismatch.
+    """
+    level = value
+    try:
+        while type(level) is list and level and type(level[0]) is list:
+            level = list(itertools.chain.from_iterable(level))
+        if type(level) is list and set(map(type, level)) <= {int, float}:
+            array = np.asarray(value, dtype=float)
+            if np.isfinite(array).all():
+                return array
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DimensionMismatch(f"{what} must be an array of finite numbers")
+
+
 def instance_from_dict(doc: dict) -> Instance:
     try:
-        n = int(doc["n"])
-        m = int(doc["m"])
-        points = np.asarray(doc["points"], dtype=float)
-        weights = np.asarray(doc["weights"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        n, m, points, weights = doc["n"], doc["m"], doc["points"], doc["weights"]
+    except (KeyError, TypeError) as exc:
         raise DimensionMismatch(f"malformed instance document: {exc}") from exc
+    if type(n) is not int or type(m) is not int:
+        raise DimensionMismatch(f"n and m must be integers, got {n!r} and {m!r}")
+    points, weights = _json_numbers(points, "points"), _json_numbers(weights, "weights")
     if points.ndim != 2 or points.shape[1] != n:
         raise DimensionMismatch(
             f"points shape {points.shape} inconsistent with n = {n}"

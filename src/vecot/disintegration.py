@@ -11,8 +11,9 @@ the Jacobian factor r^(n-1).
 A disintegration returns its needles as one NeedleBatch: the leaf grids,
 every conditional density in one array, checked and normalized once, and
 the embedding of each leaf.  Iterating a batch gives Needle views of it.
-Reassembly and CD checks take whole batches, ray sampling and reassembly
-run in blocks of at most ``_BLOCK_POINTS`` points, and every result is
+Reassembly takes only a batch, and CD checks take a batch or one view.  Ray
+sampling and reassembly run in blocks of at most ``_BLOCK_POINTS`` points
+and weigh multilinear corners with one combiner, and every result is
 bit-identical to handling the needles one at a time.
 
 A 1-D needle with density g = e^(-rho) satisfies the curvature-dimension
@@ -139,11 +140,14 @@ def _product_grid(axes) -> np.ndarray:
 
     Grids given per needle, shape (K, L), give points per needle, (K, P, k).
     """
-    per_needle = [len(a) for a in axes if a.ndim == 2]
-    if per_needle:
-        one_needle = ([a if a.ndim == 1 else a[j] for a in axes] for j in range(per_needle[0]))
-        return np.stack([_product_grid(grids) for grids in one_needle])
-    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    k = len(axes)
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in axes))
+    shape = lead + tuple(a.shape[-1] for a in axes)
+    columns = [
+        np.broadcast_to(a.reshape(a.shape[:-1] + (1,) * j + (-1,) + (1,) * (k - 1 - j)), shape)
+        for j, a in enumerate(axes)
+    ]
+    return np.stack(columns, axis=-1).reshape(lead + (-1, k))
 
 
 def tabulate_density(box, resolution, fn) -> GridDensity:
@@ -419,26 +423,32 @@ def _stencil(grid: GridDensity, points: np.ndarray) -> list:
     return stencil
 
 
-def _corners(grid: GridDensity, points: np.ndarray):
-    """Yield ``(cell, weight)`` for each of the 2^dim multilinear corners.
+def _corner_weights(grid: GridDensity, points: np.ndarray):
+    """Flat cell index and weight of each of the 2^dim multilinear corners.
 
-    The corners come in ``np.ndindex`` order.  ``cell`` indexes the grid
-    (edge-clamped) and ``weight`` holds every point's interpolation weight
-    at that corner; both are combined from one ``_stencil`` of the points.
+    ``points`` have shape (..., P, dim); both results have shape (...,
+    2^dim, P), the corners in ``np.ndindex`` order.  Each weight is the
+    product of the axes' stencil weights, first axis first.
     """
-    stencil = _stencil(grid, points)
-    for corner in np.ndindex(*(2,) * grid.dim):
-        cell = tuple(cells[..., c, :] for (cells, _), c in zip(stencil, corner))
-        weight = functools.reduce(np.multiply, [w[..., c, :] for (_, w), c in zip(stencil, corner)])
-        yield cell, weight
+    lead, count = points.shape[:-2], points.shape[-2]
+    cells, weight = 0, 1.0
+    for a, (axis_cells, axis_weights) in enumerate(_stencil(grid, points)):
+        # Axis a's corner bit goes on the a-th corner axis, so C order is np.ndindex order.
+        at = lead + (1,) * a + (2,) + (1,) * (grid.dim - 1 - a) + (count,)
+        cells = cells + axis_cells.reshape(at) * math.prod(grid.resolution[a + 1 :])
+        weight = weight * axis_weights.reshape(at)
+    corners = lead + (2**grid.dim, count)
+    return cells.reshape(corners), weight.reshape(corners)
 
 
 def _interpolate(density: GridDensity, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of the cell-center samples at points (..., dim)."""
-    out = np.zeros(points.shape[:-1])
-    for cell, weight in _corners(density, points):
-        out += weight * density.samples[cell]
-    return out
+    """Multilinear interpolation of the cell-center samples at points (..., P, dim).
+
+    The corners are added one at a time from the first; a sum over the
+    corner axis adds them pairwise when that axis is the innermost loop.
+    """
+    cells, weight = _corner_weights(density, points)
+    return functools.reduce(np.add, np.moveaxis(weight * density.samples.ravel()[cells], -2, 0))
 
 
 # Quadrature points per reassemble block; each point makes 2^dim (index,
@@ -446,17 +456,15 @@ def _interpolate(density: GridDensity, points: np.ndarray) -> np.ndarray:
 _BLOCK_POINTS = 1 << 16
 
 
-def reassemble(needles, weights, target: GridDensity) -> GridDensity:
+def reassemble(needles: NeedleBatch, weights, target: GridDensity) -> GridDensity:
     """Deposit the weighted needle mixture back onto a grid.
 
-    ``needles`` is a NeedleBatch or a list of Needles; a list is taken as
-    batches of its runs of consecutive needles with equal shapes.
     Each needle cell splats its mass multilinearly onto the target cells;
     the result is a unit-mass density regardless of the target's samples
     (only its geometry is used).  Slice needles land exactly on cell
     centers, so their reassembly is exact up to rounding.
 
-    Every needle's geometry is checked before anything is deposited.  The
+    The batch's geometry is checked before anything is deposited.  The
     needles are then splatted in blocks of whole needles holding at most
     ``_BLOCK_POINTS`` quadrature points (a larger needle is a block of its
     own), so the index and value buffers stay bounded whatever the needle
@@ -467,56 +475,23 @@ def reassemble(needles, weights, target: GridDensity) -> GridDensity:
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(needles):
         raise GeometryMismatch("one weight per needle required")
-    n = target.dim
-    if isinstance(needles, NeedleBatch):
-        batches = [needles]
-    else:
-        runs = itertools.groupby(needles, lambda nd: (nd.g.shape, nd.base.shape))
-        batches = [_stacked(list(run)) for _, run in runs]
-    if any(batch.base.shape[1] != n for batch in batches):
+    if needles.base.shape[1] != target.dim:
         raise GeometryMismatch("needle geometry does not match the target grid")
-    strides = [math.prod(target.resolution[a + 1 :]) for a in range(n)]
     mass = np.zeros(math.prod(target.resolution))
-    done = 0
-    for batch in batches:
-        per_block = max(1, _BLOCK_POINTS // math.prod(batch.g.shape[1:]))
-        for start in range(0, len(batch), per_block):
-            points, masses = batch[start : start + per_block].quadrature()
-            masses *= weights[done + start : done + start + len(masses), None]
-            # Axis a's corner bit goes on axis 1 + a, so the broadcast products
-            # run needle by needle, corner by corner in np.ndindex order, then
-            # point by point.
-            cells, weight = 0, 1.0
-            for a, (axis_cells, axis_weights) in enumerate(_stencil(target, points)):
-                at = (len(masses),) + (1,) * a + (2,) + (1,) * (n - 1 - a) + (masses.shape[1],)
-                cells = cells + axis_cells.reshape(at) * strides[a]
-                weight = weight * axis_weights.reshape(at)
-            values = masses.reshape((len(masses),) + (1,) * n + (-1,)) * weight
-            np.add.at(mass, cells.reshape(-1), values.reshape(-1))
-        done += len(batch)
+    per_block = max(1, _BLOCK_POINTS // math.prod(needles.g.shape[1:]))
+    for start in range(0, len(needles), per_block):
+        points, masses = needles[start : start + per_block].quadrature()
+        masses *= weights[start : start + len(masses), None]
+        cells, weight = _corner_weights(target, points)
+        np.add.at(mass, cells.reshape(-1), (masses[:, None, :] * weight).reshape(-1))
     return GridDensity(box=target.box, samples=mass.reshape(target.resolution) / target.cell_volume)
 
 
-def _stacked(needles: list[Needle]) -> NeedleBatch:
-    """Needles of one grid shape as a batch of their (already normalized) arrays."""
-    return _unchecked(
-        NeedleBatch,
-        tuple(np.stack(a) for a in zip(*(nd.axes for nd in needles))),
-        np.stack([nd.g for nd in needles]),
-        np.stack([nd.base for nd in needles]),
-        np.stack([nd.directions for nd in needles]),
-    )
-
-
-def l1_distance(a: GridDensity, b: GridDensity, normalize: bool = True) -> float:
-    """L1 distance between two densities on the same grid."""
+def l1_distance(a: GridDensity, b: GridDensity) -> float:
+    """L1 distance between two densities on the same grid, each scaled to unit mass."""
     if a.dim != b.dim or a.resolution != b.resolution or not np.allclose(a.box, b.box):
         raise GeometryMismatch("densities live on different grids")
-    fa, fb = a.samples, b.samples
-    if normalize:
-        fa = fa / a.total_mass
-        fb = fb / b.total_mass
-    return float(np.abs(fa - fb).sum() * a.cell_volume)
+    return float(np.abs(a.samples / a.total_mass - b.samples / b.total_mass).sum() * a.cell_volume)
 
 
 @dataclass(frozen=True)

@@ -195,9 +195,26 @@ def malform(doc: dict, case: str) -> None:
             row.append(0.0)
     elif case == "null-coupling":
         doc["coupling"] = None
-    else:
-        assert case == "string-in-potential"
+    elif case == "string-in-potential":
         doc["potential"][0][0] = "north"
+    # Each fault below was once read as a number: a value written as a
+    # string, a boolean, a NaN (json.dumps writes it, strict JSON cannot),
+    # a string n and a fractional m.
+    elif case == "numeric-string-in-points":
+        doc["instance"]["points"][0][0] = repr(doc["instance"]["points"][0][0])
+    elif case == "numeric-string-in-weights":
+        doc["instance"]["weights"][0][0] = repr(doc["instance"]["weights"][0][0])
+    elif case == "numeric-string-in-potential":
+        doc["potential"][0][0] = repr(doc["potential"][0][0])
+    elif case == "true-in-flows":
+        coupling["flows"][0][0] = True
+    elif case == "nan-in-flows":
+        coupling["flows"][0][0] = float("nan")
+    elif case == "string-n":
+        doc["instance"]["n"] = str(doc["instance"]["n"])
+    else:
+        assert case == "fractional-m"
+        doc["instance"]["m"] += 0.9
 
 
 MALFORMED_SOLUTIONS = (
@@ -207,6 +224,13 @@ MALFORMED_SOLUTIONS = (
     "flows-of-the-wrong-m",
     "null-coupling",
     "string-in-potential",
+    "numeric-string-in-points",
+    "numeric-string-in-weights",
+    "numeric-string-in-potential",
+    "true-in-flows",
+    "nan-in-flows",
+    "string-n",
+    "fractional-m",
 )
 
 
@@ -538,6 +562,25 @@ def test_disintegrate_rejects_bad_radial_parameters(capsys, flags):
     assert "internal error" not in err
     assert "density" not in err
     assert caught == []
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[-1.0, 1.0], [1.0, 2.0]],
+        {"box": [-1.0, 1.0], "samples": "abc"},
+        {"box": [[-1.0, 1.0], [-1.0, "1.0"]], "samples": np.ones((5, 5)).tolist()},
+        {"box": [-1.0, 1.0]},
+    ],
+    ids=["list", "string-samples", "string-in-box", "missing-samples"],
+)
+def test_disintegrate_rejects_malformed_grid_files(tmp_path, capsys, doc):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(doc))
+    assert main(["disintegrate", "--grid", str(grid)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("vecot: ")
+    assert "internal error" not in captured.err
 
 
 def test_disintegrate_family_requires_box(capsys):

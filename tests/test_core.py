@@ -287,6 +287,29 @@ def test_loads_instance_reports_malformed_input():
         loads_instance("[1, 2, 3]")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"n": "1"},
+        {"m": 1.9},
+        {"n": True},
+        {"points": [["0.0"], [1.0]]},
+        {"weights": [["-1"], [1.0]]},
+        {"points": [[True], [0.0]]},
+        {"weights": [[1.0], [None]]},
+        {"points": [[0.0], 1.0]},
+        {"points": "abc"},
+        {"points": [[0.0], [1e400]]},
+    ],
+    ids=str,
+)
+def test_instance_from_dict_takes_only_json_numbers(edit):
+    doc = {"n": 1, "m": 1, "points": [[0.0], [1.0]], "weights": [[1.0], [-1.0]]}
+    assert instance_from_dict(doc).size == 2
+    with pytest.raises(DimensionMismatch):
+        instance_from_dict({**doc, **edit})
+
+
 def test_instance_from_dict_checks_declared_dims():
     d = {
         "n": 3,

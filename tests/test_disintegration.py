@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -334,12 +335,26 @@ def test_reassemble_validates_weights_and_geometry():
         reassemble(needles, weights, line)
 
 
+def reference_corners(grid: GridDensity, points: np.ndarray):
+    """Yield ``(cell, weight)`` for each of the 2^dim multilinear corners, one at a time.
+
+    The corners come in ``np.ndindex`` order.  ``cell`` indexes the grid
+    (edge-clamped) and ``weight`` holds every point's interpolation weight
+    at that corner; both are combined from one ``_stencil`` of the points.
+    """
+    stencil = vecot.disintegration._stencil(grid, points)
+    for corner in np.ndindex(*(2,) * grid.dim):
+        cell = tuple(cells[..., c, :] for (cells, _), c in zip(stencil, corner))
+        weight = functools.reduce(np.multiply, [w[..., c, :] for (_, w), c in zip(stencil, corner)])
+        yield cell, weight
+
+
 def reference_reassemble(needles, weights, target: GridDensity) -> np.ndarray:
     """The one-needle-at-a-time splat that blocked reassembly replaced."""
     mass_grid = np.zeros(target.resolution)
     for needle, w in zip(needles, np.asarray(weights, dtype=float)):
         points, masses = needle.quadrature()
-        for cell, weight in vecot.disintegration._corners(target, points):
+        for cell, weight in reference_corners(target, points):
             np.add.at(mass_grid, cell, w * masses * weight)
     return mass_grid / target.cell_volume
 
@@ -352,23 +367,26 @@ def _skewed_3d(res) -> GridDensity:
     )
 
 
-def _mixed_needles():
-    # Slice needles of both leaf dimensions and rays from two centers, with
-    # unrelated weights, on a target whose cells none of them land on.
+def _off_grid_needles(name):
+    # Slice needles of either leaf dimension, or rays from one of two
+    # centers, with unrelated weights, on a target whose cells none of them
+    # land on.
     d = _skewed_3d((9, 10, 11))
-    lines, _ = slice_disintegration(d, 1)
-    sheets, _ = slice_disintegration(d, 2)
-    rays, _ = radial_disintegration(d, [0.2, -0.1, 0.3], n_directions=12, n_radial=7)
-    more_rays, _ = radial_disintegration(d, [-1.0, 0.5, 0.0], n_directions=5)
-    lines, sheets, rays, more_rays = (list(b) for b in (lines, sheets, rays, more_rays))
-    needles = sheets[:3] + lines[::7] + rays + sheets[3:5] + more_rays + lines[1::11]
+    if name == "lines":
+        needles, _ = slice_disintegration(d, 1)
+    elif name == "sheets":
+        needles, _ = slice_disintegration(d, 2)
+    elif name == "rays":
+        needles, _ = radial_disintegration(d, [0.2, -0.1, 0.3], n_directions=12, n_radial=7)
+    else:
+        needles, _ = radial_disintegration(d, [-1.0, 0.5, 0.0], n_directions=5)
     weights = np.random.default_rng(11).uniform(0.1, 1.0, size=len(needles))
     return needles, weights, _skewed_3d((7, 13, 6))
 
 
 def _reassembly_case(name):
-    if name == "mixed":
-        return _mixed_needles()
+    if name.startswith("off-grid"):
+        return _off_grid_needles(name.split("-")[-1])
     if name.startswith("slice"):
         d = _skewed_3d((9, 10, 11))
         needles, weights = slice_disintegration(d, int(name[-1]))
@@ -382,12 +400,16 @@ def _reassembly_case(name):
     return needles, weights, d
 
 
-@pytest.mark.parametrize("case", ["slice-m1", "slice-m2", "radial-2d", "radial-3d", "mixed"])
+REASSEMBLY_CASES = ["slice-m1", "slice-m2", "radial-2d", "radial-3d"]
+REASSEMBLY_CASES += ["off-grid-lines", "off-grid-sheets", "off-grid-rays", "off-grid-more-rays"]
+
+
+@pytest.mark.parametrize("case", REASSEMBLY_CASES)
 def test_blocked_reassembly_matches_the_per_needle_loop_bit_for_bit(monkeypatch, case):
     needles, weights, target = _reassembly_case(case)
     expected = reference_reassemble(needles, weights, target).tobytes()
     assert reassemble(needles, weights, target).samples.tobytes() == expected
-    # Small blocks split the list many times; the m = 2 slices (90 points)
+    # Small blocks split the batch many times; the m = 2 slices (90 points)
     # and the 3-D rays (64 points) are each larger than a block.
     monkeypatch.setattr(vecot.disintegration, "_BLOCK_POINTS", 50)
     assert reassemble(needles, weights, target).samples.tobytes() == expected
@@ -429,7 +451,7 @@ def reference_rays(density: GridDensity, center, n_directions: int, n_radial: in
         t = (np.arange(n_radial) + 0.5) * dt
         rho = np.zeros(n_radial)
         points = center[None, :] + t[:, None] * direction[None, :]
-        for cell, weight in vecot.disintegration._corners(density, points):
+        for cell, weight in reference_corners(density, points):
             rho += weight * density.samples[cell]
         g = t ** (n - 1) * rho
         if g.sum() * dt <= 0.0:
@@ -515,16 +537,25 @@ def test_radial_steps_take_at_most_a_block_of_points(monkeypatch, block):
     assert rebuilt.samples.tobytes() == reference_reassemble(expected, expected_weights, d).tobytes()
 
 
-def test_reassemble_checks_every_needle_before_depositing(monkeypatch):
-    monkeypatch.setattr(vecot.disintegration, "_BLOCK_POINTS", 50)
-    needles, weights, target = _mixed_needles()
-    stray = Needle(
-        axes=(np.linspace(0.0, 1.0, 5),), g=np.ones(5), base=np.zeros(2), directions=np.eye(2)[:, :1]
-    )
+@pytest.mark.parametrize("shape", [(40,), (3, 17), (5, 1), (1, 1)], ids=str)
+def test_interpolation_adds_the_corners_in_order_bit_for_bit(shape):
+    # With one point per row the corner axis is innermost, where a sum over
+    # it would add the eight corners pairwise.
+    d = _skewed_3d(16)
+    points = np.random.default_rng(3).uniform(-3.5, 3.0, shape + (3,))
+    expected = np.zeros(shape)
+    for cell, weight in reference_corners(d, points):
+        expected += weight * d.samples[cell]
+    assert vecot.disintegration._interpolate(d, points).tobytes() == expected.tobytes()
+
+
+def test_reassemble_checks_every_needle_before_depositing():
+    needles, weights, target = _off_grid_needles("lines")
+    flat = NeedleBatch(axes=needles.axes, g=needles.g, base=needles.base[:, :2], directions=np.eye(2)[:, :1])
     with pytest.raises(GeometryMismatch):
-        reassemble(needles + [stray], np.append(weights, 1.0), target)
+        reassemble(flat, weights, target)
     with pytest.raises(NonpositiveDensity, match="positive total mass"):
-        reassemble([], [], target)
+        reassemble(needles[:0], [], target)
 
 
 def test_l1_distance_requires_matching_grids():
@@ -534,13 +565,10 @@ def test_l1_distance_requires_matching_grids():
         l1_distance(a, b)
 
 
-def test_l1_distance_normalization_flag():
+def test_l1_distance_scales_both_densities_to_unit_mass():
     d = gaussian_2d(res=17)
     doubled = GridDensity(box=d.box, samples=2.0 * d.samples)
     assert l1_distance(d, doubled) == pytest.approx(0.0, abs=1e-15)
-    assert l1_distance(d, doubled, normalize=False) == pytest.approx(
-        d.total_mass, rel=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------
