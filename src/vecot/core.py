@@ -188,6 +188,8 @@ class VectorCoupling:
             raise DimensionMismatch(
                 f"flows must be (E, m) matching {pairs.shape[0]} pairs, got {flows.shape}"
             )
+        if not np.all(np.isfinite(flows)):
+            raise DimensionMismatch("flows must be finite")
         if pairs.shape[0] > 0:
             if np.any(pairs[:, 0] == pairs[:, 1]):
                 raise DimensionMismatch("self-loops are not allowed")
@@ -266,8 +268,11 @@ class Instance:
 
 def _check_solution(instance: Instance, coupling: VectorCoupling, potential: PotentialField):
     """Raise DimensionMismatch unless the coupling and the potential live on
-    the instance: its points, its target dimension m and its point indices."""
+    the instance (its points, target dimension m and point indices) and are
+    still finite: their arrays may have changed since construction."""
     m = instance.target_dim
+    if not (np.all(np.isfinite(coupling.flows)) and np.all(np.isfinite(potential.values))):
+        raise DimensionMismatch("flows and potential values must be finite")
     if coupling.target_dim != m:
         raise DimensionMismatch(f"coupling dimension {coupling.target_dim} != measure {m}")
     if potential.target_dim != m:

@@ -15,21 +15,21 @@ cone program
 
 and three engines solve it:
 
-* ``tree``: when the edge set is a forest (every two-point cloud, every
-  collinear cloud on the complete graph once metrically redundant edges are
-  pruned), ``net(x) = mu`` fixes the flows, and the potential steps by ``d_e x_e / ||x_e||`` along
-  each edge.  Closed form, no iterations.
+* ``tree``: when the edge set is a forest (every two-point cloud; a
+  collinear cloud with m >= 2 on the complete graph once metrically
+  redundant edges are pruned), ``net(x) = mu`` fixes the flows, and the
+  potential steps by ``d_e x_e / ||x_e||`` along each edge.  Closed form,
+  no iterations.
 * ``lp``: scalar weights (m = 1) make the problem a linear program, which
-  HiGHS finishes at a vertex.  On the complete graph of a cloud of 80
-  points or more, the LP is solved by certificate-driven edge
-  generation: it starts on the k-nearest-neighbour graph (joined by a
-  minimum spanning tree if that graph is disconnected), every pair of the
-  cloud is scanned for ``|u_i - u_j| > d_ij`` under the returned potential,
-  the violated pairs join the edge set, and the LP is solved again until a
+  HiGHS finishes at a vertex.  It is solved on the complete graph by
+  certificate-driven edge generation: one HiGHS model starts on the
+  k-nearest-neighbour graph (joined by a minimum spanning tree if that
+  graph is disconnected), every pair of the cloud is scanned for
+  ``|u_i - u_j| > d_ij`` under the returned potential, the violated pairs
+  join the model, and the LP is solved again from the last basis until a
   round adds no pair.  The coupling lists the final edge set only, and
-  ``SolveReport.notes`` records the rounds and its size.  Smaller clouds,
-  where a few LP solves cost more than one on every pair, keep the complete
-  graph with metrically redundant edges pruned.
+  ``SolveReport.notes`` of every scalar solve reads ``edge generation:``
+  with the rounds and its size.
 * ``ipm``: otherwise, and as the fallback of the other two, a primal-dual
   interior-point method with Nesterov-Todd scaling and a Mehrotra
   predictor-corrector.  Its Newton system reduces to a block graph Laplacian
@@ -53,9 +53,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
+
+# HiGHS's own Python model, as scipy ships it: private API (scipy >= 1.17.1),
+# imported here only, so that a scipy change fails loudly in one place.
+from scipy.optimize._highspy import _core as _highs
 
 from .core import (
     Instance,
@@ -87,11 +90,16 @@ __all__ = [
 # only matters when the optimum is negligible against mass * diameter.
 _GAP_FLOOR_HAT = 1e-12
 _STEP_TO_BOUNDARY = 0.99  # interior-point steps stop short of the cone boundary
-# Certificate-driven edge generation for the m = 1 complete graph: start
-# neighbour count, and the cloud size from which it beats the pruned
-# complete graph (measured crossover).
+# Neighbour count of the start graph of the m = 1 edge generation.
 _GENERATION_NEIGHBOURS = 12
-_GENERATION_MIN_N = 80
+# Its HiGHS options.  At the default feasibility tolerances (1e-7), warm rounds
+# can end too far from the optimum for the stopping rule; 1e-10 is the tightest
+# HiGHS takes.  No thread count: run() fails if it differs from that of a
+# scheduler an earlier HiGHS call started.
+_HIGHS_OPTIONS = {
+    "output_flag": False, "solver": "simplex", "parallel": "off",
+    "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
+}
 
 
 class NumericalBreakdown(VecotError):
@@ -119,9 +127,8 @@ class SolverParams:
     ``max_iters`` caps the interior-point iterations, ``tol_primal`` the
     residual of ``net(x) = mu`` and ``tol_gap`` the relative duality gap
     (normalized units).  The edge set is not a parameter: scalar instances
-    on larger clouds are solved by edge generation (see the module
-    docstring), the rest on the pruned complete graph; the interior-point
-    method pins point 0.
+    are solved by edge generation (see the module docstring), the rest on
+    the pruned complete graph; the interior-point method pins point 0.
     """
 
     max_iters: int = 100
@@ -150,7 +157,8 @@ class SolveReport:
     for the ``tree`` and ``lp`` engines, which finish exactly).  ``status``
     is Converged, IterLimit or Infeasible.  ``engine`` names the engine that
     produced the answer: ``"tree"``, ``"lp"`` or ``"ipm"``, or ``"none"``
-    when the solve returned before running one.
+    when the solve returned before running one.  ``iterations`` counts the
+    engine's iterations, for ``lp`` summed over the rounds of edge generation.
     """
 
     primal_value: float
@@ -228,40 +236,59 @@ def _start_keys(distances: np.ndarray, k: int) -> np.ndarray:
 def _generated_lp(w_hat: np.ndarray, dist_hat: np.ndarray):
     """Scalar LP on the complete graph, solved on the edges its potential needs.
 
-    Starting from the k-nearest-neighbour graph (joined by a minimum
-    spanning tree where it is disconnected), each round solves the LP on
-    the active pairs and scans every pair of the cloud for
-    ``|u_i - u_j| > d_ij``; the violated pairs join the active set.  The
-    dual of the restricted LP is feasible for the complete one once no
-    pair is violated, and then the two optima coincide.  LP duals are
-    feasible only to the solver's tolerance, so the loop ends when a round
-    finds no violated pair outside the active set; the stopping rule's
-    global repair settles the rest, and it tests the same ratios.
+    One HiGHS model holds the balance rows ``net(x) = mu``, whose multipliers
+    are the potential, and the positive and negative part of each active
+    pair's flow as columns.  The first pairs are the k-nearest-neighbour
+    graph (joined by a minimum spanning tree where it is disconnected).
+    After each simplex solve every pair of the cloud is scanned for
+    ``|u_i - u_j| > d_ij``, the violated pairs join the model, and the next
+    solve starts from the last basis.  The dual of the restricted LP is
+    feasible for the complete one once no pair is violated, and then the two
+    optima coincide.  LP duals are feasible only to the solver's tolerance,
+    so the loop ends when a round finds no violated pair outside the model;
+    the stopping rule's global repair settles the rest with the same ratios.
 
-    Returns ``(pairs, (flows, u_raw, iterations), rounds)``, or None when
-    the LP solver declined a round.  The start set has at most (k + 1)n - 1
-    pairs, fewer than all n(n - 1)/2 from n = 2k + 3 on, and the solver
-    runs this from ``_GENERATION_MIN_N`` points.
+    Returns ``(pairs, (flows, u_raw, iterations), rounds)`` with the pairs
+    sorted and ``iterations`` summed over the rounds, or None when HiGHS
+    ends a round without an optimal basis.
     """
     n = dist_hat.shape[0]
-    keys = _start_keys(dist_hat, min(_GENERATION_NEIGHBOURS, n - 1))
+    balance = w_hat[:, 0]
+    highs = _highs._Highs()
+    for option, value in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(option, value)
+    highs.addRows(n, balance, balance, 0, np.zeros(n, np.int32), np.zeros(0, np.int32), np.zeros(0))
+    cols = np.zeros(0, dtype=np.int64)  # pair keys i * n + j in column order
+    fresh = _start_keys(dist_hat, min(_GENERATION_NEIGHBOURS, n - 1))
     rounds = iterations = 0
     while True:
-        pairs = np.column_stack([keys // n, keys % n])
-        d_edge = dist_hat[pairs[:, 0], pairs[:, 1]]
-        lp = _scalar_simplex_engine(w_hat, d_edge, pairs, _incidence(n, pairs))
-        if lp is None:
+        # Columns 2e and 2e + 1 carry the positive and negative part of pair e.
+        k, i, j = fresh.size, fresh // n, fresh % n
+        highs.addCols(
+            2 * k, np.repeat(dist_hat[i, j], 2), np.zeros(2 * k), np.full(2 * k, np.inf),
+            4 * k, np.arange(0, 4 * k, 2, dtype=np.int32),
+            np.column_stack([i, j, i, j]).ravel().astype(np.int32),
+            np.tile([1.0, -1.0, -1.0, 1.0], k),
+        )
+        cols = np.concatenate([cols, fresh])
+        highs.run()
+        if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
             return None
-        flows, u_raw, nit = lp
         rounds += 1
-        iterations += nit
+        iterations += highs.getInfo().simplex_iteration_count
+        # HiGHS's row duals y price the columns at c - A^T y >= 0, so their
+        # pairing with the measure is the optimal value.
+        solution = highs.getSolution()
+        u_raw = np.asarray(solution.row_dual)[:, None]
         # The repair measures the potential anchored at point 0: scan the same numbers.
         iu, ju, ratios = stretch_ratios(u_raw - u_raw[0], dist_hat)
         violated = ratios > 1.0
-        fresh = np.setdiff1d(iu[violated] * n + ju[violated], keys, assume_unique=True)
+        fresh = np.setdiff1d(iu[violated] * n + ju[violated], cols, assume_unique=True)
         if fresh.size == 0:
-            return pairs, (flows, u_raw, iterations), rounds
-        keys = np.union1d(keys, fresh)
+            x = np.asarray(solution.col_value)
+            order = np.argsort(cols)
+            pairs = np.column_stack([cols[order] // n, cols[order] % n])
+            return pairs, ((x[0::2] - x[1::2])[order, None], u_raw, iterations), rounds
 
 
 _REPAIR_SWEEPS = 200
@@ -355,37 +382,6 @@ def _tree_engine(w_hat, d_edge, pairs):
         at = level == k
         u_raw[child[at]] = u_raw[parent[at]] + sign[at] * steps[edge[at]]
     return flows, u_raw
-
-
-def _scalar_simplex_engine(w_hat, d_edge, pairs, incidence):
-    """Exact engine for scalar weights: the problem is a plain LP.
-
-    Splitting each signed flow into its positive and negative part turns
-    ``min sum d |x_e|, net(x) = mu`` into a linear program that a simplex
-    solver finishes at a vertex, with the dual potential delivered by the
-    equality multipliers.  Interior iterates approach degenerate optimal
-    faces only in the limit, so the scalar case goes to the vertex solver.
-    Returns ``(flows, u_raw, iterations)`` or None if the LP solver
-    declined the problem.
-    """
-    e_count = pairs.shape[0]
-    cost_vec = np.concatenate([d_edge, d_edge])
-    a_eq = scipy.sparse.hstack([incidence, -incidence]).tocsc()
-    res = scipy.optimize.linprog(
-        cost_vec,
-        A_eq=a_eq,
-        b_eq=w_hat[:, 0],
-        bounds=(0, None),
-        method="highs",
-    )
-    if not res.success:
-        return None
-    flows = (res.x[:e_count] - res.x[e_count:])[:, None]
-    u_raw = np.asarray(res.eqlin.marginals, dtype=float)[:, None]
-    # Orient the multipliers so the pairing is the optimal value.
-    if float(np.einsum("ij,ij->", u_raw, w_hat)) < 0.0:
-        u_raw = -u_raw
-    return flows, u_raw, int(res.nit)
 
 
 # Reductions below avoid BLAS: OpenBLAS splits dot products, matrix products
@@ -659,10 +655,10 @@ def solve(instance: Instance, params: SolverParams | None = None):
             "the total mass of the measure is not zero",
         )
 
-    # Edge set: generated for a scalar measure on a larger cloud, else the
-    # pruned complete graph.
+    # Edge set: generated with the LP for a scalar measure, else (and when
+    # HiGHS declines it) the pruned complete graph.
     notes = []
-    generated = _generated_lp(w_hat, dist_hat) if m == 1 and n >= _GENERATION_MIN_N else None
+    generated = _generated_lp(w_hat, dist_hat) if m == 1 else None
     if generated is None:
         pairs, lp = _edge_list(instance), None
     else:
@@ -693,13 +689,10 @@ def solve(instance: Instance, params: SolverParams | None = None):
         engine = "tree"
         flows_hat, u_raw = _tree_engine(w_hat, d_edge, pairs)
         u_hat = accept(flows_hat, u_raw)
-    elif m == 1:
-        if lp is None:
-            lp = _scalar_simplex_engine(w_hat, d_edge, pairs, _incidence(n, pairs))
-        if lp is not None:
-            engine = "lp"
-            flows_hat, u_raw, it = lp
-            u_hat = accept(flows_hat, u_raw)
+    elif lp is not None:
+        engine = "lp"
+        flows_hat, u_raw, it = lp
+        u_hat = accept(flows_hat, u_raw)
     if u_hat is None:
         engine = "ipm"
         flows_hat, u_raw, it, comp, u_hat = _interior_point_engine(

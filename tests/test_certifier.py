@@ -12,6 +12,7 @@ from vecot import (
     PotentialField,
     SlackViolation,
     SolverParams,
+    VecotError,
     VectorCoupling,
     build_instance,
     certify,
@@ -137,6 +138,21 @@ def test_dimension_mismatches_are_rejected():
         certify(inst, coupling, moved)
     same_points = PotentialField(PointCloud(inst.cloud.points.copy()), potential.values)
     assert certify(inst, coupling, same_points).verdict == "Optimal"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_flows_are_rejected(bad):
+    inst, coupling, potential = two_point()
+    with pytest.raises(VecotError, match="finite"):
+        VectorCoupling(np.array([[0, 1]]), np.array([[bad]]))
+    # A solved coupling whose flow array was changed afterwards.
+    solved, solved_potential, _ = solve(inst)
+    solved.flows[0, 0] = bad
+    with pytest.raises(VecotError, match="finite"):
+        certify(inst, solved, solved_potential)
+    potential.values[1, 0] = bad
+    with pytest.raises(VecotError, match="finite"):
+        certify(inst, coupling, potential)
 
 
 def test_zero_coupling_on_zero_measure_is_optimal():

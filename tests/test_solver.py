@@ -345,12 +345,8 @@ def complete_graph_lp_value(inst) -> float:
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("n_points", [40, 100, 300])
-def test_edge_generation_matches_the_complete_graph_lp(n_points, dim, monkeypatch):
-    # Clouds below the measured crossover keep the pruned complete graph;
-    # the cut is lowered so that every size here runs the generation loop.
-    cut = min(n_points, vecot.solver._GENERATION_MIN_N)
-    monkeypatch.setattr(vecot.solver, "_GENERATION_MIN_N", cut)
+@pytest.mark.parametrize("n_points", [16, 25, 40, 100, 300])
+def test_edge_generation_matches_the_complete_graph_lp(n_points, dim):
     inst = random_instance(np.random.default_rng([n_points, dim]), n_points, dim, 1)
     all_pairs = n_points * (n_points - 1) // 2
     coupling, potential, report = solve(inst)
@@ -368,6 +364,20 @@ def test_edge_generation_matches_the_complete_graph_lp(n_points, dim, monkeypatc
     np.testing.assert_array_equal(again_coupling.pairs, coupling.pairs)
     np.testing.assert_array_equal(again_coupling.flows, coupling.flows)
     np.testing.assert_array_equal(again_potential.values, potential.values)
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 5])
+def test_tiny_scalar_clouds_match_the_complete_graph_lp(n_points):
+    # Up to 13 points the 12-nearest-neighbour start graph is the complete
+    # graph; two points form a tree, which the closed form solves.
+    inst = random_instance(np.random.default_rng([n_points, 109]), n_points, 2, 1)
+    coupling, potential, report = solve(inst)
+    assert report.status == "Converged"
+    assert report.engine == ("tree" if n_points == 2 else "lp")
+    assert report.notes.startswith("edge generation: 1 rounds, ")
+    full = complete_graph_lp_value(inst)
+    assert abs(report.primal_value - full) <= 1e-9 * full
+    assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
 
 
 def test_edge_generation_on_a_collinear_cloud_matches_the_line_oracle():
@@ -401,19 +411,30 @@ def test_edge_generation_joins_a_disconnected_neighbour_graph_by_a_spanning_tree
     assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
 
 
-def test_below_the_crossover_the_pruned_complete_graph_is_solved():
-    n_points = vecot.solver._GENERATION_MIN_N - 1
-    inst = random_instance(np.random.default_rng(101), n_points, 2, 1)
-    coupling, _, report = solve(inst)
-    assert report.notes == ""
-    pruned = vecot.solver._prune_metric_redundant(
-        vecot.solver._edge_list(inst), inst.distances
-    )
-    np.testing.assert_array_equal(coupling.pairs, pruned)
+def test_edge_generation_certifies_near_duplicate_points():
+    # Pairs of points 1e-7 apart.  At HiGHS's default feasibility tolerance
+    # (1e-7) the LP potential overstretches them by more than tol_gap, and
+    # the solve fell back to the interior-point method.
+    rng = np.random.default_rng(113)
+    pts = rng.uniform(-1.0, 1.0, size=(25, 2))
+    pts = np.concatenate([pts, pts + 1e-7 * rng.normal(size=(25, 2))])
+    w = rng.normal(size=(50, 1))
+    inst = build_instance(pts, w - w.mean())
+    coupling, potential, report = solve(inst)
+    assert report.status == "Converged"
+    assert report.engine == "lp"
+    # linprog's own value stops short of the optimum here: this solve's
+    # coupling is cheaper, and its certified lower bound lies below both.
+    full = complete_graph_lp_value(inst)
+    assert report.dual_value <= report.primal_value <= full
+    assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
 
 
 def test_edge_generation_falls_back_when_the_lp_solver_declines(monkeypatch):
-    monkeypatch.setattr(vecot.solver, "_scalar_simplex_engine", lambda *args: None)
+    highs = vecot.solver._highs
+    monkeypatch.setattr(
+        highs._Highs, "getModelStatus", lambda self: highs.HighsModelStatus.kIterationLimit
+    )
     inst = random_instance(np.random.default_rng(103), 80, 2, 1)
     all_pairs = 80 * 79 // 2
     coupling, potential, report = solve(inst)
@@ -423,6 +444,25 @@ def test_edge_generation_falls_back_when_the_lp_solver_declines(monkeypatch):
     assert coupling.edge_count == all_pairs
     monkeypatch.undo()
     assert report.primal_value == pytest.approx(kr_norm(inst), rel=1e-6)
+
+
+def test_iterations_sum_the_simplex_counts_of_every_round(monkeypatch):
+    # HiGHS's info holds the count of its last run only.
+    counts = []
+    run = vecot.solver._highs._Highs.run
+
+    def counted_run(self):
+        status = run(self)
+        counts.append(self.getInfo().simplex_iteration_count)
+        return status
+
+    monkeypatch.setattr(vecot.solver._highs._Highs, "run", counted_run)
+    inst = random_instance(np.random.default_rng(107), 300, 2, 1)
+    _, _, report = solve(inst)
+    assert report.engine == "lp"
+    assert len(counts) >= 2
+    assert report.notes.startswith(f"edge generation: {len(counts)} rounds, ")
+    assert report.iterations == sum(counts)
 
 
 def reference_feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
