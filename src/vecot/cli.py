@@ -2,10 +2,12 @@
 
 Every run emits exactly one JSON document (schema "vecot/1"), either to
 stdout or to --output.  Identical invocations produce identical bytes:
-keys are sorted, arrays come from deterministic computations, and floats
-round-trip through repr.  Documents are strict JSON: a number that can be
-non-finite is written as a string, "inf", "-inf" or "nan".  Exit codes:
-0 success, 2 validation error, 3 iteration limit hit, 4 internal error.
+arrays come from deterministic computations, and a document is written
+exactly as ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``
+writes it, plus a newline, so floats round-trip through repr.  Documents are
+strict JSON: a number that can be non-finite is written as a string, "inf",
+"-inf" or "nan".  Exit codes: 0 success, 2 validation error or an output
+file that cannot be written, 3 iteration limit hit, 4 internal error.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     VecotError,
     VectorCoupling,
     _check_solution,
+    _dumps,
     _json_numbers,
     instance_from_dict,
     instance_to_dict,
@@ -404,7 +407,7 @@ def main(argv=None) -> int:
     try:
         payload, code = args.func(args)
         document = {"schema": SCHEMA, **payload}
-        text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = _dumps(document) + "\n"
     except VecotError as exc:
         print(f"vecot: {exc}", file=sys.stderr)
         return 2
@@ -415,8 +418,12 @@ def main(argv=None) -> int:
         print(f"vecot: internal error: {exc!r}", file=sys.stderr)
         return 4
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"vecot: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -489,6 +490,103 @@ def _json_numbers(value, what: str) -> np.ndarray:
     raise DimensionMismatch(f"{what} must be an array of finite numbers")
 
 
+# ---------------------------------------------------------------------------
+# Document writer.  With an indent, ``json.dumps`` runs json's pure-Python
+# encoder, one generator step per number; ``_dumps`` writes the same bytes and
+# joins each list of numbers, or of equal rows of numbers, in one call.
+# ---------------------------------------------------------------------------
+
+_NUMBERS = {float, int}
+_ROWS = {list, tuple}
+_ascii = json.encoder.encode_basestring_ascii
+# The values _dumps does not write itself go to the stdlib call it reproduces,
+# which raises json's own TypeError, or its indent encoder's ValueError text
+# for a NaN or infinity.
+_json_dumps = functools.partial(json.dumps, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``, byte for
+    byte, and the same exception for a value it cannot write (on documents
+    without reference cycles)."""
+    return _encode(doc, "\n")
+
+
+def _encode(x, nl: str) -> str:
+    """``x`` laid out as json's indent=2 encoder does; ``nl`` is a newline and
+    the indent of the line ``x`` starts on."""
+    write = _WRITERS.get(type(x))
+    if write is None:  # a subclass (np.float64, IntEnum) takes its base's writer
+        write = next((_WRITERS[t] for t in type(x).__mro__ if t in _WRITERS), None)
+    return _json_dumps(x) if write is None else write(x, nl)
+
+
+def _float(x: float, nl: str) -> str:
+    return float.__repr__(x) if math.isfinite(x) else _json_dumps(x)
+
+
+def _list(x, nl: str) -> str:
+    if not x:
+        return "[]"
+    inner = nl + "  "
+    body = _numbers(x, inner)
+    if body is None:
+        body = ("," + inner).join([_encode(v, inner) for v in x])
+    return "[" + inner + body + nl + "]"
+
+
+def _dict(x: dict, nl: str) -> str:
+    if not x:
+        return "{}"
+    inner = nl + "  "
+    items = [
+        # json writes a non-string key as the text of its value.
+        _ascii(k if isinstance(k, str) else next(iter(json.loads(_json_dumps({k: 0})))))
+        + ": "
+        + _encode(v, inner)
+        for k, v in sorted(x.items())
+    ]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+_WRITERS = {
+    str: lambda x, nl: _ascii(x),
+    type(None): lambda x, nl: "null",
+    bool: lambda x, nl: "true" if x else "false",
+    int: lambda x, nl: int.__repr__(x),
+    float: _float,
+    list: _list,
+    tuple: _list,
+    dict: _dict,
+}
+
+
+def _numbers(items, nl: str) -> str | None:
+    """The items of a list of finite ``float`` and ``int`` values, or of equal,
+    non-empty rows of them, laid out as ``_encode`` lays them out after ``nl``;
+    None for any other list, which ``_encode`` then writes item by item."""
+    kinds = set(map(type, items))
+    try:
+        if kinds <= _NUMBERS:
+            body = ("," + nl).join(map(repr, items))
+        elif kinds <= _ROWS and len(set(map(len, items))) == 1 and items[0]:
+            flat = list(itertools.chain.from_iterable(items))
+            if not set(map(type, flat)) <= _NUMBERS:
+                return None
+            width, row_nl = len(items[0]), nl + "  "
+            seps = ["," + row_nl] * (len(flat) - 1)
+            seps[width - 1 :: width] = [nl + "]," + nl + "[" + row_nl] * (len(items) - 1)
+            parts = [""] * (2 * len(flat) - 1)
+            parts[::2] = map(repr, flat)
+            parts[1::2] = seps
+            body = "[" + row_nl + "".join(parts) + nl + "]"
+        else:
+            return None
+    except ValueError:  # an int too long to print: raise it in json's order
+        return None
+    return None if "n" in body else body  # "nan", "inf": json raises for them
+
+
 def instance_from_dict(doc: dict) -> Instance:
     try:
         n, m, points, weights = doc["n"], doc["m"], doc["points"], doc["weights"]
@@ -509,7 +607,7 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def dumps_instance(instance: Instance) -> str:
-    return json.dumps(instance_to_dict(instance), sort_keys=True, indent=2) + "\n"
+    return _dumps(instance_to_dict(instance)) + "\n"
 
 
 def loads_instance(text: str) -> Instance:

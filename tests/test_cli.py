@@ -106,6 +106,39 @@ def test_solution_round_trips_through_certify_leaves_massbalance(tmp_path, capsy
     assert len(balance["transport_sets"]) >= 1
 
 
+def _stdlib_layout(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_every_document_is_written_in_the_stdlib_layout(tmp_path, capsys, m):
+    rng = np.random.default_rng([30, m])
+    w = rng.normal(size=(30, m))
+    w -= w.mean(axis=0)
+    points = rng.uniform(-1, 1, (30, 2)).tolist()
+    path = write_instance(tmp_path, points=points, weights=w.tolist())
+    solution = tmp_path / "solution.json"
+    assert main(["solve", "--input", str(path), "--output", str(solution)]) == 0
+    texts = {"solve --output": solution.read_text(encoding="utf-8")}
+    for argv in (
+        ["solve", "--input", str(path)],
+        ["certify", "--input", str(solution)],
+        ["leaves", "--input", str(solution)],
+        ["massbalance", "--input", str(solution)],
+        ["counterexample", "--preset", "orthant", "--m", "3", "--smooth-eps", "0.05",
+         "--points-per-ball", "3"],
+        ["disintegrate", "--box", "-3", "3", "-3", "3", "--resolution", "33",
+         "--cd", "0,inf", "--cd", "0,1"],
+        ["selftest"],
+    ):
+        assert main(argv) == 0
+        texts[argv[0]] = capsys.readouterr().out
+    assert texts["solve"] == texts["solve --output"]
+    assert '"inf"' in texts["disintegrate"]
+    for command, text in texts.items():
+        assert text == _stdlib_layout(text), command
+
+
 def test_generated_solution_round_trips_with_only_the_active_pairs(tmp_path, capsys):
     # A scalar cloud large enough for edge generation: the document lists
     # the pairs the generation loop kept, not all 4950.
@@ -149,6 +182,20 @@ def test_missing_input_exits_2(tmp_path, capsys):
     code = main(["solve", "--input", str(tmp_path / "nope.json")])
     assert code == 2
     assert "vecot:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "selftest"])
+def test_an_unwritable_output_exits_2(tmp_path, capsys, command):
+    target = tmp_path / "no-such-dir" / "out.json"
+    argv = [command, "--output", str(target)]
+    if command == "solve":
+        argv += ["--input", str(write_instance(tmp_path))]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vecot: cannot write output: ")
+    assert str(target) in captured.err and captured.err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecot
 from vecot import (
@@ -35,6 +38,7 @@ from vecot import (
     solve,
     total_variation,
 )
+from vecot.core import _dumps
 
 
 def two_point_instance() -> Instance:
@@ -278,6 +282,117 @@ def test_dumps_loads_round_trip_is_byte_stable():
     # Keys are sorted so the layout is deterministic.
     parsed = json.loads(text)
     assert list(parsed) == sorted(parsed)
+
+
+def _stdlib_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-05, 1e16, 1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_ints = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64, 2**200))
+# The writer joins lists of exact floats and ints in one call and writes
+# anything else item by item: bools and np.float64 in a list take that path.
+_plain = st.one_of(_floats, _ints)
+_mixed = st.one_of(_plain, st.booleans(), _floats.map(np.float64))
+_strings = st.one_of(st.text(), st.text(alphabet='"\\/\n\t\r\b\f\x00\x1f\x7f é€😀\u2028'))
+_scalars = st.one_of(_mixed, st.none(), _strings)
+
+
+def _matrices(numbers):
+    return st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.lists(numbers, min_size=width, max_size=width), max_size=6)
+    )
+
+
+_documents = st.recursive(
+    st.one_of(
+        _scalars,
+        st.lists(_plain, max_size=8),
+        st.lists(_mixed, max_size=8),
+        _matrices(_plain),
+        _matrices(_mixed),
+        st.lists(st.lists(_plain, max_size=3), max_size=4),  # ragged and empty rows
+        st.lists(st.tuples(_plain, _plain), max_size=4),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_strings, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_documents)
+def test_dumps_writes_the_bytes_of_json_dumps(doc):
+    assert _dumps(doc) == _stdlib_dumps(doc)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    _documents,
+    st.lists(_plain, max_size=4),
+    st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), np.float64("nan")]
+        + [np.int64(3), {1, 2}, 10**5000]  # an int too long for int.__repr__
+    ),
+)
+def test_dumps_raises_what_json_dumps_raises(doc, numbers, bad):
+    for wrapped in (
+        {"a": doc, "b": [*numbers, bad]},
+        {"a": doc, "b": [*numbers, float("-inf"), bad]},
+        {"a": doc, "rows": [[*numbers, 1.0], [*numbers, bad]]},
+        {"a": doc, "z": {"value": bad}},
+    ):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            _stdlib_dumps(wrapped)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            _dumps(wrapped)
+
+
+def test_dumps_writes_non_string_keys_as_json_does():
+    for doc in ({3: [2.5], 0.5: None, False: "f", -(2**70): []}, {None: {}}, {1e16: 1}):
+        assert _dumps({"k": doc}) == _stdlib_dumps({"k": doc})
+    for bad in ({float("nan"): 1}, {(1, 2): 1}, {"a": 1, 2: 3}):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            _stdlib_dumps(bad)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            _dumps(bad)
+
+
+@st.composite
+def _instances(draw) -> Instance:
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coordinate = st.one_of(
+        st.floats(-1e12, 1e12), st.sampled_from([-0.0, 5e-324, 1e-05, 1e-300, 0.1])
+    )
+    points = draw(
+        st.lists(st.tuples(*[coordinate] * n), min_size=2, max_size=7, unique=True)
+    )
+    weight = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-0.0, 5e-324, 1e-05]))
+    size = len(points) - 1
+    rows = draw(st.lists(st.tuples(*[weight] * m), min_size=size, max_size=size))
+    weights = np.array(rows, dtype=float).reshape(-1, m)
+    weights = np.vstack([weights, -weights.sum(axis=0)])
+    return build_instance(np.array(points, dtype=float), weights)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_instances())
+def test_instance_files_round_trip_to_the_same_bits(instance):
+    text = dumps_instance(instance)
+    back = loads_instance(text)
+    assert dumps_instance(back) == text
+    for got, want in (
+        (back.cloud.points, instance.cloud.points),
+        (back.measure.weights, instance.measure.weights),
+    ):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_loads_instance_reports_malformed_input():
