@@ -90,12 +90,14 @@ def certify(
       ``||u_i - u_j|| >= (1 - tol) d_ij`` and the flow is aligned,
       ``<u_i - u_j, flow> >= (1 - tol) d_ij ||flow||``.
 
-    The verdict can only improve when ``tol`` is widened.  A coupling or
-    potential that does not fit the instance's points raises
-    DimensionMismatch.
+    The verdict can only improve when ``tol`` is widened.  A ``tol`` that is
+    not finite and positive raises InvalidParameter, and a coupling or
+    potential that does not fit the instance's points DimensionMismatch.
     """
     if not tol > 0:  # nan fails too
         raise InvalidParameter("tol must be positive")
+    if tol == np.inf:
+        raise InvalidParameter("tol must be finite")
     _check_solution(instance, coupling, potential)
     measure = instance.measure
 

@@ -63,7 +63,7 @@ class DimensionMismatch(VecotError):
 
 
 class DuplicatePoint(VecotError):
-    """Two points of a cloud coincide exactly."""
+    """Two points of a cloud coincide exactly, or their distance underflows to 0."""
 
 
 class NonzeroTotalMass(VecotError):
@@ -117,8 +117,13 @@ class PointCloud:
 
     @functools.cached_property
     def distances(self) -> np.ndarray:
-        """Dense pairwise distance matrix, computed on first use."""
-        return distance_matrix(self.points)
+        """Dense pairwise distance matrix, computed on first use.  Raises
+        DuplicatePoint if a distance between two points underflows to 0.0."""
+        d = distance_matrix(self.points)
+        if np.count_nonzero(d) < self.size * (self.size - 1):
+            i, j = np.argwhere(np.triu(d == 0.0, 1))[0].tolist()
+            raise DuplicatePoint(f"points {i} and {j} are at distance 0.0")
+        return d
 
 
 @dataclass(frozen=True)
@@ -323,12 +328,19 @@ def distance_matrix(points: np.ndarray) -> np.ndarray:
 
 
 def stretch_ratios(values: np.ndarray, distances: np.ndarray):
-    """Stretch ``||v_i - v_j|| / d_ij`` of every pair i < j.
+    """Value distances ``||v_i - v_j||`` and stretches ``||v_i - v_j|| / d_ij``.
 
-    Returns ``(iu, ju, ratios)`` with the pairs in lexicographic order.
+    Returns ``(norms, ratios)``, two symmetric n x n matrices; the ratio
+    diagonal is ``-inf``.  This is the one layout of pair scans, and callers
+    rely on two rules: the first maximum of ``np.argmax(ratios)``, in
+    row-major order, is the lexicographically first maximizing pair i < j;
+    and the flat index ``i * n + j`` of the upper triangle is the pair key.
     """
-    iu, ju = np.triu_indices(distances.shape[0], k=1)
-    return iu, ju, distance_matrix(values)[iu, ju] / distances[iu, ju]
+    norms = distance_matrix(values)
+    with np.errstate(invalid="ignore"):  # 0 / 0 on the diagonal
+        ratios = norms / distances
+    np.fill_diagonal(ratios, -np.inf)
+    return norms, ratios
 
 
 def edge_slackness(pairs, flows, values, distances, tol: float):
@@ -442,10 +454,9 @@ def lipschitz_info(potential: PotentialField) -> LipschitzInfo:
     """
     if potential.cloud.size < 2:
         return LipschitzInfo(0.0, (0, 0), True)
-    iu, ju, ratios = stretch_ratios(potential.values, potential.cloud.distances)
-    k = int(np.argmax(ratios))
-    # argmax returns the first maximizer and (iu, ju) is lexicographic.
-    return LipschitzInfo(float(ratios[k]), (int(iu[k]), int(ju[k])), False)
+    _, ratios = stretch_ratios(potential.values, potential.cloud.distances)
+    i, j = divmod(int(np.argmax(ratios)), potential.cloud.size)
+    return LipschitzInfo(float(ratios[i, j]), (i, j), False)
 
 
 def lipschitz_constant(potential: PotentialField) -> float:

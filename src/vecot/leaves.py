@@ -157,14 +157,11 @@ def isometry_graph(u: PotentialField, eps: float = 1e-6) -> IsometryGraph:
     Raises NotLipschitz if some pair stretches by more than ``1 + eps``;
     the saturation graph of a non-Lipschitz map would be meaningless.
     """
-    iu, ju, ratios = stretch_ratios(u.values, u.cloud.distances)
-    keep = ratios >= 1.0 - eps
-    graph = IsometryGraph(cloud=u.cloud, edges=np.column_stack([iu[keep], ju[keep]]), eps=eps)
-    if ratios.size and float(ratios.max()) > 1.0 + eps:
-        worst = int(np.argmax(ratios))
-        raise NotLipschitz(
-            f"pair ({iu[worst]}, {ju[worst]}) stretches by {ratios[worst]:.6g}"
-        )
+    _, ratios = stretch_ratios(u.values, u.cloud.distances)
+    graph = IsometryGraph(cloud=u.cloud, edges=np.argwhere(np.triu(ratios >= 1.0 - eps)), eps=eps)
+    if float(ratios.max()) > 1.0 + eps:
+        i, j = divmod(int(np.argmax(ratios)), u.cloud.size)
+        raise NotLipschitz(f"pair ({i}, {j}) stretches by {ratios[i, j]:.6g}")
     return graph
 
 

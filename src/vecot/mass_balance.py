@@ -211,12 +211,14 @@ def mass_balance_report(
 
     BalanceHolds when every set's mass norm is at most ``tol`` times the
     instance's total mass scale, BalanceFails otherwise with the first
-    offending set as witness.  A negative or nan ``tol`` raises
+    offending set as witness.  A negative, infinite or nan ``tol`` raises
     InvalidParameter, and a decomposition whose graph is not on the
     instance's points raises DimensionMismatch.
     """
     if not tol >= 0:
         raise InvalidParameter("tol must be nonnegative")
+    if tol == np.inf:
+        raise InvalidParameter("tol must be finite")
     cloud = decomposition.graph.cloud
     if cloud is not instance.cloud and not np.array_equal(cloud.points, instance.cloud.points):
         raise DimensionMismatch("decomposition and instance describe different clouds")

@@ -69,7 +69,6 @@ from .core import (
     WrongDimension,
     _dot,
     component_labels,
-    distance_matrix,
     edge_slackness,
     stretch_ratios,
 )
@@ -136,6 +135,8 @@ class SolverParams:
     tol_gap: float = 1e-6
 
     def __post_init__(self):
+        if not isinstance(self.max_iters, (int, np.integer)):
+            raise InvalidParameter(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise InvalidParameter("max_iters must be positive")
         for name in ("tol_primal", "tol_gap"):
@@ -173,39 +174,28 @@ class SolveReport:
 
 
 def _edge_list(instance: Instance) -> np.ndarray:
-    """The complete graph pruned of metrically redundant edges."""
-    iu, ju = np.triu_indices(instance.size, k=1)
-    return _prune_metric_redundant(np.column_stack([iu, ju]), instance.distances)
-
-
-def _prune_metric_redundant(pairs: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Drop edges that are exactly replaceable by a two-hop chain.
+    """The complete graph pruned of metrically redundant edges, as sorted pairs.
 
     An edge (i, j) with d(i,k) + d(k,j) <= d(i,j) (up to 1e-12 relative,
     k distinct from both endpoints) can be rerouted through k at equal
     cost, so removing it changes neither the optimal value nor dual
     saturation.  Collinear configurations, where the complete graph is
-    maximally degenerate, collapse to near-minimal edge sets.  Falls back
-    to the input edge set in the (theoretically impossible) event the
-    pruned graph is disconnected.
+    maximally degenerate, collapse to near-minimal edge sets.  Within the
+    relative slack, near-duplicate points can make every edge at a point
+    redundant and disconnect the pruned graph; then all pairs are returned.
     """
+    dist = instance.distances
     n = dist.shape[0]
-    e_count = pairs.shape[0]
-    keep = np.ones(e_count, dtype=bool)
-    chunk = max(1, 2_000_000 // max(n, 1))
-    for lo in range(0, e_count, chunk):
-        hi = min(lo + chunk, e_count)
-        i = pairs[lo:hi, 0]
-        j = pairs[lo:hi, 1]
-        chain = dist[i, :] + dist[j, :]
-        rows = np.arange(hi - lo)
-        chain[rows, i] = np.inf
-        chain[rows, j] = np.inf
-        keep[lo:hi] = chain.min(axis=1) > dist[i, j] * (1.0 + 1e-12)
-    pruned = pairs[keep]
-    if pruned.shape[0] < e_count and component_labels(n, pruned).max() > 0:
-        return pairs
-    return pruned
+    bound = dist * (1.0 + 1e-12)
+    redundant = np.zeros((n, n), dtype=bool)
+    for k in range(n):
+        chain = dist[:, k, None] + dist[k]
+        chain[k, :] = chain[:, k] = np.inf
+        redundant |= chain <= bound
+    pairs = np.argwhere(np.triu(~redundant, 1))
+    if pairs.shape[0] < n * (n - 1) // 2 and component_labels(n, pairs).max() > 0:
+        return np.argwhere(~np.tri(n, dtype=bool))
+    return pairs
 
 
 def _incidence(n: int, pairs: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -281,9 +271,8 @@ def _generated_lp(w_hat: np.ndarray, dist_hat: np.ndarray):
         solution = highs.getSolution()
         u_raw = np.asarray(solution.row_dual)[:, None]
         # The repair measures the potential anchored at point 0: scan the same numbers.
-        iu, ju, ratios = stretch_ratios(u_raw - u_raw[0], dist_hat)
-        violated = ratios > 1.0
-        fresh = np.setdiff1d(iu[violated] * n + ju[violated], cols, assume_unique=True)
+        _, ratios = stretch_ratios(u_raw - u_raw[0], dist_hat)
+        fresh = np.setdiff1d(np.flatnonzero(np.triu(ratios > 1.0)), cols, assume_unique=True)
         if fresh.size == 0:
             x = np.asarray(solution.col_value)
             order = np.argsort(cols)
@@ -307,14 +296,9 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
     """
     u = u_raw - u_raw[0]
     n = u.shape[0]
-    if n < 2:
-        return u
-    num = distance_matrix(u)
-    safe_d = np.where(distances > 0, distances, 1.0)
-    np.fill_diagonal(safe_d, 1.0)
-    ratio = num / safe_d
+    num, ratio = stretch_ratios(u, distances)
     for _ in range(_REPAIR_SWEEPS):
-        i, j = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+        i, j = divmod(int(np.argmax(ratio)), n)
         if ratio[i, j] <= 1.0:
             break
         du = u[i] - u[j]
@@ -330,8 +314,9 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
             dk = u[k] - u
             num[k, :] = num[:, k] = np.sqrt(np.einsum("ij,ij->i", dk, dk))
             num[k, k] = 0.0
-            ratio[k, :] = num[k, :] / safe_d[k, :]
-            ratio[:, k] = num[:, k] / safe_d[:, k]
+            with np.errstate(invalid="ignore"):  # 0 / 0 at (k, k)
+                ratio[k, :] = ratio[:, k] = num[k, :] / distances[k, :]
+            ratio[k, k] = -np.inf
     lip = float(ratio.max())
     if lip > 1.0:
         u = u * ((1.0 - 1e-15) / lip)

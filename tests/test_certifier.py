@@ -8,6 +8,7 @@ import pytest
 import vecot.solver
 from vecot import (
     DimensionMismatch,
+    InvalidParameter,
     PointCloud,
     PotentialField,
     SlackViolation,
@@ -118,6 +119,13 @@ def test_tol_must_be_positive():
     inst, coupling, potential = two_point()
     with pytest.raises(ValueError):
         certify(inst, coupling, potential, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+def test_tol_must_be_finite(tol):
+    inst, coupling, potential = two_point()
+    with pytest.raises(InvalidParameter):
+        certify(inst, coupling, potential, tol=tol)
 
 
 def test_dimension_mismatches_are_rejected():

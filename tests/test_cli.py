@@ -374,21 +374,35 @@ def test_iteration_limit_exits_3(tmp_path, capsys):
         ["disintegrate", "--box", "-1", "1", "-1", "1", "--resolution", "9", "9", "9"],
         ["disintegrate", "--grid", "{grid}"],
         ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--mode", "radial"],
+        ["certify", "--input", "{solution}", "--tol", "inf"],
+        ["massbalance", "--input", "{solution}", "--tol", "inf"],
+        ["solve", "--input", "{instance}", "--certify-tol", "inf"],
+        ["solve", "--input", "{underflow}"],
+        ["solve", "--input", "{underflow_vector}"],
     ],
     ids=["max-iters", "tol-primal", "certify-tol", "leaves-eps", "massbalance-eps",
          "counterexample-tol", "cd-one-number", "cd-not-a-number", "cd-n-below-one",
          "cd-negative-n", "cd-nan-n", "cd-nan-kappa", "cd-infinite-kappa", "nan-tol-gap",
          "nan-eps", "infinite-eps", "massbalance-nan-eps", "massbalance-infinite-eps",
          "negative-balance-tol", "odd-box", "negative-resolution",
-         "resolution-count", "grid-odd-box", "radial-no-center"],
+         "resolution-count", "grid-odd-box", "radial-no-center", "certify-infinite-tol",
+         "massbalance-infinite-tol", "solve-infinite-certify-tol", "underflowing-distance",
+         "underflowing-distance-m2"],
 )
 def test_invalid_parameters_exit_2(tmp_path, capsys, argv):
     instance = write_instance(tmp_path)
+    # Distinct points whose distance underflows to 0.0.
+    close = [[0.0, 0.0], [1e-170, 0.0], [1.0, 0.3]]
+    underflow = write_instance(tmp_path, "underflow.json", close, [[1.0], [0.0], [-1.0]])
+    underflow_vector = write_instance(
+        tmp_path, "underflow2.json", close, [[1.0, 0.5], [0.0, 0.0], [-1.0, -0.5]]
+    )
     solution = tmp_path / "solution.json"
     assert main(["solve", "--input", str(instance), "--output", str(solution)]) == 0
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"box": [-1.0, 1.0, -1.0], "samples": [[1.0, 1.0], [1.0, 1.0]]}))
-    paths = {"instance": str(instance), "solution": str(solution), "grid": str(grid)}
+    paths = {"instance": str(instance), "solution": str(solution), "grid": str(grid),
+             "underflow": str(underflow), "underflow_vector": str(underflow_vector)}
     code = main([a.format(**paths) for a in argv])
     err = capsys.readouterr().err
     assert code == 2

@@ -17,6 +17,7 @@ from vecot import (
     DuplicatePoint,
     Instance,
     NonzeroTotalMass,
+    NotLipschitz,
     PointCloud,
     PotentialField,
     VectorCoupling,
@@ -217,6 +218,45 @@ def test_lipschitz_constant_matches_brute_force():
         for j in range(i + 1, 7):
             best = max(best, float(np.linalg.norm(vals[i] - vals[j])) / d[i, j])
     assert lipschitz_constant(u) == pytest.approx(best, rel=1e-14)
+
+
+def brute_force_scan(values, distances) -> list:
+    """Every pair i < j, in lexicographic order, with its stretch."""
+    norms = distance_matrix(values)
+    n = len(values)
+    return [((i, j), norms[i, j] / distances[i, j]) for i in range(n) for j in range(i + 1, n)]
+
+
+def test_pair_scans_match_a_brute_force_pair_loop():
+    # Rounded values on lattice points tie many pairs at the largest stretch;
+    # a constant potential ties every pair at 0.
+    rng = np.random.default_rng(17)
+    lattice = np.argwhere(np.ones((5, 5))).astype(float)
+    cases = []
+    for n_points in (2, 3, 9, 25):
+        pts = lattice[rng.permutation(25)[:n_points]]
+        for m, scale in ((1, 0.6), (2, 1.0), (3, 2.0)):
+            cases.append((pts, np.round(rng.normal(size=(n_points, m)) * scale)))
+        cases.append((pts, np.ones((n_points, 2))))
+    for pts, vals in cases:
+        u = PotentialField(PointCloud(pts), vals)
+        scan = brute_force_scan(vals, distance_matrix(pts))
+        pair, worst = max(scan, key=lambda item: item[1])  # the first maximum
+        info = lipschitz_info(u)
+        assert (info.pair, info.value) == (pair, worst)
+        for eps in (1e-6, 0.3):
+            if worst > 1.0 + eps:
+                with pytest.raises(NotLipschitz, match=re.escape(f"pair {pair} stretches")):
+                    isometry_graph(u, eps)
+            else:
+                edges = [p for p, ratio in scan if ratio >= 1.0 - eps]
+                assert isometry_graph(u, eps).edges.tolist() == [list(p) for p in edges]
+
+
+def test_distances_that_underflow_are_rejected_on_first_use():
+    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.3], [1e-170, 0.0]]))
+    with pytest.raises(DuplicatePoint, match="points 0 and 2 are at distance 0.0"):
+        cloud.distances
 
 
 # ---------------------------------------------------------------------------

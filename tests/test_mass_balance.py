@@ -9,6 +9,7 @@ from vecot import (
     BallOverlap,
     CounterexampleSpec,
     DimensionMismatch,
+    InvalidParameter,
     InvalidSpec,
     RankDeficiency,
     ZeroVector,
@@ -239,6 +240,14 @@ def test_balance_report_checks_cloud_size():
     # Equal points on another cloud object are the same cloud.
     twin = build_instance([[0.0], [1.0], [2.0]], [[1.0], [1.0], [-2.0]])
     assert mass_balance_report(inst, decompose(twin, solve(twin)[1])).verdict == "BalanceHolds"
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1e-8])
+def test_balance_tol_must_be_finite_and_nonnegative(tol):
+    spec = paper_preset()
+    u, _, _ = analytic_optimum(spec)
+    with pytest.raises(InvalidParameter):
+        mass_balance_report(spec.instance(), decompose(spec.instance(), u), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import scipy.sparse
 import vecot
 import vecot.solver
 from vecot import (
+    DuplicatePoint,
+    InvalidParameter,
     NotConverged,
     NumericalBreakdown,
     PotentialField,
@@ -23,6 +25,7 @@ from vecot import (
     WrongDimension,
     build_instance,
     certify,
+    component_labels,
     cost,
     kr_norm,
     line_optimal_potential,
@@ -230,6 +233,10 @@ def test_residual_total_mass_above_tol_primal_reports_infeasible():
 def test_bad_params_are_rejected():
     with pytest.raises(ValueError):
         SolverParams(max_iters=0)
+    for max_iters in (2.5, 3.0, "3", None):
+        with pytest.raises(InvalidParameter, match="max_iters must be an integer"):
+            SolverParams(max_iters=max_iters)
+    assert SolverParams(max_iters=np.int64(7)).max_iters == 7
     with pytest.raises(ValueError):
         SolverParams(tol_gap=0.0)
     with pytest.raises(ValueError):
@@ -428,6 +435,97 @@ def test_edge_generation_certifies_near_duplicate_points():
     full = complete_graph_lp_value(inst)
     assert report.dual_value <= report.primal_value <= full
     assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
+
+
+def test_generation_scan_adds_exactly_the_violated_pairs(monkeypatch):
+    # Each round's new columns are the pairs i < j, found by a pair loop, that
+    # the round's potential stretches beyond 1 and the model does not hold.
+    highs = vecot.solver._highs._Highs
+    added, duals = [], []
+    add_cols, get_solution = highs.addCols, highs.getSolution
+
+    def recorded_add_cols(self, *args):
+        indices = np.asarray(args[6])
+        added.append(list(zip(indices[0::4].tolist(), indices[1::4].tolist())))
+        return add_cols(self, *args)
+
+    def recorded_get_solution(self):
+        solution = get_solution(self)
+        duals.append(np.array(solution.row_dual))
+        return solution
+
+    monkeypatch.setattr(highs, "addCols", recorded_add_cols)
+    monkeypatch.setattr(highs, "getSolution", recorded_get_solution)
+    inst = random_instance(np.random.default_rng(107), 120, 2, 1)
+    solve(inst)
+    monkeypatch.undo()
+    assert len(added) == len(duals) >= 2
+    n, dist_hat = inst.size, inst.distances / inst.distances.max()
+    held = set(added[0])
+    for round_, u_raw in enumerate(duals):
+        norms = vecot.distance_matrix((u_raw - u_raw[0])[:, None])
+        violated = [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if norms[i, j] / dist_hat[i, j] > 1.0 and (i, j) not in held
+        ]
+        assert violated == (added[round_ + 1] if round_ + 1 < len(added) else [])
+        held.update(violated)
+
+
+def reference_prune(pairs: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The metric pruning of the complete graph, in chunks of pairs."""
+    n = dist.shape[0]
+    e_count = pairs.shape[0]
+    keep = np.ones(e_count, dtype=bool)
+    chunk = max(1, 2_000_000 // max(n, 1))
+    for lo in range(0, e_count, chunk):
+        hi = min(lo + chunk, e_count)
+        i = pairs[lo:hi, 0]
+        j = pairs[lo:hi, 1]
+        chain = dist[i, :] + dist[j, :]
+        rows = np.arange(hi - lo)
+        chain[rows, i] = np.inf
+        chain[rows, j] = np.inf
+        keep[lo:hi] = chain.min(axis=1) > dist[i, j] * (1.0 + 1e-12)
+    pruned = pairs[keep]
+    if pruned.shape[0] < e_count and component_labels(n, pruned).max() > 0:
+        return pairs
+    return pruned
+
+
+def test_edge_list_matches_the_chunked_pruning_bit_for_bit():
+    rng = np.random.default_rng(131)
+    clouds = [rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 40)), dim)) for dim in (1, 2, 3, 2)]
+    # Lattices and lines are full of exactly collinear triples.
+    clouds += [np.argwhere(np.ones((5, 4))) * 0.5, np.argwhere(np.ones((3, 3, 3))).astype(float)]
+    clouds += [np.column_stack([t, 2.0 * t]) for t in (np.arange(9.0), rng.uniform(size=12))]
+    # Near-duplicate points, whose pruned graph can fall apart.
+    base = rng.uniform(-1.0, 1.0, size=(12, 2))
+    clouds += [np.concatenate([base, base + 1e-13 * rng.normal(size=(12, 2))])]
+    clouds += [np.array([[0.0], [1.0], [1.0 + 1e-13], [3.0]])]
+    for pts in clouds:
+        inst = build_instance(pts, np.zeros((len(pts), 2)))
+        everything = np.column_stack(np.triu_indices(len(pts), k=1))
+        expected = reference_prune(everything, inst.distances)
+        got = vecot.solver._edge_list(inst)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_edge_list_keeps_every_pair_when_pruning_disconnects_the_graph():
+    # Within the 1e-12 slack, (0, 2) reroutes through 1 and (0, 1) through 2,
+    # which leaves point 0 without an edge.
+    inst = build_instance([[0.0], [1.0], [1.0 + 1e-13]], np.zeros((3, 2)))
+    np.testing.assert_array_equal(vecot.solver._edge_list(inst), [[0, 1], [0, 2], [1, 2]])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_distance_that_underflows_is_a_duplicate_point(m):
+    w = np.zeros((3, m))
+    w[0], w[2] = 1.0, -1.0
+    inst = build_instance([[0.0, 0.0], [1e-170, 0.0], [1.0, 0.3]], w)
+    with pytest.raises(DuplicatePoint, match="points 0 and 1"):
+        solve(inst)
 
 
 def test_edge_generation_falls_back_when_the_lp_solver_declines(monkeypatch):
