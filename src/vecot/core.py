@@ -118,11 +118,16 @@ class PointCloud:
     @functools.cached_property
     def distances(self) -> np.ndarray:
         """Dense pairwise distance matrix, computed on first use.  Raises
-        DuplicatePoint if a distance between two points underflows to 0.0."""
-        d = distance_matrix(self.points)
+        DuplicatePoint if a distance between two points underflows to 0.0,
+        and DimensionMismatch if one overflows to inf."""
+        with np.errstate(over="ignore"):  # reported below, with the pair
+            d = distance_matrix(self.points)
         if np.count_nonzero(d) < self.size * (self.size - 1):
             i, j = np.argwhere(np.triu(d == 0.0, 1))[0].tolist()
             raise DuplicatePoint(f"points {i} and {j} are at distance 0.0")
+        if np.isinf(d).any():
+            i, j = np.argwhere(np.triu(np.isinf(d), 1))[0].tolist()
+            raise DimensionMismatch(f"the distance between points {i} and {j} overflows to inf")
         return d
 
 
@@ -427,6 +432,16 @@ def cost(coupling: VectorCoupling, instance: Instance) -> float:
         return 0.0
     d = instance.distances[coupling.pairs[:, 0], coupling.pairs[:, 1]]
     return _dot(d, np.linalg.norm(coupling.flows, axis=1))
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported at the first Newton factor or leaf
+    fit: ``import vecot`` loads no scipy.  Routines are looked up on the
+    module at each call, once per tile or fit, with no import statement."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

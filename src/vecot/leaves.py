@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd
 
 from .core import (
     DimensionMismatch,
@@ -29,6 +28,7 @@ from .core import (
     VecotError,
     WrongDimension,
     _integer_valued,
+    _lapack,
     component_labels,
     stretch_ratios,
 )
@@ -194,7 +194,7 @@ def _svd(a: np.ndarray):
     are copied to C order, the layout numpy returns, because matmul rounds
     differently on the two.
     """
-    u, s, vt, info = dgesdd(a, full_matrices=0)
+    u, s, vt, info = _lapack().dgesdd(a, full_matrices=0)
     if info:
         raise np.linalg.LinAlgError("SVD did not converge")
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)

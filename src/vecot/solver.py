@@ -45,6 +45,11 @@ cloud, the answer is certified against every pair, whichever edge set the
 engine ran on.  The instance is normalized internally (unit mass scale,
 unit diameter), so reported values are exactly equivariant under scaling
 of weights or points.
+
+scipy loads where an engine computes with it, so that ``import vecot``
+loads none of it: HiGHS at the first scalar solve, LAPACK at the first
+Newton factor, and ``scipy.sparse`` at the first interior-point run, tree
+engine or disconnected start graph.
 """
 
 from __future__ import annotations
@@ -52,13 +57,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
-import scipy.sparse
-import scipy.sparse.csgraph
-
-# HiGHS's own Python model, as scipy ships it: private API (scipy >= 1.17.1),
-# imported here only, so that a scipy change fails loudly in one place.
-from scipy.optimize._highspy import _core as _highs
 
 from .core import (
     Instance,
@@ -68,6 +66,7 @@ from .core import (
     VectorCoupling,
     WrongDimension,
     _dot,
+    _lapack,
     component_labels,
     edge_slackness,
     stretch_ratios,
@@ -99,6 +98,14 @@ _HIGHS_OPTIONS = {
     "output_flag": False, "solver": "simplex", "parallel": "off",
     "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
 }
+
+
+def _highs():
+    """HiGHS's own Python model, as scipy ships it: private API (scipy >= 1.17.1),
+    loaded here only, so that a scipy change fails loudly in one place."""
+    from scipy.optimize._highspy import _core
+
+    return _core
 
 
 class NumericalBreakdown(VecotError):
@@ -198,13 +205,15 @@ def _edge_list(instance: Instance) -> np.ndarray:
     return pairs
 
 
-def _incidence(n: int, pairs: np.ndarray) -> scipy.sparse.csr_matrix:
+def _incidence(n: int, pairs: np.ndarray):
     """Signed n x E incidence matrix: +1 at ``pairs[e, 0]``, -1 at ``pairs[e, 1]``."""
+    from scipy.sparse import csr_matrix
+
     e_count = pairs.shape[0]
     rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
     cols = np.concatenate([np.arange(e_count), np.arange(e_count)])
     vals = np.concatenate([np.ones(e_count), -np.ones(e_count)])
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, e_count))
+    return csr_matrix((vals, (rows, cols)), shape=(n, e_count))
 
 
 def _start_keys(distances: np.ndarray, k: int) -> np.ndarray:
@@ -217,7 +226,9 @@ def _start_keys(distances: np.ndarray, k: int) -> np.ndarray:
     # On spread-out clouds the tree lies inside the neighbour graph, and
     # scipy builds it from every pair, so it is only added where it matters.
     if component_labels(n, np.column_stack([i, j])).max() > 0:
-        tree = scipy.sparse.csgraph.minimum_spanning_tree(distances).tocoo()
+        from scipy.sparse.csgraph import minimum_spanning_tree
+
+        tree = minimum_spanning_tree(distances).tocoo()
         i, j = np.concatenate([i, tree.row]), np.concatenate([j, tree.col])
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     return np.unique((lo * n + hi)[lo != hi])
@@ -238,13 +249,15 @@ def _generated_lp(w_hat: np.ndarray, dist_hat: np.ndarray):
     so the loop ends when a round finds no violated pair outside the model;
     the stopping rule's global repair settles the rest with the same ratios.
 
-    Returns ``(pairs, (flows, u_raw, iterations), rounds)`` with the pairs
-    sorted and ``iterations`` summed over the rounds, or None when HiGHS
-    ends a round without an optimal basis.
+    Returns ``(pairs, (flows, u_raw, iterations, scan), rounds)`` with the
+    pairs sorted, ``iterations`` summed over the rounds and ``scan`` the last
+    round's ``stretch_ratios``, which the repair starts from; or None when
+    HiGHS ends a round without an optimal basis.
     """
     n = dist_hat.shape[0]
     balance = w_hat[:, 0]
-    highs = _highs._Highs()
+    api = _highs()
+    highs = api._Highs()
     for option, value in _HIGHS_OPTIONS.items():
         highs.setOptionValue(option, value)
     highs.addRows(n, balance, balance, 0, np.zeros(n, np.int32), np.zeros(0, np.int32), np.zeros(0))
@@ -262,7 +275,7 @@ def _generated_lp(w_hat: np.ndarray, dist_hat: np.ndarray):
         )
         cols = np.concatenate([cols, fresh])
         highs.run()
-        if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+        if highs.getModelStatus() != api.HighsModelStatus.kOptimal:
             return None
         rounds += 1
         iterations += highs.getInfo().simplex_iteration_count
@@ -271,19 +284,19 @@ def _generated_lp(w_hat: np.ndarray, dist_hat: np.ndarray):
         solution = highs.getSolution()
         u_raw = np.asarray(solution.row_dual)[:, None]
         # The repair measures the potential anchored at point 0: scan the same numbers.
-        _, ratios = stretch_ratios(u_raw - u_raw[0], dist_hat)
-        fresh = np.setdiff1d(np.flatnonzero(np.triu(ratios > 1.0)), cols, assume_unique=True)
+        scan = stretch_ratios(u_raw - u_raw[0], dist_hat)
+        fresh = np.setdiff1d(np.flatnonzero(np.triu(scan[1] > 1.0)), cols, assume_unique=True)
         if fresh.size == 0:
             x = np.asarray(solution.col_value)
             order = np.argsort(cols)
             pairs = np.column_stack([cols[order] // n, cols[order] % n])
-            return pairs, ((x[0::2] - x[1::2])[order, None], u_raw, iterations), rounds
+            return pairs, ((x[0::2] - x[1::2])[order, None], u_raw, iterations, scan), rounds
 
 
 _REPAIR_SWEEPS = 200
 
 
-def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
+def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray, scan=None) -> np.ndarray:
     """Project a raw multiplier potential into the 1-Lipschitz set.
 
     Violations of the recovered multipliers concentrate on short edges
@@ -292,11 +305,13 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
     Instead the worst violated pair is repaired by a symmetric shift of
     its two values (cyclic projection), which moves the potential by the
     absolute excess only.  A final rescale covers whatever the sweep
-    limit leaves over, and the base value is pinned to zero.
+    limit leaves over, and the base value is pinned to zero.  ``scan`` is
+    ``stretch_ratios`` of the anchored potential when the caller has it; the
+    repair overwrites it.
     """
     u = u_raw - u_raw[0]
     n = u.shape[0]
-    num, ratio = stretch_ratios(u, distances)
+    num, ratio = stretch_ratios(u, distances) if scan is None else scan
     for _ in range(_REPAIR_SWEEPS):
         i, j = divmod(int(np.argmax(ratio)), n)
         if ratio[i, j] <= 1.0:
@@ -323,12 +338,14 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
     return u - u[0]
 
 
-def _pair_graph(n: int, pairs: np.ndarray) -> scipy.sparse.csr_matrix:
+def _pair_graph(n: int, pairs: np.ndarray):
     """n x n CSR matrix with a one at each pair, built from the row counts
     directly: the (row, col) constructor costs more than the search."""
+    from scipy.sparse import csr_matrix
+
     pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))])
-    return scipy.sparse.csr_matrix((np.ones(len(pairs)), pairs[:, 1], indptr), shape=(n, n))
+    return csr_matrix((np.ones(len(pairs)), pairs[:, 1], indptr), shape=(n, n))
 
 
 def _tree_engine(w_hat, d_edge, pairs):
@@ -342,8 +359,10 @@ def _tree_engine(w_hat, d_edge, pairs):
     ``pairs`` must hold i < j, sorted lexicographically.  Returns
     ``(flows, u_raw)``.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     n, m = w_hat.shape
-    depth, parent, _ = scipy.sparse.csgraph.dijkstra(
+    depth, parent, _ = dijkstra(
         _pair_graph(n, pairs), directed=False, indices=0, unweighted=True,
         return_predecessors=True, min_only=True,
     )
@@ -383,36 +402,36 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _tiled_cholesky(r: np.ndarray) -> np.ndarray | None:
     """Factor in place: ``r``, a symmetric matrix's upper triangle (zeros below),
     becomes its upper Cholesky factor and is returned; None if not positive definite."""
-    n = r.shape[0]
+    n, lapack = r.shape[0], _lapack()
     for k0 in range(0, n, _TILE):
         k1 = min(k0 + _TILE, n)
         if k0:
             r[k0:k1, k0:] -= np.einsum("ki,kj->ij", r[:k0, k0:k1], r[:k0, k0:])
-        diag, info = scipy.linalg.lapack.dpotrf(r[k0:k1, k0:k1], lower=0, clean=1)
+        diag, info = lapack.dpotrf(r[k0:k1, k0:k1], lower=0, clean=1)
         if info != 0:
             return None
         r[k0:k1, k0:k1] = diag
         for c0 in range(k1, n, _TILE):
             c1 = min(c0 + _TILE, n)
-            r[k0:k1, c0:c1] = scipy.linalg.lapack.dtrtrs(diag, r[k0:k1, c0:c1], trans=1)[0]
+            r[k0:k1, c0:c1] = lapack.dtrtrs(diag, r[k0:k1, c0:c1], trans=1)[0]
     return r
 
 
 def _tiled_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``r^T r x = b`` for the factor of :func:`_tiled_cholesky`."""
-    n = r.shape[0]
+    n, lapack = r.shape[0], _lapack()
     starts = range(0, n, _TILE)
     y = b.copy()
     for k0 in starts:
         k1 = min(k0 + _TILE, n)
         if k0:  # an empty sum is +0.0, which leaves y as it is
             y[k0:k1] -= np.einsum("ki,k->i", r[:k0, k0:k1], y[:k0])
-        y[k0:k1] = scipy.linalg.lapack.dtrtrs(r[k0:k1, k0:k1], y[k0:k1], trans=1)[0]
+        y[k0:k1] = lapack.dtrtrs(r[k0:k1, k0:k1], y[k0:k1], trans=1)[0]
     for k0 in reversed(starts):
         k1 = min(k0 + _TILE, n)
         if k1 < n:
             y[k0:k1] -= np.einsum("ij,j->i", r[k0:k1, k1:], y[k1:])
-        y[k0:k1] = scipy.linalg.lapack.dtrtrs(r[k0:k1, k0:k1], y[k0:k1])[0]
+        y[k0:k1] = lapack.dtrtrs(r[k0:k1, k0:k1], y[k0:k1])[0]
     return y
 
 
@@ -655,9 +674,9 @@ def solve(instance: Instance, params: SolverParams | None = None):
 
     # Engine: closed form on a forest, the LP for scalar weights, else (and
     # whenever those fail the stopping rule) the interior-point method.
-    def accept(flows_hat: np.ndarray, u_raw: np.ndarray):
+    def accept(flows_hat: np.ndarray, u_raw: np.ndarray, scan=None):
         """The stopping rule: the repaired potential if the pair passes, else None."""
-        u_hat = _feasible_potential(u_raw, dist_hat)
+        u_hat = _feasible_potential(u_raw, dist_hat, scan)
         primal_hat = _dot(d_edge, np.linalg.norm(flows_hat, axis=1))
         dual_hat = float(np.einsum("ij,ij->", u_hat, w_hat))
         tol = params.tol_gap
@@ -676,8 +695,8 @@ def solve(instance: Instance, params: SolverParams | None = None):
         u_hat = accept(flows_hat, u_raw)
     elif lp is not None:
         engine = "lp"
-        flows_hat, u_raw, it = lp
-        u_hat = accept(flows_hat, u_raw)
+        flows_hat, u_raw, it, scan = lp
+        u_hat = accept(flows_hat, u_raw, scan)
     if u_hat is None:
         engine = "ipm"
         flows_hat, u_raw, it, comp, u_hat = _interior_point_engine(

@@ -410,6 +410,24 @@ def test_invalid_parameters_exit_2(tmp_path, capsys, argv):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize(
+    "points", [[[0.0], [1e200], [3e200]], [[0.0, 0.0], [1e200, 0.0], [3e200, 1.0]]],
+    ids=["1-D", "2-D"],
+)
+def test_a_distance_that_overflows_exits_2_without_a_warning(tmp_path, capsys, points, m):
+    weights = np.zeros((3, m))
+    weights[0], weights[2] = 1.0, -1.0
+    path = write_instance(tmp_path, points=points, weights=weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would exit 4
+        code = main(["solve", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "vecot: the distance between points 0 and 1 overflows to inf\n"
+
+
 def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,22 @@ def test_distances_that_underflow_are_rejected_on_first_use():
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 0.3], [1e-170, 0.0]]))
     with pytest.raises(DuplicatePoint, match="points 0 and 2 are at distance 0.0"):
         cloud.distances
+
+
+@pytest.mark.parametrize(
+    "points, pair",
+    [
+        ([[0.0], [1.0], [1e200]], (0, 2)),  # the square overflows
+        ([[0.0, 0.0], [1e200, 0.0], [3e200, 1.0]], (0, 1)),
+        ([[-1e308], [1e308]], (0, 1)),  # the difference overflows
+    ],
+)
+def test_distances_that_overflow_are_rejected_on_first_use(points, pair):
+    cloud = PointCloud(np.array(points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match=f"points {pair[0]} and {pair[1]} overflows"):
+            cloud.distances
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dgesdd
 
 import vecot.leaves
 from vecot import (
@@ -276,11 +276,13 @@ def test_fit_matches_the_mean_and_norm_fit_bit_for_bit():
 
 
 def test_fit_raises_when_lapack_does_not_converge(monkeypatch):
+    dgesdd = scipy.linalg.lapack.dgesdd
+
     def no_convergence(a, **kwargs):
         u, s, vt, _ = dgesdd(a, **kwargs)
         return u, s, vt, 1  # info > 0: the bidiagonal SVD did not converge
 
-    monkeypatch.setattr(vecot.leaves, "dgesdd", no_convergence)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", no_convergence)
     with pytest.raises(np.linalg.LinAlgError):
         _fit(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros((3, 1)))
 

@@ -1,0 +1,114 @@
+"""Which scipy modules each entry point loads.
+
+``import vecot`` loads none; ``vecot --version``, ``certify`` and
+``disintegrate`` compute without scipy and run with it blocked; the leaf fit
+loads LAPACK but not the optimizer package that holds HiGHS.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import vecot
+from vecot import build_instance, dumps_instance, instance_to_dict
+from vecot.cli import main
+
+# Runs the command line given after the mode, then prints the scipy modules
+# loaded by then to stderr, on exit.  Mode "blocked" makes every scipy
+# import fail with ImportError.
+CLI_SCRIPT = """
+import atexit, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+atexit.register(lambda: print(json.dumps(sorted(
+    name for name, module in sys.modules.items()
+    if name.split(".")[0] == "scipy" and module is not None
+)), file=sys.stderr))
+from vecot.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vecot.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def cli(mode: str, *argv: str) -> tuple[subprocess.CompletedProcess, list[str]]:
+    """The finished process and the scipy modules it had loaded."""
+    done = python("-c", CLI_SCRIPT, mode, *argv)
+    return done, json.loads(done.stderr.splitlines()[-1])
+
+
+def test_importing_vecot_loads_no_scipy():
+    done = python(
+        "-c",
+        "import sys, vecot, vecot.cli\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+@pytest.fixture(scope="module")
+def solution(tmp_path_factory) -> str:
+    rng = np.random.default_rng(17)
+    w = rng.normal(size=(10, 2))
+    instance = tmp_path_factory.mktemp("scipy") / "instance.json"
+    instance.write_text(dumps_instance(build_instance(rng.uniform(-1, 1, (10, 2)), w - w.mean(0))))
+    path = instance.with_name("solution.json")
+    assert main(["solve", "--input", str(instance), "--output", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["certify", "--input", "{solution}"],
+        ["disintegrate", "--box", "-3", "3", "-3", "3", "-3", "3", "--resolution", "17",
+         "--cd", "0,inf"],
+        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--mode", "radial",
+         "--center", "0.3", "-0.2"],
+    ],
+    ids=["version", "certify", "disintegrate-slice", "disintegrate-radial"],
+)
+def test_commands_without_scipy_match_a_normal_run(capsys, solution, argv):
+    argv = [a.format(solution=solution) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exit_:  # --version
+        code = exit_.code
+    expected = capsys.readouterr().out
+    assert code == 0
+    done, loaded = cli("blocked", *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
+    assert loaded == []
+
+
+def test_leaf_extraction_loads_lapack_but_not_the_optimizer(tmp_path):
+    # Points of a 3 x 3 grid mapped isometrically: one two-dimensional leaf,
+    # whose boundary distances come from a convex hull.
+    grid = np.argwhere(np.ones((3, 3))).astype(float)
+    doc = {
+        "instance": instance_to_dict(build_instance(grid, np.zeros((9, 2)))),
+        "coupling": {"pairs": [], "flows": []},
+        "potential": grid.tolist(),
+    }
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps(doc))
+    done, loaded = cli("normal", "leaves", "--input", str(path))
+    assert done.returncode == 0, done.stderr
+    assert [leaf["dimension"] for leaf in json.loads(done.stdout)["decomposition"]["leaves"]] == [2]
+    assert {"scipy.linalg", "scipy.spatial"} <= set(loaded)
+    assert not any(name.startswith("scipy.optimize") for name in loaded)

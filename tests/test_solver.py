@@ -11,6 +11,9 @@ import pytest
 import scipy.linalg.lapack
 import scipy.optimize
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize._highspy import _core as highs_core
 
 import vecot
 import vecot.solver
@@ -160,6 +163,93 @@ def test_negation_symmetry():
     inst = random_instance(rng, 6, 2, 3)
     neg = build_instance(inst.cloud.points, -inst.measure.weights)
     assert kr_norm(neg) == pytest.approx(kr_norm(inst), rel=1e-9)
+
+
+@st.composite
+def lattice_clouds(draw, measures: int = 1):
+    """2-12 distinct lattice points in R^n, n <= 3, and ``measures`` integer
+    weight sets in R^m, m <= 3, each centred to zero total mass."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lattice = st.tuples(*[st.integers(-4, 4)] * n)
+    points = draw(st.lists(lattice, min_size=2, max_size=12, unique=True))
+    size = len(points)
+    weights = []
+    for _ in range(measures):
+        rows = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * m), min_size=size, max_size=size))
+        w = np.array(rows, dtype=float)
+        weights.append(w - w.mean(axis=0))
+    return np.array(points, dtype=float), weights
+
+
+def certified_interval(points: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """``[dual, primal]`` of a converged solve, the primal widened by what
+    routing the coupling's residual across the cloud could cost."""
+    inst = build_instance(points, weights)
+    _, _, report = solve(inst)
+    assert report.status == "Converged"
+    reach = np.sqrt(inst.size) * float(inst.distances.max())
+    return report.dual_value, report.primal_value + reach * report.primal_residual
+
+
+def roundoff(points: np.ndarray, *weights: np.ndarray) -> float:
+    """1e-12 of the largest mass scale times the cloud's diameter."""
+    mass = max(float(np.linalg.norm(w, axis=1).sum()) for w in weights)
+    return 1e-12 * mass * float(vecot.distance_matrix(points).max())
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(lattice_clouds())
+def test_certified_intervals_of_a_measure_and_its_negation_overlap(cloud):
+    points, (w,) = cloud
+    lo, hi = certified_interval(points, w)
+    neg_lo, neg_hi = certified_interval(points, -w)
+    assert max(lo, neg_lo) <= min(hi, neg_hi) + roundoff(points, w)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(lattice_clouds(), st.integers(-30, 30), st.booleans())
+def test_kr_norm_scales_bit_for_bit_by_powers_of_two(cloud, power, scale_points):
+    # Normalization divides the scale out exactly, so the solve runs on the
+    # same bits and its value is multiplied back exactly.
+    points, (w,) = cloud
+    factor = 2.0**power
+    base = kr_norm(build_instance(points, w))
+    if scale_points:
+        scaled = kr_norm(build_instance(factor * points, w))
+    else:
+        scaled = kr_norm(build_instance(points, factor * w))
+    assert scaled == factor * base
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(lattice_clouds(measures=2))
+def test_dual_of_a_sum_is_at_most_the_sum_of_the_primals(cloud):
+    points, (wa, wb) = cloud
+    _, hi_a = certified_interval(points, wa)
+    _, hi_b = certified_interval(points, wb)
+    lo_ab, _ = certified_interval(points, wa + wb)
+    assert lo_ab <= hi_a + hi_b + roundoff(points, wa, wb)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    lattice_clouds(),
+    st.sampled_from([0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2]),
+    st.floats(1e-12, 1e-2),
+    st.integers(0, 2**32 - 1),
+)
+def test_an_optimal_verdict_survives_a_tenfold_tolerance(cloud, noise, tol, seed):
+    # Perturbed solutions fail some of the checks at small tolerances.
+    points, (w,) = cloud
+    inst = build_instance(points, w)
+    coupling, potential, _ = solve(inst)
+    rng = np.random.default_rng(seed)
+    flows = coupling.flows * (1.0 + noise * rng.normal(size=coupling.flows.shape))
+    values = potential.values * (1.0 + noise * rng.normal(size=potential.values.shape))
+    coupling = vecot.VectorCoupling(coupling.pairs, flows)
+    potential = PotentialField(inst.cloud, values)
+    if certify(inst, coupling, potential, tol=tol).verdict == "Optimal":
+        assert certify(inst, coupling, potential, tol=10.0 * tol).verdict == "Optimal"
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +530,7 @@ def test_edge_generation_certifies_near_duplicate_points():
 def test_generation_scan_adds_exactly_the_violated_pairs(monkeypatch):
     # Each round's new columns are the pairs i < j, found by a pair loop, that
     # the round's potential stretches beyond 1 and the model does not hold.
-    highs = vecot.solver._highs._Highs
+    highs = highs_core._Highs
     added, duals = [], []
     add_cols, get_solution = highs.addCols, highs.getSolution
 
@@ -529,9 +619,9 @@ def test_a_distance_that_underflows_is_a_duplicate_point(m):
 
 
 def test_edge_generation_falls_back_when_the_lp_solver_declines(monkeypatch):
-    highs = vecot.solver._highs
     monkeypatch.setattr(
-        highs._Highs, "getModelStatus", lambda self: highs.HighsModelStatus.kIterationLimit
+        highs_core._Highs, "getModelStatus",
+        lambda self: highs_core.HighsModelStatus.kIterationLimit,
     )
     inst = random_instance(np.random.default_rng(103), 80, 2, 1)
     all_pairs = 80 * 79 // 2
@@ -547,20 +637,40 @@ def test_edge_generation_falls_back_when_the_lp_solver_declines(monkeypatch):
 def test_iterations_sum_the_simplex_counts_of_every_round(monkeypatch):
     # HiGHS's info holds the count of its last run only.
     counts = []
-    run = vecot.solver._highs._Highs.run
+    run = highs_core._Highs.run
 
     def counted_run(self):
         status = run(self)
         counts.append(self.getInfo().simplex_iteration_count)
         return status
 
-    monkeypatch.setattr(vecot.solver._highs._Highs, "run", counted_run)
+    monkeypatch.setattr(highs_core._Highs, "run", counted_run)
     inst = random_instance(np.random.default_rng(107), 300, 2, 1)
     _, _, report = solve(inst)
     assert report.engine == "lp"
     assert len(counts) >= 2
     assert report.notes.startswith(f"edge generation: {len(counts)} rounds, ")
     assert report.iterations == sum(counts)
+
+
+def test_the_repair_reuses_the_last_generation_scan(monkeypatch):
+    # Each round scans every pair once; the last scan finds no violated pair,
+    # and the potential repair starts from it rather than scanning again.
+    calls = []
+    scan = vecot.solver.stretch_ratios
+
+    def counted(values, distances):
+        calls.append(values.shape)
+        return scan(values, distances)
+
+    monkeypatch.setattr(vecot.solver, "stretch_ratios", counted)
+    for n_points, dim in ((12, 1), (40, 2), (120, 3)):
+        calls.clear()
+        inst = random_instance(np.random.default_rng([n_points, 7]), n_points, dim, 1)
+        _, _, report = solve(inst)
+        assert (report.engine, report.status) == ("lp", "Converged")
+        rounds = int(report.notes.split()[2])
+        assert len(calls) == rounds
 
 
 def reference_feasible_potential(u_raw: np.ndarray, distances: np.ndarray) -> np.ndarray:
