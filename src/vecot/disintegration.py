@@ -161,7 +161,10 @@ def tabulate_density(box, resolution, fn) -> GridDensity:
     if min(resolution) < 1:
         raise InvalidParameter(f"need at least one cell per axis, got {list(resolution)}")
     points = _product_grid([_cell_centers(*b, k) for b, k in zip(box, resolution)])
-    samples = np.asarray(fn(points), dtype=float).reshape(resolution)
+    samples = np.asarray(fn(points), dtype=float)
+    if samples.size != len(points):
+        raise GeometryMismatch(f"the density gave {samples.size} values for {len(points)} cell centers")
+    samples = samples.reshape(resolution)
     return GridDensity(box=box, samples=samples)
 
 
@@ -274,11 +277,30 @@ class NeedleBatch:
         matmul has one product per entry, which ``t * direction`` repeats.
         """
         if self.leaf_dim == 1:
-            offsets = self.axes[0][..., None] * self.directions[..., 0][..., None, :]
+            points = _ray_points(self.base, self.axes[0], self.directions[..., 0])
         else:
             offsets = _product_grid(self.axes) @ np.swapaxes(self.directions, -1, -2)
+            points = self.base[:, None, :] + offsets
         masses = self.g.reshape(len(self), -1) * np.reshape(_cell_volume(self.axes), (-1, 1))
-        return self.base[:, None, :] + offsets, masses
+        return points, masses
+
+
+def _ray_points(base, t, directions) -> np.ndarray:
+    """Points ``base + t * direction`` on K rays, shape (K, L, n), built one axis at a time.
+
+    ``base`` and ``directions`` have shape (n,) when shared or (K, n), ``t``
+    (L,) when shared or (K, L).  Each coordinate is the product and sum the
+    broadcast expression computes; an axis at a time, numpy's inner loops
+    run over L rather than over n.
+    """
+    n = base.shape[-1]
+    shape = np.broadcast_shapes(base.shape[:-1] + (1,), directions.shape[:-1] + (1,), t.shape)
+    points = np.empty(shape + (n,))
+    for a in range(n):
+        column = points[..., a]
+        np.multiply(t, directions[..., a, None], out=column)
+        column += base[..., a, None]
+    return points
 
 
 def _unchecked(cls, axes, g, base, directions):
@@ -395,7 +417,7 @@ def radial_disintegration(
     for r in range(0, len(fan), rows):
         for c in range(0, n_radial, cols):
             block = np.s_[r : r + rows, c : c + cols]
-            points = center + t[block][..., None] * fan[r : r + rows, None, :]
+            points = _ray_points(center, t[block], fan[r : r + rows])
             g[block] = t[block] ** (n - 1) * _interpolate(density, points)
     mass = g.sum(axis=1) * dt
     t, g, fan, mass = _rows_with_mass(mass, t, g, fan, mass)
@@ -405,22 +427,38 @@ def radial_disintegration(
     return needles, mass / mass.sum()
 
 
-def _stencil(grid: GridDensity, points: np.ndarray) -> list:
-    """Per axis, the edge-clamped cells below and above each point, and their weights.
+def _stencil(grid: GridDensity, points: np.ndarray):
+    """The flat cell of each point's lowest corner, and per axis the corner weights.
 
-    ``points`` have shape (..., P, dim).  Each axis gives ``(cells,
-    weights)``, two arrays of shape (..., 2, P) holding the lower cell's
-    index and weight first; their products over the axes are the
+    ``points`` have shape (..., P, dim).  The lowest corner's cell, shape
+    (..., P), is the edge-clamped cell below the point on every axis.  Each
+    axis gives the weights of its lower and upper cells, shape (..., 2, P);
+    the upper cell is ``lo + 1``, or ``lo`` itself on a one-cell axis,
+    where its weight is 0.  Their products over the axes are the
     multilinear interpolation weights.
     """
-    stencil = []
+    base = np.zeros(points.shape[:-1])
+    weights = []
     for a, res in enumerate(grid.resolution):
-        q = (points[..., a] - grid.box[a, 0]) / grid.steps[a] - 0.5
-        lo = np.clip(np.floor(q).astype(int), 0, max(res - 2, 0))
-        f = np.clip(q - lo, 0.0, 1.0) if res > 1 else np.zeros(q.shape)
-        cells = np.stack([lo, np.minimum(lo + 1, res - 1)], axis=-2)
-        stencil.append((cells, np.stack([1.0 - f, f], axis=-2)))
-    return stencil
+        q = points[..., a] - grid.box[a, 0]
+        q /= grid.steps[a]
+        q -= 0.5
+        # Clamped as floats, so a point far outside the box casts no huge
+        # value; fmax and fmin send NaN to cell 0 and leave its weight NaN.
+        lo = np.floor(q)
+        np.fmin(np.fmax(lo, 0.0, out=lo), max(res - 2, 0), out=lo)
+        w = np.empty(q.shape[:-1] + (2,) + q.shape[-1:])
+        if res > 1:
+            q -= lo
+            np.clip(q, 0.0, 1.0, out=w[..., 1, :])
+        else:
+            w[..., 1, :] = 0.0
+        np.subtract(1.0, w[..., 1, :], out=w[..., 0, :])
+        weights.append(w)
+        # Every flat cell index is an integer below 2^53, so float sums are exact.
+        lo *= math.prod(grid.resolution[a + 1 :])
+        base += lo
+    return base.astype(np.intp), weights
 
 
 def _corner_weights(grid: GridDensity, points: np.ndarray):
@@ -430,15 +468,21 @@ def _corner_weights(grid: GridDensity, points: np.ndarray):
     2^dim, P), the corners in ``np.ndindex`` order.  Each weight is the
     product of the axes' stencil weights, first axis first.
     """
-    lead, count = points.shape[:-2], points.shape[-2]
-    cells, weight = 0, 1.0
-    for a, (axis_cells, axis_weights) in enumerate(_stencil(grid, points)):
-        # Axis a's corner bit goes on the a-th corner axis, so C order is np.ndindex order.
-        at = lead + (1,) * a + (2,) + (1,) * (grid.dim - 1 - a) + (count,)
-        cells = cells + axis_cells.reshape(at) * math.prod(grid.resolution[a + 1 :])
-        weight = weight * axis_weights.reshape(at)
-    corners = lead + (2**grid.dim, count)
-    return cells.reshape(corners), weight.reshape(corners)
+    base, weights = _stencil(grid, points)
+    # A corner's cell is the lowest corner's plus one stride per upper axis.
+    strides = [
+        math.prod(grid.resolution[a + 1 :]) if res > 1 else 0
+        for a, res in enumerate(grid.resolution)
+    ]
+    offsets = [sum(itertools.compress(strides, c)) for c in np.ndindex(*(2,) * grid.dim)]
+    cells = base[..., None, :] + np.array(offsets, dtype=np.intp)[:, None]
+    weight = weights[0]
+    for w in weights[1:]:
+        # Each new axis's corner bit goes last, so C order is np.ndindex order.
+        weight = (weight[..., :, None, :] * w[..., None, :, :]).reshape(
+            weight.shape[:-2] + (-1, weight.shape[-1])
+        )
+    return cells, weight
 
 
 def _interpolate(density: GridDensity, points: np.ndarray) -> np.ndarray:
@@ -451,9 +495,12 @@ def _interpolate(density: GridDensity, points: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, np.moveaxis(weight * density.samples.ravel()[cells], -2, 0))
 
 
-# Quadrature points per reassemble block; each point makes 2^dim (index,
-# value) pairs, so a block's buffers stay near 8 MB in three dimensions.
-_BLOCK_POINTS = 1 << 16
+# Points per interpolation or reassembly block.  Each point makes 2^dim
+# (cell, weight) pairs, so in three dimensions a block's index and weight
+# buffers take 2 MiB each, near a core's L2 cache.  Reassembly blocks end
+# between needles and interpolation is pointwise, so no result depends on
+# this size.
+_BLOCK_POINTS = 1 << 15
 
 
 def reassemble(needles: NeedleBatch, weights, target: GridDensity) -> GridDensity:
@@ -464,17 +511,22 @@ def reassemble(needles: NeedleBatch, weights, target: GridDensity) -> GridDensit
     (only its geometry is used).  Slice needles land exactly on cell
     centers, so their reassembly is exact up to rounding.
 
-    The batch's geometry is checked before anything is deposited.  The
-    needles are then splatted in blocks of whole needles holding at most
-    ``_BLOCK_POINTS`` quadrature points (a larger needle is a block of its
-    own), so the index and value buffers stay bounded whatever the needle
-    count.  Each block is one ``np.add.at`` whose entries run needle by
-    needle, then corner by corner, then point by point: every cell receives
-    the same additions in the same order as splatting one needle at a time.
+    The weights, one finite nonnegative number per needle, and the batch's
+    geometry are checked before anything is deposited.  The needles are
+    then splatted in blocks of whole needles holding at most
+    ``_BLOCK_POINTS`` (2^15) quadrature points (a larger needle is a block
+    of its own), so the index and weight buffers stay near cache size
+    whatever the needle count.  Each block is one ``np.add.at`` whose
+    entries run needle by needle, then corner by corner, then point by
+    point: every cell receives the same additions in the same order as
+    splatting one needle at a time, so the result does not depend on the
+    block size.
     """
     weights = np.asarray(weights, dtype=float)
-    if len(weights) != len(needles):
+    if weights.shape != (len(needles),):
         raise GeometryMismatch("one weight per needle required")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+        raise InvalidParameter("needle weights must be finite and nonnegative")
     if needles.base.shape[1] != target.dim:
         raise GeometryMismatch("needle geometry does not match the target grid")
     mass = np.zeros(math.prod(target.resolution))
@@ -483,7 +535,8 @@ def reassemble(needles: NeedleBatch, weights, target: GridDensity) -> GridDensit
         points, masses = needles[start : start + per_block].quadrature()
         masses *= weights[start : start + len(masses), None]
         cells, weight = _corner_weights(target, points)
-        np.add.at(mass, cells.reshape(-1), (masses[:, None, :] * weight).reshape(-1))
+        weight *= masses[:, None, :]
+        np.add.at(mass, cells.reshape(-1), weight.reshape(-1))
     return GridDensity(box=target.box, samples=mass.reshape(target.resolution) / target.cell_volume)
 
 
@@ -515,8 +568,9 @@ def cd_check_1d(needle, kappa: float, N: float, tol: float | None = None):
     InvalidParameter.  Zeros at the ends of the grid are trimmed; interior
     zeros make rho undefined and raise NonpositiveDensity.  The default
     tolerance is ten times the squared grid spacing, matching the
-    truncation error of the second-order stencils.  Normalization constants
-    shift rho and leave the report unchanged.
+    truncation error of the second-order stencils; a given tolerance must
+    be finite and nonnegative.  Normalization constants shift rho and leave
+    the report unchanged.
 
     A Needle gives one CdReport.  A NeedleBatch gives a list with one report
     per needle, equal to checking its needles one at a time; when they all
@@ -525,10 +579,14 @@ def cd_check_1d(needle, kappa: float, N: float, tol: float | None = None):
     kappa, N = float(kappa), float(N)
     if not math.isfinite(kappa) or not N >= 1.0:
         raise InvalidParameter(f"CD(kappa, N) needs a finite kappa and N >= 1, got ({kappa}, {N})")
+    if tol is not None:
+        tol = float(tol)
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise InvalidParameter(f"the CD tolerance must be finite and nonnegative, got {tol}")
     batch = isinstance(needle, NeedleBatch)
     if batch and needle.leaf_dim != 1:
         raise GeometryMismatch("parameter grid t is defined for 1-d needles only")
-    # One needle is checked on 1-D arrays, a batch on (K, L) arrays.
+    # One needle is checked on 1-D arrays with a float step, a batch on (K, L) arrays.
     t, g = (needle.axes[0], needle.g) if batch else (needle.t, needle.g)
     if g.size and g.min() <= 0.0:
         positive = g > 0.0
@@ -541,8 +599,11 @@ def cd_check_1d(needle, kappa: float, N: float, tol: float | None = None):
             raise NonpositiveDensity("needle density vanishes in its interior")
     if g.shape[-1] < 5:
         raise TooFewPoints(f"need at least 5 positive cells, got {g.shape[-1]}")
-    h = t[..., 1] - t[..., 0]
-    hc = h[..., None]
+    if batch:
+        h = t[..., 1] - t[..., 0]
+        hc = h[..., None]
+    else:
+        h = hc = float(t[1]) - float(t[0])
     tols = 10.0 * h * h if tol is None else tol
     rho = -np.log(g)
     d2 = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / (hc * hc)

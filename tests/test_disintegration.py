@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,11 @@ def test_tabulate_density_validates_and_orders_its_grid():
             tabulate_density([-1.0, 1.0, -1.0, 1.0], resolution, ones)
     with pytest.raises(GeometryMismatch, match="lo and a hi"):
         GridDensity(box=[-1.0, 1.0, -1.0], samples=np.ones((2, 2)))
+    # The density must give one value per cell center.
+    for fn in (lambda p: np.ones(2 * len(p)), lambda p: np.ones(len(p) - 1), lambda p: 1.0):
+        with pytest.raises(GeometryMismatch, match="values for 9 cell centers"):
+            tabulate_density([-1.0, 1.0, -1.0, 1.0], 3, fn)
+    assert tabulate_density([-1.0, 1.0], 3, lambda p: np.ones((3, 1))).resolution == (3,)
 
 
 def test_needle_normalizes_to_unit_mass():
@@ -325,14 +331,24 @@ def test_reassemble_output_is_unit_mass():
     assert rebuilt.total_mass == pytest.approx(1.0, rel=1e-12)
 
 
-def test_reassemble_validates_weights_and_geometry():
-    d = gaussian_2d(res=17)
-    needles, weights = slice_disintegration(d, 1)
-    with pytest.raises(GeometryMismatch):
-        reassemble(needles, weights[:-1], d)
-    line = tabulate_density([[0.0, 1.0]], 8, lambda p: np.ones(len(p)))
-    with pytest.raises(GeometryMismatch):
-        reassemble(needles, weights, line)
+def reference_stencil(grid: GridDensity, points: np.ndarray) -> list:
+    """Per axis, the edge-clamped cells below and above each point, and their weights.
+
+    ``points`` have shape (..., P, dim).  Each axis gives ``(cells,
+    weights)``, two arrays of shape (..., 2, P) holding the lower cell's
+    index and weight first.  It is written out axis by axis, apart from
+    the library's stencil, so that the references below check the library
+    rather than follow it; it needs points less than 2^63 cells from the
+    box.
+    """
+    stencil = []
+    for a, res in enumerate(grid.resolution):
+        q = (points[..., a] - grid.box[a, 0]) / grid.steps[a] - 0.5
+        lo = np.clip(np.floor(q).astype(int), 0, max(res - 2, 0))
+        f = np.clip(q - lo, 0.0, 1.0) if res > 1 else np.zeros(q.shape)
+        cells = np.stack([lo, np.minimum(lo + 1, res - 1)], axis=-2)
+        stencil.append((cells, np.stack([1.0 - f, f], axis=-2)))
+    return stencil
 
 
 def reference_corners(grid: GridDensity, points: np.ndarray):
@@ -340,9 +356,10 @@ def reference_corners(grid: GridDensity, points: np.ndarray):
 
     The corners come in ``np.ndindex`` order.  ``cell`` indexes the grid
     (edge-clamped) and ``weight`` holds every point's interpolation weight
-    at that corner; both are combined from one ``_stencil`` of the points.
+    at that corner; both are combined from one ``reference_stencil`` of the
+    points.
     """
-    stencil = vecot.disintegration._stencil(grid, points)
+    stencil = reference_stencil(grid, points)
     for corner in np.ndindex(*(2,) * grid.dim):
         cell = tuple(cells[..., c, :] for (cells, _), c in zip(stencil, corner))
         weight = functools.reduce(np.multiply, [w[..., c, :] for (_, w), c in zip(stencil, corner)])
@@ -508,8 +525,9 @@ def test_batches_match_needles_built_one_at_a_time_bit_for_bit(case):
 
 @pytest.mark.parametrize("block", [None, 50])
 def test_radial_steps_take_at_most_a_block_of_points(monkeypatch, block):
-    # 512 rays of 260 points on 65^2 fill three default blocks; with 50-point
-    # blocks each 64-point ray of the 3-D case is interpolated in two pieces.
+    # 512 rays of 260 points on 65^2 take five default blocks of 126 rays;
+    # with 50-point blocks each 64-point ray of the 3-D case is interpolated
+    # in two pieces.
     if block is not None:
         monkeypatch.setattr(vecot.disintegration, "_BLOCK_POINTS", block)
     if block is None:
@@ -547,6 +565,81 @@ def test_interpolation_adds_the_corners_in_order_bit_for_bit(shape):
     for cell, weight in reference_corners(d, points):
         expected += weight * d.samples[cell]
     assert vecot.disintegration._interpolate(d, points).tobytes() == expected.tobytes()
+
+
+def _stencil_grid(resolution) -> GridDensity:
+    box = [[-1.0, 2.0], [0.5, 1.25], [-3.0, -2.0]][: len(resolution)]
+    return tabulate_density(box, resolution, lambda p: 1.0 + np.exp(p.sum(axis=1)))
+
+
+STENCIL_GRIDS = [(7,), (1,), (2,), (6, 1), (2, 5), (1, 2), (4, 2, 3), (3, 1, 5), (2, 2, 1)]
+
+
+@pytest.mark.parametrize("block", [None, 50])
+@pytest.mark.parametrize("shape", [(40,), (3, 17), (5, 1)], ids=str)
+@pytest.mark.parametrize("resolution", STENCIL_GRIDS, ids=str)
+def test_corner_weights_match_the_reference_bit_for_bit(monkeypatch, resolution, shape, block):
+    # Points on straight needles that start up to a box width outside the
+    # box, on either side, and cross it; axes of one and two cells clamp
+    # every point to their edge cells.
+    if block is not None:
+        monkeypatch.setattr(vecot.disintegration, "_BLOCK_POINTS", block)
+    grid = _stencil_grid(resolution)
+    rng = np.random.default_rng(len(resolution) + 10 * len(shape))
+    count, length = (1,) + shape if len(shape) == 1 else shape
+    width = grid.box[:, 1] - grid.box[:, 0]
+    base = rng.uniform(grid.box[:, 0] - width, grid.box[:, 1] + width, (count, grid.dim))
+    directions = rng.normal(size=(count, grid.dim, 1))
+    t = np.linspace(-2.0, 2.0, length) if length > 1 else np.zeros(1)
+    needles = NeedleBatch(axes=(t,), g=np.ones((count, length)), base=base, directions=directions)
+    points = needles.quadrature()[0].reshape(shape + (grid.dim,))
+    outside = (points < grid.box[:, 0]) | (points > grid.box[:, 1])
+    assert outside.any() and not outside.all()
+
+    cells, weight = vecot.disintegration._corner_weights(grid, points)
+    assert cells.shape == weight.shape == shape[:-1] + (2**grid.dim, shape[-1])
+    expected = np.zeros(shape)
+    for c, (cell, w) in enumerate(reference_corners(grid, points)):
+        assert cells[..., c, :].tobytes() == np.ravel_multi_index(cell, grid.resolution).tobytes()
+        assert weight[..., c, :].tobytes() == w.tobytes()
+        expected += w * grid.samples[cell]
+    assert vecot.disintegration._interpolate(grid, points).tobytes() == expected.tobytes()
+    weights = rng.uniform(0.5, 1.0, count)
+    want = reference_reassemble(needles, weights, grid).tobytes()
+    assert reassemble(needles, weights, grid).samples.tobytes() == want
+
+
+def test_far_away_needles_land_on_the_edge_cells():
+    # 1e300 is beyond 2^63 cells from the box; it clamps to the last row of
+    # cells as 1e6 does, and no cast overflows (warnings are errors here).
+    d = gaussian_2d(res=17)
+    t = d.centers(1)
+    grids = []
+    for x in (1e6, 1e300):
+        needle = NeedleBatch(axes=(t,), g=d.samples[:1], base=[[x, 0.0]], directions=[[0.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grids.append(reassemble(needle, [1.0], d).samples)
+    assert grids[0].tobytes() == grids[1].tobytes()
+    assert np.all(grids[0][:-1] == 0.0) and np.all(grids[0][-1] > 0.0)
+
+
+def test_reassemble_validates_weights_and_geometry():
+    d = gaussian_2d(res=17)
+    needles, weights = slice_disintegration(d, 1)
+    for shaped in (weights[:-1], weights[:, None], weights[0], np.tile(weights, 2)):
+        with pytest.raises(GeometryMismatch, match="one weight per needle"):
+            reassemble(needles, shaped, d)
+    for bad in (math.nan, -1e-3, math.inf, -math.inf):
+        corrupt = weights.copy()
+        corrupt[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter, match="finite and nonnegative"):
+                reassemble(needles, corrupt, d)
+    line = tabulate_density([[0.0, 1.0]], 8, lambda p: np.ones(len(p)))
+    with pytest.raises(GeometryMismatch):
+        reassemble(needles, weights, line)
 
 
 def test_reassemble_checks_every_needle_before_depositing():
@@ -715,6 +808,15 @@ def test_cd_on_a_batch_equals_one_needle_at_a_time(case, kappa, N, tol):
 
     reports = cd_check_1d(batch, kappa, N, tol)
     assert [exact(r) for r in reports] == [exact(cd_check_1d(nd, kappa, N, tol)) for nd in batch]
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
+def test_cd_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(InvalidParameter, match="tolerance"):
+        cd_check_1d(gaussian_needle(), 0.0, math.inf, tol)
+    with pytest.raises(InvalidParameter, match="tolerance"):
+        cd_check_1d(_cd_batch("shared-grid"), 0.0, math.inf, tol)
+    assert cd_check_1d(gaussian_needle(), 0.0, math.inf, 0.0).tol == 0.0
 
 
 def test_cd_on_a_batch_without_needles_reports_nothing():
