@@ -242,6 +242,8 @@ class NeedleBatch:
                 "need axes (L,) or (K, L), densities (K, *grid shape) matching them, "
                 "bases (K, n) and directions (n, leaf_dim) or (K, n, leaf_dim)"
             )
+        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(directions))):
+            raise GeometryMismatch("needle bases and directions must be finite")
         self.__dict__.update(axes=axes, g=_unit_mass(g, axes), base=base, directions=directions)
 
     def __len__(self) -> int:

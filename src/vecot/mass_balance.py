@@ -263,21 +263,79 @@ def marginal_abs_continuity_surrogate(
     return bool(np.all(charged[carrying]))
 
 
-def _ball_offsets(n: int, count: int, radius: float) -> np.ndarray:
-    """Center plus low-discrepancy points filling a ball of given radius."""
-    offsets = [np.zeros(n)]
-    if count > 1:
-        from scipy.stats import qmc
+# Sequence points _ball_offsets may draw before it gives up, and the size of
+# its largest block.  The budget holds every ball of up to 16 points in up
+# to 16 dimensions (the largest, 16 points in 16 dimensions, needs 5,626,823).
+_HALTON_BUDGET = 2**23
+_HALTON_BLOCK = 2**14
 
-        sampler = qmc.Halton(d=n, scramble=False)
-        found: list[np.ndarray] = []
-        while len(found) < count - 1:
-            batch = 2.0 * sampler.random(8 * count) - 1.0
-            inside = batch[np.linalg.norm(batch, axis=1) <= 1.0]
-            inside = inside[np.linalg.norm(inside, axis=1) > 1e-12]
-            found.extend(inside)
-        offsets.extend(radius * q for q in found[: count - 1])
-    return np.array(offsets)
+
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput points of the given indices, with scipy's float steps:
+    digit by digit from the lowest, ``acc += digit * scale; scale /= base``."""
+    acc = np.zeros(len(index))
+    quotient, scale = index, 1.0 / base
+    while quotient.any():
+        higher = quotient // base
+        acc += (quotient - higher * base) * scale
+        quotient, scale = higher, scale / base
+    return acc
+
+
+def _halton(index: np.ndarray, d: int) -> np.ndarray:
+    """Points of the unscrambled Halton sequence at the given indices, one
+    prime base per dimension: the rows of
+    ``scipy.stats.qmc.Halton(d, scramble=False)`` bit for bit."""
+    return np.array([_radical_inverse(index, base) for base in _primes(d)]).T
+
+
+def _ball_offsets(n: int, count: int, radius: float) -> np.ndarray:
+    """Center plus low-discrepancy points filling a ball of given radius.
+
+    The points after the center are the first ``count - 1`` points of the
+    unscrambled Halton sequence (Halton 1960; bases the first n primes),
+    mapped from [0, 1)^n to [-1, 1]^n, that lie in the closed unit ball off
+    its center, in sequence order and scaled by ``radius``.  The sequence
+    is read in blocks of at most ``_HALTON_BLOCK`` points, one dimension at
+    a time, and a point is dropped as soon as its running sum of squares
+    leaves the ball; the sums add the dimensions in order, as the row norm
+    of a column-major sample does.  In high dimensions hardly any point
+    falls inside the ball, so after ``_HALTON_BUDGET`` sequence points
+    InvalidSpec is raised.
+    """
+    bases = _primes(n)
+    found: list[np.ndarray] = []
+    start, size = 0, min(8 * count, _HALTON_BLOCK)
+    while len(found) < count - 1:
+        if start == _HALTON_BUDGET:
+            raise InvalidSpec(
+                f"{count - 1} Halton points inside the unit ball in n = {n} dimensions are "
+                f"not among the first {_HALTON_BUDGET} sequence points: lower "
+                f"points_per_ball = {count}"
+            )
+        stop = min(start + size, _HALTON_BUDGET)
+        index, squares = np.arange(start, stop), np.zeros(stop - start)
+        start, size = stop, min(2 * size, _HALTON_BLOCK)
+        for base in bases:
+            x = 2.0 * _radical_inverse(index, base) - 1.0
+            squares += x * x
+            inside = np.sqrt(squares) <= 1.0
+            index, squares = index[inside], squares[inside]
+            if not index.size:
+                break
+        found.extend(2.0 * _halton(index[np.sqrt(squares) > 1e-12], n) - 1.0)
+    return np.vstack([np.zeros(n), radius * np.array(found[: count - 1]).reshape(-1, n)])
 
 
 def smoothed_instance(

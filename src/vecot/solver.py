@@ -48,8 +48,9 @@ of weights or points.
 
 scipy loads where an engine computes with it, so that ``import vecot``
 loads none of it: HiGHS at the first scalar solve, LAPACK at the first
-Newton factor, and ``scipy.sparse`` at the first interior-point run, tree
-engine or disconnected start graph.
+Newton factor, and ``scipy.sparse`` at the first tree engine or
+disconnected start graph.  The interior-point method's incidence products
+are numpy's, bit for bit those of scipy's CSR matrices.
 """
 
 from __future__ import annotations
@@ -205,15 +206,33 @@ def _edge_list(instance: Instance) -> np.ndarray:
     return pairs
 
 
-def _incidence(n: int, pairs: np.ndarray):
-    """Signed n x E incidence matrix: +1 at ``pairs[e, 0]``, -1 at ``pairs[e, 1]``."""
-    from scipy.sparse import csr_matrix
+def _incidence_products(n: int, m: int, pairs: np.ndarray):
+    """``(v -> A v, du -> A^T du)`` for the signed n x E incidence matrix A,
+    +1 at ``pairs[e, 0]`` and -1 at ``pairs[e, 1]`` (i < j), on (E, m) and
+    (n, m) arrays.
 
-    e_count = pairs.shape[0]
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([np.arange(e_count), np.arange(e_count)])
-    vals = np.concatenate([np.ones(e_count), -np.ones(e_count)])
-    return csr_matrix((vals, (rows, cols)), shape=(n, e_count))
+    Bit for bit the products of A and A^T held as scipy CSR matrices: an
+    entry of ``A v`` sums its terms from 0.0 in increasing edge order (one
+    ``np.bincount`` over the entries sorted by row, then edge), and a row of
+    ``A^T du`` is ``(0.0 + du_i) - du_j``.
+    """
+    e_count, span = pairs.shape[0], np.arange(m)
+    # Entry k < E is +1 at (pairs[k, 0], k), entry E + k is -1 at (pairs[k, 1], k).
+    rows = pairs.T.ravel()
+    order = np.lexsort((np.tile(np.arange(e_count), 2), rows))
+    # Each term's flat (row, column) bin in A v and flat (edge, column) source in v.
+    bins = (rows[order, None] * m + span).ravel()
+    sources = ((order % e_count)[:, None] * m + span).ravel()
+    signs = np.repeat(np.where(order < e_count, 1.0, -1.0), m)
+    i, j = pairs[:, 0], pairs[:, 1]
+
+    def net(v: np.ndarray) -> np.ndarray:
+        return np.bincount(bins, signs * v.take(sources), n * m).reshape(n, m)
+
+    def difference(du: np.ndarray) -> np.ndarray:
+        return (0.0 + du.take(i, axis=0)) - du.take(j, axis=0)
+
+    return net, difference
 
 
 def _start_keys(distances: np.ndarray, k: int) -> np.ndarray:
@@ -510,8 +529,7 @@ def _interior_point_engine(w_hat, d_edge, pairs, params, accept):
     e_count = d_edge.shape[0]
     eye = np.eye(m)
     no_t = np.zeros(e_count)
-    incidence = _incidence(n, pairs)
-    incidence_t = incidence.T.tocsr()
+    net, difference = _incidence_products(n, m, pairs)
     assemble = _newton_assembly(pairs, n, m)
     t = np.ones(e_count)
     x = np.zeros((e_count, m))
@@ -527,8 +545,9 @@ def _interior_point_engine(w_hat, d_edge, pairs, params, accept):
         # Nesterov-Todd point w (w_0^2 - ||w_1||^2 = 1): W = beta H(w), with
         # H(w) the hyperbolic rotation taking (1, 0) to w.
         gamma2 = 2.0 * np.sqrt(0.5 * (1.0 + (t * d_edge + _rowdot(x, sx)) / (zj * sj)))
-        w0 = (d_edge / sj + t / zj) / gamma2
-        w1 = (sx / sj[:, None] - x / zj[:, None]) / gamma2[:, None]
+        frame_z, frame_s = _step_frame(t, x, zj), _step_frame(d_edge, sx, sj)
+        w0 = (frame_s[0] + frame_z[0]) / gamma2
+        w1 = (frame_s[1] - frame_z[1]) / gamma2[:, None]
         w0_1, w0_2, w1_2 = 1.0 + w0, 2.0 * w0, 2.0 * w1
         beta = np.sqrt(sj / zj)
         beta_c, beta2 = beta[:, None], beta * beta
@@ -544,7 +563,6 @@ def _interior_point_engine(w_hat, d_edge, pairs, params, accept):
             raise NumericalBreakdown(
                 f"interior-point Newton system is not positive definite (iteration {it})"
             )
-        frame_z, frame_s = _step_frame(t, x, zj), _step_frame(d_edge, sx, sj)
 
         def direction(rc0, rc1):
             # Solve lam o (W dz + W^-1 ds) = rc, A dz = r_p, ds = -A^T du.
@@ -553,11 +571,11 @@ def _interior_point_engine(w_hat, d_edge, pairs, params, accept):
             wq = _rowdot(w1, q1)
             v0 = (w0 * q0 - wq) / beta
             v1 = (q1 - w1 * (q0 - wq / w0_1)[:, None]) / beta_c
-            rhs = (r_p - incidence @ v1).ravel()[m:]
+            rhs = (r_p - net(v1)).ravel()[m:]
             du = np.zeros(n * m)
             du[m:] = _tiled_solve(chol, rhs)
             du = du.reshape(n, m)
-            g = incidence_t @ du
+            g = difference(du)
             wg = _rowdot(w1, g)
             dt = v0 - w0_2 * wg / beta2
             dx = v1 + (g + w1_2 * wg[:, None]) / beta2[:, None]
@@ -588,7 +606,7 @@ def _interior_point_engine(w_hat, d_edge, pairs, params, accept):
         sx = sx + alpha * dsx
         u = u + alpha * du
 
-        r_p = w_hat - incidence @ x
+        r_p = w_hat - net(x)
         cone_primal = _dot(t, d_edge)
         comp = cone_primal + _dot(x, sx)
         if (

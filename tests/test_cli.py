@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -483,6 +484,18 @@ def test_counterexample_rejects_contradictory_flags(capsys):
         main(["counterexample", "--preset", "orthant", "--n", "3"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_smoothing_in_twenty_dimensions_gives_up_in_bounded_time(capsys):
+    # Hardly any Halton point falls inside a 20-dimensional ball: the draw
+    # stops at its budget of sequence points instead of running on.
+    start = time.perf_counter()
+    code = main(["counterexample", "--preset", "orthant", "--m", "20", "--smooth-eps", "0.01"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "n = 20 dimensions" in err and "points_per_ball = 8" in err
+    assert elapsed < 60.0
 
 
 # ---------------------------------------------------------------------------

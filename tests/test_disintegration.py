@@ -176,6 +176,32 @@ def test_needle_batch_validates_once_for_the_whole_batch():
     assert batch[1].g.sum() * (2.0 * t[1]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"base": [[0.5, 0.0], [np.nan, 0.0]]},
+        {"base": [[0.5, 0.0], [np.inf, 0.0]]},
+        {"directions": [[1.0], [np.nan]]},
+        {"directions": [[[1.0], [0.0]], [[-np.inf], [0.0]]]},
+    ],
+    ids=["nan-base", "inf-base", "nan-direction", "inf-per-needle-direction"],
+)
+def test_needle_batch_rejects_non_finite_geometry(bad):
+    # Caught here, not in reassemble, which would blame its own output for a
+    # NaN base and put all the mass of an infinite one on the edge row.
+    ok = {
+        "axes": (np.linspace(-1.0, 1.0, 9),),
+        "g": np.ones((2, 9)),
+        "base": [[0.5, 0.0], [-0.5, 0.0]],
+        "directions": [[1.0], [0.0]],
+    }
+    with pytest.raises(GeometryMismatch, match="finite"):
+        NeedleBatch(**{**ok, **bad})
+    if "base" in bad:
+        with pytest.raises(GeometryMismatch, match="finite"):
+            Needle(axes=ok["axes"], g=np.ones(9), base=bad["base"][1], directions=ok["directions"])
+
+
 # ---------------------------------------------------------------------------
 # Slice disintegration
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from vecot import mass_balance
 from vecot import (
     BallOverlap,
     CounterexampleSpec,
@@ -309,6 +312,39 @@ def test_smoothed_instance_rejects_overlap_and_bad_counts():
         smoothed_instance(spec, eps=-0.1, points_per_ball=2)
     with pytest.raises(InvalidSpec):
         smoothed_instance(spec, eps=float("nan"), points_per_ball=2)
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_halton_points_match_scipy_bit_for_bit(d):
+    # Several consecutive draws from the start, and some deep in the
+    # sequence, where every base has many digits.
+    from scipy.stats import qmc
+
+    sampler = qmc.Halton(d=d, scramble=False)
+    start = 0
+    for size in (1, 2, 7, 64, 1000, 4000):
+        expected = sampler.random(size)
+        got = mass_balance._halton(np.arange(start, start + size), d)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        start += size
+    sampler.num_generated = 2**23 - 500  # fast_forward would draw the points
+    expected = sampler.random(1000)
+    assert mass_balance._halton(np.arange(2**23 - 500, 2**23 + 500), d).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec, eps, per_ball, digest",
+    [
+        (paper_preset(), 0.05, 4, "93f3a1b06abf9763ccff28df35781334bc7d62141048d7147f6cc2ceb3cc6c58"),
+        (orthant_spec(4), 0.05, 6, "1475575dc381a6506667ce652242828e269987568a52c61c7f3a1cd13208e2a3"),
+    ],
+    ids=["paper", "orthant-4"],
+)
+def test_smoothed_points_keep_their_bytes(spec, eps, per_ball, digest):
+    # Digests frozen from points drawn with scipy.stats.qmc.Halton.
+    points = smoothed_instance(spec, eps=eps, points_per_ball=per_ball).cloud.points
+    assert hashlib.sha256(points.tobytes()).hexdigest() == digest
 
 
 def test_smoothing_converges_to_the_atomic_value():

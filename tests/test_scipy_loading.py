@@ -2,13 +2,16 @@
 
 ``import vecot`` loads none; ``vecot --version``, ``certify`` and
 ``disintegrate`` compute without scipy and run with it blocked; the leaf fit
-loads LAPACK but not the optimizer package that holds HiGHS.
+loads LAPACK but not the optimizer package that holds HiGHS; smoothing never
+loads ``scipy.stats``, which no module of vecot imports.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -21,11 +24,13 @@ from vecot.cli import main
 
 # Runs the command line given after the mode, then prints the scipy modules
 # loaded by then to stderr, on exit.  Mode "blocked" makes every scipy
-# import fail with ImportError.
+# import fail with ImportError, mode "no-stats" every import of scipy.stats.
 CLI_SCRIPT = """
 import atexit, json, sys
 if sys.argv[1] == "blocked":
     sys.modules["scipy"] = None
+if sys.argv[1] == "no-stats":
+    sys.modules["scipy.stats"] = None
 atexit.register(lambda: print(json.dumps(sorted(
     name for name, module in sys.modules.items()
     if name.split(".")[0] == "scipy" and module is not None
@@ -112,3 +117,27 @@ def test_leaf_extraction_loads_lapack_but_not_the_optimizer(tmp_path):
     assert [leaf["dimension"] for leaf in json.loads(done.stdout)["decomposition"]["leaves"]] == [2]
     assert {"scipy.linalg", "scipy.spatial"} <= set(loaded)
     assert not any(name.startswith("scipy.optimize") for name in loaded)
+
+
+def test_smoothing_loads_no_scipy_stats():
+    argv = ["counterexample", "--preset", "orthant", "--m", "4", "--smooth-eps", "0.05",
+            "--points-per-ball", "6"]
+    normal, loaded = cli("normal", *argv)
+    assert normal.returncode == 0, normal.stderr
+    assert json.loads(normal.stdout)["smoothed"]["size"] == 30
+    assert not any(name.startswith("scipy.stats") for name in loaded)
+    blocked, _ = cli("no-stats", *argv)
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == normal.stdout
+
+
+def test_no_module_of_vecot_imports_scipy_stats():
+    for path in pathlib.Path(vecot.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(name.startswith("scipy.stats") for name in names), path.name

@@ -757,6 +757,38 @@ def test_newton_assembly_matches_the_block_laplacian_bit_for_bit():
         assert got.tobytes() == expected.tobytes()
 
 
+def test_incidence_products_match_scipy_csr_bit_for_bit():
+    # scipy's CSR incidence matrix and its transpose, as the engine built
+    # them, on connected edge sets; the vectors hold signed zeros, which
+    # the sums must turn into +0.0 wherever scipy does.
+    rng = np.random.default_rng(127)
+    for trial in range(30):
+        n, m = int(rng.integers(3, 51)), 2 + trial % 3
+        tree = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+        extra = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        pairs = np.sort(np.concatenate([np.array(tree), extra]), axis=1)
+        pairs = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
+        if trial % 2:  # CSR sums in edge order whatever order the edges come in
+            pairs = rng.permutation(pairs)
+        e_count = len(pairs)
+        incidence = scipy.sparse.csr_matrix(
+            (
+                np.concatenate([np.ones(e_count), -np.ones(e_count)]),
+                (pairs.T.ravel(), np.tile(np.arange(e_count), 2)),
+            ),
+            shape=(n, e_count),
+        )
+        v = rng.normal(size=(e_count, m)) * 10.0 ** rng.integers(-8, 8, size=(e_count, m))
+        du = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-8, 8, size=(n, m))
+        for array in (v, du):
+            array[rng.uniform(size=array.shape) < 0.2] = 0.0
+            array[rng.uniform(size=array.shape) < 0.2] = -0.0
+        net, difference = vecot.solver._incidence_products(n, m, pairs)
+        for got, expected in ((net(v), incidence @ v), (difference(du), incidence.T.tocsr() @ du)):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
 DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
