@@ -437,17 +437,26 @@ def cost(coupling: VectorCoupling, instance: Instance) -> float:
 @functools.cache
 def _lapack():
     """scipy's LAPACK wrappers, imported at the first Newton factor or leaf
-    fit: ``import vecot`` loads no scipy.  Routines are looked up on the
-    module at each call, once per tile or fit, with no import statement."""
+    fit, so that ``import vecot`` loads no scipy; later calls return the
+    cached module.  Routines are looked up on it once per tile or fit."""
     from scipy.linalg import lapack
 
     return lapack
 
 
+try:
+    # The kernel behind np.einsum, which calls it as is when ``optimize`` is
+    # False (its default): the same sums without the Python dispatch, which
+    # costs more than the sum on the interior-point engine's small arrays.
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # a numpy that has moved it
+    _einsum = np.einsum
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product summed in a fixed order: OpenBLAS splits ``np.dot`` and
     whole-array norms over its threads, which changes the rounding."""
-    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+    return float(_einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def pairing(potential: PotentialField, measure: DiscreteVectorMeasure) -> float:

@@ -36,6 +36,9 @@ and three engines solve it:
   ``sum_e b_e b_e^T (x) H_e`` (one m x m block per edge), whose upper
   triangle without point 0 (pinned) is assembled in place and factored by a
   dense Cholesky.  The dual iterate stays exactly feasible: it is the potential.
+  The primal cone points and the dual slacks are held as one stacked array,
+  primal rows first, so that the step frame, the ratio test and the interior
+  test each run once over both cones.
 
 Whatever the engine, the answer is accepted only by one stopping rule: the
 potential is repaired into the global 1-Lipschitz set, and the duality gap
@@ -55,6 +58,7 @@ are numpy's, bit for bit those of scipy's CSR matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +71,7 @@ from .core import (
     VectorCoupling,
     WrongDimension,
     _dot,
+    _einsum,
     _lapack,
     component_labels,
     edge_slackness,
@@ -415,7 +420,7 @@ _TILE = 32
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
+    return _einsum("ij,ij->i", a, b)
 
 
 def _tiled_cholesky(r: np.ndarray) -> np.ndarray | None:
@@ -452,32 +457,6 @@ def _tiled_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
             y[k0:k1] -= np.einsum("ij,j->i", r[k0:k1, k1:], y[k1:])
         y[k0:k1] = lapack.dtrtrs(r[k0:k1, k0:k1], y[k0:k1])[0]
     return y
-
-
-def _cone_det(u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """``u0^2 - ||u1||^2`` per cone point, positive exactly in the interior."""
-    un = np.sqrt(_rowdot(u1, u1))
-    return (u0 - un) * (u0 + un)
-
-
-def _step_frame(u0, u1, uj):
-    """``(u0 / uj, u1 / uj, 1 + u0 / uj, uj)`` for ``uj = sqrt(u0^2 - ||u1||^2)``."""
-    ub0 = u0 / uj
-    return ub0, u1 / uj[:, None], ub0 + 1.0, uj
-
-
-def _max_step(frame, du0, du1) -> float:
-    """Largest step keeping every cone point ``u + alpha du`` in its cone.
-
-    ``frame`` is :func:`_step_frame` of ``u``: coordinates where ``u`` is the
-    cone's identity, which keep the ratio test accurate next to the
-    boundary.  inf when no cone binds.
-    """
-    ub0, ub1, ub0_1, uj = frame
-    ubdu = ub0 * du0 - _rowdot(ub1, du1)
-    rho1 = (du1 - ((ubdu + du0) / ub0_1)[:, None] * ub1) / uj[:, None]
-    sigma = float(np.max(np.sqrt(_rowdot(rho1, rho1)) - ubdu / uj))
-    return 1.0 / sigma if sigma > 0.0 else np.inf
 
 
 def _newton_assembly(pairs: np.ndarray, n: int, m: int):
@@ -519,110 +498,122 @@ def _interior_point_engine(w_hat, d_edge, pairs, params, accept):
     rule; it runs once the complementarity and the primal residual are
     within the tolerances of ``params``.  The edge set is connected, so
     pinning point 0 (its m rows and columns) makes the Laplacian definite.
+    The z_e and s_e are stacked in one array, the E primal rows first; the
+    time direction of the dual rows is a stored zero.
 
     Returns ``(flows, u_raw, iterations, complementarity, u_accepted)``,
     with ``u_accepted`` None when ``params.max_iters`` ran out first, or
-    when fewer iterations ran because the last step reached a cone boundary
-    in double precision.
+    when the iterates reached the limits of double precision: the last
+    step reached a cone boundary, or the next direction is not finite.
     """
     n, m = w_hat.shape
     e_count = d_edge.shape[0]
     eye = np.eye(m)
-    no_t = np.zeros(e_count)
     net, difference = _incidence_products(n, m, pairs)
     assemble = _newton_assembly(pairs, n, m)
-    t = np.ones(e_count)
-    x = np.zeros((e_count, m))
+    # Cone points (c0, c1) and their directions (dc0, dc1).  The x-part of the
+    # dual slack, u_j - u_i, is carried along with u rather than recomputed
+    # from it: on very short edges the difference of two potential values
+    # loses the digits that keep s inside its cone.
+    c0, dc0 = np.concatenate([np.ones(e_count), d_edge]), np.zeros(2 * e_count)
+    c1, dc1 = np.zeros((2, 2 * e_count, m))
+    cj = c0.copy()  # sqrt(c0^2 - ||c1||^2)
+    t, x, sx, zj, sj = c0[:e_count], c1[:e_count], c1[e_count:], cj[:e_count], cj[e_count:]
+    dt, dx, dsx = dc0[:e_count], dc1[:e_count], dc1[e_count:]
     u = np.zeros((n, m))
-    # The x-part of the dual slack, u_j - u_i, is carried along with u rather
-    # than recomputed from it: on very short edges the difference of two
-    # potential values loses the digits that keep s inside its cone.
-    sx = np.zeros((e_count, m))
     r_p = w_hat.copy()
     comp = _dot(t, d_edge)
-    zj, sj = np.ones(e_count), d_edge  # sqrt(t^2 - ||x||^2), sqrt(d^2 - ||sx||^2)
     for it in range(1, params.max_iters + 1):
-        # Nesterov-Todd point w (w_0^2 - ||w_1||^2 = 1): W = beta H(w), with
-        # H(w) the hyperbolic rotation taking (1, 0) to w.
-        gamma2 = 2.0 * np.sqrt(0.5 * (1.0 + (t * d_edge + _rowdot(x, sx)) / (zj * sj)))
-        frame_z, frame_s = _step_frame(t, x, zj), _step_frame(d_edge, sx, sj)
-        w0 = (frame_s[0] + frame_z[0]) / gamma2
-        w1 = (frame_s[1] - frame_z[1]) / gamma2[:, None]
-        w0_1, w0_2, w1_2 = 1.0 + w0, 2.0 * w0, 2.0 * w1
-        beta = np.sqrt(sj / zj)
-        beta_c, beta2 = beta[:, None], beta * beta
-        w1x = _rowdot(w1, x)
-        lam0 = beta * (w0 * t + w1x)
-        lam0_c = lam0[:, None]
-        lam1 = beta_c * (t[:, None] * w1 + x + w1 * (w1x / w0_1)[:, None])
-        lam_det = zj * sj  # lam_0^2 - ||lam_1||^2
+        # A zero lam0 next to a cone boundary makes a direction NaN: the ratio
+        # tests catch that, so numpy need not warn.
+        with np.errstate(all="ignore"):
+            # Coordinates in which each cone point is the cone's identity.
+            ub0 = c0 / cj
+            ub1 = c1 / cj[:, None]
+            ub0_1 = ub0 + 1.0
+            # Nesterov-Todd point w (w_0^2 - ||w_1||^2 = 1): W = beta H(w), with
+            # H(w) the hyperbolic rotation taking (1, 0) to w.
+            lam_det = zj * sj  # lam_0^2 - ||lam_1||^2
+            gamma2 = 2.0 * np.sqrt(0.5 * (1.0 + (t * d_edge + _rowdot(x, sx)) / lam_det))
+            w0 = (ub0[e_count:] + ub0[:e_count]) / gamma2
+            w1 = (ub1[e_count:] - ub1[:e_count]) / gamma2[:, None]
+            w0_1, w0_2, w1_2 = 1.0 + w0, 2.0 * w0, 2.0 * w1
+            beta = np.sqrt(sj / zj)
+            beta_c, beta2 = beta[:, None], beta * beta
+            w1x = _rowdot(w1, x)
+            lam0 = beta * (w0 * t + w1x)
+            lam0_c = lam0[:, None]
+            lam1 = beta_c * (t[:, None] * w1 + x + w1 * (w1x / w0_1)[:, None])
 
-        h = (eye + w1_2[:, :, None] * w1[:, None, :]) / beta2[:, None, None]
-        chol = _tiled_cholesky(assemble(h))
-        if chol is None:
-            raise NumericalBreakdown(
-                f"interior-point Newton system is not positive definite (iteration {it})"
-            )
+            h = (eye + w1_2[:, :, None] * w1[:, None, :]) / beta2[:, None, None]
+            chol = _tiled_cholesky(assemble(h))
+            if chol is None:
+                raise NumericalBreakdown(
+                    f"interior-point Newton system is not positive definite (iteration {it})"
+                )
 
-        def direction(rc0, rc1):
-            # Solve lam o (W dz + W^-1 ds) = rc, A dz = r_p, ds = -A^T du.
-            q0 = (lam0 * rc0 - _rowdot(lam1, rc1)) / lam_det
-            q1 = (rc1 - lam1 * q0[:, None]) / lam0_c
-            wq = _rowdot(w1, q1)
-            v0 = (w0 * q0 - wq) / beta
-            v1 = (q1 - w1 * (q0 - wq / w0_1)[:, None]) / beta_c
-            rhs = (r_p - net(v1)).ravel()[m:]
-            du = np.zeros(n * m)
-            du[m:] = _tiled_solve(chol, rhs)
-            du = du.reshape(n, m)
-            g = difference(du)
-            wg = _rowdot(w1, g)
-            dt = v0 - w0_2 * wg / beta2
-            dx = v1 + (g + w1_2 * wg[:, None]) / beta2[:, None]
-            dsx = -g
-            step = min(_max_step(frame_z, dt, dx), _max_step(frame_s, no_t, dsx))
-            return dt, dx, du, dsx, step
+            def direction(rc0, rc1):
+                # Solve lam o (W dz + W^-1 ds) = rc, A dz = r_p, ds = -A^T du into
+                # (dc0, dc1) and du.  Returns du and the ratio test's inverse of the
+                # largest step that keeps both cones (<= 0 if none binds), which
+                # is inf or NaN when the direction is not finite.
+                q0 = (lam0 * rc0 - _rowdot(lam1, rc1)) / lam_det
+                q1 = (rc1 - lam1 * q0[:, None]) / lam0_c
+                wq = _rowdot(w1, q1)
+                v0 = (w0 * q0 - wq) / beta
+                v1 = (q1 - w1 * (q0 - wq / w0_1)[:, None]) / beta_c
+                du = np.zeros((n, m))
+                du[1:] = _tiled_solve(chol, (r_p - net(v1)).ravel()[m:]).reshape(n - 1, m)
+                g = difference(du)
+                wg = _rowdot(w1, g)
+                np.subtract(v0, w0_2 * wg / beta2, out=dt)
+                np.add(v1, (g + w1_2 * wg[:, None]) / beta2[:, None], out=dx)
+                np.negative(g, out=dsx)
+                ubdu = ub0 * dc0 - _rowdot(ub1, dc1)
+                rho1 = (dc1 - ((ubdu + dc0) / ub0_1)[:, None] * ub1) / cj[:, None]
+                return du, float((np.sqrt(_rowdot(rho1, rho1)) - ubdu / cj).max())
 
-        # Predictor: the affine-scaling direction, rc = -lam o lam.
-        lam_sq0 = lam0 * lam0 + _rowdot(lam1, lam1)
-        lam_sq1 = 2.0 * lam0_c * lam1
-        dt, dx, du, dsx, step = direction(-lam_sq0, -lam_sq1)
-        alpha = min(1.0, step)
-        comp_aff = _dot(t + alpha * dt, d_edge) + _dot(x + alpha * dx, sx + alpha * dsx)
-        sigma = min(1.0, max(0.0, comp_aff / comp)) ** 3
-        # Corrector: centring plus the second-order term (W dz) o (W^-1 ds).
-        w1dx = _rowdot(w1, dx)
-        w1ds = _rowdot(w1, dsx)
-        a0 = beta * (w0 * dt + w1dx)
-        a1 = beta_c * (dt[:, None] * w1 + dx + w1 * (w1dx / w0_1)[:, None])
-        b0 = -w1ds / beta
-        b1 = (dsx + w1 * (w1ds / w0_1)[:, None]) / beta_c
-        rc0 = sigma * comp / e_count - lam_sq0 - (a0 * b0 + _rowdot(a1, b1))
-        rc1 = -lam_sq1 - (a0[:, None] * b1 + b0[:, None] * a1)
-        dt, dx, du, dsx, step = direction(rc0, rc1)
-        alpha = min(1.0, _STEP_TO_BOUNDARY * step)
-        t = t + alpha * dt
-        x = x + alpha * dx
-        sx = sx + alpha * dsx
-        u = u + alpha * du
+            # Predictor: the affine-scaling direction, rc = -lam o lam.
+            lam_sq0 = lam0 * lam0 + _rowdot(lam1, lam1)
+            lam_sq1 = 2.0 * lam0_c * lam1
+            du, inv_aff = direction(-lam_sq0, -lam_sq1)
+            alpha = min(1.0, 1.0 / inv_aff) if inv_aff > 0.0 else 1.0
+            comp_aff = _dot(t + alpha * dt, d_edge) + _dot(x + alpha * dx, sx + alpha * dsx)
+            sigma = min(1.0, max(0.0, comp_aff / comp)) ** 3
+            # Corrector: centring plus the second-order term (W dz) o (W^-1 ds).
+            w1dx = _rowdot(w1, dx)
+            w1ds = _rowdot(w1, dsx)
+            a0 = beta * (w0 * dt + w1dx)
+            a1 = beta_c * (dt[:, None] * w1 + dx + w1 * (w1dx / w0_1)[:, None])
+            b0 = -w1ds / beta
+            b1 = (dsx + w1 * (w1ds / w0_1)[:, None]) / beta_c
+            rc0 = sigma * comp / e_count - lam_sq0 - (a0 * b0 + _rowdot(a1, b1))
+            rc1 = -lam_sq1 - (a0[:, None] * b1 + b0[:, None] * a1)
+            du, inv_step = direction(rc0, rc1)
+            if not (math.isfinite(inv_aff) and math.isfinite(inv_step)):
+                return x, u, it - 1, comp, None  # the last finite iterate
+            alpha = min(1.0, _STEP_TO_BOUNDARY * (1.0 / inv_step)) if inv_step > 0.0 else 1.0
+            t += alpha * dt
+            c1 += alpha * dc1
+            u += alpha * du
 
         r_p = w_hat - net(x)
         cone_primal = _dot(t, d_edge)
         comp = cone_primal + _dot(x, sx)
         if (
             comp <= _GAP_FLOOR_HAT + params.tol_gap * cone_primal
-            and np.sqrt(_dot(r_p, r_p)) <= params.tol_primal
+            and math.sqrt(_dot(r_p, r_p)) <= params.tol_primal
         ):
             u_hat = accept(x, u)
             if u_hat is not None:
                 return x, u, it, comp, u_hat
-        zj2 = _cone_det(t, x)
-        sj2 = _cone_det(d_edge, sx)
-        if not (np.all(zj2 > 0.0) and np.all(sj2 > 0.0)):
+        c1_norm = np.sqrt(_rowdot(c1, c1))
+        det = (c0 - c1_norm) * (c0 + c1_norm)
+        if not det.min() > 0.0:  # a NaN fails it too
             # In double precision the step reached a cone boundary, where no
             # scaling exists: the iterate is as accurate as it can get.
             return x, u, it, comp, None
-        zj, sj = np.sqrt(zj2), np.sqrt(sj2)
+        np.sqrt(det, out=cj)
     return x, u, params.max_iters, comp, None
 
 

@@ -348,6 +348,24 @@ def test_iteration_limit_exits_3(tmp_path, capsys):
     assert doc["report"]["status"] == "IterLimit"
 
 
+def test_a_direction_that_is_not_finite_exits_3_without_a_warning(tmp_path, capsys):
+    # Points 0 and 1 are 1e-12 apart; the interior-point engine meets a NaN
+    # direction at iteration 18 and answers with its last finite iterate.
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-1.0, 1.0, (10, 2))
+    pts[1] = pts[0] + 1e-12 * rng.normal(size=2)
+    w = rng.normal(size=(10, 2))
+    w -= w.mean(axis=0)
+    path = write_instance(tmp_path, points=pts.tolist(), weights=w.tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would exit 4
+        code = main(["solve", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, "")
+    report = json.loads(out)["report"]
+    assert (report["status"], report["iterations"]) == ("IterLimit", 17)
+    assert report["notes"] == "interior-point iterates reached the limits of double precision"
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from vecot import (
     line_oracle,
     lipschitz_constant,
     marginals,
+    orthant_spec,
     pairing,
     paper_preset,
     smoothed_instance,
@@ -787,6 +789,218 @@ def test_incidence_products_match_scipy_csr_bit_for_bit():
         for got, expected in ((net(v), incidence @ v), (difference(du), incidence.T.tocsr() @ du)):
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+
+def reference_interior_point_engine(w_hat, d_edge, pairs, params, accept):
+    """The interior-point engine as it was before it stacked its two cones:
+    primal points and dual slacks in separate arrays, with ``_step_frame``,
+    ``_cone_det`` and ``_max_step`` below, ``np.einsum`` sums, and every
+    Newton matrix factored and solved tile by tile."""
+    n, m = w_hat.shape
+    e_count = d_edge.shape[0]
+    eye = np.eye(m)
+    no_t = np.zeros(e_count)
+    net, difference = vecot.solver._incidence_products(n, m, pairs)
+    assemble = vecot.solver._newton_assembly(pairs, n, m)
+    t = np.ones(e_count)
+    x = np.zeros((e_count, m))
+    u = np.zeros((n, m))
+    sx = np.zeros((e_count, m))
+    r_p = w_hat.copy()
+    comp = _dot(t, d_edge)
+    zj, sj = np.ones(e_count), d_edge
+    for it in range(1, params.max_iters + 1):
+        gamma2 = 2.0 * np.sqrt(0.5 * (1.0 + (t * d_edge + _rowdot(x, sx)) / (zj * sj)))
+        frame_z, frame_s = _step_frame(t, x, zj), _step_frame(d_edge, sx, sj)
+        w0 = (frame_s[0] + frame_z[0]) / gamma2
+        w1 = (frame_s[1] - frame_z[1]) / gamma2[:, None]
+        w0_1, w0_2, w1_2 = 1.0 + w0, 2.0 * w0, 2.0 * w1
+        beta = np.sqrt(sj / zj)
+        beta_c, beta2 = beta[:, None], beta * beta
+        w1x = _rowdot(w1, x)
+        lam0 = beta * (w0 * t + w1x)
+        lam0_c = lam0[:, None]
+        lam1 = beta_c * (t[:, None] * w1 + x + w1 * (w1x / w0_1)[:, None])
+        lam_det = zj * sj
+
+        h = (eye + w1_2[:, :, None] * w1[:, None, :]) / beta2[:, None, None]
+        chol = vecot.solver._tiled_cholesky(assemble(h))
+        if chol is None:
+            raise NumericalBreakdown(
+                f"interior-point Newton system is not positive definite (iteration {it})"
+            )
+
+        def direction(rc0, rc1):
+            q0 = (lam0 * rc0 - _rowdot(lam1, rc1)) / lam_det
+            q1 = (rc1 - lam1 * q0[:, None]) / lam0_c
+            wq = _rowdot(w1, q1)
+            v0 = (w0 * q0 - wq) / beta
+            v1 = (q1 - w1 * (q0 - wq / w0_1)[:, None]) / beta_c
+            rhs = (r_p - net(v1)).ravel()[m:]
+            du = np.zeros(n * m)
+            du[m:] = vecot.solver._tiled_solve(chol, rhs)
+            du = du.reshape(n, m)
+            g = difference(du)
+            wg = _rowdot(w1, g)
+            dt = v0 - w0_2 * wg / beta2
+            dx = v1 + (g + w1_2 * wg[:, None]) / beta2[:, None]
+            dsx = -g
+            step = min(_max_step(frame_z, dt, dx), _max_step(frame_s, no_t, dsx))
+            return dt, dx, du, dsx, step
+
+        lam_sq0 = lam0 * lam0 + _rowdot(lam1, lam1)
+        lam_sq1 = 2.0 * lam0_c * lam1
+        dt, dx, du, dsx, step = direction(-lam_sq0, -lam_sq1)
+        alpha = min(1.0, step)
+        comp_aff = _dot(t + alpha * dt, d_edge) + _dot(x + alpha * dx, sx + alpha * dsx)
+        sigma = min(1.0, max(0.0, comp_aff / comp)) ** 3
+        w1dx = _rowdot(w1, dx)
+        w1ds = _rowdot(w1, dsx)
+        a0 = beta * (w0 * dt + w1dx)
+        a1 = beta_c * (dt[:, None] * w1 + dx + w1 * (w1dx / w0_1)[:, None])
+        b0 = -w1ds / beta
+        b1 = (dsx + w1 * (w1ds / w0_1)[:, None]) / beta_c
+        rc0 = sigma * comp / e_count - lam_sq0 - (a0 * b0 + _rowdot(a1, b1))
+        rc1 = -lam_sq1 - (a0[:, None] * b1 + b0[:, None] * a1)
+        dt, dx, du, dsx, step = direction(rc0, rc1)
+        alpha = min(1.0, 0.99 * step)
+        t = t + alpha * dt
+        x = x + alpha * dx
+        sx = sx + alpha * dsx
+        u = u + alpha * du
+
+        r_p = w_hat - net(x)
+        cone_primal = _dot(t, d_edge)
+        comp = cone_primal + _dot(x, sx)
+        if (
+            comp <= 1e-12 + params.tol_gap * cone_primal
+            and np.sqrt(_dot(r_p, r_p)) <= params.tol_primal
+        ):
+            u_hat = accept(x, u)
+            if u_hat is not None:
+                return x, u, it, comp, u_hat
+        zj2 = _cone_det(t, x)
+        sj2 = _cone_det(d_edge, sx)
+        if not (np.all(zj2 > 0.0) and np.all(sj2 > 0.0)):
+            return x, u, it, comp, None
+        zj, sj = np.sqrt(zj2), np.sqrt(sj2)
+    return x, u, params.max_iters, comp, None
+
+
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _dot(a, b) -> float:
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
+def _cone_det(u0, u1):
+    un = np.sqrt(_rowdot(u1, u1))
+    return (u0 - un) * (u0 + un)
+
+
+def _step_frame(u0, u1, uj):
+    ub0 = u0 / uj
+    return ub0, u1 / uj[:, None], ub0 + 1.0, uj
+
+
+def _max_step(frame, du0, du1) -> float:
+    ub0, ub1, ub0_1, uj = frame
+    ubdu = ub0 * du0 - _rowdot(ub1, du1)
+    rho1 = (du1 - ((ubdu + du0) / ub0_1)[:, None] * ub1) / uj[:, None]
+    sigma = float(np.max(np.sqrt(_rowdot(rho1, rho1)) - ubdu / uj))
+    return 1.0 / sigma if sigma > 0.0 else np.inf
+
+
+def near_duplicate_instance(seed: int, gap: float):
+    """Ten planar points, m = 2, with points 0 and 1 ``gap`` apart."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (10, 2))
+    pts[1] = pts[0] + gap * rng.normal(size=2)
+    w = rng.normal(size=(10, 2))
+    w -= w.mean(axis=0)
+    return build_instance(pts, w)
+
+
+def engine_outcome(engine, args):
+    """An engine's result as bytes and hex strings, or the breakdown it raised."""
+    try:
+        flows, u_raw, iterations, comp, u_hat = engine(*args)
+    except NumericalBreakdown as error:
+        return ("NumericalBreakdown", str(error))
+    accepted = None if u_hat is None else u_hat.tobytes()
+    return flows.tobytes(), u_raw.tobytes(), accepted, iterations, float(comp).hex()
+
+
+def test_interior_point_engine_matches_the_reference_bit_for_bit(monkeypatch):
+    # The engine's row dots call einsum's kernel directly; falling back to
+    # np.einsum keeps the bits but loses the saving, so it must not go unseen.
+    assert vecot.core._einsum is not np.einsum
+    engine = vecot.solver._interior_point_engine
+    outcomes = []
+
+    def spy(*args):
+        got = engine_outcome(engine, args)
+        expected = engine_outcome(reference_interior_point_engine, args)
+        assert got == expected
+        outcomes.append(got)
+        return engine(*args)
+
+    monkeypatch.setattr(vecot.solver, "_interior_point_engine", spy)
+    rng = np.random.default_rng(2024)  # the acceptance tests' criterion-2 batch
+    batch = []
+    for _ in range(100):
+        big_n, n, m = int(rng.integers(2, 26)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        inst = random_instance(rng, big_n, n, m)
+        if m >= 2:
+            batch.append(inst)
+    presets = [paper_preset().instance(), orthant_spec(3).instance(), orthant_spec(4).instance()]
+    for inst in batch + presets + list(hard_instances().values()):
+        solve(inst)
+    for m in (2, 3, 4):
+        solve(random_instance(np.random.default_rng(61), 9, 2, m), SolverParams(max_iters=3))
+    # 49 of the batch's 70 vector items reach the engine; the rest are trees.
+    assert len(outcomes) == 49 + 3 + 3 + 3
+    breakdowns = []
+    for gap in (1e-9, 1e-12):
+        for seed in (0, 1, 2, 3, 5, 6, 7):
+            try:
+                solve(near_duplicate_instance(seed, gap))
+            except NumericalBreakdown as error:
+                breakdowns.append((seed, gap, str(error)))
+    assert len(outcomes) == 58 + 14
+    assert breakdowns == [
+        (0, 1e-12, "interior-point Newton system is not positive definite (iteration 22)")
+    ]
+
+
+def test_a_direction_that_is_not_finite_ends_the_engine_at_the_last_finite_iterate(monkeypatch):
+    # Points 0 and 1 are 1e-12 apart: at iteration 18 the predictor divides
+    # by a zero lam0, and the engine it was before stepped onto NaN flows.
+    engine, calls = vecot.solver._interior_point_engine, []
+
+    def spy(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(vecot.solver, "_interior_point_engine", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coupling, potential, report = solve(near_duplicate_instance(4, 1e-12))
+    assert (report.engine, report.status, report.iterations) == ("ipm", "IterLimit", 17)
+    assert report.notes == "interior-point iterates reached the limits of double precision"
+    assert np.isfinite(coupling.flows).all() and np.isfinite(potential.values).all()
+    assert np.isfinite(report.dual_residual)
+    # The answer is the seventeenth iterate, and the eighteenth is not finite.
+    ((w_hat, d_edge, pairs, _, accept),) = calls
+    args = (w_hat, d_edge, pairs, SolverParams(max_iters=17), accept)
+    assert engine_outcome(engine, args) == engine_outcome(reference_interior_point_engine, args)
+    with np.errstate(all="ignore"):
+        flows = reference_interior_point_engine(
+            w_hat, d_edge, pairs, SolverParams(max_iters=18), accept
+        )[0]
+    assert np.isnan(flows).any()
 
 
 DIGEST_SCRIPT = """
