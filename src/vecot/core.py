@@ -86,6 +86,12 @@ class InvalidParameter(VecotError, ValueError):
     """A tolerance or count argument is out of its range."""
 
 
+def _check_count(value, name: str, error: type[VecotError] = InvalidParameter) -> None:
+    """Raise ``error`` unless a count argument is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Finite set of pairwise distinct points in R^n.

@@ -8,13 +8,14 @@ densities on those leaves (needles), with mixture weights, and check that
 the weighted mixture reassembles the original.  Ray conditionals pick up
 the Jacobian factor r^(n-1).
 
-A disintegration returns its needles as one NeedleBatch: the leaf grids,
-every conditional density in one array, checked and normalized once, and
-the embedding of each leaf.  Iterating a batch gives Needle views of it.
-Reassembly takes only a batch, and CD checks take a batch or one view.  Ray
-sampling and reassembly run in blocks of at most ``_BLOCK_POINTS`` points
-and weigh multilinear corners with one combiner, and every result is
-bit-identical to handling the needles one at a time.
+NeedleBatch is the one needle type.  A disintegration returns its needles
+as one batch: the leaf grids, every conditional density in one array,
+checked and normalized once, and the embedding of each leaf.  Reassembly
+and CD checks take a batch; iterating a batch gives row views, its arrays
+without the needle axis, which exist for iteration and which a CD check
+takes as one needle.  Ray sampling and reassembly run in blocks of at most
+``_BLOCK_POINTS`` points and weigh multilinear corners with one combiner,
+and every result is bit-identical to handling the needles one at a time.
 
 A 1-D needle with density g = e^(-rho) satisfies the curvature-dimension
 condition CD(kappa, N) when rho'' - (rho')^2/(N-1) >= kappa on its
@@ -26,12 +27,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameter, VecotError
+from .core import InvalidParameter, VecotError, _check_count
 
 __all__ = [
     "EmptySlice",
@@ -40,7 +40,6 @@ __all__ = [
     "NonpositiveDensity",
     "TooFewPoints",
     "GridDensity",
-    "Needle",
     "NeedleBatch",
     "CdReport",
     "tabulate_density",
@@ -153,7 +152,9 @@ def _product_grid(axes) -> np.ndarray:
 def tabulate_density(box, resolution, fn) -> GridDensity:
     """Evaluate a density function at the cell centers of a regular grid."""
     box = _box(box)
-    resolution = tuple(int(r) for r in np.atleast_1d(resolution))
+    resolution = tuple(np.atleast_1d(resolution).tolist())
+    for count in resolution:
+        _check_count(count, "a cell count")
     if len(resolution) == 1:
         resolution = resolution * box.shape[0]
     if len(resolution) != box.shape[0]:
@@ -168,43 +169,6 @@ def tabulate_density(box, resolution, fn) -> GridDensity:
     return GridDensity(box=box, samples=samples)
 
 
-@dataclass(frozen=True)
-class Needle:
-    """Conditional density on one leaf, sampled on the leaf's own grid.
-
-    ``axes`` hold the leaf-internal parameter grids (cell centers, uniform
-    spacing), ``g`` the density over their product, and a parameter vector
-    p embeds as ``base + directions @ p``.  The density is normalized to
-    unit quadrature mass at construction; a massless needle raises
-    EmptySlice.
-    """
-
-    axes: tuple[np.ndarray, ...]
-    g: np.ndarray
-    base: np.ndarray
-    directions: np.ndarray
-
-    def __post_init__(self):
-        g, base = np.asarray(self.g)[None], np.asarray(self.base)[None]
-        self.__dict__.update(NeedleBatch(self.axes, g, base, self.directions)[0].__dict__)
-
-    @property
-    def leaf_dim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def t(self) -> np.ndarray:
-        if self.leaf_dim != 1:
-            raise GeometryMismatch("parameter grid t is defined for 1-d needles only")
-        return self.axes[0]
-
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Embedded cell positions and their masses (summing to 1)."""
-        points = self.base[None, :] + _product_grid(self.axes) @ self.directions.T
-        masses = self.g.ravel() * _cell_volume(self.axes)
-        return points, masses
-
-
 @dataclass(frozen=True, eq=False)
 class NeedleBatch:
     """K needles whose leaf grids have one shape, held as arrays.
@@ -216,8 +180,10 @@ class NeedleBatch:
     densities are checked and normalized to unit quadrature mass once for
     the whole batch; a massless needle raises EmptySlice.
 
-    A batch is a sequence: ``len``, indexing and iteration give Needle views
-    of its arrays that are not checked again, and a slice gives a batch.
+    A batch is a sequence of K needles: ``len`` counts them and a slice
+    gives a batch.  Iteration gives one row view per needle, a batch
+    holding that needle's arrays without the needle axis, not checked
+    again; rows exist for iteration, and only ``cd_check_1d`` takes one.
     """
 
     axes: tuple[np.ndarray, ...]
@@ -249,11 +215,10 @@ class NeedleBatch:
     def __len__(self) -> int:
         return len(self.g)
 
-    def __getitem__(self, key):
-        one = not isinstance(key, slice)
-        key = operator.index(key) if one else key
+    def __getitem__(self, key: slice) -> NeedleBatch:
+        if not isinstance(key, slice):
+            raise TypeError(f"needle batches take slices, not {type(key).__name__}")
         return _unchecked(
-            Needle if one else NeedleBatch,
             tuple(a if a.ndim == 1 else a[key] for a in self.axes),
             self.g[key],
             self.base[key],
@@ -265,18 +230,18 @@ class NeedleBatch:
             return itertools.repeat(array) if array.ndim == shared_ndim else iter(array)
 
         axes = zip(*(rows(a, 1) for a in self.axes))
-        directions = rows(self.directions, 2)
-        return map(_unchecked, itertools.repeat(Needle), axes, self.g, self.base, directions)
+        return map(_unchecked, axes, self.g, self.base, rows(self.directions, 2))
 
     @property
     def leaf_dim(self) -> int:
         return len(self.axes)
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Embedded cell positions (K, P, n) and masses (K, P), as Needle.quadrature per row.
+        """Embedded cell positions (K, P, n) and masses (K, P) of the needles.
 
-        The rows equal the per-needle results bit for bit: a 1-D needle's
-        matmul has one product per entry, which ``t * direction`` repeats.
+        Each needle's points equal ``base + grid @ directions.T`` for that
+        needle alone bit for bit: a 1-D needle's matmul has one product per
+        entry, which ``t * direction`` repeats.
         """
         if self.leaf_dim == 1:
             points = _ray_points(self.base, self.axes[0], self.directions[..., 0])
@@ -305,11 +270,11 @@ def _ray_points(base, t, directions) -> np.ndarray:
     return points
 
 
-def _unchecked(cls, axes, g, base, directions):
-    """A Needle or NeedleBatch holding the given arrays as they are."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(axes=axes, g=g, base=base, directions=directions)
-    return obj
+def _unchecked(axes, g, base, directions) -> NeedleBatch:
+    """A batch, or a row view, holding the given arrays as they are."""
+    batch = object.__new__(NeedleBatch)
+    batch.__dict__.update(axes=axes, g=g, base=base, directions=directions)
+    return batch
 
 
 def _unit_mass(g: np.ndarray, axes) -> np.ndarray:
@@ -336,6 +301,7 @@ def slice_disintegration(density: GridDensity, m: int) -> tuple[NeedleBatch, np.
     total mass.  All-zero slices are skipped.  Weights sum to 1.
     """
     n = density.dim
+    _check_count(m, "m")
     if not 0 < m < n:
         raise GeometryMismatch(f"need 0 < m < {n}, got m = {m}")
     head_axes = tuple(density.centers(a) for a in range(m))
@@ -392,6 +358,7 @@ def radial_disintegration(
         raise GeometryMismatch(f"center must have {n} coordinates")
     if not np.all((density.box[:, 0] < center) & (center < density.box[:, 1])):
         raise CenterOutsideBox(f"center {center.tolist()} is not strictly inside the box")
+    _check_count(n_directions, "n_directions")
     if n > 1 and n_directions < 1:
         raise InvalidParameter(f"need at least one direction, got {n_directions}")
     if n == 1:
@@ -404,6 +371,7 @@ def radial_disintegration(
         raise GeometryMismatch("radial fans are implemented for dimensions 1 to 3")
     if n_radial is None:
         n_radial = 4 * max(density.resolution)
+    _check_count(n_radial, "n_radial")
     if n_radial < 1:
         raise InvalidParameter(f"need at least one radial cell, got {n_radial}")
     with np.errstate(divide="ignore"):
@@ -560,23 +528,26 @@ class CdReport:
     tol: float
 
 
-def cd_check_1d(needle, kappa: float, N: float, tol: float | None = None):
-    """Check CD(kappa, N) for a 1-D needle density by finite differences.
+def cd_check_1d(needles: NeedleBatch, kappa: float, N: float, tol: float | None = None):
+    """Check CD(kappa, N) for 1-D needle densities by finite differences.
 
     With rho = -log g the condition is ``rho'' - (rho')^2/(N-1) >= kappa``
     at interior grid points; for N = inf the middle term is dropped, and
     N = 1 demands a constant rho (then the condition reduces to kappa <= 0).
     The condition needs a finite kappa and N >= 1; other values raise
-    InvalidParameter.  Zeros at the ends of the grid are trimmed; interior
-    zeros make rho undefined and raise NonpositiveDensity.  The default
-    tolerance is ten times the squared grid spacing, matching the
-    truncation error of the second-order stencils; a given tolerance must
-    be finite and nonnegative.  Normalization constants shift rho and leave
-    the report unchanged.
+    InvalidParameter.  Each needle is checked on its positive cells: zeros
+    at the ends of its grid are trimmed, interior zeros make rho undefined
+    and raise NonpositiveDensity, and fewer than five positive cells raise
+    TooFewPoints.  The first needle with either fault raises, except that
+    when all needles trim to the same cells a hole in any of them comes
+    first.  The default tolerance is ten times the squared grid spacing,
+    matching the truncation error of the second-order stencils; a given
+    tolerance must be finite and nonnegative.  Normalization constants
+    shift rho and leave the report unchanged.
 
-    A Needle gives one CdReport.  A NeedleBatch gives a list with one report
-    per needle, equal to checking its needles one at a time; when they all
-    trim to the same cells, one stencil over the batch computes them.
+    A batch gives a list with one report per needle.  A row view, which
+    iterating a batch gives and which has no needle axis, gives one
+    CdReport, equal to its entry in the batch's list.
     """
     kappa, N = float(kappa), float(N)
     if not math.isfinite(kappa) or not N >= 1.0:
@@ -585,43 +556,59 @@ def cd_check_1d(needle, kappa: float, N: float, tol: float | None = None):
         tol = float(tol)
         if not (math.isfinite(tol) and tol >= 0.0):
             raise InvalidParameter(f"the CD tolerance must be finite and nonnegative, got {tol}")
-    batch = isinstance(needle, NeedleBatch)
-    if batch and needle.leaf_dim != 1:
+    if needles.leaf_dim != 1:
         raise GeometryMismatch("parameter grid t is defined for 1-d needles only")
-    # One needle is checked on 1-D arrays with a float step, a batch on (K, L) arrays.
-    t, g = (needle.axes[0], needle.g) if batch else (needle.t, needle.g)
+    (t,), g = needles.axes, needles.g
+    inside = None
     if g.size and g.min() <= 0.0:
-        positive = g > 0.0
-        first = positive.argmax(axis=-1)
-        last = g.shape[-1] - 1 - positive[..., ::-1].argmax(axis=-1)
-        if np.ptp(first) or np.ptp(last):
-            return [cd_check_1d(nd, kappa, N, tol) for nd in needle]
-        g = g[..., first.min() : last.min() + 1]
-        if g.min() <= 0.0:
+        rows = g.reshape(-1, g.shape[-1])
+        positive = rows > 0.0
+        first = positive.argmax(axis=1)
+        last = rows.shape[1] - 1 - positive[:, ::-1].argmax(axis=1)
+        count = last - first + 1
+        hole, few = positive.sum(axis=1) < count, count < 5
+        # Needles that all trim alike report a hole in any of them first.
+        ragged = np.ptp(first) or np.ptp(last)
+        stop = few.argmax() + 1 if ragged and few.any() else len(rows)
+        if hole[:stop].any():
             raise NonpositiveDensity("needle density vanishes in its interior")
-    if g.shape[-1] < 5:
+        if few.any():
+            raise TooFewPoints(f"need at least 5 positive cells, got {count[few.argmax()]}")
+        # The stencils whose three cells are all among the needle's positive cells.
+        j = np.arange(rows.shape[1] - 2)
+        inside = (first[:, None] <= j) & (j <= last[:, None] - 2)
+        inside = inside.reshape(g.shape[:-1] + (-1,))
+        g = np.where(positive.reshape(g.shape), g, 1.0)
+    elif g.shape[-1] < 5:
         raise TooFewPoints(f"need at least 5 positive cells, got {g.shape[-1]}")
-    if batch:
-        h = t[..., 1] - t[..., 0]
-        hc = h[..., None]
-    else:
+    # A shared grid's step is a Python float, which keeps a row's check cheap.
+    if t.ndim == 1:
         h = hc = float(t[1]) - float(t[0])
+    else:
+        h = t[:, 1] - t[:, 0]
+        hc = h[:, None]
     tols = 10.0 * h * h if tol is None else tol
     rho = -np.log(g)
     d2 = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / (hc * hc)
     if math.isinf(N):
-        worst = (d2 - kappa).min(axis=-1)
+        worst = _lowest(d2 - kappa, inside)
     else:
         d1 = (rho[..., 2:] - rho[..., :-2]) / (2.0 * hc)
         if N == 1.0:
-            flat = np.maximum(np.abs(d1).max(axis=-1), np.abs(d2).max(axis=-1))
+            # The largest |rho'| or |rho''| over each needle's stencils.
+            flat = -_lowest(-np.maximum(np.abs(d1), np.abs(d2)), inside)
             worst = np.where(flat <= np.sqrt(tols), -kappa, -np.inf)
         else:
-            worst = (d2 - d1 * d1 / (N - 1.0) - kappa).min(axis=-1)
+            worst = _lowest(d2 - d1 * d1 / (N - 1.0) - kappa, inside)
 
     def report(w, s):
         return CdReport(kappa, N, worst_violation=float(w), passed=bool(w >= -s), tol=float(s))
 
-    if not batch:
+    if g.ndim == 1:
         return report(worst, tols)
     return [report(w, s) for w, s in zip(*np.broadcast_arrays(worst, tols))]
+
+
+def _lowest(values, inside):
+    """Each needle's least stencil value, over the stencils ``inside`` selects if given."""
+    return (values if inside is None else np.where(inside, values, np.inf)).min(axis=-1)

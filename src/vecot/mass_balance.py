@@ -25,6 +25,7 @@ from .core import (
     PotentialField,
     VectorCoupling,
     VecotError,
+    _check_count,
     build_instance,
     distance_matrix,
     total_variation,
@@ -125,6 +126,7 @@ def orthant_spec(m: int, pull: float = 0.5) -> CounterexampleSpec:
     pairwise inner products are positive while the anchor directions are
     orthogonal.
     """
+    _check_count(m, "m", InvalidSpec)
     if m < 2:
         raise InvalidSpec("need m >= 2 for a genuine counterexample")
     if pull <= 0:
@@ -348,6 +350,7 @@ def smoothed_instance(
     carrying an equal share of the anchor's vector.  Total mass stays zero.
     With one point per ball this is the atomic instance itself.
     """
+    _check_count(points_per_ball, "points_per_ball", InvalidSpec)
     if points_per_ball < 1:
         raise InvalidSpec("points_per_ball must be at least 1")
     if not eps > 0:  # nan fails too

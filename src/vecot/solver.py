@@ -70,6 +70,7 @@ from .core import (
     VecotError,
     VectorCoupling,
     WrongDimension,
+    _check_count,
     _dot,
     _einsum,
     _lapack,
@@ -148,8 +149,7 @@ class SolverParams:
     tol_gap: float = 1e-6
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)):
-            raise InvalidParameter(f"max_iters must be an integer, got {self.max_iters!r}")
+        _check_count(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise InvalidParameter("max_iters must be positive")
         for name in ("tol_primal", "tol_gap"):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vecot import (
-    Needle,
+    NeedleBatch,
     PointCloud,
     PotentialField,
     analytic_optimum,
@@ -292,8 +292,7 @@ def test_criterion_08_disintegration_reassembly():
     ):
         mean_mix = np.zeros(2)
         second_mix = 0.0
-        for needle, wgt in zip(ndls, wts):
-            npts, nmass = needle.quadrature()
+        for wgt, npts, nmass in zip(wts, *ndls.quadrature()):
             mean_mix += wgt * (npts * nmass[:, None]).sum(axis=0)
             second_mix += wgt * ((npts ** 2).sum(axis=1) * nmass).sum()
         assert float(np.abs(mean_mix - mean_ref).max()) <= tol
@@ -308,27 +307,27 @@ def test_criterion_09_cd_checks():
     t0 = time.perf_counter()
     t = np.linspace(-4.0, 4.0, 258)
     t = (t[:-1] + t[1:]) / 2.0
-    gaussian = Needle(
-        axes=(t,), g=np.exp(-0.5 * t * t), base=np.zeros(1), directions=np.eye(1)
+    gaussian = NeedleBatch(
+        axes=(t,), g=[np.exp(-0.5 * t * t)], base=np.zeros((1, 1)), directions=np.eye(1)
     )
-    assert cd_check_1d(gaussian, 1.0, np.inf).passed
-    assert not cd_check_1d(gaussian, 1.01, np.inf).passed
+    assert cd_check_1d(gaussian, 1.0, np.inf)[0].passed
+    assert not cd_check_1d(gaussian, 1.01, np.inf)[0].passed
 
     # Radial Lebesgue needle in n = 3, away from the r = 0 margin where the
     # log stencil diverges.
     h = 0.01
     r = 0.5 + (np.arange(50) + 0.5) * h
-    lebesgue = Needle(
-        axes=(r,), g=r ** 2, base=np.zeros(3), directions=np.eye(3)[:, :1]
+    lebesgue = NeedleBatch(
+        axes=(r,), g=[r ** 2], base=np.zeros((1, 3)), directions=np.eye(3)[:, :1]
     )
-    report = cd_check_1d(lebesgue, 0.0, 3.0)
+    [report] = cd_check_1d(lebesgue, 0.0, 3.0)
     assert report.passed
     assert abs(report.worst_violation) <= 10.0 * h * h
 
-    uniform = Needle(
-        axes=(t,), g=np.ones_like(t), base=np.zeros(1), directions=np.eye(1)
+    uniform = NeedleBatch(
+        axes=(t,), g=[np.ones_like(t)], base=np.zeros((1, 1)), directions=np.eye(1)
     )
-    assert not cd_check_1d(uniform, 0.1, np.inf).passed
+    assert not cd_check_1d(uniform, 0.1, np.inf)[0].passed
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(

@@ -519,3 +519,39 @@ def test_invalid_parameters_raise_invalid_parameter():
     ):
         with pytest.raises(vecot.InvalidParameter):
             call()
+
+
+def _count_call(name, count):
+    box, gauss = [[-1.0, 1.0]] * 3, lambda p: np.exp(-(p ** 2).sum(axis=1))
+    density = vecot.tabulate_density(box, 5, gauss)
+    calls = {
+        "slice m": lambda: vecot.slice_disintegration(density, count),
+        "n_directions": lambda: vecot.radial_disintegration(density, [0.0] * 3, n_directions=count),
+        "n_radial": lambda: vecot.radial_disintegration(density, [0.0] * 3, 8, n_radial=count),
+        "resolution": lambda: vecot.tabulate_density(box, count, gauss),
+        "resolution entry": lambda: vecot.tabulate_density(box, [5, count, 5], gauss),
+        "orthant m": lambda: vecot.orthant_spec(count),
+        "points_per_ball": lambda: vecot.smoothed_instance(vecot.paper_preset(), 0.1, count),
+    }
+    return calls[name]
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, "3"], ids=repr)
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        ("slice m", vecot.InvalidParameter),
+        ("n_directions", vecot.InvalidParameter),
+        ("n_radial", vecot.InvalidParameter),
+        ("resolution", vecot.InvalidParameter),
+        ("resolution entry", vecot.InvalidParameter),
+        ("orthant m", vecot.InvalidSpec),
+        ("points_per_ball", vecot.InvalidSpec),
+    ],
+)
+def test_count_arguments_must_be_integers(name, error, count):
+    # As SolverParams.max_iters: 2.5 once built a 3-ray fan or 2 cells per
+    # axis, and other counts ended in a raw TypeError.
+    with pytest.raises(error, match="must be an integer"):
+        _count_call(name, count)()
+    _count_call(name, np.int64(2))()

@@ -17,10 +17,10 @@ from vecot import (
     GeometryMismatch,
     GridDensity,
     InvalidParameter,
-    Needle,
     NeedleBatch,
     NonpositiveDensity,
     TooFewPoints,
+    VecotError,
     cd_check_1d,
     l1_distance,
     radial_disintegration,
@@ -37,8 +37,20 @@ def gaussian_2d(res: int = 129, half_width: float = 4.0) -> GridDensity:
     )
 
 
+def one_needle(axes, g, base, directions):
+    """A needle checked and normalized on its own: the row of a one-row batch."""
+    (row,) = NeedleBatch(axes=axes, g=np.asarray(g)[None], base=np.asarray(base)[None], directions=directions)
+    return row
+
+
+def row_quadrature(row):
+    """A row's embedded cell positions and masses, by one matmul for the needle alone."""
+    points = row.base + vecot.disintegration._product_grid(row.axes) @ row.directions.T
+    return points, row.g.ravel() * vecot.disintegration._cell_volume(row.axes)
+
+
 # ---------------------------------------------------------------------------
-# GridDensity and Needle basics
+# GridDensity and needle basics
 # ---------------------------------------------------------------------------
 
 
@@ -99,28 +111,27 @@ def test_tabulate_density_validates_and_orders_its_grid():
 
 def test_needle_normalizes_to_unit_mass():
     t = np.linspace(0.05, 0.95, 10)
-    needle = Needle(
-        axes=(t,), g=np.full(10, 7.0), base=np.zeros(2), directions=np.eye(2)[:, :1]
+    needle = NeedleBatch(
+        axes=(t,), g=np.full((1, 10), 7.0), base=np.zeros((1, 2)), directions=np.eye(2)[:, :1]
     )
     _, masses = needle.quadrature()
-    assert masses.sum() == pytest.approx(1.0)
+    assert masses.shape == (1, 10) and masses.sum() == pytest.approx(1.0)
     assert needle.leaf_dim == 1
-    np.testing.assert_allclose(needle.t, t)
+    np.testing.assert_allclose(needle.axes[0], t)
 
 
 def test_needle_rejects_bad_data():
     t = np.linspace(0.0, 1.0, 8)
     with pytest.raises(EmptySlice):
-        Needle(axes=(t,), g=np.zeros(8), base=np.zeros(1), directions=np.eye(1))
+        one_needle(axes=(t,), g=np.zeros(8), base=np.zeros(1), directions=np.eye(1))
     with pytest.raises(NonpositiveDensity):
-        Needle(axes=(t,), g=-np.ones(8), base=np.zeros(1), directions=np.eye(1))
+        one_needle(axes=(t,), g=-np.ones(8), base=np.zeros(1), directions=np.eye(1))
     with pytest.raises(GeometryMismatch):
-        Needle(axes=(t,), g=np.ones(7), base=np.zeros(1), directions=np.eye(1))
-    two_d = Needle(
-        axes=(t, t), g=np.ones((8, 8)), base=np.zeros(2), directions=np.eye(2)
-    )
-    with pytest.raises(GeometryMismatch):
-        two_d.t
+        one_needle(axes=(t,), g=np.ones(7), base=np.zeros(1), directions=np.eye(1))
+    two_d = one_needle(axes=(t, t), g=np.ones((8, 8)), base=np.zeros(2), directions=np.eye(2))
+    # A 2-D needle has no 1-D parameter grid to check CD on.
+    with pytest.raises(GeometryMismatch, match="1-d needles only"):
+        cd_check_1d(two_d, 0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -133,23 +144,21 @@ def test_needle_batch_is_a_sequence_of_unchecked_views():
     g = np.arange(1.0, 31.0).reshape(3, 10)
     batch = NeedleBatch(axes=(t,), g=g, base=np.eye(3)[:, :2], directions=np.array([[1.0], [0.0]]))
     assert len(batch) == 3 and batch.leaf_dim == 1
+    points, masses = batch.quadrature()
+    assert points.shape == (3, 10, 2) and masses.shape == (3, 10)
     for k, needle in enumerate(batch):
-        one = Needle(axes=(t,), g=g[k], base=np.eye(3)[k, :2], directions=[[1.0], [0.0]])
-        assert needle.g.tobytes() == one.g.tobytes()
+        one = one_needle(axes=(t,), g=g[k], base=np.eye(3)[k, :2], directions=[[1.0], [0.0]])
+        assert needle.g.tobytes() == one.g.tobytes() and needle.base.tolist() == np.eye(3)[k, :2].tolist()
         assert np.shares_memory(needle.g, batch.g)
-        points, masses = needle.quadrature()
-        assert points.tobytes() == one.quadrature()[0].tobytes()
-        assert masses.tobytes() == one.quadrature()[1].tobytes()
-    assert batch[-1].base.tolist() == [0.0, 0.0]
+        assert points[k].tobytes() == row_quadrature(one)[0].tobytes()
+        assert masses[k].tobytes() == row_quadrature(one)[1].tobytes()
     tail = batch[1:]
     assert isinstance(tail, NeedleBatch) and len(tail) == 2
     assert tail.g.tobytes() == batch.g[1:].tobytes()
-    points, masses = batch.quadrature()
-    assert points.shape == (3, 10, 2) and masses.shape == (3, 10)
-    with pytest.raises(IndexError):
-        batch[3]
-    with pytest.raises(TypeError):
-        batch[[0, 1]]
+    # Slices only: a needle on its own is a one-row batch, or a row while iterating.
+    for key in (0, -1, 3, np.int64(1), [0, 1]):
+        with pytest.raises(TypeError):
+            batch[key]
 
 
 def test_needle_batch_validates_once_for_the_whole_batch():
@@ -171,9 +180,9 @@ def test_needle_batch_validates_once_for_the_whole_batch():
         NeedleBatch(**{**ok, "g": np.array([np.ones(8), np.zeros(8)])})
     # Per-needle grids and directions.
     per_needle = {"axes": (np.stack([t, 2.0 * t]),), "directions": -np.ones((2, 1, 1))}
-    batch = NeedleBatch(**{**ok, **per_needle})
-    assert batch[1].t.tobytes() == (2.0 * t).tobytes()
-    assert batch[1].g.sum() * (2.0 * t[1]) == pytest.approx(1.0)
+    _, second = NeedleBatch(**{**ok, **per_needle})
+    assert second.axes[0].tobytes() == (2.0 * t).tobytes()
+    assert second.g.sum() * (2.0 * t[1]) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -199,7 +208,7 @@ def test_needle_batch_rejects_non_finite_geometry(bad):
         NeedleBatch(**{**ok, **bad})
     if "base" in bad:
         with pytest.raises(GeometryMismatch, match="finite"):
-            Needle(axes=ok["axes"], g=np.ones(9), base=bad["base"][1], directions=ok["directions"])
+            one_needle(axes=ok["axes"], g=np.ones(9), base=bad["base"][1], directions=ok["directions"])
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +239,8 @@ def test_slice_conditionals_of_a_product_density_are_identical():
         lambda p: (1.0 + p[:, 0]) * (2.0 - p[:, 1]),
     )
     needles, _ = slice_disintegration(d, 1)
-    for needle in needles[1:]:
-        np.testing.assert_allclose(needle.g, needles[0].g, rtol=1e-12)
+    for g in needles.g[1:]:
+        np.testing.assert_allclose(g, needles.g[0], rtol=1e-12)
 
 
 def test_slice_skips_massless_blocks():
@@ -260,8 +269,7 @@ def test_slice_mixture_preserves_moments():
     second_ref = ((pts ** 2).sum(axis=1) * masses).sum() / total
     mean_mix = np.zeros(2)
     second_mix = 0.0
-    for needle, w in zip(needles, weights):
-        npts, nmass = needle.quadrature()
+    for w, npts, nmass in zip(weights, *needles.quadrature()):
         mean_mix += w * (npts * nmass[:, None]).sum(axis=0)
         second_mix += w * ((npts ** 2).sum(axis=1) * nmass).sum()
     np.testing.assert_allclose(mean_mix, mean_ref, atol=1e-12)
@@ -282,7 +290,7 @@ def test_radial_needles_carry_the_jacobian():
     assert len(needles) == 16
     np.testing.assert_allclose(weights, np.full(16, 1.0 / 16.0), atol=1e-3)
     for needle in needles[:4]:
-        t = needle.t
+        (t,) = needle.axes
         expected = t * np.exp(-0.5 * t ** 2)
         expected /= expected.sum() * (t[1] - t[0])
         err = float(np.abs(needle.g - expected).sum() * (t[1] - t[0]))
@@ -302,8 +310,7 @@ def test_radial_mixture_preserves_the_mean_to_quadrature_tolerance():
     d = gaussian_2d(res=65)
     needles, weights = radial_disintegration(d, [0.5, -0.25], n_directions=128)
     mean_mix = np.zeros(2)
-    for needle, w in zip(needles, weights):
-        npts, nmass = needle.quadrature()
+    for w, npts, nmass in zip(weights, *needles.quadrature()):
         mean_mix += w * (npts * nmass[:, None]).sum(axis=0)
     pts, masses = d.quadrature()
     mean_ref = (pts * masses[:, None]).sum(axis=0) / masses.sum()
@@ -396,7 +403,7 @@ def reference_reassemble(needles, weights, target: GridDensity) -> np.ndarray:
     """The one-needle-at-a-time splat that blocked reassembly replaced."""
     mass_grid = np.zeros(target.resolution)
     for needle, w in zip(needles, np.asarray(weights, dtype=float)):
-        points, masses = needle.quadrature()
+        points, masses = row_quadrature(needle)
         for cell, weight in reference_corners(target, points):
             np.add.at(mass_grid, cell, w * masses * weight)
     return mass_grid / target.cell_volume
@@ -459,7 +466,7 @@ def test_blocked_reassembly_matches_the_per_needle_loop_bit_for_bit(monkeypatch,
 
 
 def reference_slices(density: GridDensity, m: int):
-    """Slice needles and weights built one Needle at a time."""
+    """Slice needles and weights built one needle at a time."""
     n = density.dim
     head = tuple(density.centers(a) for a in range(m))
     needles, weights = [], []
@@ -468,7 +475,7 @@ def reference_slices(density: GridDensity, m: int):
         base = np.zeros(n)
         base[m:] = [density.centers(m + a)[i] for a, i in enumerate(tail)]
         try:
-            needles.append(Needle(axes=head, g=block, base=base, directions=np.eye(n)[:, :m]))
+            needles.append(one_needle(axes=head, g=block, base=base, directions=np.eye(n)[:, :m]))
         except EmptySlice:
             continue
         weights.append(block.sum() * density.cell_volume / density.total_mass)
@@ -476,7 +483,7 @@ def reference_slices(density: GridDensity, m: int):
 
 
 def reference_rays(density: GridDensity, center, n_directions: int, n_radial: int):
-    """Ray needles and weights built one Needle (and one interpolation) per direction."""
+    """Ray needles and weights built one needle (and one interpolation) per direction."""
     center = np.asarray(center, dtype=float)
     n = density.dim
     fans = {1: lambda k: np.array([[1.0], [-1.0]]), 2: vecot.disintegration._circle_fan}
@@ -499,7 +506,7 @@ def reference_rays(density: GridDensity, center, n_directions: int, n_radial: in
         g = t ** (n - 1) * rho
         if g.sum() * dt <= 0.0:
             continue
-        needles.append(Needle(axes=(t,), g=g, base=center, directions=direction[:, None]))
+        needles.append(one_needle(axes=(t,), g=g, base=center, directions=direction[:, None]))
         raw.append(g.sum() * dt)
     return needles, np.array(raw) / np.sum(raw)
 
@@ -542,7 +549,7 @@ def test_batches_match_needles_built_one_at_a_time_bit_for_bit(case):
         assert [a.tobytes() for a in got.axes] == [a.tobytes() for a in want.axes]
         for name in ("g", "base", "directions"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        want_points, want_masses = want.quadrature()
+        want_points, want_masses = row_quadrature(want)
         assert points[k].tobytes() == want_points.tobytes()
         assert masses[k].tobytes() == want_masses.tobytes()
     expected = reference_reassemble(needles, expected_weights, d).tobytes()
@@ -695,27 +702,34 @@ def test_l1_distance_scales_both_densities_to_unit_mass():
 # ---------------------------------------------------------------------------
 
 
-def gaussian_needle(res: int = 256) -> Needle:
+def line_needle(t, g, n: int = 1) -> NeedleBatch:
+    """A one-row batch: density g on the grid t along the first axis of R^n."""
+    return NeedleBatch(axes=(t,), g=np.asarray(g)[None], base=np.zeros((1, n)), directions=np.eye(n)[:, :1])
+
+
+def gaussian_needle(res: int = 256) -> NeedleBatch:
     t = np.linspace(-4.0, 4.0, res + 1)[:-1]
     t = t + 0.5 * (t[1] - t[0])
-    g = np.exp(-0.5 * t ** 2)
-    return Needle(axes=(t,), g=g, base=np.zeros(1), directions=np.eye(1))
+    return line_needle(t, np.exp(-0.5 * t ** 2))
 
 
-def uniform_needle(res: int = 128) -> Needle:
-    t = (np.arange(res) + 0.5) / res
-    return Needle(axes=(t,), g=np.ones(res), base=np.zeros(1), directions=np.eye(1))
+def uniform_needle(res: int = 128) -> NeedleBatch:
+    return line_needle((np.arange(res) + 0.5) / res, np.ones(res))
 
 
 def test_gaussian_needle_cd_threshold():
     needle = gaussian_needle()
-    assert cd_check_1d(needle, 1.0, np.inf).passed
-    assert not cd_check_1d(needle, 1.01, np.inf).passed
+    assert cd_check_1d(needle, 1.0, np.inf)[0].passed
+    assert not cd_check_1d(needle, 1.01, np.inf)[0].passed
 
 
 def test_cd_reports_carry_the_parameters():
-    report = cd_check_1d(gaussian_needle(), 1.0, np.inf)
-    assert isinstance(report, CdReport)
+    reports = cd_check_1d(gaussian_needle(), 1.0, np.inf)
+    assert len(reports) == 1 and isinstance(reports[0], CdReport)
+    # A row, which has no needle axis, gives its report on its own.
+    (row,) = gaussian_needle()
+    assert cd_check_1d(row, 1.0, np.inf) == reports[0]
+    report = reports[0]
     assert report.kappa == 1.0
     assert np.isinf(report.N)
     assert report.worst_violation == pytest.approx(0.0, abs=report.tol)
@@ -728,29 +742,29 @@ def test_r_squared_needle_saturates_cd_0_3():
     # within the 10 h^2 truncation budget.
     h = 0.01
     t = 0.5 + (np.arange(50) + 0.5) * h
-    needle = Needle(axes=(t,), g=t ** 2, base=np.zeros(3), directions=np.eye(3)[:, :1])
-    report = cd_check_1d(needle, 0.0, 3.0)
+    needle = line_needle(t, t ** 2, n=3)
+    [report] = cd_check_1d(needle, 0.0, 3.0)
     assert report.passed
     assert abs(report.worst_violation) <= 10.0 * h * h
     # Lowering the dimension parameter makes the same needle fail.
-    assert not cd_check_1d(needle, 0.0, 2.5).passed
+    assert not cd_check_1d(needle, 0.0, 2.5)[0].passed
 
 
 def test_uniform_needle_cd_verdicts():
     needle = uniform_needle()
-    assert cd_check_1d(needle, 0.0, np.inf).passed
-    assert not cd_check_1d(needle, 0.1, np.inf).passed
+    assert cd_check_1d(needle, 0.0, np.inf)[0].passed
+    assert not cd_check_1d(needle, 0.1, np.inf)[0].passed
     # N = 1 demands a flat density, which the uniform needle satisfies.
-    assert cd_check_1d(needle, 0.0, 1.0).passed
-    assert not cd_check_1d(needle, 0.1, 1.0).passed
+    assert cd_check_1d(needle, 0.0, 1.0)[0].passed
+    assert not cd_check_1d(needle, 0.1, 1.0)[0].passed
     # The Gaussian is not flat, so CD(kappa, 1) always fails.
-    assert not cd_check_1d(gaussian_needle(), -10.0, 1.0).passed
+    assert not cd_check_1d(gaussian_needle(), -10.0, 1.0)[0].passed
 
 
 def test_cd_with_finite_n_is_stricter_than_infinite():
     needle = gaussian_needle()
-    inf_report = cd_check_1d(needle, 0.5, np.inf)
-    finite_report = cd_check_1d(needle, 0.5, 5.0)
+    [inf_report] = cd_check_1d(needle, 0.5, np.inf)
+    [finite_report] = cd_check_1d(needle, 0.5, 5.0)
     assert finite_report.worst_violation <= inf_report.worst_violation + 1e-12
 
 
@@ -759,25 +773,22 @@ def test_cd_trims_end_zeros_and_rejects_interior_zeros():
     g = np.ones(64)
     g[:5] = 0.0
     g[-3:] = 0.0
-    needle = Needle(axes=(t,), g=g, base=np.zeros(1), directions=np.eye(1))
-    assert cd_check_1d(needle, 0.0, np.inf).passed
+    assert cd_check_1d(line_needle(t, g), 0.0, np.inf)[0].passed
     hole = np.ones(64)
     hole[30] = 0.0
-    needle2 = Needle(axes=(t,), g=hole, base=np.zeros(1), directions=np.eye(1))
     with pytest.raises(NonpositiveDensity):
-        cd_check_1d(needle2, 0.0, np.inf)
+        cd_check_1d(line_needle(t, hole), 0.0, np.inf)
 
 
 def test_cd_needs_five_positive_cells():
     t = (np.arange(4) + 0.5) / 4.0
-    needle = Needle(axes=(t,), g=np.ones(4), base=np.zeros(1), directions=np.eye(1))
     with pytest.raises(TooFewPoints):
-        cd_check_1d(needle, 0.0, np.inf)
+        cd_check_1d(line_needle(t, np.ones(4)), 0.0, np.inf)
 
 
 def test_cd_default_tolerance_tracks_the_grid():
-    fine = cd_check_1d(gaussian_needle(512), 1.0, np.inf)
-    coarse = cd_check_1d(gaussian_needle(64), 1.0, np.inf)
+    [fine] = cd_check_1d(gaussian_needle(512), 1.0, np.inf)
+    [coarse] = cd_check_1d(gaussian_needle(64), 1.0, np.inf)
     assert fine.tol < coarse.tol
     assert fine.passed and coarse.passed
 
@@ -785,15 +796,12 @@ def test_cd_default_tolerance_tracks_the_grid():
 def test_cd_is_invariant_under_density_scaling():
     t = (np.arange(128) + 0.5) / 128.0
     g = np.exp(-3.0 * t)
-    a = Needle(axes=(t,), g=g, base=np.zeros(1), directions=np.eye(1))
     # A power-of-two constant rescales every sample exactly, so the reports
     # agree bit for bit; a general constant agrees to log-rounding noise
     # amplified by 1/h^2.
-    b = Needle(axes=(t,), g=64.0 * g, base=np.zeros(1), directions=np.eye(1))
-    c = Needle(axes=(t,), g=42.0 * g, base=np.zeros(1), directions=np.eye(1))
-    ra = cd_check_1d(a, 0.0, np.inf)
-    rb = cd_check_1d(b, 0.0, np.inf)
-    rc = cd_check_1d(c, 0.0, np.inf)
+    [ra] = cd_check_1d(line_needle(t, g), 0.0, np.inf)
+    [rb] = cd_check_1d(line_needle(t, 64.0 * g), 0.0, np.inf)
+    [rc] = cd_check_1d(line_needle(t, 42.0 * g), 0.0, np.inf)
     assert ra.worst_violation == rb.worst_violation
     assert ra.worst_violation == pytest.approx(rc.worst_violation, abs=1e-9)
     assert ra.passed == rb.passed == rc.passed
@@ -820,12 +828,12 @@ def _cd_batch(case) -> NeedleBatch:
     return NeedleBatch(axes=(t,), g=rows, base=np.zeros((3, 1)), directions=np.eye(1))
 
 
-@pytest.mark.parametrize(
-    "kappa, N, tol", [(0.0, math.inf, None), (0.5, 5.0, None), (0.0, 1.0, None), (-1.0, 3.0, 1e-3)]
-)
-@pytest.mark.parametrize(
-    "case", ["shared-grid", "per-needle-grids", "same-end-zeros", "different-end-zeros"]
-)
+CD_PARAMETERS = [(0.0, math.inf, None), (0.5, 5.0, None), (0.0, 1.0, None), (-1.0, 3.0, 1e-3)]
+CD_BATCHES = ["shared-grid", "per-needle-grids", "same-end-zeros", "different-end-zeros"]
+
+
+@pytest.mark.parametrize("kappa, N, tol", CD_PARAMETERS)
+@pytest.mark.parametrize("case", CD_BATCHES)
 def test_cd_on_a_batch_equals_one_needle_at_a_time(case, kappa, N, tol):
     batch = _cd_batch(case)
 
@@ -836,13 +844,150 @@ def test_cd_on_a_batch_equals_one_needle_at_a_time(case, kappa, N, tol):
     assert [exact(r) for r in reports] == [exact(cd_check_1d(nd, kappa, N, tol)) for nd in batch]
 
 
+def reference_cd_check_1d(needle, kappa: float, N: float, tol: float | None = None):
+    """cd_check_1d as it was when one needle and a batch were two types.
+
+    Frozen but for two reads: it tells one needle from a batch by the
+    density's shape rather than by type, and reads the grid from ``axes``
+    (a 2-D needle's ``t`` raised the same error as the leaf check).  A
+    batch whose needles trim to different cells is checked one needle at
+    a time; one needle is checked on 1-D arrays with a float step.
+    """
+    kappa, N = float(kappa), float(N)
+    if not math.isfinite(kappa) or not N >= 1.0:
+        raise InvalidParameter(f"CD(kappa, N) needs a finite kappa and N >= 1, got ({kappa}, {N})")
+    if tol is not None:
+        tol = float(tol)
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise InvalidParameter(f"the CD tolerance must be finite and nonnegative, got {tol}")
+    batch = needle.g.ndim > needle.leaf_dim
+    if needle.leaf_dim != 1:
+        raise GeometryMismatch("parameter grid t is defined for 1-d needles only")
+    t, g = needle.axes[0], needle.g
+    if g.size and g.min() <= 0.0:
+        positive = g > 0.0
+        first = positive.argmax(axis=-1)
+        last = g.shape[-1] - 1 - positive[..., ::-1].argmax(axis=-1)
+        if np.ptp(first) or np.ptp(last):
+            return [reference_cd_check_1d(nd, kappa, N, tol) for nd in needle]
+        g = g[..., first.min() : last.min() + 1]
+        if g.min() <= 0.0:
+            raise NonpositiveDensity("needle density vanishes in its interior")
+    if g.shape[-1] < 5:
+        raise TooFewPoints(f"need at least 5 positive cells, got {g.shape[-1]}")
+    if batch:
+        h = t[..., 1] - t[..., 0]
+        hc = h[..., None]
+    else:
+        h = hc = float(t[1]) - float(t[0])
+    tols = 10.0 * h * h if tol is None else tol
+    rho = -np.log(g)
+    d2 = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / (hc * hc)
+    if math.isinf(N):
+        worst = (d2 - kappa).min(axis=-1)
+    else:
+        d1 = (rho[..., 2:] - rho[..., :-2]) / (2.0 * hc)
+        if N == 1.0:
+            flat = np.maximum(np.abs(d1).max(axis=-1), np.abs(d2).max(axis=-1))
+            worst = np.where(flat <= np.sqrt(tols), -kappa, -np.inf)
+        else:
+            worst = (d2 - d1 * d1 / (N - 1.0) - kappa).min(axis=-1)
+
+    def report(w, s):
+        return CdReport(kappa, N, worst_violation=float(w), passed=bool(w >= -s), tol=float(s))
+
+    if not batch:
+        return report(worst, tols)
+    return [report(w, s) for w, s in zip(*np.broadcast_arrays(worst, tols))]
+
+
+def _faulty_lines(case) -> NeedleBatch:
+    """Three or four needles on one grid with holes or too few positive cells."""
+    t = (np.arange(40) + 0.5) / 40.0
+    rows = np.exp(-np.outer([1.0, 2.0, 3.0, 0.5], (t - 0.4) ** 2))
+    if case == "hole":
+        rows[1, 20] = 0.0
+    elif case == "hole-among-ragged-ends":
+        rows[0, :3] = 0.0
+        rows[2, 17] = 0.0
+        rows[3, -4:] = 0.0
+    elif case == "few-ragged":
+        # Needle 1 keeps 4 cells and needle 2 keeps 3: needle 1's count is reported.
+        rows[0, :2] = 0.0
+        rows[1, 4:] = 0.0
+        rows[2, 3:] = 0.0
+    elif case == "few-before-a-hole":
+        rows[1, 4:] = 0.0
+        rows[3, :10] = 0.0
+        rows[3, 20] = 0.0
+    else:
+        # Every needle keeps the same 4 cells, and needle 2 has a hole among them.
+        rows[:, 4:] = 0.0
+        rows[2, 2] = 0.0
+    return NeedleBatch(axes=(t,), g=rows, base=np.zeros((4, 1)), directions=np.eye(1))
+
+
+CD_REFERENCE_CASES = {
+    "slice-rows": None,
+    "radial-rows": None,
+    **{case: None for case in CD_BATCHES},
+    "hole": NonpositiveDensity,
+    "hole-among-ragged-ends": NonpositiveDensity,
+    "few-ragged": TooFewPoints,
+    "few-before-a-hole": TooFewPoints,
+    "few-same-ends-with-a-hole": NonpositiveDensity,
+    "short-grid": TooFewPoints,
+    "sheets": GeometryMismatch,
+}
+
+
+def _cd_reference_inputs(case) -> list:
+    """The batches or rows a reference case checks."""
+    if case == "slice-rows":
+        return list(_cd_batch("shared-grid"))[::7]
+    if case == "radial-rows":
+        return list(_cd_batch("per-needle-grids"))
+    if case in CD_BATCHES:
+        return [_cd_batch(case)]
+    if case == "short-grid":
+        t = (np.arange(4) + 0.5) / 4.0
+        return [line_needle(t, np.ones(4)), next(iter(line_needle(t, np.ones(4))))]
+    if case == "sheets":
+        sheets, _ = slice_disintegration(_skewed_3d(9), 2)
+        return [sheets, next(iter(sheets))]
+    return [_faulty_lines(case)]
+
+
+@pytest.mark.parametrize("kappa, N, tol", CD_PARAMETERS)
+@pytest.mark.parametrize("case", list(CD_REFERENCE_CASES))
+def test_cd_check_matches_the_reference_bit_for_bit(case, kappa, N, tol):
+    def outcome(check, needles):
+        try:
+            reports = check(needles, kappa, N, tol)
+        except VecotError as error:
+            return type(error), str(error)
+
+        def exact(r):
+            return r.kappa.hex(), r.N.hex(), r.worst_violation.hex(), r.passed, r.tol.hex()
+
+        return exact(reports) if isinstance(reports, CdReport) else [exact(r) for r in reports]
+
+    fault = CD_REFERENCE_CASES[case]
+    for needles in _cd_reference_inputs(case):
+        got = outcome(cd_check_1d, needles)
+        assert got == outcome(reference_cd_check_1d, needles)
+        assert got[0] is fault if fault else isinstance(got, (tuple, list)) and got
+    if case == "few-ragged":
+        assert got[1] == "need at least 5 positive cells, got 4"
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
 def test_cd_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
     with pytest.raises(InvalidParameter, match="tolerance"):
         cd_check_1d(gaussian_needle(), 0.0, math.inf, tol)
     with pytest.raises(InvalidParameter, match="tolerance"):
         cd_check_1d(_cd_batch("shared-grid"), 0.0, math.inf, tol)
-    assert cd_check_1d(gaussian_needle(), 0.0, math.inf, 0.0).tol == 0.0
+    assert cd_check_1d(gaussian_needle(), 0.0, math.inf, 0.0)[0].tol == 0.0
 
 
 def test_cd_on_a_batch_without_needles_reports_nothing():
@@ -908,16 +1053,16 @@ def test_radial_needle_of_flat_density_in_3d_passes_cd_0_3():
     d = tabulate_density([[-1.0, 1.0]] * 3, 33, lambda p: np.ones(len(p)))
     needles, _ = radial_disintegration(d, [0.0, 0.0, 0.0], n_directions=8)
     for needle in needles[:3]:
-        t = needle.t
+        (t,) = needle.axes
         keep = t >= 0.5 * t[-1]
-        outer = Needle(
+        outer = NeedleBatch(
             axes=(t[keep],),
-            g=needle.g[keep],
-            base=needle.base,
+            g=needle.g[None, keep],
+            base=needle.base[None],
             directions=needle.directions,
         )
         h = float(t[1] - t[0])
-        report = cd_check_1d(outer, 0.0, 3.0)
+        [report] = cd_check_1d(outer, 0.0, 3.0)
         assert report.passed
         assert abs(report.worst_violation) <= 10.0 * h * h
-        assert not cd_check_1d(outer, 0.0, 2.5).passed
+        assert not cd_check_1d(outer, 0.0, 2.5)[0].passed
