@@ -390,7 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=float, nargs="+")
     p.add_argument("--directions", type=int, default=64)
     p.add_argument("--radial-cells", type=int)
-    p.add_argument("--cd", action="append", metavar="KAPPA,N")
+    cd_help = "check CD(KAPPA, N) on every needle; write a negative KAPPA as --cd=-1,3"
+    p.add_argument("--cd", action="append", metavar="KAPPA,N", help=cd_help)
     p.add_argument("--csv-dir")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_disintegrate)

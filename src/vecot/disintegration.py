@@ -16,10 +16,13 @@ without the needle axis, which exist for iteration and which a CD check
 takes as one needle.  Ray sampling and reassembly run in blocks of at most
 ``_BLOCK_POINTS`` points and weigh multilinear corners with one combiner,
 and every result is bit-identical to handling the needles one at a time.
+Reassembly's stencil takes one coordinate array per axis, sized by what
+varies: one number per needle on a slice's fixed axes.
 
 A 1-D needle with density g = e^(-rho) satisfies the curvature-dimension
 condition CD(kappa, N) when rho'' - (rho')^2/(N-1) >= kappa on its
-interior; cd_check_1d evaluates that with central differences.
+interior; cd_check_1d evaluates that with central differences of log g
+and subtracts kappa once per needle, from its least stencil value.
 """
 
 from __future__ import annotations
@@ -208,8 +211,8 @@ class NeedleBatch:
                 "need axes (L,) or (K, L), densities (K, *grid shape) matching them, "
                 "bases (K, n) and directions (n, leaf_dim) or (K, n, leaf_dim)"
             )
-        if not (np.all(np.isfinite(base)) and np.all(np.isfinite(directions))):
-            raise GeometryMismatch("needle bases and directions must be finite")
+        if not all(np.all(np.isfinite(x)) for x in (*axes, base, directions)):
+            raise GeometryMismatch("needle grids, bases and directions must be finite")
         self.__dict__.update(axes=axes, g=_unit_mass(g, axes), base=base, directions=directions)
 
     def __len__(self) -> int:
@@ -241,15 +244,25 @@ class NeedleBatch:
 
         Each needle's points equal ``base + grid @ directions.T`` for that
         needle alone bit for bit: a 1-D needle's matmul has one product per
-        entry, which ``t * direction`` repeats.
+        entry, which ``t * direction`` repeats.  A row view has no needle
+        axis and raises GeometryMismatch.
         """
+        _check_needle_axis(self)
         if self.leaf_dim == 1:
             points = _ray_points(self.base, self.axes[0], self.directions[..., 0])
         else:
             offsets = _product_grid(self.axes) @ np.swapaxes(self.directions, -1, -2)
             points = self.base[:, None, :] + offsets
-        masses = self.g.reshape(len(self), -1) * np.reshape(_cell_volume(self.axes), (-1, 1))
-        return points, masses
+        return points, _cell_masses(self)
+
+
+def _check_needle_axis(needles: NeedleBatch) -> None:
+    if needles.g.ndim == needles.leaf_dim:
+        raise GeometryMismatch("a row view has no needle axis; pass the batch it came from")
+
+
+def _cell_masses(needles: NeedleBatch) -> np.ndarray:
+    return needles.g.reshape(len(needles), -1) * np.reshape(_cell_volume(needles.axes), (-1, 1))
 
 
 def _ray_points(base, t, directions) -> np.ndarray:
@@ -268,6 +281,30 @@ def _ray_points(base, t, directions) -> np.ndarray:
         np.multiply(t, directions[..., a, None], out=column)
         column += base[..., a, None]
     return points
+
+
+def _coordinates(needles: NeedleBatch) -> list:
+    """Per ambient axis, ``quadrature``'s coordinates, broadcastable to (K, P).
+
+    An axis no direction moves along holds the bases, (K, 1); with a shared
+    grid and directions, an axis whose bases compare equal holds one row,
+    (1, P); the rest are computed as ``quadrature`` does.  Dropping the zero
+    product of a finite grid, or taking the first of equal bases, changes at
+    most the sign of a zero, and the stencil subtracts the box edge and 0.5
+    before it floors, so no zero's sign reaches it.
+    """
+    t, base, directions = needles.axes[0], needles.base, needles.directions
+    if needles.leaf_dim > 1:
+        offsets = _product_grid(needles.axes) @ np.swapaxes(directions, -1, -2)
+    shared = directions.ndim == 2 and all(a.ndim == 1 for a in needles.axes)
+    coordinates = []
+    for a in range(base.shape[1]):
+        b = base[:, a, None]
+        if directions[..., a, :].any():
+            offset = t * directions[..., a, :] if needles.leaf_dim == 1 else offsets[..., a]
+            b = (offset + b[0])[None] if shared and (b == b[0]).all() else offset + b
+        coordinates.append(b)
+    return coordinates
 
 
 def _unchecked(axes, g, base, directions) -> NeedleBatch:
@@ -350,7 +387,8 @@ def radial_disintegration(
     angles on the circle, a Fibonacci lattice on the sphere) with equal
     angular weights, and each ray is sampled up to its exit from the box.
     Rays that carry no mass are skipped.  The density is interpolated in
-    blocks of at most ``_BLOCK_POINTS`` ray points.
+    blocks of at most ``_BLOCK_POINTS`` ray points.  A line always has its
+    two rays; ``n_directions`` must still be a positive integer there.
     """
     center = np.asarray(center, dtype=float)
     n = density.dim
@@ -359,7 +397,7 @@ def radial_disintegration(
     if not np.all((density.box[:, 0] < center) & (center < density.box[:, 1])):
         raise CenterOutsideBox(f"center {center.tolist()} is not strictly inside the box")
     _check_count(n_directions, "n_directions")
-    if n > 1 and n_directions < 1:
+    if n_directions < 1:
         raise InvalidParameter(f"need at least one direction, got {n_directions}")
     if n == 1:
         fan = np.array([[1.0], [-1.0]])
@@ -397,20 +435,20 @@ def radial_disintegration(
     return needles, mass / mass.sum()
 
 
-def _stencil(grid: GridDensity, points: np.ndarray):
+def _stencil(grid: GridDensity, coordinates):
     """The flat cell of each point's lowest corner, and per axis the corner weights.
 
-    ``points`` have shape (..., P, dim).  The lowest corner's cell, shape
-    (..., P), is the edge-clamped cell below the point on every axis.  Each
-    axis gives the weights of its lower and upper cells, shape (..., 2, P);
-    the upper cell is ``lo + 1``, or ``lo`` itself on a one-cell axis,
-    where its weight is 0.  Their products over the axes are the
-    multilinear interpolation weights.
+    ``coordinates`` hold one array per axis, broadcastable to (..., P).  The
+    lowest corner's cell, of their broadcast shape, is the edge-clamped cell
+    below the point on every axis.  Each axis gives the weights of its lower
+    and upper cells, shape (..., 2, P) after its own coordinates' shape; the
+    upper cell is ``lo + 1``, or ``lo`` itself on a one-cell axis, where its
+    weight is 0.  Their products over the axes are the multilinear
+    interpolation weights.
     """
-    base = np.zeros(points.shape[:-1])
-    weights = []
-    for a, res in enumerate(grid.resolution):
-        q = points[..., a] - grid.box[a, 0]
+    base, weights = 0.0, []
+    for a, (x, res) in enumerate(zip(coordinates, grid.resolution)):
+        q = x - grid.box[a, 0]
         q /= grid.steps[a]
         q -= 0.5
         # Clamped as floats, so a point far outside the box casts no huge
@@ -425,20 +463,22 @@ def _stencil(grid: GridDensity, points: np.ndarray):
             w[..., 1, :] = 0.0
         np.subtract(1.0, w[..., 1, :], out=w[..., 0, :])
         weights.append(w)
-        # Every flat cell index is an integer below 2^53, so float sums are exact.
+        # Every flat cell index is an integer below 2^53, so float sums are
+        # exact; each sum takes the shape its terms broadcast to.
         lo *= math.prod(grid.resolution[a + 1 :])
-        base += lo
+        base = base + lo
     return base.astype(np.intp), weights
 
 
-def _corner_weights(grid: GridDensity, points: np.ndarray):
+def _corner_weights(grid: GridDensity, coordinates):
     """Flat cell index and weight of each of the 2^dim multilinear corners.
 
-    ``points`` have shape (..., P, dim); both results have shape (...,
-    2^dim, P), the corners in ``np.ndindex`` order.  Each weight is the
-    product of the axes' stencil weights, first axis first.
+    ``coordinates`` hold one array per axis, broadcastable to (..., P); the
+    results have shape (..., 2^dim, P) after the shapes they broadcast
+    from, the corners in ``np.ndindex`` order.  Each weight is the product
+    of the axes' stencil weights, first axis first.
     """
-    base, weights = _stencil(grid, points)
+    base, weights = _stencil(grid, coordinates)
     # A corner's cell is the lowest corner's plus one stride per upper axis.
     strides = [
         math.prod(grid.resolution[a + 1 :]) if res > 1 else 0
@@ -449,9 +489,8 @@ def _corner_weights(grid: GridDensity, points: np.ndarray):
     weight = weights[0]
     for w in weights[1:]:
         # Each new axis's corner bit goes last, so C order is np.ndindex order.
-        weight = (weight[..., :, None, :] * w[..., None, :, :]).reshape(
-            weight.shape[:-2] + (-1, weight.shape[-1])
-        )
+        weight = weight[..., :, None, :] * w[..., None, :, :]
+        weight = weight.reshape(weight.shape[:-3] + (-1, weight.shape[-1]))
     return cells, weight
 
 
@@ -461,7 +500,7 @@ def _interpolate(density: GridDensity, points: np.ndarray) -> np.ndarray:
     The corners are added one at a time from the first; a sum over the
     corner axis adds them pairwise when that axis is the innermost loop.
     """
-    cells, weight = _corner_weights(density, points)
+    cells, weight = _corner_weights(density, [points[..., a] for a in range(density.dim)])
     return functools.reduce(np.add, np.moveaxis(weight * density.samples.ravel()[cells], -2, 0))
 
 
@@ -492,6 +531,7 @@ def reassemble(needles: NeedleBatch, weights, target: GridDensity) -> GridDensit
     splatting one needle at a time, so the result does not depend on the
     block size.
     """
+    _check_needle_axis(needles)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(needles),):
         raise GeometryMismatch("one weight per needle required")
@@ -502,11 +542,12 @@ def reassemble(needles: NeedleBatch, weights, target: GridDensity) -> GridDensit
     mass = np.zeros(math.prod(target.resolution))
     per_block = max(1, _BLOCK_POINTS // math.prod(needles.g.shape[1:]))
     for start in range(0, len(needles), per_block):
-        points, masses = needles[start : start + per_block].quadrature()
-        masses *= weights[start : start + len(masses), None]
-        cells, weight = _corner_weights(target, points)
-        weight *= masses[:, None, :]
-        np.add.at(mass, cells.reshape(-1), weight.reshape(-1))
+        block = needles[start : start + per_block]
+        masses = _cell_masses(block)
+        masses *= weights[start : start + len(block), None]
+        cells, weight = _corner_weights(target, _coordinates(block))
+        weight = weight * masses[:, None, :]
+        np.add.at(mass, np.broadcast_to(cells, weight.shape).reshape(-1), weight.reshape(-1))
     return GridDensity(box=target.box, samples=mass.reshape(target.resolution) / target.cell_volume)
 
 
@@ -560,7 +601,7 @@ def cd_check_1d(needles: NeedleBatch, kappa: float, N: float, tol: float | None 
         raise GeometryMismatch("parameter grid t is defined for 1-d needles only")
     (t,), g = needles.axes, needles.g
     inside = None
-    if g.size and g.min() <= 0.0:
+    if g.size and np.minimum.reduce(g, axis=None) <= 0.0:
         rows = g.reshape(-1, g.shape[-1])
         positive = rows > 0.0
         first = positive.argmax(axis=1)
@@ -588,27 +629,38 @@ def cd_check_1d(needles: NeedleBatch, kappa: float, N: float, tol: float | None 
         h = t[:, 1] - t[:, 0]
         hc = h[:, None]
     tols = 10.0 * h * h if tol is None else tol
-    rho = -np.log(g)
-    d2 = (rho[..., 2:] - 2.0 * rho[..., 1:-1] + rho[..., :-2]) / (hc * hc)
+    # rho = -log g exactly, and rounding is odd: (2 l1 - l2) - l0 has the bits
+    # of (rho2 - 2 rho1) + rho0, signed zeros too, and l0 - l2 of rho2 - rho0.
+    # Subtracting kappa is monotone, so it waits for each needle's minimum.
+    log = np.log(g)
+    l0, l1, l2 = log[..., :-2], log[..., 1:-1], log[..., 2:]
+    d2 = l1 + l1
+    d2 -= l2
+    d2 -= l0
+    d2 /= hc * hc
     if math.isinf(N):
-        worst = _lowest(d2 - kappa, inside)
+        worst = _lowest(d2, inside) - kappa
     else:
-        d1 = (rho[..., 2:] - rho[..., :-2]) / (2.0 * hc)
+        d1 = (l0 - l2) / (2.0 * hc)
         if N == 1.0:
             # The largest |rho'| or |rho''| over each needle's stencils.
             flat = -_lowest(-np.maximum(np.abs(d1), np.abs(d2)), inside)
             worst = np.where(flat <= np.sqrt(tols), -kappa, -np.inf)
         else:
-            worst = _lowest(d2 - d1 * d1 / (N - 1.0) - kappa, inside)
-
-    def report(w, s):
-        return CdReport(kappa, N, worst_violation=float(w), passed=bool(w >= -s), tol=float(s))
-
+            worst = _lowest(d2 - d1 * d1 / (N - 1.0), inside) - kappa
     if g.ndim == 1:
-        return report(worst, tols)
-    return [report(w, s) for w, s in zip(*np.broadcast_arrays(worst, tols))]
+        return _cd_report(kappa, N, float(worst), tols)
+    tols = np.broadcast_to(tols, worst.shape).tolist()
+    return [_cd_report(kappa, N, w, s) for w, s in zip(worst.tolist(), tols)]
 
 
 def _lowest(values, inside):
     """Each needle's least stencil value, over the stencils ``inside`` selects if given."""
-    return (values if inside is None else np.where(inside, values, np.inf)).min(axis=-1)
+    return np.minimum.reduce(values if inside is None else np.where(inside, values, np.inf), axis=-1)
+
+
+def _cd_report(kappa: float, N: float, worst: float, tol: float) -> CdReport:
+    """A report built without the dataclass ``__init__``, as ``_unchecked`` builds rows."""
+    report = object.__new__(CdReport)
+    report.__dict__.update(kappa=kappa, N=N, worst_violation=worst, passed=worst >= -tol, tol=tol)
+    return report

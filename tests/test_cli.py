@@ -626,6 +626,17 @@ def test_disintegrate_csv_files_match_a_per_needle_writer(tmp_path, capsys, argv
         assert got.read_bytes() == want.read_bytes()
 
 
+def test_disintegrate_takes_a_negative_kappa_after_an_equals_sign(capsys):
+    # "--cd -1,3" reads as an option to argparse; "--cd=-1,3" does not.
+    argv = ["disintegrate", "--box", "-3", "3", "-3", "3", "--resolution", "17"]
+    code, doc = run(capsys, *argv, "--cd=-1,3")
+    assert code == 0
+    assert [(r["kappa"], r["N"]) for r in doc["cd_reports"]] == [(-1.0, 3.0)]
+    with pytest.raises(SystemExit):
+        main(["disintegrate", "--help"])
+    assert "--cd=-1,3" in capsys.readouterr().out
+
+
 def test_disintegrate_radial_from_grid_file(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     xs = (np.arange(33) + 0.5) / 33 * 8.0 - 4.0
@@ -656,11 +667,23 @@ def test_disintegrate_radial_from_grid_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--directions", "0"], ["--directions", "-3"], ["--radial-cells", "0"], ["--center", "nan", "0"]],
-    ids=["no-directions", "negative-directions", "no-radial-cells", "nan-center"],
+    [
+        ["--directions", "0"],
+        ["--directions", "-3"],
+        ["--radial-cells", "0"],
+        ["--center", "nan", "0"],
+        ["--box", "-4", "4", "--center", "0", "--directions", "0"],
+        ["--box", "-4", "4", "--center", "0", "--directions", "-5"],
+    ],
+    ids=[
+        "no-directions", "negative-directions", "no-radial-cells", "nan-center", "line-no-directions",
+        "line-negative-directions",
+    ],
 )
 def test_disintegrate_rejects_bad_radial_parameters(capsys, flags):
-    argv = ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--mode", "radial"]
+    argv = ["disintegrate", "--resolution", "33", "--mode", "radial"]
+    if "--box" not in flags:
+        argv += ["--box", "-4", "4", "-4", "4"]
     if "--center" not in flags:
         argv += ["--center", "0", "0"]
     with warnings.catch_warnings(record=True) as caught:

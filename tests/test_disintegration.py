@@ -192,12 +192,16 @@ def test_needle_batch_validates_once_for_the_whole_batch():
         {"base": [[0.5, 0.0], [np.inf, 0.0]]},
         {"directions": [[1.0], [np.nan]]},
         {"directions": [[[1.0], [0.0]], [[-np.inf], [0.0]]]},
+        {"axes": (np.append(np.linspace(-1.0, 1.0, 8), np.nan),)},
+        {"axes": (np.stack([np.linspace(-1.0, 1.0, 9), np.append(np.linspace(-1.0, 1.0, 8), np.inf)]),)},
     ],
-    ids=["nan-base", "inf-base", "nan-direction", "inf-per-needle-direction"],
+    ids=["nan-base", "inf-base", "nan-direction", "inf-per-needle-direction", "nan-grid",
+         "inf-per-needle-grid"],
 )
 def test_needle_batch_rejects_non_finite_geometry(bad):
     # Caught here, not in reassemble, which would blame its own output for a
-    # NaN base and put all the mass of an infinite one on the edge row.
+    # NaN base and put all the mass of an infinite one on the edge row.  A
+    # finite grid also makes t * 0 + b equal b up to the sign of a zero.
     ok = {
         "axes": (np.linspace(-1.0, 1.0, 9),),
         "g": np.ones((2, 9)),
@@ -331,6 +335,11 @@ def test_radial_validates_center_and_dimension():
     d4 = tabulate_density([[0.0, 1.0]] * 4, 4, lambda p: np.ones(len(p)))
     with pytest.raises(GeometryMismatch):
         radial_disintegration(d4, [0.5] * 4)
+    # A line always has two rays, but its direction count is checked too.
+    line = tabulate_density([[-1.0, 1.0]], 8, lambda p: np.exp(-p[:, 0] ** 2))
+    for count in (0, -5):
+        with pytest.raises(InvalidParameter, match="at least one direction"):
+            radial_disintegration(line, [0.0], count)
 
 
 def test_radial_line_uses_two_rays():
@@ -355,6 +364,18 @@ def test_radial_rays_that_carry_no_mass_are_skipped():
 # ---------------------------------------------------------------------------
 # Reassembly plumbing
 # ---------------------------------------------------------------------------
+
+
+def test_row_views_are_refused_where_a_batch_is_needed():
+    # A row of an 8^2 slice batch has 8 cells, as the batch has 8 needles.
+    d = tabulate_density([[-1.0, 1.0]] * 2, 8, lambda p: np.exp(-(p ** 2).sum(axis=1)))
+    needles, weights = slice_disintegration(d, 1)
+    row = next(iter(needles))
+    with pytest.raises(GeometryMismatch, match="no needle axis"):
+        reassemble(row, weights, d)
+    with pytest.raises(GeometryMismatch, match="no needle axis"):
+        row.quadrature()
+    assert cd_check_1d(row, 0.0, math.inf) == cd_check_1d(needles, 0.0, math.inf)[0]
 
 
 def test_reassemble_output_is_unit_mass():
@@ -568,11 +589,17 @@ def test_radial_steps_take_at_most_a_block_of_points(monkeypatch, block):
     else:
         d, center, rays, cells = _skewed_3d(16), [0.1, 0.2, -0.3], 30, 64
     expected, expected_weights = reference_rays(d, center, rays, cells)
+    # _interpolate takes points (..., P, dim), _stencil one coordinate array
+    # per axis; a block's size is the count of points they stand for.
     sizes = {"_interpolate": [], "_stencil": []}
+    counts = {
+        "_interpolate": lambda points: math.prod(points.shape[:-1]),
+        "_stencil": lambda coordinates: math.prod(np.broadcast_shapes(*(x.shape for x in coordinates))),
+    }
     for name, seen in sizes.items():
-        def spy(grid, points, real=getattr(vecot.disintegration, name), seen=seen):
-            seen.append(math.prod(points.shape[:-1]))
-            return real(grid, points)
+        def spy(grid, arg, real=getattr(vecot.disintegration, name), seen=seen, count=counts[name]):
+            seen.append(count(arg))
+            return real(grid, arg)
 
         monkeypatch.setattr(vecot.disintegration, name, spy)
     batch, weights = radial_disintegration(d, center, rays)
@@ -583,8 +610,10 @@ def test_radial_steps_take_at_most_a_block_of_points(monkeypatch, block):
     assert batch.g.tobytes() == np.stack([nd.g for nd in expected]).tobytes()
     sizes["_stencil"].clear()
     rebuilt = reassemble(batch, weights, d)
-    # A needle larger than a block is a block of its own.
+    # A needle larger than a block is a block of its own, and the blocks
+    # cover every ray point once.
     assert max(sizes["_stencil"]) <= max(limit, cells)
+    assert sum(sizes["_stencil"]) == len(batch) * cells
     assert rebuilt.samples.tobytes() == reference_reassemble(expected, expected_weights, d).tobytes()
 
 
@@ -629,7 +658,7 @@ def test_corner_weights_match_the_reference_bit_for_bit(monkeypatch, resolution,
     outside = (points < grid.box[:, 0]) | (points > grid.box[:, 1])
     assert outside.any() and not outside.all()
 
-    cells, weight = vecot.disintegration._corner_weights(grid, points)
+    cells, weight = vecot.disintegration._corner_weights(grid, [points[..., a] for a in range(grid.dim)])
     assert cells.shape == weight.shape == shape[:-1] + (2**grid.dim, shape[-1])
     expected = np.zeros(shape)
     for c, (cell, w) in enumerate(reference_corners(grid, points)):
@@ -640,6 +669,85 @@ def test_corner_weights_match_the_reference_bit_for_bit(monkeypatch, resolution,
     weights = rng.uniform(0.5, 1.0, count)
     want = reference_reassemble(needles, weights, grid).tobytes()
     assert reassemble(needles, weights, grid).samples.tobytes() == want
+
+
+def _coordinate_case(name):
+    """A batch, reassembly weights, a target grid, and the coordinate shapes
+    ``_coordinates`` should give the batch: (K, 1) per needle, (1, P) per
+    grid point, or None for a full (K, P) array."""
+    if name.startswith("slice"):
+        n, m = int(name[-2]), int(name[7])
+        d = _skewed_3d((9, 10, 11)) if n == 3 else gaussian_2d(res=21)
+        needles, weights = slice_disintegration(d, m)
+        # A target none of the slice cells land on, so no weight is 0 or 1.
+        box = d.box + [[-0.3, 0.2]] * n
+        target = tabulate_density(box, [7, 13, 6][:n], lambda p: np.ones(len(p)))
+        K, P = len(needles), math.prod(needles.g.shape[1:])
+        return needles, weights, target, [(1, P)] * m + [(K, 1)] * (n - m)
+    rng = np.random.default_rng(17)
+    t = np.linspace(-1.0, 1.0, 6)
+    if name == "per-needle-directions":
+        # Fan directions in the (x, y) plane: no needle moves along z.
+        angles = rng.uniform(0.0, 2.0 * np.pi, 9)
+        directions = np.stack([np.cos(angles), np.sin(angles), np.zeros(9)], axis=1)[:, :, None]
+        directions[:3, 1] = 0.0
+        base = rng.uniform(-1.0, 1.0, (9, 3))
+        needles = NeedleBatch(axes=(t,), g=rng.uniform(0.5, 1.0, (9, 6)), base=base, directions=directions)
+        return needles, rng.uniform(0.1, 1.0, 9), _skewed_3d((5, 6, 4)), [None, None, (9, 1)]
+    if name == "signed-zero-bases":
+        # The box starts at 0 on every axis; bases on the z axis are 0.0 or
+        # -0.0, and on the x axis, which the needles move along, all -0.0
+        # but one 0.0, which compares equal.
+        target = tabulate_density([[0.0, 2.0], [-1.0, 1.0], [0.0, 1.5]], (6, 5, 4), lambda p: 1.0 + p[:, 0])
+        base = np.array([[-0.0, 0.3, 0.0], [0.0, -0.2, -0.0], [-0.0, 0.9, -0.0], [-0.0, 0.0, 0.0]])
+        needles = NeedleBatch(
+            axes=(np.linspace(0.0, 1.9, 8),), g=np.ones((4, 8)), base=base, directions=[[1.0], [0.0], [0.0]]
+        )
+        return needles, np.full(4, 0.25), target, [(1, 8), (4, 1), (4, 1)]
+    if name == "far-outside":
+        # 1e12 is far outside the box but below 2^63 cells, which the
+        # reference's integer cast needs.  The x bases differ, so the axis
+        # the needles move along is full.
+        base = np.array([[0.0, 1e6, -3.0], [0.5, -1e12, 0.5], [-1e6, 0.1, 1e6]])
+        needles = NeedleBatch(
+            axes=(np.linspace(-4.0, 4.0, 7),), g=np.ones((3, 7)), base=base, directions=[[1.0], [0.0], [0.0]]
+        )
+        return needles, np.ones(3), _skewed_3d((5, 6, 4)), [None, (3, 1), (3, 1)]
+    # One-cell axes in the target, and needles of one cell.
+    target = tabulate_density([[-1.0, 1.0], [0.0, 1.0], [-2.0, 2.0]], (4, 1, 1), lambda p: np.ones(len(p)))
+    sheets = NeedleBatch(
+        axes=(np.zeros(1), np.linspace(-1.5, 1.5, 5)),
+        g=np.ones((3, 1, 5)),
+        base=rng.uniform(-2.0, 2.0, (3, 3)),
+        directions=[[0.0, 0.0], [0.0, 1.0], [1.0, 0.5]],
+    )
+    return sheets, np.ones(3), target, [(3, 1), None, None]
+
+
+COORDINATE_CASES = ["slice-m1-2d", "slice-m1-3d", "slice-m2-3d", "per-needle-directions"]
+COORDINATE_CASES += ["signed-zero-bases", "far-outside", "one-cell"]
+
+
+@pytest.mark.parametrize("case", COORDINATE_CASES)
+def test_per_axis_coordinates_match_the_reference_bit_for_bit(monkeypatch, case):
+    # Per-axis coordinates sized by what varies give the corners and the
+    # reassembly of the full (K, P, n) points, whose zeros may carry
+    # another sign.
+    needles, weights, target, shapes = _coordinate_case(case)
+    coordinates = vecot.disintegration._coordinates(needles)
+    K, P = len(needles), math.prod(needles.g.shape[1:])
+    assert [x.shape for x in coordinates] == [s or (K, P) for s in shapes]
+    cells, weight = vecot.disintegration._corner_weights(target, coordinates)
+    cells = np.broadcast_to(cells, (K, 2**target.dim, P))
+    weight = np.broadcast_to(weight, (K, 2**target.dim, P))
+    points = needles.quadrature()[0]
+    for c, (cell, w) in enumerate(reference_corners(target, points)):
+        assert cells[:, c].tobytes() == np.ravel_multi_index(cell, target.resolution).tobytes()
+        assert weight[:, c].tobytes() == w.tobytes()
+    expected = reference_reassemble(needles, weights, target).tobytes()
+    assert reassemble(needles, weights, target).samples.tobytes() == expected
+    monkeypatch.setattr(vecot.disintegration, "_BLOCK_POINTS", 5)
+    assert reassemble(needles, weights, target).samples.tobytes() == expected
 
 
 def test_far_away_needles_land_on_the_edge_cells():
@@ -927,10 +1035,42 @@ def _faulty_lines(case) -> NeedleBatch:
     return NeedleBatch(axes=(t,), g=rows, base=np.zeros((4, 1)), directions=np.eye(1))
 
 
+def _extreme_lines(case) -> NeedleBatch:
+    """Needles whose densities or steps stress the rounding of the stencils."""
+    t = (np.arange(40) + 0.5) / 40.0
+    if case == "flat":
+        # Every stencil is exactly 0: CD(0, .) reports 0.0, not -0.0.
+        rows = np.ones((3, 40))
+        rows[1, :2] = 0.0
+    elif case == "tiny-densities":
+        # From 1e-300 to 1: log-linear, Gaussian and a step in between.
+        rows = np.stack([
+            np.logspace(-300.0, 0.0, 40),
+            np.exp(-690.0 * (2.0 * t - 1.0) ** 2),
+            np.where(t < 0.5, 1e-300, 1.0),
+        ])
+    elif case == "subnormal":
+        # Cells of about 1e-310 and 5e-324 that stay subnormal after
+        # normalization, at the ends and inside.
+        rows = np.ones((3, 40))
+        rows[0, 0], rows[0, -1] = 5e-324, 1e-310
+        rows[1, 18:21] = [1e-310, 2e-315, 1e-310]
+        rows[2, 1:] = np.logspace(-300.0, -320.0, 39)
+    else:
+        # Per-needle grids with steps of 1e-3, 1 and 1e3, each 1e3 times the last.
+        steps = np.array([[1e-3], [1.0], [1e3]])
+        grid = -2.0 * steps + np.arange(40) * steps
+        rows = np.exp(-0.5 * (grid / (10.0 * steps)) ** 2) * [[1.0], [1e-200], [3.0]]
+        return NeedleBatch(axes=(grid,), g=rows, base=np.zeros((3, 1)), directions=np.eye(1))
+    return NeedleBatch(axes=(t,), g=rows, base=np.zeros((len(rows), 1)), directions=np.eye(1))
+
+
+EXTREME_LINES = ["flat", "tiny-densities", "subnormal", "steps-1e3-apart"]
 CD_REFERENCE_CASES = {
     "slice-rows": None,
     "radial-rows": None,
     **{case: None for case in CD_BATCHES},
+    **{case: None for case in EXTREME_LINES},
     "hole": NonpositiveDensity,
     "hole-among-ragged-ends": NonpositiveDensity,
     "few-ragged": TooFewPoints,
@@ -949,6 +1089,9 @@ def _cd_reference_inputs(case) -> list:
         return list(_cd_batch("per-needle-grids"))
     if case in CD_BATCHES:
         return [_cd_batch(case)]
+    if case in EXTREME_LINES:
+        batch = _extreme_lines(case)
+        return [batch, *batch]
     if case == "short-grid":
         t = (np.arange(4) + 0.5) / 4.0
         return [line_needle(t, np.ones(4)), next(iter(line_needle(t, np.ones(4))))]
@@ -958,7 +1101,7 @@ def _cd_reference_inputs(case) -> list:
     return [_faulty_lines(case)]
 
 
-@pytest.mark.parametrize("kappa, N, tol", CD_PARAMETERS)
+@pytest.mark.parametrize("kappa, N, tol", CD_PARAMETERS + [(0.0, math.inf, 0.0), (0.5, 2.0, 0.0)])
 @pytest.mark.parametrize("case", list(CD_REFERENCE_CASES))
 def test_cd_check_matches_the_reference_bit_for_bit(case, kappa, N, tol):
     def outcome(check, needles):
