@@ -15,10 +15,10 @@ import numpy as np
 
 from .core import (
     Instance,
-    InvalidParameter,
     PotentialField,
     VectorCoupling,
     _check_solution,
+    _check_tolerance,
     _dot,
     cost,
     edge_slackness,
@@ -94,10 +94,7 @@ def certify(
     not finite and positive raises InvalidParameter, and a coupling or
     potential that does not fit the instance's points DimensionMismatch.
     """
-    if not tol > 0:  # nan fails too
-        raise InvalidParameter("tol must be positive")
-    if tol == np.inf:
-        raise InvalidParameter("tol must be finite")
+    tol = _check_tolerance(tol, "tol", positive=True)
     _check_solution(instance, coupling, potential)
     measure = instance.measure
 
@@ -150,8 +147,10 @@ def isometry_saturation_set(
 
     Returns the pairs with flow norm above ``tol * tv`` and saturation
     ``||u_i - u_j|| / d_ij`` at least ``1 - tol``, sorted lexicographically.  Adding
-    a constant vector to the potential does not change the result.
+    a constant vector to the potential does not change the result.  A
+    ``tol`` that is not finite and nonnegative raises InvalidParameter.
     """
+    tol = _check_tolerance(tol, "tol")
     edges, _, saturation, _ = edge_slackness(
         coupling.pairs, coupling.flows, potential.values, instance.distances, tol
     )

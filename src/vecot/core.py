@@ -92,6 +92,16 @@ def _check_count(value, name: str, error: type[VecotError] = InvalidParameter) -
         raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _check_tolerance(value, name: str, positive: bool = False) -> float:
+    """A tolerance argument as a float; InvalidParameter unless it is finite
+    and at least 0, or above 0 when ``positive``."""
+    tol = float(value)
+    if not (math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)):
+        bound = "positive" if positive else "nonnegative"
+        raise InvalidParameter(f"{name} must be finite and {bound}, got {value!r}")
+    return tol
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Finite set of pairwise distinct points in R^n.

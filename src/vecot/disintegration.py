@@ -13,11 +13,12 @@ as one batch: the leaf grids, every conditional density in one array,
 checked and normalized once, and the embedding of each leaf.  Reassembly
 and CD checks take a batch; iterating a batch gives row views, its arrays
 without the needle axis, which exist for iteration and which a CD check
-takes as one needle.  Ray sampling and reassembly run in blocks of at most
-``_BLOCK_POINTS`` points and weigh multilinear corners with one combiner,
-and every result is bit-identical to handling the needles one at a time.
-Reassembly's stencil takes one coordinate array per axis, sized by what
-varies: one number per needle on a slice's fixed axes.
+takes as one needle.  One per-axis builder places every needle point, an
+array per ambient axis sized by what varies: quadrature stacks them, equal
+to ``base + grid @ directions.T`` bit for bit up to the sign of a zero (a
+-0.0 base coordinate is the only case where they differ), and ray sampling
+and reassembly weigh their multilinear corners in blocks of at most
+``_BLOCK_POINTS`` points, bit-identical to one needle at a time.
 
 A 1-D needle with density g = e^(-rho) satisfies the curvature-dimension
 condition CD(kappa, N) when rho'' - (rho')^2/(N-1) >= kappa on its
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidParameter, VecotError, _check_count
+from .core import InvalidParameter, VecotError, _check_count, _check_tolerance
 
 __all__ = [
     "EmptySlice",
@@ -88,14 +89,16 @@ class GridDensity:
             raise GeometryMismatch(
                 f"samples have {samples.ndim} axes but the box has {box.shape[0]}"
             )
-        if np.any(box[:, 1] <= box[:, 0]):
-            raise GeometryMismatch("box bounds must satisfy lo < hi")
         if not np.all(np.isfinite(samples)) or np.any(samples < 0):
             raise NonpositiveDensity("density samples must be finite and nonnegative")
         if samples.sum() == 0.0:
             raise NonpositiveDensity("density must carry positive total mass")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "samples", samples)
+        with np.errstate(over="ignore"):
+            volume = self.cell_volume
+        if not 0.0 < volume < math.inf:
+            raise GeometryMismatch(f"the cell volume {volume} is not positive and finite")
 
     @property
     def dim(self) -> int:
@@ -130,7 +133,15 @@ def _box(box) -> np.ndarray:
     box = np.asarray(box, dtype=float)
     if box.size == 0 or box.size % 2:
         raise GeometryMismatch(f"the box needs a lo and a hi per axis, got {box.size} bounds")
-    return box.reshape(-1, 2)
+    box = box.reshape(-1, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = box[:, 1] - box[:, 0]
+    # A bound that is not finite makes the width inf or nan, as an overflow does.
+    if not np.all(np.isfinite(width)):
+        raise GeometryMismatch(f"box bounds and widths must be finite, got {box.tolist()}")
+    if np.any(width <= 0.0):
+        raise GeometryMismatch("box bounds must satisfy lo < hi")
+    return box
 
 
 def _cell_centers(lo: float, hi: float, k: int) -> np.ndarray:
@@ -242,17 +253,16 @@ class NeedleBatch:
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Embedded cell positions (K, P, n) and masses (K, P) of the needles.
 
-        Each needle's points equal ``base + grid @ directions.T`` for that
-        needle alone bit for bit: a 1-D needle's matmul has one product per
-        entry, which ``t * direction`` repeats.  A row view has no needle
-        axis and raises GeometryMismatch.
+        The per-axis builder of every needle point gives the positions, equal
+        to ``base + grid @ directions.T`` for each needle alone bit for bit
+        up to the sign of a zero (a -0.0 base coordinate is the only case
+        where they differ).  A row view has no needle axis and raises
+        GeometryMismatch.
         """
         _check_needle_axis(self)
-        if self.leaf_dim == 1:
-            points = _ray_points(self.base, self.axes[0], self.directions[..., 0])
-        else:
-            offsets = _product_grid(self.axes) @ np.swapaxes(self.directions, -1, -2)
-            points = self.base[:, None, :] + offsets
+        shape = (len(self), math.prod(self.g.shape[1:]))
+        coordinates = _coordinates(self.base, self.axes, self.directions)
+        points = np.stack([np.broadcast_to(x, shape) for x in coordinates], axis=-1)
         return points, _cell_masses(self)
 
 
@@ -265,43 +275,27 @@ def _cell_masses(needles: NeedleBatch) -> np.ndarray:
     return needles.g.reshape(len(needles), -1) * np.reshape(_cell_volume(needles.axes), (-1, 1))
 
 
-def _ray_points(base, t, directions) -> np.ndarray:
-    """Points ``base + t * direction`` on K rays, shape (K, L, n), built one axis at a time.
+def _coordinates(base, axes, directions) -> list:
+    """Needle points ``base + grid @ directions.T``, one array per ambient axis.
 
-    ``base`` and ``directions`` have shape (n,) when shared or (K, n), ``t``
-    (L,) when shared or (K, L).  Each coordinate is the product and sum the
-    broadcast expression computes; an axis at a time, numpy's inner loops
-    run over L rather than over n.
+    ``base`` is (K, n) or a shared (1, n), each grid (L,) or (K, L), and
+    ``directions`` (n, leaf_dim) or (K, n, leaf_dim); each array broadcasts
+    to (K, P).  An axis no direction moves along holds the bases, (K, 1);
+    with a shared grid and directions, an axis whose bases compare equal
+    holds one row, (1, P).  A 1-D needle's matmul makes one product per
+    entry, ``t * direction``.  Dropping the zero product of a finite grid,
+    or taking the first of equal bases, changes at most the sign of a zero,
+    and the stencil subtracts the box edge and 0.5 before it floors, so no
+    zero's sign reaches it.
     """
-    n = base.shape[-1]
-    shape = np.broadcast_shapes(base.shape[:-1] + (1,), directions.shape[:-1] + (1,), t.shape)
-    points = np.empty(shape + (n,))
-    for a in range(n):
-        column = points[..., a]
-        np.multiply(t, directions[..., a, None], out=column)
-        column += base[..., a, None]
-    return points
-
-
-def _coordinates(needles: NeedleBatch) -> list:
-    """Per ambient axis, ``quadrature``'s coordinates, broadcastable to (K, P).
-
-    An axis no direction moves along holds the bases, (K, 1); with a shared
-    grid and directions, an axis whose bases compare equal holds one row,
-    (1, P); the rest are computed as ``quadrature`` does.  Dropping the zero
-    product of a finite grid, or taking the first of equal bases, changes at
-    most the sign of a zero, and the stencil subtracts the box edge and 0.5
-    before it floors, so no zero's sign reaches it.
-    """
-    t, base, directions = needles.axes[0], needles.base, needles.directions
-    if needles.leaf_dim > 1:
-        offsets = _product_grid(needles.axes) @ np.swapaxes(directions, -1, -2)
-    shared = directions.ndim == 2 and all(a.ndim == 1 for a in needles.axes)
+    if len(axes) > 1:
+        offsets = _product_grid(axes) @ np.swapaxes(directions, -1, -2)
+    shared = directions.ndim == 2 and all(a.ndim == 1 for a in axes)
     coordinates = []
     for a in range(base.shape[1]):
         b = base[:, a, None]
         if directions[..., a, :].any():
-            offset = t * directions[..., a, :] if needles.leaf_dim == 1 else offsets[..., a]
+            offset = axes[0] * directions[..., a, :] if len(axes) == 1 else offsets[..., a]
             b = (offset + b[0])[None] if shared and (b == b[0]).all() else offset + b
         coordinates.append(b)
     return coordinates
@@ -425,8 +419,8 @@ def radial_disintegration(
     for r in range(0, len(fan), rows):
         for c in range(0, n_radial, cols):
             block = np.s_[r : r + rows, c : c + cols]
-            points = _ray_points(center, t[block], fan[r : r + rows])
-            g[block] = t[block] ** (n - 1) * _interpolate(density, points)
+            coordinates = _coordinates(center[None], (t[block],), fan[r : r + rows, :, None])
+            g[block] = t[block] ** (n - 1) * _interpolate(density, coordinates)
     mass = g.sum(axis=1) * dt
     t, g, fan, mass = _rows_with_mass(mass, t, g, fan, mass)
     needles = NeedleBatch(
@@ -494,13 +488,13 @@ def _corner_weights(grid: GridDensity, coordinates):
     return cells, weight
 
 
-def _interpolate(density: GridDensity, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of the cell-center samples at points (..., P, dim).
+def _interpolate(density: GridDensity, coordinates) -> np.ndarray:
+    """Multilinear interpolation of the cell-center samples, one coordinate array per axis.
 
     The corners are added one at a time from the first; a sum over the
     corner axis adds them pairwise when that axis is the innermost loop.
     """
-    cells, weight = _corner_weights(density, [points[..., a] for a in range(density.dim)])
+    cells, weight = _corner_weights(density, coordinates)
     return functools.reduce(np.add, np.moveaxis(weight * density.samples.ravel()[cells], -2, 0))
 
 
@@ -545,7 +539,7 @@ def reassemble(needles: NeedleBatch, weights, target: GridDensity) -> GridDensit
         block = needles[start : start + per_block]
         masses = _cell_masses(block)
         masses *= weights[start : start + len(block), None]
-        cells, weight = _corner_weights(target, _coordinates(block))
+        cells, weight = _corner_weights(target, _coordinates(block.base, block.axes, block.directions))
         weight = weight * masses[:, None, :]
         np.add.at(mass, np.broadcast_to(cells, weight.shape).reshape(-1), weight.reshape(-1))
     return GridDensity(box=target.box, samples=mass.reshape(target.resolution) / target.cell_volume)
@@ -594,9 +588,7 @@ def cd_check_1d(needles: NeedleBatch, kappa: float, N: float, tol: float | None 
     if not math.isfinite(kappa) or not N >= 1.0:
         raise InvalidParameter(f"CD(kappa, N) needs a finite kappa and N >= 1, got ({kappa}, {N})")
     if tol is not None:
-        tol = float(tol)
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise InvalidParameter(f"the CD tolerance must be finite and nonnegative, got {tol}")
+        tol = _check_tolerance(tol, "the CD tolerance")
     if needles.leaf_dim != 1:
         raise GeometryMismatch("parameter grid t is defined for 1-d needles only")
     (t,), g = needles.axes, needles.g

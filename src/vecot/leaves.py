@@ -22,11 +22,11 @@ import numpy as np
 
 from .core import (
     DimensionMismatch,
-    InvalidParameter,
     PointCloud,
     PotentialField,
     VecotError,
     WrongDimension,
+    _check_tolerance,
     _integer_valued,
     _lapack,
     component_labels,
@@ -75,8 +75,7 @@ class IsometryGraph:
     eps: float
 
     def __post_init__(self):
-        if not 0.0 < self.eps < np.inf:  # nan fails too
-            raise InvalidParameter("eps must be finite and positive")
+        _check_tolerance(self.eps, "eps", positive=True)
         e = np.asarray(self.edges)
         if e.size == 0:
             e = e.reshape(0, 2)
@@ -409,7 +408,9 @@ def derivative_modulus_check(
     up to ``tol`` plus the two fit residuals.  Raises WrongDimension when a
     leaf's dimension falls short of the potential's target dimension; with a
     zero boundary distance the bound is vacuous and the check returns True.
+    A ``tol`` that is not finite and nonnegative raises InvalidParameter.
     """
+    tol = _check_tolerance(tol, "tol")
     m = leaf1.values.shape[1]
     if leaf1.dimension < m or leaf2.dimension < m:
         raise WrongDimension(
@@ -450,12 +451,16 @@ def transport_set(decomposition: LeafDecomposition, seeds) -> np.ndarray:
 
     A point already in the set expands to all its isometry-graph neighbours
     unless it is boundary-flagged; flagged points may join the set but never
-    pull in further points.  Returns sorted point indices.
+    pull in further points.  Returns sorted point indices.  Seeds must be
+    integer-valued point indices, else DimensionMismatch.
     """
     n = decomposition.graph.cloud.size
-    seeds = np.array([int(s) for s in seeds], dtype=np.int64)
+    seeds = np.asarray(seeds)
+    if seeds.ndim != 1 or not _integer_valued(seeds):
+        raise DimensionMismatch(f"seeds must be a list of point indices, got {seeds.dtype} {seeds.shape}")
     if np.any((seeds < 0) | (seeds >= n)):
         raise DimensionMismatch("seed index out of range")
+    seeds = seeds.astype(np.intp)
     flagged, labels, joined, joined_to = _closure_classes(decomposition)
     classes = labels[seeds[~flagged[seeds]]]
     mark = np.isin(labels, classes)

@@ -13,6 +13,7 @@ continuity of the coupling's marginal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,12 @@ import numpy as np
 from .core import (
     DimensionMismatch,
     Instance,
-    InvalidParameter,
     PointCloud,
     PotentialField,
     VectorCoupling,
     VecotError,
     _check_count,
+    _check_tolerance,
     build_instance,
     distance_matrix,
     total_variation,
@@ -91,6 +92,8 @@ class CounterexampleSpec:
             )
         if v.shape[1] > a.shape[1]:
             raise DimensionMismatch("target dimension m must not exceed point dimension n")
+        if not np.all(np.isfinite(v)):
+            raise DimensionMismatch("weight vectors must be finite")
         scale = np.abs(v).sum()
         if np.abs(v.sum(axis=0)).max() > 1e-12 * max(scale, 1.0):
             raise DimensionMismatch("weight vectors must sum to zero")
@@ -129,8 +132,8 @@ def orthant_spec(m: int, pull: float = 0.5) -> CounterexampleSpec:
     _check_count(m, "m", InvalidSpec)
     if m < 2:
         raise InvalidSpec("need m >= 2 for a genuine counterexample")
-    if pull <= 0:
-        raise InvalidSpec("pull must be positive to create a margin")
+    if not (math.isfinite(pull) and pull > 0):
+        raise InvalidSpec("pull must be finite and positive to create a margin")
     anchors = np.vstack([np.eye(m), np.zeros(m)])
     lean = np.eye(m) + pull * np.ones((m, m))
     vectors = np.vstack([lean, -lean.sum(axis=0)])
@@ -217,10 +220,7 @@ def mass_balance_report(
     InvalidParameter, and a decomposition whose graph is not on the
     instance's points raises DimensionMismatch.
     """
-    if not tol >= 0:
-        raise InvalidParameter("tol must be nonnegative")
-    if tol == np.inf:
-        raise InvalidParameter("tol must be finite")
+    tol = _check_tolerance(tol, "tol")
     cloud = decomposition.graph.cloud
     if cloud is not instance.cloud and not np.array_equal(cloud.points, instance.cloud.points):
         raise DimensionMismatch("decomposition and instance describe different clouds")
@@ -253,8 +253,10 @@ def marginal_abs_continuity_surrogate(
     count toward a point's marginal.  For atomic instances with common
     support this can hold while balance still fails; it becomes informative
     when the coupling routes mass through points the measure does not
-    charge.
+    charge.  A ``tol`` that is not finite and nonnegative raises
+    InvalidParameter.
     """
+    tol = _check_tolerance(tol, "tol")
     node_flow = np.zeros(instance.size)
     if coupling.edge_count:
         flow_norms = np.linalg.norm(coupling.flows, axis=1)

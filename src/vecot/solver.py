@@ -71,6 +71,7 @@ from .core import (
     VectorCoupling,
     WrongDimension,
     _check_count,
+    _check_tolerance,
     _dot,
     _einsum,
     _lapack,
@@ -139,7 +140,8 @@ class SolverParams:
 
     ``max_iters`` caps the interior-point iterations, ``tol_primal`` the
     residual of ``net(x) = mu`` and ``tol_gap`` the relative duality gap
-    (normalized units).  The edge set is not a parameter: scalar instances
+    (normalized units); both must be finite and positive, since an infinite
+    one would stop any iterate as Converged.  The edge set is not a parameter: scalar instances
     are solved by edge generation (see the module docstring), the rest on
     the pruned complete graph; the interior-point method pins point 0.
     """
@@ -153,8 +155,7 @@ class SolverParams:
         if self.max_iters < 1:
             raise InvalidParameter("max_iters must be positive")
         for name in ("tol_primal", "tol_gap"):
-            if not getattr(self, name) > 0:  # nan fails too
-                raise InvalidParameter(f"{name} must be positive")
+            _check_tolerance(getattr(self, name), name, positive=True)
 
 
 @dataclass(frozen=True)

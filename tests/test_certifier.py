@@ -215,6 +215,13 @@ def test_saturation_set_empty_coupling():
     assert isometry_saturation_set(inst, empty, potential) == []
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1e-6, np.inf])
+def test_saturation_set_tol_must_be_finite_and_nonnegative(tol):
+    inst, coupling, potential = two_point()
+    with pytest.raises(InvalidParameter, match="tol must be finite and nonnegative"):
+        isometry_saturation_set(inst, coupling, potential, tol=tol)
+
+
 def test_saturation_set_ignores_negligible_flows():
     # Second edge carries 1e-12 of the total variation and is dropped even
     # though the potential saturates it.

@@ -396,6 +396,8 @@ def test_a_direction_that_is_not_finite_exits_3_without_a_warning(tmp_path, caps
         ["certify", "--input", "{solution}", "--tol", "inf"],
         ["massbalance", "--input", "{solution}", "--tol", "inf"],
         ["solve", "--input", "{instance}", "--certify-tol", "inf"],
+        ["solve", "--input", "{instance}", "--tol-gap", "inf"],
+        ["solve", "--input", "{instance}", "--tol-primal", "inf"],
         ["solve", "--input", "{underflow}"],
         ["solve", "--input", "{underflow_vector}"],
     ],
@@ -405,7 +407,8 @@ def test_a_direction_that_is_not_finite_exits_3_without_a_warning(tmp_path, caps
          "nan-eps", "infinite-eps", "massbalance-nan-eps", "massbalance-infinite-eps",
          "negative-balance-tol", "odd-box", "negative-resolution",
          "resolution-count", "grid-odd-box", "radial-no-center", "certify-infinite-tol",
-         "massbalance-infinite-tol", "solve-infinite-certify-tol", "underflowing-distance",
+         "massbalance-infinite-tol", "solve-infinite-certify-tol", "infinite-tol-gap",
+         "infinite-tol-primal", "underflowing-distance",
          "underflowing-distance-m2"],
 )
 def test_invalid_parameters_exit_2(tmp_path, capsys, argv):
@@ -714,6 +717,33 @@ def test_disintegrate_rejects_malformed_grid_files(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("vecot: ")
     assert "internal error" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--grid", {"box": [-1e308, 1e308], "samples": [1.0] * 5}],
+        ["--grid", {"box": [[-1e200, 1e200], [-1e200, 1e200]], "samples": np.ones((3, 3)).tolist()}],
+        ["--box", "0", "inf", "--resolution", "9", "--mode", "radial", "--center", "1"],
+        ["--box", "0", "1e300", "0", "1e300", "--resolution", "2", "--family", "uniform"],
+    ],
+    ids=["overflowing-width", "overflowing-cell-volume", "infinite-bound", "overflowing-cells-flag"],
+)
+def test_disintegrate_rejects_a_box_that_is_not_finite(tmp_path, capsys, argv):
+    # The box is the fault, not the density, and no overflow warning is
+    # printed (or raised, when warnings are errors) on the way.
+    if argv[0] == "--grid":
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(argv[1]))
+        argv = ["--grid", str(grid)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["disintegrate"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("vecot: ")
+    assert "box" in captured.err or "cell volume" in captured.err
+    assert "internal error" not in captured.err and "density" not in captured.err
 
 
 def test_disintegrate_family_requires_box(capsys):

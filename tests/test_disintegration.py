@@ -63,6 +63,30 @@ def test_grid_density_validation():
         GridDensity(box=[[0.0, 1.0]], samples=np.array([1.0, -0.1]))
     with pytest.raises(NonpositiveDensity):
         GridDensity(box=[[0.0, 1.0]], samples=np.zeros(4))
+    # The widest box whose cells have a finite volume is fine.
+    assert GridDensity(box=[[-8e307, 8e307]], samples=np.ones(2)).total_mass == 1.6e308
+
+
+@pytest.mark.parametrize(
+    "box, match",
+    [
+        ([[0.0, math.inf]], "bounds and widths must be finite"),
+        ([[math.nan, 1.0]], "bounds and widths must be finite"),
+        ([[0.0, 1.0], [-math.inf, math.inf]], "bounds and widths must be finite"),
+        ([[-1e308, 1e308]], "bounds and widths must be finite"),
+        ([[-1e200, 1e200], [-1e200, 1e200]], "cell volume inf"),
+        ([[0.0, 1e-200], [0.0, 1e-200]], "cell volume 0.0"),
+    ],
+    ids=["infinite-hi", "nan-lo", "infinite-axis", "overflowing-width", "overflowing-cells", "vanishing-cells"],
+)
+def test_grid_boxes_must_be_finite(box, match):
+    # Such boxes gave a total mass of inf, nan or 0, or an overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryMismatch, match=match):
+            GridDensity(box=box, samples=np.ones((3,) * len(box)))
+        with pytest.raises(GeometryMismatch, match=match):
+            tabulate_density(box, 3, lambda p: np.ones(len(p)))
 
 
 def test_grid_density_quadrature_geometry():
@@ -589,17 +613,13 @@ def test_radial_steps_take_at_most_a_block_of_points(monkeypatch, block):
     else:
         d, center, rays, cells = _skewed_3d(16), [0.1, 0.2, -0.3], 30, 64
     expected, expected_weights = reference_rays(d, center, rays, cells)
-    # _interpolate takes points (..., P, dim), _stencil one coordinate array
-    # per axis; a block's size is the count of points they stand for.
+    # _interpolate and _stencil take one coordinate array per axis; a
+    # block's size is the count of points their broadcast shape stands for.
     sizes = {"_interpolate": [], "_stencil": []}
-    counts = {
-        "_interpolate": lambda points: math.prod(points.shape[:-1]),
-        "_stencil": lambda coordinates: math.prod(np.broadcast_shapes(*(x.shape for x in coordinates))),
-    }
     for name, seen in sizes.items():
-        def spy(grid, arg, real=getattr(vecot.disintegration, name), seen=seen, count=counts[name]):
-            seen.append(count(arg))
-            return real(grid, arg)
+        def spy(grid, coordinates, real=getattr(vecot.disintegration, name), seen=seen):
+            seen.append(math.prod(np.broadcast_shapes(*(x.shape for x in coordinates))))
+            return real(grid, coordinates)
 
         monkeypatch.setattr(vecot.disintegration, name, spy)
     batch, weights = radial_disintegration(d, center, rays)
@@ -626,7 +646,8 @@ def test_interpolation_adds_the_corners_in_order_bit_for_bit(shape):
     expected = np.zeros(shape)
     for cell, weight in reference_corners(d, points):
         expected += weight * d.samples[cell]
-    assert vecot.disintegration._interpolate(d, points).tobytes() == expected.tobytes()
+    columns = [points[..., a] for a in range(d.dim)]
+    assert vecot.disintegration._interpolate(d, columns).tobytes() == expected.tobytes()
 
 
 def _stencil_grid(resolution) -> GridDensity:
@@ -658,14 +679,15 @@ def test_corner_weights_match_the_reference_bit_for_bit(monkeypatch, resolution,
     outside = (points < grid.box[:, 0]) | (points > grid.box[:, 1])
     assert outside.any() and not outside.all()
 
-    cells, weight = vecot.disintegration._corner_weights(grid, [points[..., a] for a in range(grid.dim)])
+    columns = [points[..., a] for a in range(grid.dim)]
+    cells, weight = vecot.disintegration._corner_weights(grid, columns)
     assert cells.shape == weight.shape == shape[:-1] + (2**grid.dim, shape[-1])
     expected = np.zeros(shape)
     for c, (cell, w) in enumerate(reference_corners(grid, points)):
         assert cells[..., c, :].tobytes() == np.ravel_multi_index(cell, grid.resolution).tobytes()
         assert weight[..., c, :].tobytes() == w.tobytes()
         expected += w * grid.samples[cell]
-    assert vecot.disintegration._interpolate(grid, points).tobytes() == expected.tobytes()
+    assert vecot.disintegration._interpolate(grid, columns).tobytes() == expected.tobytes()
     weights = rng.uniform(0.5, 1.0, count)
     want = reference_reassemble(needles, weights, grid).tobytes()
     assert reassemble(needles, weights, grid).samples.tobytes() == want
@@ -732,15 +754,19 @@ COORDINATE_CASES += ["signed-zero-bases", "far-outside", "one-cell"]
 def test_per_axis_coordinates_match_the_reference_bit_for_bit(monkeypatch, case):
     # Per-axis coordinates sized by what varies give the corners and the
     # reassembly of the full (K, P, n) points, whose zeros may carry
-    # another sign.
+    # another sign.  The points come from one matmul, not from quadrature,
+    # which stacks these coordinates.
     needles, weights, target, shapes = _coordinate_case(case)
-    coordinates = vecot.disintegration._coordinates(needles)
+    coordinates = vecot.disintegration._coordinates(needles.base, needles.axes, needles.directions)
     K, P = len(needles), math.prod(needles.g.shape[1:])
     assert [x.shape for x in coordinates] == [s or (K, P) for s in shapes]
     cells, weight = vecot.disintegration._corner_weights(target, coordinates)
     cells = np.broadcast_to(cells, (K, 2**target.dim, P))
     weight = np.broadcast_to(weight, (K, 2**target.dim, P))
-    points = needles.quadrature()[0]
+    grid = vecot.disintegration._product_grid(needles.axes)
+    points = needles.base[:, None, :] + grid @ np.swapaxes(needles.directions, -1, -2)
+    # Equal as numbers: only the sign of a zero may differ.
+    assert np.array_equal(needles.quadrature()[0], points)
     for c, (cell, w) in enumerate(reference_corners(target, points)):
         assert cells[:, c].tobytes() == np.ravel_multi_index(cell, target.resolution).tobytes()
         assert weight[:, c].tobytes() == w.tobytes()

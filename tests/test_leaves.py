@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -444,6 +445,13 @@ def test_transport_set_validates_seeds():
     dec = extract_leaves(isometry_graph(u, eps=1e-9), u)
     with pytest.raises(DimensionMismatch):
         transport_set(dec, [999])
+    # Seeds are point indices: a fraction or a bool is not one, an
+    # integer-valued float is.
+    for seeds in ([0.5], [True], [0, 1.5], [[0, 1]], 0, ["1"]):
+        with pytest.raises(DimensionMismatch):
+            transport_set(dec, seeds)
+    np.testing.assert_array_equal(transport_set(dec, [1.0]), transport_set(dec, [1]))
+    np.testing.assert_array_equal(transport_set(dec, []), np.zeros(0, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +527,10 @@ def test_derivative_check_vacuous_at_zero_boundary_distance():
     # Two-member leaves have sigma = 0 everywhere, so the check is vacuous
     # even though the derivatives differ by 2.
     assert derivative_modulus_check(dec.leaves[0], dec.leaves[1], 0, 2)
+    # The tolerance is checked first all the same.
+    for tol in (math.nan, math.inf, -1e-9):
+        with pytest.raises(InvalidParameter, match="tol must be finite and nonnegative"):
+            derivative_modulus_check(dec.leaves[0], dec.leaves[1], 0, 2, tol=tol)
 
 
 # ---------------------------------------------------------------------------

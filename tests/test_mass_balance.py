@@ -62,6 +62,14 @@ def test_spec_enforces_shapes_and_zero_sum():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_vectors_that_are_not_finite(bad):
+    vectors = np.array([[1.0, 0.0], [1.0, 2.0], [-2.0, -2.0]])
+    vectors[1, 0] = bad
+    with pytest.raises(DimensionMismatch, match="weight vectors must be finite"):
+        CounterexampleSpec(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), vectors)
+
+
 def test_spec_properties_and_instance():
     spec = paper_preset()
     assert spec.n == 2 and spec.m == 2
@@ -155,6 +163,10 @@ def test_orthant_spec_rejects_bad_parameters():
         orthant_spec(1)
     with pytest.raises(InvalidSpec):
         orthant_spec(3, pull=0.0)
+    # A pull that is not finite would build vectors that are not finite.
+    for pull in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidSpec, match="finite and positive"):
+            orthant_spec(2, pull=pull)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +285,14 @@ def test_surrogate_detects_uncharged_pass_through():
     direct = VectorCoupling(np.array([[0, 2]]), np.array([[1.0]]))
     assert not marginal_abs_continuity_surrogate(through, inst)
     assert marginal_abs_continuity_surrogate(direct, inst)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_surrogate_tol_must_be_finite_and_nonnegative(tol):
+    spec = paper_preset()
+    _, coupling, _ = analytic_optimum(spec)
+    with pytest.raises(InvalidParameter, match="tol must be finite and nonnegative"):
+        marginal_abs_continuity_surrogate(coupling, spec.instance(), tol=tol)
 
 
 # ---------------------------------------------------------------------------

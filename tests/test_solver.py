@@ -335,6 +335,11 @@ def test_bad_params_are_rejected():
         SolverParams(tol_primal=float("nan"))
     with pytest.raises(ValueError):
         SolverParams(tol_primal=0.0)
+    # An infinite tolerance would let any iterate stop as Converged.
+    for name in ("tol_gap", "tol_primal"):
+        for bad in (float("inf"), float("nan"), -1e-6):
+            with pytest.raises(InvalidParameter, match=f"{name} must be finite and positive"):
+                SolverParams(**{name: bad})
 
 
 def test_iter_limit_is_reported_not_raised():
