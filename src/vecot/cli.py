@@ -228,7 +228,8 @@ def _cmd_counterexample(args) -> tuple[dict, int]:
 
 
 def _gaussian_density(points: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * (points**2).sum(axis=1))
+    with np.errstate(over="ignore"):  # a square past the float range weighs exp(-inf) = 0
+        return np.exp(-0.5 * (points**2).sum(axis=1))
 
 
 def _uniform_density(points: np.ndarray) -> np.ndarray:

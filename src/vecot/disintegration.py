@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,10 @@ class TooFewPoints(VecotError):
 
 @dataclass(frozen=True)
 class GridDensity:
-    """Nonnegative density sampled at the cell centers of a regular grid."""
+    """Nonnegative density sampled at the cell centers of a regular grid.
+
+    The cell volume and the total mass must be positive and finite.
+    """
 
     box: np.ndarray
     samples: np.ndarray
@@ -91,14 +95,17 @@ class GridDensity:
             )
         if not np.all(np.isfinite(samples)) or np.any(samples < 0):
             raise NonpositiveDensity("density samples must be finite and nonnegative")
-        if samples.sum() == 0.0:
-            raise NonpositiveDensity("density must carry positive total mass")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "samples", samples)
         with np.errstate(over="ignore"):
+            if samples.sum() == 0.0:
+                raise NonpositiveDensity("density must carry positive total mass")
             volume = self.cell_volume
-        if not 0.0 < volume < math.inf:
-            raise GeometryMismatch(f"the cell volume {volume} is not positive and finite")
+            if not 0.0 < volume < math.inf:
+                raise GeometryMismatch(f"the cell volume {volume} is not positive and finite")
+            mass = self.total_mass
+        if not 0.0 < mass < math.inf:
+            raise NonpositiveDensity(f"the total mass {mass} is not positive and finite")
 
     @property
     def dim(self) -> int:
@@ -198,6 +205,8 @@ class NeedleBatch:
     gives a batch.  Iteration gives one row view per needle, a batch
     holding that needle's arrays without the needle axis, not checked
     again; rows exist for iteration, and only ``cd_check_1d`` takes one.
+    A row's ``len`` and slices would count and cut cells, so they raise
+    GeometryMismatch.
     """
 
     axes: tuple[np.ndarray, ...]
@@ -227,9 +236,11 @@ class NeedleBatch:
         self.__dict__.update(axes=axes, g=_unit_mass(g, axes), base=base, directions=directions)
 
     def __len__(self) -> int:
+        _check_needle_axis(self)
         return len(self.g)
 
     def __getitem__(self, key: slice) -> NeedleBatch:
+        _check_needle_axis(self)
         if not isinstance(key, slice):
             raise TypeError(f"needle batches take slices, not {type(key).__name__}")
         return _unchecked(
@@ -309,13 +320,20 @@ def _unchecked(axes, g, base, directions) -> NeedleBatch:
 
 
 def _unit_mass(g: np.ndarray, axes) -> np.ndarray:
-    """Check densities (one per needle along axis 0) and scale each to unit mass."""
+    """Check densities (one per needle along axis 0) and scale each to unit mass.
+
+    A mass or a unit-mass density past the float range raises NonpositiveDensity.
+    """
     if np.any(g < 0) or not np.all(np.isfinite(g)):
         raise NonpositiveDensity("needle density must be finite and nonnegative")
-    mass = g.sum(axis=tuple(range(1, g.ndim))) * _cell_volume(axes)
-    if np.any(mass <= 0.0):
-        raise EmptySlice("needle carries no mass")
-    return g / mass.reshape(mass.shape + (1,) * (g.ndim - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = g.sum(axis=tuple(range(1, g.ndim))) * _cell_volume(axes)
+        if np.any(mass <= 0.0):
+            raise EmptySlice("needle carries no mass")
+        unit = g / mass.reshape(mass.shape + (1,) * (g.ndim - 1))
+    if not (np.all(mass < math.inf) and unit.max(initial=0.0) < math.inf):
+        raise NonpositiveDensity("a needle's mass or unit-mass density leaves the float range")
+    return unit
 
 
 def _cell_volume(axes):
@@ -342,7 +360,9 @@ def slice_disintegration(density: GridDensity, m: int) -> tuple[NeedleBatch, np.
     sums = blocks.sum(axis=tuple(range(1, m + 1)))
     bases = np.zeros((len(blocks), n))
     bases[:, m:] = _product_grid([density.centers(m + a) for a in range(n - m)])
-    blocks, bases, sums = _rows_with_mass(sums * _cell_volume(head_axes), blocks, bases, sums)
+    with np.errstate(over="ignore"):  # NeedleBatch refuses a slice mass that overflows
+        mass = sums * _cell_volume(head_axes)
+    blocks, bases, sums = _rows_with_mass(mass, blocks, bases, sums)
     needles = NeedleBatch(axes=head_axes, g=blocks, base=bases, directions=np.eye(n)[:, :m])
     return needles, sums * density.cell_volume / density.total_mass
 
@@ -406,7 +426,8 @@ def radial_disintegration(
     _check_count(n_radial, "n_radial")
     if n_radial < 1:
         raise InvalidParameter(f"need at least one radial cell, got {n_radial}")
-    with np.errstate(divide="ignore"):
+    # An exit past the float range is inf; each ray's least exit is finite.
+    with np.errstate(divide="ignore", over="ignore"):
         exits = np.where(
             fan > 0,
             (density.box[:, 1] - center) / fan,
@@ -414,14 +435,24 @@ def radial_disintegration(
         )
     dt = exits.min(axis=1) / n_radial
     t = (np.arange(n_radial) + 0.5) * dt[:, None]
+    with np.errstate(over="ignore"):
+        if not np.all(t[:, -1] ** (n - 1) < math.inf):
+            longest = float(exits.min(axis=1).max())
+            raise GeometryMismatch(f"the Jacobian r^{n - 1} overflows on a ray of length {longest}")
     g = np.empty_like(t)
     rows, cols = max(1, _BLOCK_POINTS // n_radial), min(n_radial, _BLOCK_POINTS)
-    for r in range(0, len(fan), rows):
-        for c in range(0, n_radial, cols):
-            block = np.s_[r : r + rows, c : c + cols]
-            coordinates = _coordinates(center[None], (t[block],), fan[r : r + rows, :, None])
-            g[block] = t[block] ** (n - 1) * _interpolate(density, coordinates)
-    mass = g.sum(axis=1) * dt
+    # A ray's density or mass past the float range is inf (NaN on a ray
+    # whose cells underflow to width 0); the total mass catches both.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(0, len(fan), rows):
+            for c in range(0, n_radial, cols):
+                block = np.s_[r : r + rows, c : c + cols]
+                coordinates = _coordinates(center[None], (t[block],), fan[r : r + rows, :, None])
+                g[block] = t[block] ** (n - 1) * _interpolate(density, coordinates)
+        mass = g.sum(axis=1) * dt
+        total = mass.sum()
+    if not total < math.inf:
+        raise NonpositiveDensity(f"the rays' total mass {total} is not finite")
     t, g, fan, mass = _rows_with_mass(mass, t, g, fan, mass)
     needles = NeedleBatch(
         axes=(t,), g=g, base=np.tile(center, (len(fan), 1)), directions=fan[:, :, None]
@@ -542,14 +573,23 @@ def reassemble(needles: NeedleBatch, weights, target: GridDensity) -> GridDensit
         cells, weight = _corner_weights(target, _coordinates(block.base, block.axes, block.directions))
         weight = weight * masses[:, None, :]
         np.add.at(mass, np.broadcast_to(cells, weight.shape).reshape(-1), weight.reshape(-1))
-    return GridDensity(box=target.box, samples=mass.reshape(target.resolution) / target.cell_volume)
+    with np.errstate(over="ignore"):
+        samples = mass.reshape(target.resolution) / target.cell_volume
+        if not samples.sum() < math.inf:
+            raise GeometryMismatch(f"unit masses on cells of volume {target.cell_volume} leave the float range")
+    return GridDensity(box=target.box, samples=samples)
 
 
 def l1_distance(a: GridDensity, b: GridDensity) -> float:
     """L1 distance between two densities on the same grid, each scaled to unit mass."""
     if a.dim != b.dim or a.resolution != b.resolution or not np.allclose(a.box, b.box):
         raise GeometryMismatch("densities live on different grids")
-    return float(np.abs(a.samples / a.total_mass - b.samples / b.total_mass).sum() * a.cell_volume)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(a.samples / a.total_mass - b.samples / b.total_mass)
+        distance = float(diff.sum() * a.cell_volume)
+    if not math.isfinite(distance):
+        raise GeometryMismatch(f"unit masses on cells of volume {a.cell_volume} leave the float range")
+    return distance
 
 
 @dataclass(frozen=True)
@@ -561,6 +601,14 @@ class CdReport:
     worst_violation: float
     passed: bool
     tol: float
+
+
+# The stencils divide differences of log g, which lie within _LOG_SPAN of
+# each other, by h and by h^2, and square the first quotient: each stays
+# finite for h^2 >= _LEAST_SQUARED_STEP.  The default tolerance, 10 h^2,
+# must be finite too.
+_LOG_SPAN = math.log(sys.float_info.max) - math.log(math.ulp(0.0))
+_LEAST_SQUARED_STEP = _LOG_SPAN**2 / sys.float_info.max
 
 
 def cd_check_1d(needles: NeedleBatch, kappa: float, N: float, tol: float | None = None):
@@ -577,8 +625,10 @@ def cd_check_1d(needles: NeedleBatch, kappa: float, N: float, tol: float | None 
     when all needles trim to the same cells a hole in any of them comes
     first.  The default tolerance is ten times the squared grid spacing,
     matching the truncation error of the second-order stencils; a given
-    tolerance must be finite and nonnegative.  Normalization constants
-    shift rho and leave the report unchanged.
+    tolerance must be finite and nonnegative.  A needle whose step h has
+    h^2 below about 1.2e-302 (where a stencil of log g could overflow) or
+    10 h^2 = inf raises GeometryMismatch before any stencil is taken.
+    Normalization constants shift rho and leave the report unchanged.
 
     A batch gives a list with one report per needle.  A row view, which
     iterating a batch gives and which has no needle axis, gives one
@@ -617,9 +667,15 @@ def cd_check_1d(needles: NeedleBatch, kappa: float, N: float, tol: float | None 
     # A shared grid's step is a Python float, which keeps a row's check cheap.
     if t.ndim == 1:
         h = hc = float(t[1]) - float(t[0])
+        bad = None if _LEAST_SQUARED_STEP <= h * h and 10.0 * h * h < math.inf else h
     else:
         h = t[:, 1] - t[:, 0]
         hc = h[:, None]
+        with np.errstate(over="ignore"):
+            fits = (_LEAST_SQUARED_STEP <= h * h) & (10.0 * h * h < math.inf)
+        bad = None if fits.all() else float(h[fits.argmin()])
+    if bad is not None:
+        raise GeometryMismatch(f"the needle grid step {bad} squares outside the stencils' float range")
     tols = 10.0 * h * h if tol is None else tol
     # rho = -log g exactly, and rounding is odd: (2 l1 - l2) - l0 has the bits
     # of (rho2 - 2 rho1) + rho0, signed zeros too, and l0 - l2 of rho2 - rho0.
@@ -639,7 +695,9 @@ def cd_check_1d(needles: NeedleBatch, kappa: float, N: float, tol: float | None 
             flat = -_lowest(-np.maximum(np.abs(d1), np.abs(d2)), inside)
             worst = np.where(flat <= np.sqrt(tols), -kappa, -np.inf)
         else:
-            worst = _lowest(d2 - d1 * d1 / (N - 1.0), inside) - kappa
+            # rho'^2 / (N - 1) past the float range is inf: the condition fails by -inf.
+            with np.errstate(over="ignore"):
+                worst = _lowest(d2 - d1 * d1 / (N - 1.0), inside) - kappa
     if g.ndim == 1:
         return _cd_report(kappa, N, float(worst), tols)
     tols = np.broadcast_to(tols, worst.shape).tolist()

@@ -15,11 +15,12 @@ cone program
 
 and three engines solve it:
 
-* ``tree``: when the edge set is a forest (every two-point cloud; a
-  collinear cloud with m >= 2 on the complete graph once metrically
-  redundant edges are pruned), ``net(x) = mu`` fixes the flows, and the
-  potential steps by ``d_e x_e / ||x_e||`` along each edge.  Closed form,
-  no iterations.
+* ``tree``: when the edge set is a path along the line of its points
+  (every two-point cloud; a collinear cloud with m >= 2 on the complete
+  graph once metrically redundant edges are pruned), ``net(x) = mu`` fixes
+  the flows.  The engine sweeps the path from point 0: each edge carries
+  the mass beyond it, and the potential steps by ``d_e x_e / ||x_e||``
+  along each edge.  Closed form, no iterations.  It takes no other tree.
 * ``lp``: scalar weights (m = 1) make the problem a linear program, which
   HiGHS finishes at a vertex.  It is solved on the complete graph by
   certificate-driven edge generation: one HiGHS model starts on the
@@ -51,9 +52,9 @@ of weights or points.
 
 scipy loads where an engine computes with it, so that ``import vecot``
 loads none of it: HiGHS at the first scalar solve, LAPACK at the first
-Newton factor, and ``scipy.sparse`` at the first tree engine or
-disconnected start graph.  The interior-point method's incidence products
-are numpy's, bit for bit those of scipy's CSR matrices.
+Newton factor, and ``scipy.sparse`` at the first disconnected start graph.
+The interior-point method's incidence products are numpy's, bit for bit
+those of scipy's CSR matrices.
 """
 
 from __future__ import annotations
@@ -215,25 +216,20 @@ def _edge_list(instance: Instance) -> np.ndarray:
 def _incidence_products(n: int, m: int, pairs: np.ndarray):
     """``(v -> A v, du -> A^T du)`` for the signed n x E incidence matrix A,
     +1 at ``pairs[e, 0]`` and -1 at ``pairs[e, 1]`` (i < j), on (E, m) and
-    (n, m) arrays.
+    (n, m) arrays.  ``pairs`` must be sorted lexicographically, as every
+    edge set of the solver is.
 
     Bit for bit the products of A and A^T held as scipy CSR matrices: an
-    entry of ``A v`` sums its terms from 0.0 in increasing edge order (one
-    ``np.bincount`` over the entries sorted by row, then edge), and a row of
-    ``A^T du`` is ``(0.0 + du_i) - du_j``.
+    entry of ``A v`` sums its terms from 0.0 in increasing edge order, and
+    in sorted pairs a point's edges (k, i) with k < i come before its edges
+    (i, k), so one ``np.bincount`` over the j-ends, then the i-ends, adds
+    them in that order.  A row of ``A^T du`` is ``(0.0 + du_i) - du_j``.
     """
-    e_count, span = pairs.shape[0], np.arange(m)
-    # Entry k < E is +1 at (pairs[k, 0], k), entry E + k is -1 at (pairs[k, 1], k).
-    rows = pairs.T.ravel()
-    order = np.lexsort((np.tile(np.arange(e_count), 2), rows))
-    # Each term's flat (row, column) bin in A v and flat (edge, column) source in v.
-    bins = (rows[order, None] * m + span).ravel()
-    sources = ((order % e_count)[:, None] * m + span).ravel()
-    signs = np.repeat(np.where(order < e_count, 1.0, -1.0), m)
     i, j = pairs[:, 0], pairs[:, 1]
+    bins = (np.concatenate([j, i])[:, None] * m + np.arange(m)).ravel()
 
     def net(v: np.ndarray) -> np.ndarray:
-        return np.bincount(bins, signs * v.take(sources), n * m).reshape(n, m)
+        return np.bincount(bins, np.concatenate([-v, v]).ravel(), n * m).reshape(n, m)
 
     def difference(du: np.ndarray) -> np.ndarray:
         return (0.0 + du.take(i, axis=0)) - du.take(j, axis=0)
@@ -363,54 +359,40 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray, scan=None) -> 
     return u - u[0]
 
 
-def _pair_graph(n: int, pairs: np.ndarray):
-    """n x n CSR matrix with a one at each pair, built from the row counts
-    directly: the (row, col) constructor costs more than the search."""
-    from scipy.sparse import csr_matrix
+def _tree_engine(w_hat, dist_hat, pairs):
+    """Exact engine for a path edge set: the constraint fixes the flows.
 
-    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(pairs[:, 0], minlength=n))])
-    return csr_matrix((np.ones(len(pairs)), pairs[:, 1], indptr), shape=(n, n))
-
-
-def _tree_engine(w_hat, d_edge, pairs):
-    """Exact engine for a spanning-tree edge set: the constraint fixes the flows.
-
-    The edge above a node carries the net mass of the node's subtree, and
-    a potential that steps by ``d_e x_e / ||x_e||`` along every edge (by
-    nothing where the flow vanishes) saturates and aligns with every flow.
-    The tree hangs from point 0 and is walked level by level; children add
-    their subtree masses to their parent's in increasing index order.
-    ``pairs`` must hold i < j, sorted lexicographically.  Returns
-    ``(flows, u_raw)``.
+    The points are swept in order of their distance from the path's first
+    end (its smallest-index point of degree 1); unless the consecutive pairs
+    of that order are exactly ``pairs``, it returns None.  The edge on
+    either arm from point 0 carries the net mass beyond it, summed from the
+    arm's far end, and a potential that steps by ``d_e x_e / ||x_e||`` along
+    every edge (by nothing where the flow vanishes) from point 0 saturates
+    and aligns with every flow.  ``pairs`` must hold i < j, sorted
+    lexicographically.  Returns ``(flows, u_raw)``.
     """
-    from scipy.sparse.csgraph import dijkstra
-
     n, m = w_hat.shape
-    depth, parent, _ = dijkstra(
-        _pair_graph(n, pairs), directed=False, indices=0, unweighted=True,
-        return_predecessors=True, min_only=True,
-    )
-    child = np.flatnonzero(parent >= 0)
-    parent = parent[child]
-    lo, hi = np.minimum(child, parent), np.maximum(child, parent)
-    edge = np.searchsorted(pairs[:, 0] * n + pairs[:, 1], lo * n + hi)
+    end = np.argmax(np.bincount(pairs.ravel(), minlength=n) == 1)
+    order = np.argsort(dist_hat[end], kind="stable")
+    lo, hi = np.minimum(order[:-1], order[1:]), np.maximum(order[:-1], order[1:])
+    edge = np.lexsort((hi, lo))
+    if not np.array_equal(np.column_stack([lo, hi])[edge], pairs):
+        return None
+    # Sweep edge k joins order[k] and order[k + 1]; the arms meet at order[p] = 0.
+    p = int(np.argmax(order == 0))
+    w = w_hat[order]
+    mass = np.concatenate([np.cumsum(w[:p], axis=0), np.cumsum(w[:p:-1], axis=0)[::-1]])
+    child = np.concatenate([order[:p], order[p + 1 :]])
+    norms = np.linalg.norm(mass, axis=1)
+    rise = mass * (dist_hat[lo, hi] / np.where(norms > 0, norms, 1.0))[:, None]
+    zero = np.zeros((1, m))
+    u_raw = np.empty((n, m))
+    u_raw[order] = np.concatenate([
+        np.cumsum(np.concatenate([zero, rise[:p][::-1]]), axis=0)[::-1],
+        np.cumsum(np.concatenate([zero, rise[p:]]), axis=0)[1:],
+    ])
     # flows[e] enters net() with + at pairs[e, 0] and - at pairs[e, 1]
-    sign = np.where(lo == child, 1.0, -1.0)[:, None]
-    level = depth[child]
-    levels = range(1, int(level.max(initial=0)) + 1)
-    subtree = w_hat.copy()
-    for k in reversed(levels):
-        np.add.at(subtree, parent[level == k], subtree[child[level == k]])
-    flows = np.zeros((pairs.shape[0], m))
-    flows[edge] = sign * subtree[child]
-    norms = np.linalg.norm(flows, axis=1)
-    steps = flows * (d_edge / np.where(norms > 0, norms, 1.0))[:, None]
-    u_raw = np.zeros((n, m))
-    for k in levels:
-        at = level == k
-        u_raw[child[at]] = u_raw[parent[at]] + sign[at] * steps[edge[at]]
-    return flows, u_raw
+    return np.where(lo == child, 1.0, -1.0)[edge, None] * mass[edge], u_raw
 
 
 # Reductions below avoid BLAS: OpenBLAS splits dot products, matrix products
@@ -682,8 +664,8 @@ def solve(instance: Instance, params: SolverParams | None = None):
         )
     d_edge = dist_hat[pairs[:, 0], pairs[:, 1]]
 
-    # Engine: closed form on a forest, the LP for scalar weights, else (and
-    # whenever those fail the stopping rule) the interior-point method.
+    # Engine: closed form on a path, the LP for scalar weights, else (and
+    # whenever those decline or fail the stopping rule) the interior-point method.
     def accept(flows_hat: np.ndarray, u_raw: np.ndarray, scan=None):
         """The stopping rule: the repaired potential if the pair passes, else None."""
         u_hat = _feasible_potential(u_raw, dist_hat, scan)
@@ -699,9 +681,10 @@ def solve(instance: Instance, params: SolverParams | None = None):
     it = 0
     comp = 0.0
     u_hat = None
-    if pairs.shape[0] == n - 1:
+    tree = _tree_engine(w_hat, dist_hat, pairs) if pairs.shape[0] == n - 1 else None
+    if tree is not None:
         engine = "tree"
-        flows_hat, u_raw = _tree_engine(w_hat, d_edge, pairs)
+        flows_hat, u_raw = tree
         u_hat = accept(flows_hat, u_raw)
     elif lp is not None:
         engine = "lp"

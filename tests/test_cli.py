@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecot
 import vecot.cli
@@ -744,6 +750,125 @@ def test_disintegrate_rejects_a_box_that_is_not_finite(tmp_path, capsys, argv):
     assert captured.err.startswith("vecot: ")
     assert "box" in captured.err or "cell volume" in captured.err
     assert "internal error" not in captured.err and "density" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--grid", {"box": [-1, 1], "samples": [1e308] * 3}, "--mode", "radial", "--center", "0"],
+         "the total mass inf"),
+        (["--grid", {"box": [-1, 1, -1, 1], "samples": [[1e308] * 3] * 3}, "--m", "1"],
+         "the total mass inf"),
+        (["--box", "0", "1e200", "0", "1", "--resolution", "9"],
+         "density must carry positive total mass"),
+        (["--family", "uniform", "--box", "0", "1e-300", "0", "1", "--resolution", "7",
+          "--cd", "0,inf"], "squares outside the stencils' float range"),
+        (["--family", "uniform", "--box", "0", "1e200", "0", "1", "--resolution", "7",
+          "--cd", "0,inf"], "squares outside the stencils' float range"),
+        (["--family", "uniform", "--box", "0", "1e-150", "--resolution", "7", "--mode", "radial",
+          "--center", "5e-151", "--cd", "0,inf"], "squares outside the stencils' float range"),
+        (["--grid", {"box": [[0, 1e300], [0, 1e-300]], "samples": [[1e300, 1e300]] * 2},
+          "--m", "1"], "a needle's mass or unit-mass density leaves the float range"),
+        (["--family", "uniform", "--box", "0", "1", "--resolution", "7", "--mode", "radial",
+          "--center", "1e-320"], "a needle's mass or unit-mass density leaves the float range"),
+        (["--family", "uniform", "--box", "0", "1e200", "0", "1", "0", "1", "--resolution", "2",
+          "--mode", "radial", "--center", "1e199", "0.5", "0.5", "--directions", "1"],
+         "the Jacobian r^2 overflows"),
+        (["--grid", {"box": [0, 1], "samples": [0, 1e308, 1e307]}, "--mode", "radial",
+          "--center", "0.01"], "the rays' total mass inf"),
+        (["--family", "uniform", "--box", "0", "1e-300", "0", "1e-8", "--resolution", "2"],
+         "unit masses on cells of volume 2.5e-309 leave the float range"),
+    ],
+    ids=["radial-mass-overflow", "slice-mass-overflow", "gaussian-underflow", "cd-tiny-step",
+         "cd-huge-step", "cd-tiny-ray-step", "slice-needle-mass", "tiny-ray", "ray-jacobian",
+         "ray-mass", "reassembly"],
+)
+def test_disintegrate_rejects_values_outside_the_float_range(tmp_path, capsys, argv, message):
+    # A mass, a density or a squared needle step past the float range is a
+    # validation error, reached without a warning (or an exception, when
+    # warnings are errors) on the way.
+    if argv[0] == "--grid":
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(argv[1]))
+        argv = ["--grid", str(grid)] + argv[2:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["disintegrate"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("vecot: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def _magnitudes(lo: float, hi: float):
+    """Floats spread evenly in log scale over [10^lo, 10^hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _flag(x: float) -> str:
+    # Positional, so that argparse reads a negative bound as a number.
+    return np.format_float_positional(x, trim="-")
+
+
+@st.composite
+def disintegrate_argvs(draw):
+    """Command lines of ``disintegrate`` over the float range: 1 to 3 axes of
+    1 to 8 cells, bounds and widths from 1e-300 to 1e300, a family or a grid
+    file of samples up to 1e308, either mode, with or without a CD check."""
+    dim = draw(st.integers(1, 3))
+    resolution = draw(st.lists(st.integers(1, 8), min_size=dim, max_size=dim))
+    signs = st.sampled_from([-1.0, 0.0, 1.0])
+    box = []
+    for _ in range(dim):
+        lo = draw(signs) * draw(_magnitudes(-300, 300))
+        box.append((lo, lo + draw(_magnitudes(-300, 300))))
+    if draw(st.booleans()):
+        size = int(np.prod(resolution))
+        sample = st.one_of(st.just(0.0), _magnitudes(-300, 308))
+        samples = np.array(draw(st.lists(sample, min_size=size, max_size=size)))
+        grid = {"box": [list(b) for b in box], "samples": samples.reshape(resolution).tolist()}
+    else:
+        grid = None
+        family = draw(st.sampled_from(["gaussian", "uniform"]))
+        argv = ["--family", family, "--box", *(_flag(x) for b in box for x in b),
+                "--resolution", *map(str, resolution)]
+    if draw(st.booleans()):
+        mode = ["--mode", "slice", "--m", str(draw(st.integers(1, 3)))]
+    else:
+        # A center at a fraction of the way across each axis.
+        fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim))
+        center = [lo + f * (hi - lo) for (lo, hi), f in zip(box, fractions)]
+        mode = ["--mode", "radial", "--center", *map(_flag, center),
+                "--directions", str(draw(st.integers(1, 8)))]
+    cd = ["--cd", "0,inf"] if draw(st.booleans()) else []
+    return grid, (["--grid"] if grid else argv) + mode + cd
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(disintegrate_argvs())
+def test_disintegrate_succeeds_or_refuses_with_one_line(case):
+    # Whatever the magnitudes, a run succeeds or names its fault in one
+    # "vecot: " line, without a warning (an exception, with warnings as
+    # errors) on the way.
+    grid, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if grid is not None:
+            path = os.path.join(tmp, "grid.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(grid, fh)
+            argv = argv[:1] + [path] + argv[1:]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["disintegrate", *argv])
+    if code == 0:
+        assert json.loads(out.getvalue())["command"] == "disintegrate"
+        assert err.getvalue() == ""
+    else:
+        assert code == 2, err.getvalue()
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("vecot: ") and err.getvalue().count("\n") == 1
+        assert "internal error" not in err.getvalue()
 
 
 def test_disintegrate_family_requires_box(capsys):

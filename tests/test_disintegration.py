@@ -399,7 +399,34 @@ def test_row_views_are_refused_where_a_batch_is_needed():
         reassemble(row, weights, d)
     with pytest.raises(GeometryMismatch, match="no needle axis"):
         row.quadrature()
+    # len() and a slice would count and cut the row's cells, not needles.
+    with pytest.raises(GeometryMismatch, match="no needle axis"):
+        len(row)
+    with pytest.raises(GeometryMismatch, match="no needle axis"):
+        row[1:]
+    assert len(needles) == 8 and len(needles[1:]) == 7
     assert cd_check_1d(row, 0.0, math.inf) == cd_check_1d(needles, 0.0, math.inf)[0]
+
+
+def test_cd_checks_refuse_steps_outside_the_stencils_float_range():
+    # h^2 underflows to 0 or 10 h^2 overflows: refused before any stencil.
+    for step in (1e-300, 1e-152, 1e154):
+        t = np.arange(7) * step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            needles = line_needle(t, np.ones(7))
+            with pytest.raises(GeometryMismatch, match="squares outside"):
+                cd_check_1d(needles, 0.0, math.inf)
+            with pytest.raises(GeometryMismatch, match="squares outside"):
+                cd_check_1d(next(iter(needles)), 0.0, math.inf)
+    # Just above the floor, rho'^2 / (N - 1) may overflow: the condition
+    # fails by -inf, without a warning.
+    t = np.arange(7) * 1.1e-151
+    g = np.array([1e-150, 1.0, 1e150, 1.0, 1e-150, 1.0, 1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (report,) = cd_check_1d(line_needle(t, g), 0.0, 1.0001)
+    assert report.worst_violation == -math.inf and not report.passed
 
 
 def test_reassemble_output_is_unit_mass():

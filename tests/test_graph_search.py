@@ -212,15 +212,25 @@ def test_component_labels_match_the_graph_searches(kind):
 def test_tree_engine_matches_the_node_by_node_engine_bit_for_bit():
     rng = np.random.default_rng(4)
     for _ in range(60):
-        # A connected tree, so the reference search starts at node 0 as the engine does.
-        n, pairs = random_graph(rng, "tree")
+        # A path through points on a line, the points named in random order,
+        # so the reference search starts at node 0 as the engine does.
+        n = int(rng.integers(2, 40))
+        perm = rng.permutation(n)
+        x = np.sort(rng.uniform(-1.0, 1.0, n))[np.argsort(perm)]
+        dist = np.abs(x[:, None] - x[None])
+        pairs = np.unique(np.sort(np.column_stack([perm[:-1], perm[1:]]), axis=1), axis=0)
         _, order, parent_edge = reference_spanning_forest(n, pairs)
         w = rng.standard_normal((n, int(rng.integers(1, 4))))
-        d = rng.uniform(0.1, 1.0, pairs.shape[0])
-        new = _tree_engine(w, d, pairs)
+        w[rng.uniform(size=n) < 0.2] = rng.choice([0.0, -0.0])
+        d = dist[pairs[:, 0], pairs[:, 1]]
+        new = _tree_engine(w, dist, pairs)
         ref = reference_tree_engine(w, d, pairs, order, parent_edge)
         for a, b in zip(new, ref):
             assert a.tobytes() == b.tobytes()
+    # A star is a tree but not a path: the engine declines it.
+    x = np.array([0.0, -1.0, 1.0, 2.0])
+    dist = np.abs(x[:, None] - x[None])
+    assert _tree_engine(np.ones((4, 2)), dist, np.array([[0, 1], [0, 2], [0, 3]])) is None
 
 
 @pytest.mark.parametrize("kind", KINDS)

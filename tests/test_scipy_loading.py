@@ -1,7 +1,8 @@
 """Which scipy modules each entry point loads.
 
-``import vecot`` loads none; ``vecot --version``, ``certify`` and
-``disintegrate`` compute without scipy and run with it blocked; the leaf fit
+``import vecot`` loads none; ``vecot --version``, ``certify``,
+``disintegrate`` and solves that the tree engine answers compute without
+scipy and run with it blocked; the leaf fit
 loads LAPACK but not the optimizer package that holds HiGHS; smoothing never
 loads ``scipy.stats``, which no module of vecot imports.
 """
@@ -99,6 +100,25 @@ def test_commands_without_scipy_match_a_normal_run(capsys, solution, argv):
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected
     assert loaded == []
+
+
+@pytest.mark.parametrize("size, m", [(30, 2), (2, 3)], ids=["collinear", "two-point"])
+def test_tree_engine_solves_without_scipy(tmp_path, size, m):
+    rng = np.random.default_rng([size, m])
+    t = rng.uniform(-1.0, 1.0, size)
+    w = rng.normal(size=(size, m))
+    path = tmp_path / "instance.json"
+    path.write_text(
+        dumps_instance(build_instance(np.column_stack([t, 0.5 * t + 0.25]), w - w.mean(0)))
+    )
+    normal, loaded = cli("normal", "solve", "--input", str(path))
+    assert normal.returncode == 0, normal.stderr
+    doc = json.loads(normal.stdout)
+    assert (doc["report"]["engine"], doc["certificate"]["verdict"]) == ("tree", "Optimal")
+    assert loaded == []
+    blocked, _ = cli("blocked", "solve", "--input", str(path))
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == normal.stdout
 
 
 def test_leaf_extraction_loads_lapack_but_not_the_optimizer(tmp_path):
