@@ -52,6 +52,12 @@ __all__ = [
 # Relative tolerance for the zero-total-mass validation, measured against
 # the total variation of the weights.
 ZERO_MASS_RTOL = 1e-12
+# The numeric range of an instance: pair distances in [2^-511, 2^512) and a
+# mass scale below 2^512.  Then the square of every distance, weight norm and
+# flow norm is a normal float, and so is a value, at most the mass scale
+# times the diameter.
+_MIN_DISTANCE = 2.0**-511
+_MAX_MASS_SCALE = 2.0**512
 
 
 class VecotError(Exception):
@@ -135,7 +141,7 @@ class PointCloud:
     def distances(self) -> np.ndarray:
         """Dense pairwise distance matrix, computed on first use.  Raises
         DuplicatePoint if a distance between two points underflows to 0.0,
-        and DimensionMismatch if one overflows to inf."""
+        and DimensionMismatch if one overflows to inf or lies below 2^-511."""
         with np.errstate(over="ignore"):  # reported below, with the pair
             d = distance_matrix(self.points)
         if np.count_nonzero(d) < self.size * (self.size - 1):
@@ -144,12 +150,21 @@ class PointCloud:
         if np.isinf(d).any():
             i, j = np.argwhere(np.triu(np.isinf(d), 1))[0].tolist()
             raise DimensionMismatch(f"the distance between points {i} and {j} overflows to inf")
+        if np.count_nonzero(d < _MIN_DISTANCE) > self.size:
+            i, j = np.argwhere(np.triu(d < _MIN_DISTANCE, 1))[0].tolist()
+            raise DimensionMismatch(
+                f"the distance {d[i, j]:.6g} between points {i} and {j} is below 2^-511"
+            )
         return d
 
 
 @dataclass(frozen=True)
 class DiscreteVectorMeasure:
-    """R^m-valued atomic measure with zero total mass on a point cloud."""
+    """R^m-valued atomic measure with zero total mass on a point cloud.
+
+    Its mass scale must lie below 2^512, where its square overflows;
+    DimensionMismatch otherwise.
+    """
 
     cloud: PointCloud
     weights: np.ndarray
@@ -165,7 +180,10 @@ class DiscreteVectorMeasure:
         if not np.all(np.isfinite(w)):
             raise DimensionMismatch("weights must be finite")
         object.__setattr__(self, "weights", w)
-        scale = float(np.linalg.norm(w, axis=1).sum())
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            scale = self.mass_scale
+        if not scale < _MAX_MASS_SCALE:
+            raise DimensionMismatch(f"the mass scale {scale:.6g} is not below 2^512")
         residual = w.sum(axis=0)
         if scale > 0.0 and float(np.abs(residual).max()) > ZERO_MASS_RTOL * scale:
             raise NonzeroTotalMass(residual, scale)
@@ -338,30 +356,36 @@ def _check_distinct(points: np.ndarray) -> None:
 def distance_matrix(points: np.ndarray) -> np.ndarray:
     """Dense Euclidean distance matrix with an exactly zero diagonal.
 
-    Rows may be points or potential values; this is the one place that
-    forms pairwise norms.
+    Rows may be points or potential values; the norms are ``_row_norms``
+    of the pair differences.
     """
     pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    n, k = pts.shape
+    d = _row_norms((pts[:, None, :] - pts[None, :, :]).reshape(n * n, k)).reshape(n, n)
     np.fill_diagonal(d, 0.0)
     return d
 
 
-def stretch_ratios(values: np.ndarray, distances: np.ndarray):
-    """Value distances ``||v_i - v_j||`` and stretches ``||v_i - v_j|| / d_ij``.
+def _row_norms(du: np.ndarray) -> np.ndarray:
+    """Norms of the rows of ``du``: the one pair-norm kernel, which sums each
+    norm in one order, so a pair's norm has the same bits wherever it is formed."""
+    sq = _einsum("ij,ij->i", du, du)
+    return np.sqrt(sq, out=sq)
 
-    Returns ``(norms, ratios)``, two symmetric n x n matrices; the ratio
-    diagonal is ``-inf``.  This is the one layout of pair scans, and callers
-    rely on two rules: the first maximum of ``np.argmax(ratios)``, in
+
+def stretch_ratios(values: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """Stretches ``_row_norms(v_i - v_j) / d_ij``, one symmetric n x n matrix.
+
+    Its diagonal is ``-inf``.  This is the one layout of pair scans, and
+    callers rely on two rules: the first maximum of ``np.argmax(ratios)``, in
     row-major order, is the lexicographically first maximizing pair i < j;
     and the flat index ``i * n + j`` of the upper triangle is the pair key.
     """
-    norms = distance_matrix(values)
+    ratios = distance_matrix(values)
     with np.errstate(invalid="ignore"):  # 0 / 0 on the diagonal
-        ratios = norms / distances
+        np.divide(ratios, distances, out=ratios)
     np.fill_diagonal(ratios, -np.inf)
-    return norms, ratios
+    return ratios
 
 
 def edge_slackness(pairs, flows, values, distances, tol: float):
@@ -369,14 +393,15 @@ def edge_slackness(pairs, flows, values, distances, tol: float):
 
     Returns their indices into ``pairs``, flow norms, saturations
     ``||u_i - u_j|| / d_ij`` and alignments ``<u_i - u_j, flow> / (d_ij
-    ||flow||)``.  Optimality needs both ratios at least ``1 - tol``.
+    ||flow||)``, saturations with the bits of ``stretch_ratios``.
+    Optimality needs both ratios at least ``1 - tol``.
     """
     norms = np.linalg.norm(flows, axis=1)
     edges = np.flatnonzero(norms > tol * norms.sum())
     i, j = pairs[edges, 0], pairs[edges, 1]
     d = distances[i, j]
     du = values[i] - values[j]
-    saturation = np.linalg.norm(du, axis=1) / d
+    saturation = _row_norms(du) / d
     alignment = np.einsum("ij,ij->i", du, flows[edges]) / (d * norms[edges])
     return edges, norms[edges], saturation, alignment
 
@@ -494,7 +519,7 @@ def lipschitz_info(potential: PotentialField) -> LipschitzInfo:
     """
     if potential.cloud.size < 2:
         return LipschitzInfo(0.0, (0, 0), True)
-    _, ratios = stretch_ratios(potential.values, potential.cloud.distances)
+    ratios = stretch_ratios(potential.values, potential.cloud.distances)
     i, j = divmod(int(np.argmax(ratios)), potential.cloud.size)
     return LipschitzInfo(float(ratios[i, j]), (i, j), False)
 

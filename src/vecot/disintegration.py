@@ -121,7 +121,7 @@ class GridDensity:
 
     @functools.cached_property
     def cell_volume(self) -> float:
-        return float(np.prod(self.steps))
+        return float(_step_product(self.steps))
 
     def centers(self, axis: int) -> np.ndarray:
         return _cell_centers(*self.box[axis], self.resolution[axis])
@@ -338,7 +338,19 @@ def _unit_mass(g: np.ndarray, axes) -> np.ndarray:
 
 def _cell_volume(axes):
     """Product of the leaf grid steps (per needle for per-needle grids); one cell counts 1."""
-    return math.prod(a[..., 1] - a[..., 0] if a.shape[-1] > 1 else 1.0 for a in axes)
+    return _step_product(a[..., 1] - a[..., 0] if a.shape[-1] > 1 else 1.0 for a in axes)
+
+
+def _step_product(steps):
+    """The product of grid steps (arrays broadcast), from their mantissas and
+    exponents: a partial product past the float range does not spoil a volume
+    inside it.  Where multiplying left to right gives a finite nonzero
+    volume, the mantissas round as its partial products do, to the same bits."""
+    mantissa, exponent = 1.0, 0
+    for step in steps:
+        f, e = np.frexp(step)
+        mantissa, exponent = mantissa * f, exponent + e
+    return np.ldexp(mantissa, exponent)
 
 
 def slice_disintegration(density: GridDensity, m: int) -> tuple[NeedleBatch, np.ndarray]:
@@ -400,7 +412,9 @@ def radial_disintegration(
     density, normalized.  Directions form a deterministic fan (midpoint
     angles on the circle, a Fibonacci lattice on the sphere) with equal
     angular weights, and each ray is sampled up to its exit from the box.
-    Rays that carry no mass are skipped.  The density is interpolated in
+    Rays that carry no mass are skipped; when none carries any, it raises
+    and names the cause, a volume element that underflows on every ray or a
+    density that vanishes on every sampled ray.  The density is interpolated in
     blocks of at most ``_BLOCK_POINTS`` ray points.  A line always has its
     two rays; ``n_directions`` must still be a positive integer there.
     """
@@ -453,6 +467,12 @@ def radial_disintegration(
         total = mass.sum()
     if not total < math.inf:
         raise NonpositiveDensity(f"the rays' total mass {total} is not finite")
+    if not total > 0.0:
+        with np.errstate(over="ignore"):
+            volume = (t ** (n - 1)).sum(axis=1) * dt
+        if not volume.any():
+            raise GeometryMismatch(f"the volume element r^{n - 1} dr underflows to 0 on every ray")
+        raise NonpositiveDensity("the density vanishes on every sampled ray")
     t, g, fan, mass = _rows_with_mass(mass, t, g, fan, mass)
     needles = NeedleBatch(
         axes=(t,), g=g, base=np.tile(center, (len(fan), 1)), directions=fan[:, :, None]

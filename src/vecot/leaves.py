@@ -156,7 +156,7 @@ def isometry_graph(u: PotentialField, eps: float = 1e-6) -> IsometryGraph:
     Raises NotLipschitz if some pair stretches by more than ``1 + eps``;
     the saturation graph of a non-Lipschitz map would be meaningless.
     """
-    _, ratios = stretch_ratios(u.values, u.cloud.distances)
+    ratios = stretch_ratios(u.values, u.cloud.distances)
     graph = IsometryGraph(cloud=u.cloud, edges=np.argwhere(np.triu(ratios >= 1.0 - eps)), eps=eps)
     if float(ratios.max()) > 1.0 + eps:
         i, j = divmod(int(np.argmax(ratios)), u.cloud.size)

@@ -76,6 +76,7 @@ from .core import (
     _dot,
     _einsum,
     _lapack,
+    _row_norms,
     component_labels,
     edge_slackness,
     stretch_ratios,
@@ -84,7 +85,6 @@ from .core import (
 __all__ = [
     "SolverParams",
     "SolveReport",
-    "NumericalBreakdown",
     "NotConverged",
     "solve",
     "kr_norm",
@@ -115,10 +115,6 @@ def _highs():
     from scipy.optimize._highspy import _core
 
     return _core
-
-
-class NumericalBreakdown(VecotError):
-    """The interior-point Newton system could not be factored."""
 
 
 class NotConverged(VecotError):
@@ -306,7 +302,7 @@ def _generated_lp(w_hat: np.ndarray, dist_hat: np.ndarray):
         u_raw = np.asarray(solution.row_dual)[:, None]
         # The repair measures the potential anchored at point 0: scan the same numbers.
         scan = stretch_ratios(u_raw - u_raw[0], dist_hat)
-        fresh = np.setdiff1d(np.flatnonzero(np.triu(scan[1] > 1.0)), cols, assume_unique=True)
+        fresh = np.setdiff1d(np.flatnonzero(np.triu(scan > 1.0)), cols, assume_unique=True)
         if fresh.size == 0:
             x = np.asarray(solution.col_value)
             order = np.argsort(cols)
@@ -328,17 +324,17 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray, scan=None) -> 
     absolute excess only.  A final rescale covers whatever the sweep
     limit leaves over, and the base value is pinned to zero.  ``scan`` is
     ``stretch_ratios`` of the anchored potential when the caller has it; the
-    repair overwrites it.
+    repair keeps it current with the scan's kernel, and so overwrites it.
     """
     u = u_raw - u_raw[0]
     n = u.shape[0]
-    num, ratio = stretch_ratios(u, distances) if scan is None else scan
+    ratio = stretch_ratios(u, distances) if scan is None else scan
     for _ in range(_REPAIR_SWEEPS):
         i, j = divmod(int(np.argmax(ratio)), n)
         if ratio[i, j] <= 1.0:
             break
         du = u[i] - u[j]
-        nrm = num[i, j]
+        nrm = _row_norms(du[None])[0]
         # aim slightly inside the constraint so the pair is settled for good
         shift = (0.5 * (nrm - distances[i, j] * (1.0 - 1e-12)) / nrm) * du
         u[i] -= shift
@@ -347,11 +343,8 @@ def _feasible_potential(u_raw: np.ndarray, distances: np.ndarray, scan=None) -> 
         # the whole n x n ratio (most sweeps settle a pair that is over by
         # rounding only, and large clouds have hundreds of them).
         for k in (i, j):
-            dk = u[k] - u
-            num[k, :] = num[:, k] = np.sqrt(np.einsum("ij,ij->i", dk, dk))
-            num[k, k] = 0.0
             with np.errstate(invalid="ignore"):  # 0 / 0 at (k, k)
-                ratio[k, :] = ratio[:, k] = num[k, :] / distances[k, :]
+                ratio[k, :] = ratio[:, k] = _row_norms(u[k] - u) / distances[k, :]
             ratio[k, k] = -np.inf
     lip = float(ratio.max())
     if lip > 1.0:
@@ -487,7 +480,8 @@ def _interior_point_engine(w_hat, d_edge, pairs, params, accept):
     Returns ``(flows, u_raw, iterations, complementarity, u_accepted)``,
     with ``u_accepted`` None when ``params.max_iters`` ran out first, or
     when the iterates reached the limits of double precision: the last
-    step reached a cone boundary, or the next direction is not finite.
+    step reached a cone boundary, the next Newton system is not positive
+    definite, or the next direction is not finite.
     """
     n, m = w_hat.shape
     e_count = d_edge.shape[0]
@@ -531,9 +525,7 @@ def _interior_point_engine(w_hat, d_edge, pairs, params, accept):
             h = (eye + w1_2[:, :, None] * w1[:, None, :]) / beta2[:, None, None]
             chol = _tiled_cholesky(assemble(h))
             if chol is None:
-                raise NumericalBreakdown(
-                    f"interior-point Newton system is not positive definite (iteration {it})"
-                )
+                return x, u, it - 1, comp, None  # the last iterate
 
             def direction(rc0, rc1):
                 # Solve lam o (W dz + W^-1 ds) = rc, A dz = r_p, ds = -A^T du into
@@ -611,12 +603,9 @@ def solve(instance: Instance, params: SolverParams | None = None):
         constant at most 1 (up to roundoff) and value zero at point 0.
         On ``status == "Converged"`` the duality gap is at most
         ``tol_gap * |primal_value|`` plus a floor of 1e-12 times the
-        mass scale times the diameter.
-
-    Raises
-    ------
-    NumericalBreakdown
-        The interior-point Newton system could not be factored.
+        mass scale times the diameter.  A solve whose interior-point
+        iterates reach the limits of double precision ends IterLimit with
+        its last iterate, and its notes say so.
 
     Identical instances and parameters produce bit-identical results.
     """

@@ -18,8 +18,10 @@ from vecot import (
     build_instance,
     certify,
     edge_slackness,
+    isometry_graph,
     isometry_saturation_set,
     solve,
+    stretch_ratios,
 )
 
 
@@ -264,12 +266,13 @@ def test_edge_slackness_reports_the_carrying_edges_and_their_ratios():
 
 
 def reference_violations(instance, coupling, potential, tol):
-    """The certifier's former per-edge loop, kept as the reference."""
+    """The certifier's former per-edge loop, kept as the reference; its
+    saturations sum squares in the pair scan's order (``stretch_ratios``)."""
     i, j = coupling.pairs[:, 0], coupling.pairs[:, 1]
     d = instance.distances[i, j]
     du = potential.values[i] - potential.values[j]
     flow_norms = np.linalg.norm(coupling.flows, axis=1)
-    du_norms = np.linalg.norm(du, axis=1)
+    du_norms = np.sqrt(np.einsum("ij,ij->i", du, du))
     align = np.einsum("ij,ij->i", du, coupling.flows)
     violations = []
     for e in np.flatnonzero(flow_norms > tol * float(flow_norms.sum())):
@@ -297,6 +300,33 @@ def test_slack_violations_match_the_per_edge_loop_bit_for_bit():
             assert certify(inst, coupling, potential, tol=tol).slack_violations == expected
             flagged += len(expected)
     assert flagged > 0
+
+
+def test_saturations_are_the_pair_scans_stretches_bit_for_bit():
+    # One pair-norm kernel: for every m, a carrying edge's saturation is the
+    # stretch the pair scan reports for its pair, so that the saturated edges
+    # of a solved pair lie in its potential's isometry graph.
+    rng = np.random.default_rng(41)
+    distances = PointCloud(rng.uniform(-1.0, 1.0, size=(60, 2))).distances
+    pairs = np.argwhere(~np.tri(60, dtype=bool))
+    for m in range(1, 21):
+        values = rng.normal(size=(60, m))
+        flows = rng.normal(size=(len(pairs), m))
+        edges, _, saturation, _ = edge_slackness(pairs, flows, values, distances, 0.0)
+        assert len(edges) == len(pairs)
+        stretch = stretch_ratios(values, distances)[pairs[:, 0], pairs[:, 1]]
+        assert saturation.tobytes() == stretch.tobytes()
+    for m in (3, 4):
+        for seed in range(6):
+            rng = np.random.default_rng([seed, m])
+            w = rng.normal(size=(12, m))
+            inst = build_instance(rng.uniform(-1.0, 1.0, size=(12, 2)), w - w.mean(axis=0))
+            coupling, potential, report = solve(inst)
+            assert report.status == "Converged"
+            for eps in (1e-9, 1e-6, 1e-3):
+                saturated = isometry_saturation_set(inst, coupling, potential, tol=eps)
+                graph = isometry_graph(potential, eps).edges.tolist()
+                assert set(saturated) <= set(map(tuple, graph))
 
 
 def test_solver_stopping_rule_applies_the_slackness_test_at_tol_gap(monkeypatch):

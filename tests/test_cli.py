@@ -778,10 +778,13 @@ def test_disintegrate_rejects_a_box_that_is_not_finite(tmp_path, capsys, argv):
           "--center", "0.01"], "the rays' total mass inf"),
         (["--family", "uniform", "--box", "0", "1e-300", "0", "1e-8", "--resolution", "2"],
          "unit masses on cells of volume 2.5e-309 leave the float range"),
+        (["--family", "uniform", "--box", "0", "1e200", "0", "1", "0", "1e-200", "--resolution", "2",
+          "--mode", "radial", "--center", "5e199", "0.5", "5e-201", "--directions", "4"],
+         "the volume element r^2 dr underflows to 0 on every ray"),
     ],
     ids=["radial-mass-overflow", "slice-mass-overflow", "gaussian-underflow", "cd-tiny-step",
          "cd-huge-step", "cd-tiny-ray-step", "slice-needle-mass", "tiny-ray", "ray-jacobian",
-         "ray-mass", "reassembly"],
+         "ray-mass", "reassembly", "ray-volume-underflow"],
 )
 def test_disintegrate_rejects_values_outside_the_float_range(tmp_path, capsys, argv, message):
     # A mass, a density or a squared needle step past the float range is a
@@ -869,6 +872,62 @@ def test_disintegrate_succeeds_or_refuses_with_one_line(case):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("vecot: ") and err.getvalue().count("\n") == 1
         assert "internal error" not in err.getvalue()
+
+
+@st.composite
+def pipeline_instances(draw):
+    """Instance documents over the float range: 2 to 8 points in 1 to 3
+    dimensions, m = 1 to 3, point and weight scales from 1e-300 to 1e300, and
+    spread, collinear or near-duplicate clouds (two points a gap of 1e-14 to
+    1e-6 of the cloud's scale apart)."""
+    size, n, m = draw(st.integers(2, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["spread", "collinear", "near-duplicate"]))
+    points = rng.uniform(-1.0, 1.0, (size, n))
+    if shape == "collinear":
+        points = rng.uniform(-1.0, 1.0, (size, 1)) * rng.normal(size=n) + rng.normal(size=n)
+    elif shape == "near-duplicate":
+        points[1] = points[0] + draw(_magnitudes(-14, -6)) * rng.normal(size=n)
+    weights = rng.normal(size=(size, m))
+    weights -= weights.mean(axis=0)
+    points, weights = points * draw(_magnitudes(-300, 300)), weights * draw(_magnitudes(-300, 300))
+    return {"n": n, "m": m, "points": points.tolist(), "weights": weights.tolist()}
+
+
+def _run_quietly(argv) -> tuple[int, str, str]:
+    """``main(argv)`` with warnings as errors: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("vecot: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(pipeline_instances())
+def test_the_pipeline_succeeds_or_refuses_with_one_line(document):
+    # Whatever the scales and the shape of the cloud, each command answers,
+    # stops at the iteration limit, or names the fault of its input in one
+    # "vecot: " line; a Converged solve certifies Optimal, and its leaves and
+    # mass balance are found.
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, solution = os.path.join(tmp, "instance.json"), os.path.join(tmp, "solution.json")
+        with open(instance, "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+        solved, _, _ = _run_quietly(["solve", "--input", instance, "--output", solution])
+        if solved == 2:
+            return
+        certified, out, _ = _run_quietly(["certify", "--input", solution])
+        codes = [_run_quietly([command, "--input", solution])[0] for command in ("leaves", "massbalance")]
+    if solved == 0:
+        assert certified == 0 and json.loads(out)["certificate"]["verdict"] == "Optimal"
+        assert codes == [0, 0]
 
 
 def test_disintegrate_family_requires_box(capsys):

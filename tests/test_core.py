@@ -276,6 +276,40 @@ def test_distances_that_overflow_are_rejected_on_first_use(points, pair):
             cloud.distances
 
 
+@pytest.mark.parametrize(
+    "points, pair",
+    [
+        ([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-160]], (1, 2)),
+        ([[1.0], [0.0], [2.0**-512]], (1, 2)),  # its square is subnormal
+        (np.random.default_rng(0).uniform(-1.0, 1.0, (5, 3)) * 1.3e-160, (0, 1)),
+    ],
+)
+def test_distances_below_2_to_the_minus_511_are_rejected_on_first_use(points, pair):
+    # Their squares are subnormal, and their sums of squares lose digits.
+    cloud = PointCloud(np.array(points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match=f"points {pair[0]} and {pair[1]} is below 2\\^-511"):
+            cloud.distances
+    assert PointCloud(np.array([[0.0], [2.0**-511]])).distances[0, 1] == 2.0**-511
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[[1e200], [-2e200], [1e200]], [[2.0**511], [-(2.0**511)]], [[1.3e154]] * 2 + [[-1.3e154]] * 2],
+)
+def test_measures_whose_mass_scale_reaches_2_to_the_512_are_rejected(weights):
+    # The squares of the weight norms overflow from there on, and so can the
+    # flows' and the value.
+    cloud = PointCloud(np.arange(float(len(weights)))[:, None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="mass scale .* is not below 2\\^512"):
+            DiscreteVectorMeasure(cloud, np.array(weights))
+    below = DiscreteVectorMeasure(PointCloud(np.array([[0.0], [1.0]])), [[2.0**510], [-(2.0**510)]])
+    assert below.mass_scale == 2.0**511
+
+
 # ---------------------------------------------------------------------------
 # Functionals
 # ---------------------------------------------------------------------------

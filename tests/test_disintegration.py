@@ -89,6 +89,21 @@ def test_grid_boxes_must_be_finite(box, match):
             tabulate_density(box, 3, lambda p: np.ones(len(p)))
 
 
+def test_cell_volumes_inside_the_float_range_are_found_when_partial_products_leave_it():
+    # 5e199 * 5e199 overflows and 5e-251 * 5e-251 underflows, but neither
+    # volume does; where the left-to-right product is finite and nonzero,
+    # it keeps its bits.
+    wide = GridDensity(box=[[0.0, 1e200], [0.0, 1e200], [0.0, 1e-250]], samples=np.ones((2, 2, 2)))
+    assert wide.cell_volume == pytest.approx(1.25e149, rel=1e-15)
+    thin = GridDensity(box=[[0.0, 1e-250], [0.0, 1e-250], [0.0, 1e200]], samples=np.ones((2, 2, 2)))
+    assert thin.cell_volume == pytest.approx(1.25e-301, rel=1e-15)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        box = np.column_stack([np.zeros(3), 10.0 ** rng.uniform(-90.0, 90.0, 3)])
+        d = GridDensity(box=box, samples=np.ones((3, 1, 2)))
+        assert d.cell_volume == d.steps[0] * d.steps[1] * d.steps[2]
+
+
 def test_grid_density_quadrature_geometry():
     d = GridDensity(box=[[0.0, 1.0], [0.0, 2.0]], samples=np.ones((2, 4)))
     assert d.dim == 2
@@ -1187,11 +1202,15 @@ def test_cd_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
 
 
 def test_cd_on_a_batch_without_needles_reports_nothing():
-    # Mass on the y-axis only, seen from the origin along the four diagonals.
+    # Mass on the y-axis only, seen from the origin along the four diagonals:
+    # no ray carries mass, and the disintegration says why.
     samples = np.zeros((33, 33))
     samples[16, 32] = 1.0
     d = GridDensity(box=[[-4.0, 4.0], [-4.0, 4.0]], samples=samples)
-    rays, weights = radial_disintegration(d, [0.0, 0.0], 4)
+    with pytest.raises(NonpositiveDensity, match="the density vanishes on every sampled ray"):
+        radial_disintegration(d, [0.0, 0.0], 4)
+    rays, weights = radial_disintegration(GridDensity(d.box, np.ones((33, 33))), [0.0, 0.0], 4)
+    rays, weights = rays[:0], weights[:0]
     assert len(rays) == 0 and len(weights) == 0
     assert cd_check_1d(rays, 0.0, math.inf) == []
     with pytest.raises(NonpositiveDensity, match="positive total mass"):
