@@ -53,10 +53,10 @@ __all__ = [
 # the total variation of the weights.
 ZERO_MASS_RTOL = 1e-12
 # The numeric range of an instance: pair distances in [2^-511, 2^512) and a
-# mass scale below 2^512.  Then the square of every distance, weight norm and
-# flow norm is a normal float, and so is a value, at most the mass scale
-# times the diameter.
-_MIN_DISTANCE = 2.0**-511
+# mass scale in [2^-511, 2^512) unless every weight is zero.  Then the square
+# of every distance and of the mass scale is a normal float, and a value, at
+# most the mass scale times the diameter, is finite.
+_MIN_SCALE = 2.0**-511
 _MAX_MASS_SCALE = 2.0**512
 
 
@@ -150,8 +150,8 @@ class PointCloud:
         if np.isinf(d).any():
             i, j = np.argwhere(np.triu(np.isinf(d), 1))[0].tolist()
             raise DimensionMismatch(f"the distance between points {i} and {j} overflows to inf")
-        if np.count_nonzero(d < _MIN_DISTANCE) > self.size:
-            i, j = np.argwhere(np.triu(d < _MIN_DISTANCE, 1))[0].tolist()
+        if np.count_nonzero(d < _MIN_SCALE) > self.size:
+            i, j = np.argwhere(np.triu(d < _MIN_SCALE, 1))[0].tolist()
             raise DimensionMismatch(
                 f"the distance {d[i, j]:.6g} between points {i} and {j} is below 2^-511"
             )
@@ -162,8 +162,8 @@ class PointCloud:
 class DiscreteVectorMeasure:
     """R^m-valued atomic measure with zero total mass on a point cloud.
 
-    Its mass scale must lie below 2^512, where its square overflows;
-    DimensionMismatch otherwise.
+    Its mass scale must lie in [2^-511, 2^512), where its square is a normal
+    float, unless every weight is zero; DimensionMismatch otherwise.
     """
 
     cloud: PointCloud
@@ -184,6 +184,8 @@ class DiscreteVectorMeasure:
             scale = self.mass_scale
         if not scale < _MAX_MASS_SCALE:
             raise DimensionMismatch(f"the mass scale {scale:.6g} is not below 2^512")
+        if scale < _MIN_SCALE and w.any():
+            raise DimensionMismatch(f"the mass scale {scale:.6g} of nonzero weights is below 2^-511")
         residual = w.sum(axis=0)
         if scale > 0.0 and float(np.abs(residual).max()) > ZERO_MASS_RTOL * scale:
             raise NonzeroTotalMass(residual, scale)

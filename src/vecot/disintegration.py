@@ -57,7 +57,7 @@ __all__ = [
 
 
 class EmptySlice(VecotError):
-    """A slice carries no mass; it is skipped with zero weight."""
+    """A massless needle in a ``NeedleBatch``; decompositions drop massless slices instead."""
 
 
 class CenterOutsideBox(VecotError):

@@ -24,8 +24,8 @@ and three engines solve it:
 * ``lp``: scalar weights (m = 1) make the problem a linear program, which
   HiGHS finishes at a vertex.  It is solved on the complete graph by
   certificate-driven edge generation: one HiGHS model starts on the
-  k-nearest-neighbour graph (joined by a minimum spanning tree if that
-  graph is disconnected), every pair of the cloud is scanned for
+  k-nearest-neighbour graph (joined across its components, if any, by
+  nearest pairs), every pair of the cloud is scanned for
   ``|u_i - u_j| > d_ij`` under the returned potential, the violated pairs
   join the model, and the LP is solved again from the last basis until a
   round adds no pair.  The coupling lists the final edge set only, and
@@ -51,10 +51,9 @@ unit diameter), so reported values are exactly equivariant under scaling
 of weights or points.
 
 scipy loads where an engine computes with it, so that ``import vecot``
-loads none of it: HiGHS at the first scalar solve, LAPACK at the first
-Newton factor, and ``scipy.sparse`` at the first disconnected start graph.
-The interior-point method's incidence products are numpy's, bit for bit
-those of scipy's CSR matrices.
+loads none of it: HiGHS at the first scalar solve and LAPACK at the first
+Newton factor.  The interior-point method's incidence products are numpy's,
+bit for bit those of scipy's CSR matrices.
 """
 
 from __future__ import annotations
@@ -234,19 +233,16 @@ def _incidence_products(n: int, m: int, pairs: np.ndarray):
 
 
 def _start_keys(distances: np.ndarray, k: int) -> np.ndarray:
-    """Sorted keys ``i * n + j`` (i < j) of the k-nearest-neighbour graph,
-    united with a minimum spanning tree when it is not connected."""
+    """Sorted keys ``i * n + j`` (i < j) of the k-nearest-neighbour graph and,
+    while it is disconnected, of each point's pair to its nearest point in
+    another component (Boruvka's step: each round at least halves them)."""
     n = distances.shape[0]
     # Each row's k + 1 nearest points, the point itself included.
     near = np.argpartition(distances, k, axis=1)[:, : k + 1]
     i, j = np.repeat(np.arange(n), k + 1), near.ravel()
-    # On spread-out clouds the tree lies inside the neighbour graph, and
-    # scipy builds it from every pair, so it is only added where it matters.
-    if component_labels(n, np.column_stack([i, j])).max() > 0:
-        from scipy.sparse.csgraph import minimum_spanning_tree
-
-        tree = minimum_spanning_tree(distances).tocoo()
-        i, j = np.concatenate([i, tree.row]), np.concatenate([j, tree.col])
+    while (labels := component_labels(n, np.column_stack([i, j]))).max() > 0:
+        nearest = np.where(labels[:, None] == labels, np.inf, distances).argmin(axis=1)
+        i, j = np.concatenate([i, np.arange(n)]), np.concatenate([j, nearest])
     lo, hi = np.minimum(i, j), np.maximum(i, j)
     return np.unique((lo * n + hi)[lo != hi])
 
@@ -257,7 +253,7 @@ def _generated_lp(w_hat: np.ndarray, dist_hat: np.ndarray):
     One HiGHS model holds the balance rows ``net(x) = mu``, whose multipliers
     are the potential, and the positive and negative part of each active
     pair's flow as columns.  The first pairs are the k-nearest-neighbour
-    graph (joined by a minimum spanning tree where it is disconnected).
+    graph, joined across its components by ``_start_keys``.
     After each simplex solve every pair of the cloud is scanned for
     ``|u_i - u_j| > d_ij``, the violated pairs join the model, and the next
     solve starts from the last basis.  The dual of the restricted LP is

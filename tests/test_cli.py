@@ -28,6 +28,7 @@ from vecot import (
     build_instance,
     dumps_instance,
     instance_from_dict,
+    line_oracle,
     solve,
 )
 from vecot.cli import main
@@ -454,6 +455,18 @@ def test_a_distance_that_overflows_exits_2_without_a_warning(tmp_path, capsys, p
     assert code == 2
     assert out == ""
     assert err == "vecot: the distance between points 0 and 1 overflows to inf\n"
+
+
+def test_a_mass_scale_that_underflows_exits_2_without_a_warning(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"n": 1, "m": 1, "points": [[0.0], [1.0]], "weights": [[1e-170], [-1e-170]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "vecot: the mass scale 0 of nonzero weights is below 2^-511\n"
 
 
 def test_unknown_command_exits_nonzero(capsys):
@@ -914,8 +927,8 @@ def _run_quietly(argv) -> tuple[int, str, str]:
 def test_the_pipeline_succeeds_or_refuses_with_one_line(document):
     # Whatever the scales and the shape of the cloud, each command answers,
     # stops at the iteration limit, or names the fault of its input in one
-    # "vecot: " line; a Converged solve certifies Optimal, and its leaves and
-    # mass balance are found.
+    # "vecot: " line; a Converged solve certifies Optimal, its leaves and
+    # mass balance are found, and on the line its value is the oracle's.
     with tempfile.TemporaryDirectory() as tmp:
         instance, solution = os.path.join(tmp, "instance.json"), os.path.join(tmp, "solution.json")
         with open(instance, "w", encoding="utf-8") as fh:
@@ -923,11 +936,16 @@ def test_the_pipeline_succeeds_or_refuses_with_one_line(document):
         solved, _, _ = _run_quietly(["solve", "--input", instance, "--output", solution])
         if solved == 2:
             return
+        with open(solution, encoding="utf-8") as fh:
+            value = json.load(fh)["report"]["primal_value"]
         certified, out, _ = _run_quietly(["certify", "--input", solution])
         codes = [_run_quietly([command, "--input", solution])[0] for command in ("leaves", "massbalance")]
     if solved == 0:
         assert certified == 0 and json.loads(out)["certificate"]["verdict"] == "Optimal"
         assert codes == [0, 0]
+        if document["n"] == document["m"] == 1:
+            expected = line_oracle(build_instance(document["points"], document["weights"]))
+            assert abs(value - expected) <= 1e-9 * expected
 
 
 def test_disintegrate_family_requires_box(capsys):

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vecot
@@ -310,6 +310,20 @@ def test_measures_whose_mass_scale_reaches_2_to_the_512_are_rejected(weights):
     assert below.mass_scale == 2.0**511
 
 
+@pytest.mark.parametrize("weights", [[[1e-170], [-1e-170]], [[1e-160], [-1e-160]], [[1e-155], [-1e-155]]])
+def test_measures_whose_mass_scale_is_below_2_to_the_minus_511_are_rejected(weights):
+    # The squares of their weights underflow: at 1e-170 the mass scale reads
+    # 0.0, which solve took for a zero measure, and at 1e-160 it loses digits.
+    cloud = PointCloud(np.array([[0.0], [1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="mass scale .* is below 2\\^-511"):
+            DiscreteVectorMeasure(cloud, np.array(weights))
+    lowest = DiscreteVectorMeasure(cloud, [[2.0**-512], [-(2.0**-512)]])
+    assert lowest.mass_scale == 2.0**-511
+    assert DiscreteVectorMeasure(cloud, np.zeros((2, 3))).mass_scale == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Functionals
 # ---------------------------------------------------------------------------
@@ -469,6 +483,8 @@ def _instances(draw) -> Instance:
     rows = draw(st.lists(st.tuples(*[weight] * m), min_size=size, max_size=size))
     weights = np.array(rows, dtype=float).reshape(-1, m)
     weights = np.vstack([weights, -weights.sum(axis=0)])
+    # Nonzero weights whose mass scale lies below 2^-511 are refused.
+    assume(not weights.any() or np.linalg.norm(weights, axis=1).sum() >= 2.0**-511)
     return build_instance(np.array(points, dtype=float), weights)
 
 

@@ -4,7 +4,8 @@
 ``disintegrate`` and solves that the tree engine answers compute without
 scipy and run with it blocked; the leaf fit
 loads LAPACK but not the optimizer package that holds HiGHS; smoothing never
-loads ``scipy.stats``, which no module of vecot imports.
+loads ``scipy.stats``, and scalar solves never ``scipy.sparse.csgraph``.  No
+module of vecot imports ``scipy.stats`` or ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from vecot import build_instance, dumps_instance, instance_to_dict
 from vecot.cli import main
 
 # Runs the command line given after the mode, then prints the scipy modules
-# loaded by then to stderr, on exit.  Mode "blocked" makes every scipy
-# import fail with ImportError, mode "no-stats" every import of scipy.stats.
+# loaded by then to stderr, on exit.  A mode other than "normal" names the
+# module, "scipy" or one of its packages, whose every import fails with
+# ImportError.
 CLI_SCRIPT = """
 import atexit, json, sys
-if sys.argv[1] == "blocked":
-    sys.modules["scipy"] = None
-if sys.argv[1] == "no-stats":
-    sys.modules["scipy.stats"] = None
+if sys.argv[1] != "normal":
+    sys.modules[sys.argv[1]] = None
 atexit.register(lambda: print(json.dumps(sorted(
     name for name, module in sys.modules.items()
     if name.split(".")[0] == "scipy" and module is not None
@@ -96,7 +96,7 @@ def test_commands_without_scipy_match_a_normal_run(capsys, solution, argv):
         code = exit_.code
     expected = capsys.readouterr().out
     assert code == 0
-    done, loaded = cli("blocked", *argv)
+    done, loaded = cli("scipy", *argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected
     assert loaded == []
@@ -116,7 +116,27 @@ def test_tree_engine_solves_without_scipy(tmp_path, size, m):
     doc = json.loads(normal.stdout)
     assert (doc["report"]["engine"], doc["certificate"]["verdict"]) == ("tree", "Optimal")
     assert loaded == []
-    blocked, _ = cli("blocked", "solve", "--input", str(path))
+    blocked, _ = cli("scipy", "solve", "--input", str(path))
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == normal.stdout
+
+
+def test_a_disconnected_scalar_solve_loads_no_csgraph(tmp_path):
+    # Two unit squares 20 apart: the 12-nearest-neighbour start graph has two
+    # components, which the solver joins with component_labels.
+    rng = np.random.default_rng(7)
+    points = rng.uniform(-1.0, 1.0, (120, 2))
+    points[60:, 0] += 20.0
+    w = rng.normal(size=(120, 1))
+    path = tmp_path / "instance.json"
+    path.write_text(dumps_instance(build_instance(points, w - w.mean(0))))
+    normal, loaded = cli("normal", "solve", "--input", str(path))
+    assert normal.returncode == 0, normal.stderr
+    doc = json.loads(normal.stdout)
+    assert (doc["report"]["engine"], doc["certificate"]["verdict"]) == ("lp", "Optimal")
+    assert "scipy.optimize" in loaded
+    assert not any(name.startswith("scipy.sparse.csgraph") for name in loaded)
+    blocked, _ = cli("scipy.sparse.csgraph", "solve", "--input", str(path))
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stdout == normal.stdout
 
@@ -146,18 +166,26 @@ def test_smoothing_loads_no_scipy_stats():
     assert normal.returncode == 0, normal.stderr
     assert json.loads(normal.stdout)["smoothed"]["size"] == 30
     assert not any(name.startswith("scipy.stats") for name in loaded)
-    blocked, _ = cli("no-stats", *argv)
+    blocked, _ = cli("scipy.stats", *argv)
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stdout == normal.stdout
 
 
-def test_no_module_of_vecot_imports_scipy_stats():
+def imported_modules() -> list[tuple[str, str]]:
+    """``(file name, imported name)`` of every import statement in vecot."""
+    found = []
     for path in pathlib.Path(vecot.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                found += [(path.name, alias.name) for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            assert not any(name.startswith("scipy.stats") for name in names), path.name
+                found += [(path.name, f"{node.module}.{alias.name}") for alias in node.names]
+    return found
+
+
+def test_no_module_of_vecot_imports_scipy_stats():
+    assert [(file, name) for file, name in imported_modules() if name.startswith("scipy.stats")] == []
+
+
+def test_no_module_of_vecot_imports_scipy_sparse():
+    assert [(file, name) for file, name in imported_modules() if name.startswith("scipy.sparse")] == []

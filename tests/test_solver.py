@@ -112,6 +112,15 @@ def test_solver_matches_line_oracle_on_random_instances():
         assert abs(val - ref) <= 1e-8 * (1.0 + ref)
 
 
+@pytest.mark.parametrize("weights", [[1.0, -1.0], [1.0, -2.0, 1.0]], ids=["two", "three"])
+def test_weights_of_1e_150_match_the_line_oracle(weights):
+    # Their mass scale lies four decades above 2^-511, below which a measure
+    # is refused, and the value keeps its digits.
+    inst = build_instance([[0.0], [1.0], [3.0]][: len(weights)], 1e-150 * np.array(weights)[:, None])
+    expected = line_oracle(inst)
+    assert abs(kr_norm(inst) - expected) <= 1e-12 * expected
+
+
 def test_line_optimal_potential_is_tight():
     rng = np.random.default_rng(19)
     for _ in range(10):
@@ -505,21 +514,44 @@ def test_edge_generation_on_a_collinear_cloud_matches_the_line_oracle():
     assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
 
 
-def test_edge_generation_joins_a_disconnected_neighbour_graph_by_a_spanning_tree():
-    # Two clusters 20 apart: the 12-nearest-neighbour graph has a component
-    # per cluster, each carrying net mass, so without the tree the first
-    # LP is infeasible.
+def clustered_instance(dim: int):
+    """120 points in five clusters of radius 1e-3, centred in [-10, 10]^dim."""
+    rng = np.random.default_rng([120, dim, 8])
+    centres = rng.uniform(-10.0, 10.0, (5, dim))
+    pts = centres[rng.integers(0, 5, 120)] + 1e-3 * rng.normal(size=(120, dim))
+    w = rng.normal(size=(120, 1))
+    return build_instance(pts, w - w.mean(axis=0))
+
+
+def two_cluster_instance():
+    """120 points in two unit squares 20 apart."""
     rng = np.random.default_rng(7)
     pts = rng.uniform(-1.0, 1.0, size=(120, 2))
     pts[60:, 0] += 20.0
     w = rng.normal(size=(120, 1))
-    w -= w.mean(axis=0)
-    inst = build_instance(pts, w)
-    start = vecot.solver._start_keys(inst.distances, vecot.solver._GENERATION_NEIGHBOURS)
-    assert np.any((start // 120 < 60) & (start % 120 >= 60))
+    return build_instance(pts, w - w.mean(axis=0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [two_cluster_instance, lambda: clustered_instance(2), lambda: clustered_instance(3)],
+    ids=["two-clusters", "five-clusters-2d", "five-clusters-3d"],
+)
+def test_edge_generation_joins_the_components_of_a_disconnected_neighbour_graph(make):
+    # The 12-nearest-neighbour graph has a component per cluster, each
+    # carrying net mass, so without the joining pairs the first LP is
+    # infeasible.
+    inst = make()
+    n, k = inst.size, vecot.solver._GENERATION_NEIGHBOURS
+    start = vecot.solver._start_keys(inst.distances, k)
+    nearest = np.argsort(inst.distances, axis=1)[:, 1 : k + 1]
+    i = np.repeat(np.arange(n), k)
+    lo, hi = np.minimum(i, nearest.ravel()), np.maximum(i, nearest.ravel())
+    assert component_labels(n, np.column_stack([lo, hi])).max() > 0
+    assert np.isin(lo * n + hi, start).all()
+    assert component_labels(n, np.column_stack([start // n, start % n])).max() == 0
     coupling, potential, report = solve(inst)
-    assert report.status == "Converged"
-    assert report.engine == "lp"
+    assert (report.status, report.engine) == ("Converged", "lp")
     assert report.notes.startswith("edge generation: ")
     full = complete_graph_lp_value(inst)
     assert abs(report.primal_value - full) <= 1e-9 * full
