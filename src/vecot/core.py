@@ -204,11 +204,15 @@ class DiscreteVectorMeasure:
         return float(np.linalg.norm(self.weights, axis=1).sum())
 
 
-def _integer_valued(a: np.ndarray) -> bool:
-    """Whether ``a`` is an integer array or a float array of finite integers."""
-    if a.dtype.kind == "f":
-        return bool((np.isfinite(a) & (a == np.floor(a))).all())
-    return a.dtype.kind in "iu"
+def _point_indices(a, what: str, below: int) -> np.ndarray:
+    """``a`` as int64 point indices; DimensionMismatch unless each is an integer,
+    or an integer-valued float, in [0, below), compared exactly before any cast."""
+    a = np.asarray(a)
+    kind = a.dtype.kind
+    valid = kind in "iu" or kind == "f" and bool((np.isfinite(a) & (a == np.floor(a))).all())
+    if not (valid and (a.size == 0 or 0 <= a.min().item() and a.max().item() < below)):
+        raise DimensionMismatch(f"{what} must be integer point indices in [0, {below})")
+    return a.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -224,10 +228,7 @@ class VectorCoupling:
     flows: np.ndarray
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs)
-        if not _integer_valued(pairs):
-            raise DimensionMismatch("pairs must be integer point indices")
-        pairs = pairs.astype(np.int64)
+        pairs = _point_indices(self.pairs, "pairs", 2**63)
         flows = np.asarray(self.flows, dtype=float)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise DimensionMismatch(f"pairs must be (E, 2), got {pairs.shape}")
@@ -237,20 +238,16 @@ class VectorCoupling:
             )
         if not np.all(np.isfinite(flows)):
             raise DimensionMismatch("flows must be finite")
-        if pairs.shape[0] > 0:
-            if np.any(pairs[:, 0] == pairs[:, 1]):
-                raise DimensionMismatch("self-loops are not allowed")
-            if pairs.min() < 0:
-                raise DimensionMismatch("negative point index")
-            flip = pairs[:, 0] > pairs[:, 1]
-            if np.any(flip):
-                pairs = pairs.copy()
-                flows = flows.copy()
-                pairs[flip] = pairs[flip][:, ::-1]
-                flows[flip] = -flows[flip]
-            keys = pairs[:, 0] * (pairs.max() + 1) + pairs[:, 1]
-            if np.unique(keys).size != keys.size:
-                raise DimensionMismatch("duplicate unordered pair in coupling")
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            raise DimensionMismatch("self-loops are not allowed")
+        flip = pairs[:, 0] > pairs[:, 1]
+        if np.any(flip):
+            flows = flows.copy()
+            pairs[flip] = pairs[flip][:, ::-1]
+            flows[flip] = -flows[flip]
+        ordered = pairs[np.lexsort(pairs.T[::-1])]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+            raise DimensionMismatch("duplicate unordered pair in coupling")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "flows", flows)
 
@@ -313,6 +310,11 @@ class Instance:
         return self.measure.target_dim
 
 
+def _same_cloud(a: PointCloud, b: PointCloud) -> bool:
+    """Whether two clouds hold the same points, in the same order."""
+    return a is b or np.array_equal(a.points, b.points)
+
+
 def _check_solution(instance: Instance, coupling: VectorCoupling, potential: PotentialField):
     """Raise DimensionMismatch unless the coupling and the potential live on
     the instance (its points, target dimension m and point indices) and are
@@ -326,9 +328,7 @@ def _check_solution(instance: Instance, coupling: VectorCoupling, potential: Pot
         raise DimensionMismatch(f"potential dimension {potential.target_dim} != measure {m}")
     if coupling.edge_count and int(coupling.pairs.max()) >= instance.size:
         raise DimensionMismatch("coupling references a point outside the instance")
-    if potential.cloud is not instance.cloud and not np.array_equal(
-        potential.cloud.points, instance.cloud.points
-    ):
+    if not _same_cloud(potential.cloud, instance.cloud):
         raise DimensionMismatch("potential and instance describe different clouds")
 
 

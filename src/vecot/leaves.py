@@ -27,8 +27,9 @@ from .core import (
     VecotError,
     WrongDimension,
     _check_tolerance,
-    _integer_valued,
     _lapack,
+    _point_indices,
+    _same_cloud,
     component_labels,
     stretch_ratios,
 )
@@ -76,14 +77,14 @@ class IsometryGraph:
 
     def __post_init__(self):
         _check_tolerance(self.eps, "eps", positive=True)
-        e = np.asarray(self.edges)
+        e = _point_indices(self.edges, "edges", self.cloud.size)
         if e.size == 0:
             e = e.reshape(0, 2)
-        if e.ndim != 2 or e.shape[1] != 2 or not _integer_valued(e):
-            raise DimensionMismatch(f"edges must be (E, 2) point indices, got {e.dtype} {e.shape}")
-        if not ((0 <= e[:, 0]) & (e[:, 0] < e[:, 1]) & (e[:, 1] < self.cloud.size)).all():
-            raise DimensionMismatch(f"edges must be pairs i < j of indices below {self.cloud.size}")
-        object.__setattr__(self, "edges", e.astype(int, copy=False))
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise DimensionMismatch(f"edges must be (E, 2) point indices, got shape {e.shape}")
+        if not (e[:, 0] < e[:, 1]).all():
+            raise DimensionMismatch("edges must be pairs i < j")
+        object.__setattr__(self, "edges", e)
 
     def adjacency(self) -> np.ndarray:
         """Symmetric boolean adjacency matrix."""
@@ -340,7 +341,7 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
     graph whose two ends are already covered can lie in no leaf.
     """
     cloud = graph.cloud
-    if u.cloud is not cloud and not np.array_equal(u.cloud.points, cloud.points):
+    if not _same_cloud(u.cloud, cloud):
         raise DimensionMismatch("potential and graph describe different clouds")
     n = cloud.size
     pts = cloud.points
@@ -455,12 +456,9 @@ def transport_set(decomposition: LeafDecomposition, seeds) -> np.ndarray:
     integer-valued point indices, else DimensionMismatch.
     """
     n = decomposition.graph.cloud.size
-    seeds = np.asarray(seeds)
-    if seeds.ndim != 1 or not _integer_valued(seeds):
-        raise DimensionMismatch(f"seeds must be a list of point indices, got {seeds.dtype} {seeds.shape}")
-    if np.any((seeds < 0) | (seeds >= n)):
-        raise DimensionMismatch("seed index out of range")
-    seeds = seeds.astype(np.intp)
+    seeds = _point_indices(seeds, "seeds", n)
+    if seeds.ndim != 1:
+        raise DimensionMismatch(f"seeds must be a list of point indices, got shape {seeds.shape}")
     flagged, labels, joined, joined_to = _closure_classes(decomposition)
     classes = labels[seeds[~flagged[seeds]]]
     mark = np.isin(labels, classes)

@@ -21,14 +21,13 @@ import numpy as np
 from .core import (
     DimensionMismatch,
     Instance,
-    PointCloud,
     PotentialField,
     VectorCoupling,
     VecotError,
     _check_count,
     _check_tolerance,
+    _same_cloud,
     build_instance,
-    distance_matrix,
     total_variation,
 )
 from .leaves import LeafDecomposition, maximal_transport_sets
@@ -75,7 +74,8 @@ class CounterexampleSpec:
     The construction is valid when the pairwise inner products of the
     normalized weights strictly dominate those of the normalized anchor
     directions (the strictness margin); validity makes the radial potential
-    1-Lipschitz and the star coupling optimal.
+    1-Lipschitz and the star coupling optimal.  Past its shapes, a spec is
+    checked as the instance it builds, once, under the measure's rules.
     """
 
     anchors: np.ndarray
@@ -92,14 +92,10 @@ class CounterexampleSpec:
             )
         if v.shape[1] > a.shape[1]:
             raise DimensionMismatch("target dimension m must not exceed point dimension n")
-        if not np.all(np.isfinite(v)):
-            raise DimensionMismatch("weight vectors must be finite")
-        scale = np.abs(v).sum()
-        if np.abs(v.sum(axis=0)).max() > 1e-12 * max(scale, 1.0):
-            raise DimensionMismatch("weight vectors must sum to zero")
-        PointCloud(points=a)  # enforces finite, distinct anchors
-        object.__setattr__(self, "anchors", a)
-        object.__setattr__(self, "vectors", v)
+        instance = build_instance(a, v)
+        object.__setattr__(self, "anchors", instance.cloud.points)
+        object.__setattr__(self, "vectors", instance.measure.weights)
+        object.__setattr__(self, "_instance", instance)
 
     @property
     def n(self) -> int:
@@ -110,7 +106,8 @@ class CounterexampleSpec:
         return self.vectors.shape[1]
 
     def instance(self) -> Instance:
-        return build_instance(self.anchors, self.vectors)
+        """The atomic instance of the spec, built and checked once at construction."""
+        return self._instance
 
 
 def paper_preset() -> CounterexampleSpec:
@@ -184,7 +181,7 @@ def analytic_optimum(
     radii = np.linalg.norm(spec.anchors[:m] - hub, axis=1)
     vnorms = np.linalg.norm(spec.vectors[:m], axis=1)
     values = np.vstack([radii[:, None] * spec.vectors[:m] / vnorms[:, None], np.zeros(m)])
-    u = PotentialField(cloud=PointCloud(points=spec.anchors), values=values)
+    u = PotentialField(cloud=spec.instance().cloud, values=values)
     pairs = np.column_stack([np.arange(m), np.full(m, m)])
     coupling = VectorCoupling(pairs=pairs, flows=spec.vectors[:m].copy())
     value = float(np.dot(vnorms, radii))
@@ -222,7 +219,7 @@ def mass_balance_report(
     """
     tol = _check_tolerance(tol, "tol")
     cloud = decomposition.graph.cloud
-    if cloud is not instance.cloud and not np.array_equal(cloud.points, instance.cloud.points):
+    if not _same_cloud(cloud, instance.cloud):
         raise DimensionMismatch("decomposition and instance describe different clouds")
     weights = instance.measure.weights
     scale = instance.measure.mass_scale
@@ -357,7 +354,7 @@ def smoothed_instance(
         raise InvalidSpec("points_per_ball must be at least 1")
     if not eps > 0:  # nan fails too
         raise InvalidSpec("eps must be positive")
-    gap = distance_matrix(spec.anchors)[np.triu_indices(spec.m + 1, k=1)].min()
+    gap = spec.instance().distances[np.triu_indices(spec.m + 1, k=1)].min()
     if eps >= 0.5 * gap:
         raise BallOverlap(f"eps = {eps:.6g} reaches half the minimum anchor distance {gap:.6g}")
     offsets = _ball_offsets(spec.n, points_per_ball, eps)

@@ -729,6 +729,19 @@ def kr_norm(instance: Instance, params: SolverParams | None = None) -> float:
     return report.primal_value
 
 
+def _line_masses(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable sort order of a scalar measure's points on the line, the gaps
+    between sorted neighbours and the mass left of each gap."""
+    if instance.ambient_dim != 1 or instance.target_dim != 1:
+        raise WrongDimension(
+            f"line transport needs n = m = 1, got n = {instance.ambient_dim}, "
+            f"m = {instance.target_dim}"
+        )
+    xs = instance.cloud.points[:, 0]
+    order = np.argsort(xs, kind="stable")
+    return order, np.diff(xs[order]), np.cumsum(instance.measure.weights[order, 0])[:-1]
+
+
 def line_oracle(instance: Instance) -> float:
     """Exact transport norm for scalar measures on the real line.
 
@@ -741,16 +754,7 @@ def line_oracle(instance: Instance) -> float:
     WrongDimension
         Unless both the ambient and the target dimension equal 1.
     """
-    if instance.ambient_dim != 1 or instance.target_dim != 1:
-        raise WrongDimension(
-            f"line oracle needs n = m = 1, got n = {instance.ambient_dim}, "
-            f"m = {instance.target_dim}"
-        )
-    xs = instance.cloud.points[:, 0]
-    order = np.argsort(xs, kind="stable")
-    xs = xs[order]
-    cum = np.cumsum(instance.measure.weights[order, 0])[:-1]
-    gaps = np.diff(xs)
+    _, gaps, cum = _line_masses(instance)
     return _dot(np.abs(cum), gaps)
 
 
@@ -760,14 +764,10 @@ def line_optimal_potential(instance: Instance) -> PotentialField:
     The slope on each gap between consecutive points is minus the sign of
     the cumulative mass (+1 on gaps with zero cumulative mass, where any
     admissible slope is optimal), so the pairing equals the oracle value.
+    WrongDimension unless n = m = 1.
     """
-    if instance.ambient_dim != 1 or instance.target_dim != 1:
-        raise WrongDimension("line potential needs n = m = 1")
-    xs = instance.cloud.points[:, 0]
-    order = np.argsort(xs, kind="stable")
-    cum = np.cumsum(instance.measure.weights[order, 0])[:-1]
+    order, gaps, cum = _line_masses(instance)
     slopes = np.where(cum > 0, -1.0, 1.0)
-    gaps = np.diff(xs[order])
     vals_sorted = np.concatenate([[0.0], np.cumsum(slopes * gaps)])
     values = np.empty_like(vals_sorted)
     values[order] = vals_sorted

@@ -242,6 +242,10 @@ def malform(doc: dict, case: str) -> None:
         coupling["pairs"][0][1] = len(doc["potential"])
     elif case == "fractional-pair-index":
         coupling["pairs"][0][1] = 1.5
+    elif case == "pair-index-past-int64":
+        coupling["pairs"][0][1] = 1e19
+    elif case == "pair-index-int64-max":
+        coupling["pairs"][0][1] = 2**63 - 1
     elif case == "potential-of-the-wrong-m":
         for row in doc["potential"]:
             row.append(0.0)
@@ -275,6 +279,8 @@ def malform(doc: dict, case: str) -> None:
 MALFORMED_SOLUTIONS = (
     "pair-index-past-the-cloud",
     "fractional-pair-index",
+    "pair-index-past-int64",
+    "pair-index-int64-max",
     "potential-of-the-wrong-m",
     "flows-of-the-wrong-m",
     "null-coupling",
@@ -297,7 +303,9 @@ def test_malformed_solution_documents_exit_2(tmp_path, capsys, command, case):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main([command, "--input", str(bad)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--input", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("vecot: ")
 

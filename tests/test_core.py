@@ -539,8 +539,24 @@ def test_instance_from_dict_checks_declared_dims():
         "points": [[0.0, 0.0], [1.0, 0.0]],
         "weights": [[1.0], [-1.0]],
     }
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="points shape"):
         instance_from_dict(d)
+    for weights in ([[1.0], [-1.0]], [1.0, -1.0]):
+        with pytest.raises(DimensionMismatch, match="weights shape"):
+            instance_from_dict({**d, "n": 2, "m": 2, "weights": weights})
+
+
+def test_loads_instance_refuses_invalid_json():
+    with pytest.raises(DimensionMismatch, match="invalid JSON"):
+        loads_instance('{"n": 1, "m": 1,')
+
+
+def test_dumps_raises_json_dumps_value_error_for_an_int_too_long_to_print():
+    for doc in ([1, 10**5000], [[1.0], [10**5000]]):
+        with pytest.raises(ValueError) as expected:
+            _stdlib_dumps(doc)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            _dumps(doc)
 
 
 def test_package_reexports_each_module_public_name_once():

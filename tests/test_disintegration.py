@@ -873,6 +873,18 @@ def test_l1_distance_scales_both_densities_to_unit_mass():
     assert l1_distance(d, doubled) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "box, samples",
+    [([[0.0, 1e-310]], [1.0, 1.0]), ([[0.0, 1e-160], [0.0, 1e-160]], [[1.0, 1.0], [1.0, 1.0]])],
+    ids=["subnormal-line", "subnormal-square"],
+)
+def test_l1_distance_refuses_unit_masses_past_the_float_range(box, samples):
+    # Cells of subnormal volume: a unit-mass sample is 1 / (N * volume) = inf.
+    d = GridDensity(box=box, samples=samples)
+    with pytest.raises(GeometryMismatch, match="leave the float range"):
+        l1_distance(d, d)
+
+
 # ---------------------------------------------------------------------------
 # Curvature-dimension checks
 # ---------------------------------------------------------------------------

@@ -335,6 +335,13 @@ def test_four_dimensional_leaf_boundary_distances_use_the_hull():
     assert float(leaf.sigma.max()) == pytest.approx(1.0)
 
 
+def test_boundary_distances_are_zero_where_qhull_builds_no_hull():
+    # Three collinear points in two tangent coordinates span a flat simplex,
+    # which Qhull refuses; the estimate then errs low, at 0.
+    coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+    np.testing.assert_array_equal(_boundary_distances(coords), np.zeros(3))
+
+
 def test_reconstruction_is_idempotent():
     cloud, u = grid_projection(4)
     dec = extract_leaves(isometry_graph(u, eps=1e-9), u)

@@ -14,6 +14,7 @@ from vecot import (
     DimensionMismatch,
     InvalidParameter,
     InvalidSpec,
+    NonzeroTotalMass,
     RankDeficiency,
     ZeroVector,
     analytic_optimum,
@@ -55,7 +56,7 @@ def test_spec_enforces_shapes_and_zero_sum():
             np.array([[0.0], [1.0], [2.0]]),
             np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),  # m=2 > n=1
         )
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(NonzeroTotalMass):
         CounterexampleSpec(
             np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
             np.array([[1.0, 0.0], [1.0, 2.0], [-2.0, -1.0]]),  # sums to (0, 1)
@@ -66,7 +67,7 @@ def test_spec_enforces_shapes_and_zero_sum():
 def test_spec_rejects_vectors_that_are_not_finite(bad):
     vectors = np.array([[1.0, 0.0], [1.0, 2.0], [-2.0, -2.0]])
     vectors[1, 0] = bad
-    with pytest.raises(DimensionMismatch, match="weight vectors must be finite"):
+    with pytest.raises(DimensionMismatch, match="weights must be finite"):
         CounterexampleSpec(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), vectors)
 
 

@@ -100,6 +100,13 @@ def test_line_oracle_requires_scalar_line():
     inst_m2 = build_instance([[0.0], [1.0]], [[1.0, 0.0], [-1.0, 0.0]])
     with pytest.raises(WrongDimension):
         line_oracle(inst_m2)
+    for inst in (inst2d, inst_m2):
+        for line in (line_oracle, line_optimal_potential):
+            with pytest.raises(WrongDimension) as raised:
+                line(inst)
+            assert str(raised.value) == (
+                f"line transport needs n = m = 1, got n = {inst.ambient_dim}, m = {inst.target_dim}"
+            )
 
 
 def test_solver_matches_line_oracle_on_random_instances():
