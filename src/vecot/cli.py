@@ -77,11 +77,22 @@ def _solution_dict(instance: Instance, coupling: VectorCoupling, potential: Pote
     }
 
 
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object a file holds; VecotError if it holds anything else."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+            raise VecotError(f"cannot read the {what} file as JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise VecotError(f"the {what} file must hold a JSON object, not {type(doc).__name__}")
+    return doc
+
+
 def _load_solution(path: str) -> tuple[Instance, VectorCoupling, PotentialField]:
     """Read a solution document, raising DimensionMismatch unless its coupling
     and potential fit its instance."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_object(path, "solution")
     try:
         instance = instance_from_dict(doc["instance"])
         pairs = _json_numbers(doc["coupling"]["pairs"], "coupling pairs")
@@ -144,8 +155,7 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        instance = instance_from_dict(json.load(fh))
+    instance = instance_from_dict(_read_object(args.input, "instance"))
     params = _params_from_args(args)
     coupling, potential, report = solve(instance, params)
     cert = certify(instance, coupling, potential, tol=args.certify_tol)
@@ -241,13 +251,9 @@ _FAMILIES = {"gaussian": _gaussian_density, "uniform": _uniform_density}
 
 def _cmd_disintegrate(args) -> tuple[dict, int]:
     if args.grid is not None:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise VecotError("a grid file holds a JSON object with box and samples")
-        density = GridDensity(
-            box=_json_numbers(doc["box"], "box"), samples=_json_numbers(doc["samples"], "samples")
-        )
+        doc = _read_object(args.grid, "grid")
+        box, samples = (_json_numbers(doc.get(key), key) for key in ("box", "samples"))
+        density = GridDensity(box=box, samples=samples)
     else:
         if args.box is None or args.resolution is None:
             raise VecotError("--family requires --box and --resolution")
@@ -345,43 +351,44 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vecot {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve an instance file and certify the result")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
+    # The flags several commands share, each declared once.
+    document = argparse.ArgumentParser(add_help=False)
+    document.add_argument("--input", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output")
+    eps = argparse.ArgumentParser(add_help=False)
+    eps.add_argument("--eps", type=float, default=1e-6)
+
+    def command(name: str, func, parents: list, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    summary = "solve an instance file and certify the result"
+    p = command("solve", _cmd_solve, [document, output], summary)
     p.add_argument("--certify-tol", type=float, default=1e-5)
     _add_solver_args(p)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("certify", help="re-check a solution document")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
+    p = command("certify", _cmd_certify, [document, output], "re-check a solution document")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("leaves", help="leaf decomposition of a solution's potential")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.set_defaults(func=_cmd_leaves)
+    summary = "leaf decomposition of a solution's potential"
+    command("leaves", _cmd_leaves, [document, output, eps], summary)
 
-    p = sub.add_parser("massbalance", help="transport-set mass report for a solution")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.add_argument("--eps", type=float, default=1e-6)
+    summary = "transport-set mass report for a solution"
+    p = command("massbalance", _cmd_massbalance, [document, output, eps], summary)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=_cmd_massbalance)
 
-    p = sub.add_parser("counterexample", help="build and analyze a mass-balance counterexample")
+    summary = "build and analyze a mass-balance counterexample"
+    p = command("counterexample", _cmd_counterexample, [output, eps], summary)
     p.add_argument("--preset", choices=("paper", "orthant"), default="paper")
     p.add_argument("--m", type=int)
-    p.add_argument("--output")
-    p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--certify-tol", type=float, default=1e-5)
     p.add_argument("--smooth-eps", type=float)
     p.add_argument("--points-per-ball", type=int, default=8)
-    p.set_defaults(func=_cmd_counterexample)
 
-    p = sub.add_parser("disintegrate", help="needle decomposition of a grid density")
+    summary = "needle decomposition of a grid density"
+    p = command("disintegrate", _cmd_disintegrate, [output], summary)
     p.add_argument("--family", choices=sorted(_FAMILIES), default="gaussian")
     p.add_argument("--grid", help="JSON file with box and samples")
     p.add_argument("--box", type=float, nargs="+", help="lo hi per axis")
@@ -394,12 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cd_help = "check CD(KAPPA, N) on every needle; write a negative KAPPA as --cd=-1,3"
     p.add_argument("--cd", action="append", metavar="KAPPA,N", help=cd_help)
     p.add_argument("--csv-dir")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_disintegrate)
 
-    p = sub.add_parser("selftest", help="run the built-in verification checks")
-    p.add_argument("--output")
-    p.set_defaults(func=_cmd_selftest)
+    command("selftest", _cmd_selftest, [output], "run the built-in verification checks")
     return parser
 
 
@@ -413,7 +416,7 @@ def main(argv=None) -> int:
     except VecotError as exc:
         print(f"vecot: {exc}", file=sys.stderr)
         return 2
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"vecot: bad input: {exc!r}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

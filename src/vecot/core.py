@@ -127,7 +127,8 @@ class PointCloud:
         if not np.all(np.isfinite(pts)):
             raise DimensionMismatch("points must be finite")
         object.__setattr__(self, "points", pts)
-        _check_distinct(pts)
+        if (pair := _first_duplicate(pts)) is not None:
+            raise DuplicatePoint("points {} and {} coincide".format(*pair))
 
     @property
     def size(self) -> int:
@@ -245,9 +246,9 @@ class VectorCoupling:
             flows = flows.copy()
             pairs[flip] = pairs[flip][:, ::-1]
             flows[flip] = -flows[flip]
-        ordered = pairs[np.lexsort(pairs.T[::-1])]
-        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-            raise DimensionMismatch("duplicate unordered pair in coupling")
+        if (rows := _first_duplicate(pairs)) is not None:
+            i, j = pairs[rows[0]].tolist()
+            raise DimensionMismatch(f"duplicate unordered pair ({i}, {j}) in coupling")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "flows", flows)
 
@@ -341,18 +342,16 @@ class LipschitzInfo:
     single_point: bool
 
 
-def _check_distinct(points: np.ndarray) -> None:
-    # Exact duplicate detection via lexicographic sort of rows.
-    n = points.shape[0]
-    if n < 2:
-        return
-    order = np.lexsort(points.T[::-1])
-    sorted_pts = points[order]
-    same = np.all(sorted_pts[1:] == sorted_pts[:-1], axis=1)
-    if np.any(same):
-        k = int(np.argmax(same))
-        i, j = sorted((int(order[k]), int(order[k + 1])))
-        raise DuplicatePoint(f"points {i} and {j} coincide")
+def _first_duplicate(rows: np.ndarray) -> tuple[int, int] | None:
+    """The indices ``i < j`` of the first two equal rows, as neighbours after
+    a stable lexicographic sort, or None when all rows differ."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    same = (ordered[1:] == ordered[:-1]).all(axis=1)
+    if not same.any():
+        return None
+    k = int(np.argmax(same))
+    return tuple(sorted(order[k : k + 2].tolist()))
 
 
 def distance_matrix(points: np.ndarray) -> np.ndarray:
@@ -399,7 +398,8 @@ def edge_slackness(pairs, flows, values, distances, tol: float):
     Optimality needs both ratios at least ``1 - tol``.
     """
     norms = np.linalg.norm(flows, axis=1)
-    edges = np.flatnonzero(norms > tol * norms.sum())
+    # A Python float, so that a threshold past the float range is inf without a warning.
+    edges = np.flatnonzero(norms > tol * float(norms.sum()))
     i, j = pairs[edges, 0], pairs[edges, 1]
     d = distances[i, j]
     du = values[i] - values[j]
@@ -456,23 +456,18 @@ def marginals(coupling: VectorCoupling, n_points: int) -> tuple[np.ndarray, np.n
     m = coupling.target_dim
     p1 = np.zeros((n_points, m))
     p2 = np.zeros((n_points, m))
-    if coupling.edge_count:
-        np.add.at(p1, coupling.pairs[:, 0], coupling.flows)
-        np.add.at(p2, coupling.pairs[:, 1], coupling.flows)
+    np.add.at(p1, coupling.pairs[:, 0], coupling.flows)
+    np.add.at(p2, coupling.pairs[:, 1], coupling.flows)
     return p1, p2, p1 - p2
 
 
 def total_variation(coupling: VectorCoupling) -> float:
     """Total variation: sum of Euclidean norms of the edge flows."""
-    if coupling.edge_count == 0:
-        return 0.0
     return float(np.linalg.norm(coupling.flows, axis=1).sum())
 
 
 def cost(coupling: VectorCoupling, instance: Instance) -> float:
     """Transport cost: sum over edges of distance times flow norm."""
-    if coupling.edge_count == 0:
-        return 0.0
     d = instance.distances[coupling.pairs[:, 0], coupling.pairs[:, 1]]
     return _dot(d, np.linalg.norm(coupling.flows, axis=1))
 

@@ -76,7 +76,7 @@ class IsometryGraph:
     eps: float
 
     def __post_init__(self):
-        _check_tolerance(self.eps, "eps", positive=True)
+        object.__setattr__(self, "eps", _check_tolerance(self.eps, "eps", positive=True))
         e = _point_indices(self.edges, "edges", self.cloud.size)
         if e.size == 0:
             e = e.reshape(0, 2)
@@ -90,9 +90,8 @@ class IsometryGraph:
         """Symmetric boolean adjacency matrix."""
         n = self.cloud.size
         adj = np.zeros((n, n), dtype=bool)
-        if self.edges.size:
-            adj[self.edges[:, 0], self.edges[:, 1]] = True
-            adj[self.edges[:, 1], self.edges[:, 0]] = True
+        adj[self.edges[:, 0], self.edges[:, 1]] = True
+        adj[self.edges[:, 1], self.edges[:, 0]] = True
         return adj
 
 
@@ -208,8 +207,7 @@ def _fit(points: np.ndarray, values: np.ndarray):
     centered = points - y0
     target = values - b
     _, svals, vt = _svd(centered)
-    smax = float(svals[0]) if svals.size else 0.0
-    rank = int(np.count_nonzero(svals > _RANK_RTOL * smax)) if smax > 0 else 0
+    rank = int(np.count_nonzero(svals > _RANK_RTOL * float(svals[0])))  # 0 when all are 0
     tangent = vt[:rank].T
     coords = centered @ tangent
     cross = target.T @ coords
@@ -263,7 +261,7 @@ def _accept(
     fit = _fit(pts[sub], vals[sub])
     if fit[3] > eps * bound:
         return False, fit, bound
-    diameter = dist[sub[:, None], sub].max()
+    diameter = float(dist[sub[:, None], sub].max())  # eps * diameter may be inf, not a warning
     return fit[3] <= eps * diameter, fit, diameter
 
 
@@ -377,6 +375,16 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
     )
 
 
+def _pair_slack(leaf1: Leaf, leaf2: Leaf, x1_idx: int, x2_idx: int):
+    """``(||dx||^2 - ||du||^2, s1, s2)`` for a member of each leaf: the plain
+    Lipschitz slack of the pair and the members' boundary distances."""
+    p1 = leaf1.member_position(x1_idx)
+    p2 = leaf2.member_position(x2_idx)
+    dx = leaf1.points[p1] - leaf2.points[p2]
+    du = leaf1.values[p1] - leaf2.values[p2]
+    return float(dx @ dx - du @ du), float(leaf1.sigma[p1]), float(leaf2.sigma[p2])
+
+
 def strengthened_lipschitz_residual(
     leaf1: Leaf, leaf2: Leaf, x1_idx: int, x2_idx: int
 ) -> float:
@@ -388,16 +396,11 @@ def strengthened_lipschitz_residual(
     leaf's boundary has s = 0 and the value degrades to the plain Lipschitz
     slack.
     """
-    p1 = leaf1.member_position(x1_idx)
-    p2 = leaf2.member_position(x2_idx)
-    dx = leaf1.points[p1] - leaf2.points[p2]
-    du = leaf1.values[p1] - leaf2.values[p2]
+    slack, s1, s2 = _pair_slack(leaf1, leaf2, x1_idx, x2_idx)
     proj1, proj2 = leaf1.projection, leaf2.projection
     op = proj1 @ proj2 - proj1 @ leaf1.map_matrix.T @ leaf2.map_matrix @ proj2
-    opnorm = float(np.linalg.norm(op, 2)) if op.size else 0.0
-    s1 = float(leaf1.sigma[p1])
-    s2 = float(leaf2.sigma[p2])
-    return float(dx @ dx - du @ du - 2.0 * s1 * s2 * opnorm)
+    opnorm = float(np.linalg.norm(op, 2))
+    return slack - 2.0 * s1 * s2 * opnorm
 
 
 def derivative_modulus_check(
@@ -417,17 +420,11 @@ def derivative_modulus_check(
         raise WrongDimension(
             f"leaves must have dimension {m}, got {leaf1.dimension} and {leaf2.dimension}"
         )
-    p1 = leaf1.member_position(x1_idx)
-    p2 = leaf2.member_position(x2_idx)
-    s1 = float(leaf1.sigma[p1])
-    s2 = float(leaf2.sigma[p2])
+    slack, s1, s2 = _pair_slack(leaf1, leaf2, x1_idx, x2_idx)
     if s1 * s2 == 0.0:
         return True
-    dx = leaf1.points[p1] - leaf2.points[p2]
-    du = leaf1.values[p1] - leaf2.values[p2]
-    slack = max(float(dx @ dx - du @ du), 0.0)
     lhs = float(np.linalg.norm(leaf1.map_matrix - leaf2.map_matrix, 2))
-    rhs = np.sqrt(slack / (2.0 * s1 * s2))
+    rhs = np.sqrt(max(slack, 0.0) / (2.0 * s1 * s2))
     return lhs <= rhs + tol + leaf1.fit_residual + leaf2.fit_residual
 
 

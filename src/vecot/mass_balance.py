@@ -255,10 +255,9 @@ def marginal_abs_continuity_surrogate(
     """
     tol = _check_tolerance(tol, "tol")
     node_flow = np.zeros(instance.size)
-    if coupling.edge_count:
-        flow_norms = np.linalg.norm(coupling.flows, axis=1)
-        np.add.at(node_flow, coupling.pairs[:, 0], flow_norms)
-        np.add.at(node_flow, coupling.pairs[:, 1], flow_norms)
+    flow_norms = np.linalg.norm(coupling.flows, axis=1)
+    np.add.at(node_flow, coupling.pairs[:, 0], flow_norms)
+    np.add.at(node_flow, coupling.pairs[:, 1], flow_norms)
     carrying = node_flow > tol * total_variation(coupling)
     charged = np.linalg.norm(instance.measure.weights, axis=1) > 0.0
     return bool(np.all(charged[carrying]))

@@ -29,8 +29,8 @@ and three engines solve it:
   ``|u_i - u_j| > d_ij`` under the returned potential, the violated pairs
   join the model, and the LP is solved again from the last basis until a
   round adds no pair.  The coupling lists the final edge set only, and
-  ``SolveReport.notes`` of every scalar solve reads ``edge generation:``
-  with the rounds and its size.
+  ``SolveReport.notes`` of every scalar solve on three or more points reads
+  ``edge generation:`` with the rounds and its size.
 * ``ipm``: otherwise, and as the fallback of the other two, a primal-dual
   interior-point method with Nesterov-Todd scaling and a Mehrotra
   predictor-corrector.  Its Newton system reduces to a block graph Laplacian
@@ -618,7 +618,7 @@ def solve(instance: Instance, params: SolverParams | None = None):
             0.0, 0.0, 0.0, 0, residual, 0.0, status, "none", notes
         )
 
-    if mass_scale == 0.0 or n == 1:
+    if mass_scale == 0.0:
         return no_engine("Converged", 0.0, "zero measure")
 
     # Normalized problem: unit mass scale and unit diameter.  Scaling back at
@@ -636,10 +636,11 @@ def solve(instance: Instance, params: SolverParams | None = None):
             "the total mass of the measure is not zero",
         )
 
-    # Edge set: generated with the LP for a scalar measure, else (and when
-    # HiGHS declines it) the pruned complete graph.
+    # Edge set: generated with the LP for a scalar measure on three or more
+    # points, else (and when HiGHS declines it) the pruned complete graph,
+    # which for two points is the tree the closed form solves.
     notes = []
-    generated = _generated_lp(w_hat, dist_hat) if m == 1 else None
+    generated = _generated_lp(w_hat, dist_hat) if m == 1 and n > 2 else None
     if generated is None:
         pairs, lp = _edge_list(instance), None
     else:

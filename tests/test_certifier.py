@@ -349,3 +349,18 @@ def test_solver_stopping_rule_applies_the_slackness_test_at_tol_gap(monkeypatch)
     monkeypatch.setattr(vecot.solver, "edge_slackness", misaligned)
     assert solve(inst, params)[2].status == "IterLimit"
     assert tols and set(tols) == {1e-7}
+
+
+def test_a_tolerance_whose_flow_threshold_overflows_checks_no_edge(recwarn):
+    # tol * (total flow) = 1e300 * 1e9 is past the float range: the threshold
+    # is inf, no edge carries more, and no overflow warning is raised.
+    inst = build_instance([[0.0, 0.0], [3.0, 4.0]], [[1e9], [-1e9]])
+    coupling = VectorCoupling(np.array([[0, 1]]), np.array([[1e9]]))
+    potential = PotentialField(inst.measure.cloud, np.array([[0.0], [-5.0]]))
+    edges, norms, _, _ = edge_slackness(
+        coupling.pairs, coupling.flows, potential.values, inst.distances, 1e300
+    )
+    assert edges.size == norms.size == 0
+    assert certify(inst, coupling, potential, tol=1e300).verdict == "Optimal"
+    assert isometry_saturation_set(inst, coupling, potential, tol=1e300) == []
+    assert not recwarn.list

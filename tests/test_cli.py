@@ -213,6 +213,31 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"[[0.0], [1.0]]", b"3", b"{not json", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["list", "number", "not-json", "not-utf-8", "nested-too-deep"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--input"], ["certify", "--input"], ["disintegrate", "--grid"]],
+    ids=["instance", "solution", "grid"],
+)
+def test_a_file_without_a_json_object_exits_2_in_one_line(tmp_path, capsys, argv, content):
+    # One reader takes the instance, solution and grid files: a file that is
+    # not UTF-8, not JSON, nested past the recursion limit or not an object
+    # is refused in one line, never as an internal error.
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vecot: ") and captured.err.count("\n") == 1
+    assert "internal error" not in captured.err
+
+
 def test_invalid_instance_exits_2(tmp_path, capsys):
     bad = tmp_path / "imbalanced.json"
     bad.write_text(
@@ -838,7 +863,8 @@ def _flag(x: float) -> str:
 def disintegrate_argvs(draw):
     """Command lines of ``disintegrate`` over the float range: 1 to 3 axes of
     1 to 8 cells, bounds and widths from 1e-300 to 1e300, a family or a grid
-    file of samples up to 1e308, either mode, with or without a CD check."""
+    file of samples up to 1e308, either mode, and up to two CD checks with N
+    = 1, 2, 3, 1e308 or inf and kappa = 0 or -1."""
     dim = draw(st.integers(1, 3))
     resolution = draw(st.lists(st.integers(1, 8), min_size=dim, max_size=dim))
     signs = st.sampled_from([-1.0, 0.0, 1.0])
@@ -864,7 +890,10 @@ def disintegrate_argvs(draw):
         center = [lo + f * (hi - lo) for (lo, hi), f in zip(box, fractions)]
         mode = ["--mode", "radial", "--center", *map(_flag, center),
                 "--directions", str(draw(st.integers(1, 8)))]
-    cd = ["--cd", "0,inf"] if draw(st.booleans()) else []
+    # Up to two CD checks, at finite and infinite N; a negative kappa is
+    # written after "=", the only way argparse takes it.
+    specs = ["0,inf", "0,1", "0,2", "0,3", "0,1e308", "-1,3"]
+    cd = ["--cd=" + spec for spec in draw(st.lists(st.sampled_from(specs), max_size=2))]
     return grid, (["--grid"] if grid else argv) + mode + cd
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 
@@ -61,6 +62,10 @@ def test_point_cloud_shapes_and_dims():
 def test_point_cloud_rejects_duplicates():
     with pytest.raises(DuplicatePoint):
         PointCloud(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    # The first equal neighbours after a lexicographic sort, in index order:
+    # rows 1 and 4 sort before rows 0 and 3.
+    with pytest.raises(DuplicatePoint, match=r"^points 1 and 4 coincide$"):
+        PointCloud(np.array([[5.0, 0.0], [1.0, 2.0], [0.0, 9.0], [5.0, 0.0], [1.0, 2.0]]))
 
 
 def test_point_cloud_rejects_bad_shapes():
@@ -164,9 +169,11 @@ def test_coupling_takes_integer_valued_float_pairs():
 
 
 def test_coupling_rejects_duplicate_pairs_after_orientation():
-    # (0, 1) and (1, 0) describe the same unordered pair.
-    with pytest.raises(DimensionMismatch):
+    # (0, 1) and (1, 0) describe the same unordered pair, which the error names.
+    with pytest.raises(DimensionMismatch, match=r"duplicate unordered pair \(0, 1\) in coupling"):
         VectorCoupling(np.array([[0, 1], [1, 0]]), np.array([[1.0], [2.0]]))
+    with pytest.raises(DimensionMismatch, match=r"duplicate unordered pair \(2, 7\) in coupling"):
+        VectorCoupling(np.array([[2, 7], [0, 3], [7, 2]]), np.zeros((3, 1)))
 
 
 def test_empty_coupling_is_valid():
@@ -175,6 +182,17 @@ def test_empty_coupling_is_valid():
     assert total_variation(c) == 0.0
     p1, p2, net = marginals(c, 4)
     np.testing.assert_array_equal(net, np.zeros((4, 2)))
+    inst = build_instance([[0.0], [1.0], [3.0], [4.0]], np.zeros((4, 2)))
+    assert cost(c, inst) == 0.0 and math.copysign(1.0, cost(c, inst)) == 1.0
+
+
+def test_cost_of_an_empty_coupling_reads_the_cloud_distances():
+    # Points 1e-160 apart are a cloud outside the numeric range: cost, like
+    # certify, refuses it even when the coupling has no edge.
+    inst = build_instance([[0.0], [1e-160]], [[0.0], [0.0]])
+    empty = VectorCoupling(np.zeros((0, 2), dtype=int), np.zeros((0, 1)))
+    with pytest.raises(DimensionMismatch, match="below 2\\^-511"):
+        cost(empty, inst)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
-"""Every input type of vecot either constructs or raises one VecotError.
+"""Every input type of vecot either constructs or raises one VecotError,
+and so does every call of the pipeline's entry points.
 
 Point indices are drawn as integers up to 2^64 and floats up to 1e300,
 negative, fractional and NaN among them; weights at scales from 1e-300 to
-1e300; and array shapes one off from what a type takes.  Every call runs with
-warnings as errors, so a cast that wraps or an overflow on the way to the
-refusal fails the test as surely as an exception of another type.
+1e300; and array shapes one off from what a type takes.  The solver,
+certifier, leaf, mass-balance and disintegration entry points are called
+directly with tolerances, iteration caps, counts and CD parameters across
+their ranges.  Every call runs with warnings as errors, so a cast that wraps
+or an overflow on the way to the refusal fails the test as surely as an
+exception of another type.
 """
 
 from __future__ import annotations
@@ -21,11 +25,19 @@ from vecot import (
     IsometryGraph,
     PointCloud,
     PotentialField,
+    SolverParams,
     VecotError,
     VectorCoupling,
     build_instance,
+    cd_check_1d,
+    certify,
     extract_leaves,
     isometry_graph,
+    mass_balance_report,
+    radial_disintegration,
+    slice_disintegration,
+    solve,
+    tabulate_density,
     transport_set,
 )
 
@@ -127,3 +139,60 @@ def test_instances(data):
     points = rng.uniform(-1.0, 1.0, (size, n))
     w = weights(data.draw, size + data.draw(_off_by_one), m, data.draw(st.booleans()))
     constructs_or_raises_a_vecot_error(lambda: build_instance(points, w))
+
+
+def _magnitudes(lo: float, hi: float):
+    """Floats spread evenly in log scale over [10^lo, 10^hi]."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# A Gaussian on a plane and in space: slices and rays of both are checked.
+_DENSITIES = [
+    tabulate_density([-3.0, 3.0] * dim, 9, lambda x: np.exp(-0.5 * (x**2).sum(axis=1)))
+    for dim in (2, 3)
+]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_entry_points_return_or_raise_a_vecot_error(data):
+    draw = data.draw
+    size, n, m = draw(st.integers(2, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-1.0, 1.0, (size, n)) * draw(_magnitudes(-150, 150))
+    w = rng.normal(size=(size, m))
+    w = (w - w.mean(axis=0)) * draw(_magnitudes(-150, 150))
+    instance = constructs_or_raises_a_vecot_error(lambda: build_instance(points, w))
+    if instance is not None:
+        params = SolverParams(
+            max_iters=draw(st.integers(1, 200)),
+            tol_primal=draw(_magnitudes(-300, 300)),
+            tol_gap=draw(_magnitudes(-300, 300)),
+        )
+        solved = constructs_or_raises_a_vecot_error(lambda: solve(instance, params))
+        if solved is not None:
+            coupling, potential, _ = solved
+            tol = draw(_magnitudes(-300, 300))
+            constructs_or_raises_a_vecot_error(lambda: certify(instance, coupling, potential, tol))
+            eps = draw(_magnitudes(-300, 300))
+            decomposition = constructs_or_raises_a_vecot_error(
+                lambda: extract_leaves(isometry_graph(potential, eps), potential)
+            )
+            if decomposition is not None:
+                tol = draw(st.one_of(st.just(0.0), _magnitudes(-300, 300)))
+                constructs_or_raises_a_vecot_error(
+                    lambda: mass_balance_report(instance, decomposition, tol)
+                )
+    density = draw(st.sampled_from(_DENSITIES))
+    center = [draw(st.floats(-2.9, 2.9)) for _ in range(density.dim)]
+    counts = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    batches = [
+        slice_disintegration(density, 1),
+        constructs_or_raises_a_vecot_error(lambda: radial_disintegration(density, center, *counts)),
+    ]
+    for batch in batches:
+        if batch is not None:
+            kappa = draw(st.floats(-1e308, 1e308))
+            N = draw(st.one_of(st.floats(1.0, 1e308), st.just(math.inf)))
+            tol = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1e308)))
+            constructs_or_raises_a_vecot_error(lambda: cd_check_1d(batch[0], kappa, N, tol))

@@ -752,3 +752,39 @@ def test_leaves_keep_their_contract(u):
     shared = [p for p in range(n) if len(holders[p]) > 1]
     np.testing.assert_array_equal(dec.boundary_flags, shared)
     assert_same_decomposition(dec, reference_extract_leaves(graph, u))
+
+
+def test_pair_diagnostics_keep_the_bits_of_their_formulas():
+    # Both diagnostics read one pair slack; each keeps the bits of its
+    # formula spelled out in full.
+    for cloud, u in (two_rays(60.0), grid_projection(3)):
+        leaf1, leaf2 = extract_leaves(isometry_graph(u, eps=1e-9), u).leaves[:2]
+        proj1, proj2 = leaf1.projection, leaf2.projection
+        op = proj1 @ proj2 - proj1 @ leaf1.map_matrix.T @ leaf2.map_matrix @ proj2
+        opnorm = float(np.linalg.norm(op, 2))
+        lhs = float(np.linalg.norm(leaf1.map_matrix - leaf2.map_matrix, 2))
+        for p1, i in enumerate(leaf1.member_indices.tolist()):
+            for p2, j in enumerate(leaf2.member_indices.tolist()):
+                dx = leaf1.points[p1] - leaf2.points[p2]
+                du = leaf1.values[p1] - leaf2.values[p2]
+                s1, s2 = float(leaf1.sigma[p1]), float(leaf2.sigma[p2])
+                expected = float(dx @ dx - du @ du - 2.0 * s1 * s2 * opnorm)
+                assert strengthened_lipschitz_residual(leaf1, leaf2, i, j) == expected
+                if s1 * s2 == 0.0:
+                    bound = True
+                else:
+                    rhs = np.sqrt(max(float(dx @ dx - du @ du), 0.0) / (2.0 * s1 * s2))
+                    bound = lhs <= rhs + 1e-9 + leaf1.fit_residual + leaf2.fit_residual
+                assert derivative_modulus_check(leaf1, leaf2, i, j) == bound
+
+
+def test_a_fit_tolerance_past_the_float_range_accepts_without_a_warning(recwarn):
+    # eps * diameter = 1e169 * 1e140 overflows to inf: every fit passes, and
+    # no overflow warning is raised on the way.
+    cloud = PointCloud(np.array([[0.0], [1e140]]))
+    u = PotentialField(cloud, np.array([[0.0], [5e139]]))
+    graph = isometry_graph(u, eps=1e169)
+    assert graph.edges.tolist() == [[0, 1]]
+    leaves = extract_leaves(graph, u).leaves
+    assert [leaf.member_indices.tolist() for leaf in leaves] == [[0, 1]]
+    assert not recwarn.list

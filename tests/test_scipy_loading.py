@@ -102,7 +102,9 @@ def test_commands_without_scipy_match_a_normal_run(capsys, solution, argv):
     assert loaded == []
 
 
-@pytest.mark.parametrize("size, m", [(30, 2), (2, 3)], ids=["collinear", "two-point"])
+@pytest.mark.parametrize(
+    "size, m", [(30, 2), (2, 3), (2, 1)], ids=["collinear", "two-point", "two-point-scalar"]
+)
 def test_tree_engine_solves_without_scipy(tmp_path, size, m):
     rng = np.random.default_rng([size, m])
     t = rng.uniform(-1.0, 1.0, size)
