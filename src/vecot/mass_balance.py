@@ -93,6 +93,7 @@ class CounterexampleSpec:
         if v.shape[1] > a.shape[1]:
             raise DimensionMismatch("target dimension m must not exceed point dimension n")
         instance = build_instance(a, v)
+        instance.distances  # refuses distances outside the numeric range
         object.__setattr__(self, "anchors", instance.cloud.points)
         object.__setattr__(self, "vectors", instance.measure.weights)
         object.__setattr__(self, "_instance", instance)
@@ -133,7 +134,8 @@ def orthant_spec(m: int, pull: float = 0.5) -> CounterexampleSpec:
         raise InvalidSpec("pull must be finite and positive to create a margin")
     anchors = np.vstack([np.eye(m), np.zeros(m)])
     lean = np.eye(m) + pull * np.ones((m, m))
-    vectors = np.vstack([lean, -lean.sum(axis=0)])
+    with np.errstate(over="ignore"):  # the measure refuses an infinite weight
+        vectors = np.vstack([lean, -lean.sum(axis=0)])
     return CounterexampleSpec(anchors=anchors, vectors=vectors)
 
 
@@ -156,8 +158,7 @@ def check_counterexample_spec(spec: CounterexampleSpec) -> float:
         raise RankDeficiency("weight vectors span less than the full target space")
     if m == 1:
         return float("inf")
-    dirs = spec.anchors[:m] - spec.anchors[m]
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = (spec.anchors[:m] - spec.anchors[m]) / spec.instance().distances[:m, m, None]
     vhat = v[:m] / norms[:m, None]
     gram_gap = vhat @ vhat.T - dirs @ dirs.T
     iu, ju = np.triu_indices(m, k=1)
@@ -174,11 +175,10 @@ def analytic_optimum(
     whenever the margin is positive.
     """
     margin = check_counterexample_spec(spec)
-    if margin <= 0:
+    if not margin > 0:
         raise InvalidSpec(f"strictness margin {margin:.6g} is not positive")
     m = spec.m
-    hub = spec.anchors[m]
-    radii = np.linalg.norm(spec.anchors[:m] - hub, axis=1)
+    radii = spec.instance().distances[:m, m]
     vnorms = np.linalg.norm(spec.vectors[:m], axis=1)
     values = np.vstack([radii[:, None] * spec.vectors[:m] / vnorms[:, None], np.zeros(m)])
     u = PotentialField(cloud=spec.instance().cloud, values=values)

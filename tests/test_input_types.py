@@ -22,20 +22,27 @@ from hypothesis import strategies as st
 
 from vecot import (
     CounterexampleSpec,
+    GridDensity,
     IsometryGraph,
     PointCloud,
     PotentialField,
     SolverParams,
     VecotError,
     VectorCoupling,
+    analytic_optimum,
     build_instance,
     cd_check_1d,
     certify,
+    check_counterexample_spec,
     extract_leaves,
     isometry_graph,
+    l1_distance,
     mass_balance_report,
+    orthant_spec,
     radial_disintegration,
+    reassemble,
     slice_disintegration,
+    smoothed_instance,
     solve,
     tabulate_density,
     transport_set,
@@ -196,3 +203,52 @@ def test_entry_points_return_or_raise_a_vecot_error(data):
             N = draw(st.one_of(st.floats(1.0, 1e308), st.just(math.inf)))
             tol = draw(st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1e308)))
             constructs_or_raises_a_vecot_error(lambda: cd_check_1d(batch[0], kappa, N, tol))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_counterexample_and_reassembly_calls_return_or_raise_a_vecot_error(data):
+    # Specs: the orthant at pulls up to 1e308, and the orthant's or random
+    # anchors and vectors, each at a scale from 1e-300 to 1e300.
+    draw = data.draw
+    m = draw(st.integers(2, 6))
+    constructs_or_raises_a_vecot_error(lambda: orthant_spec(m, draw(_magnitudes(-300, 308))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        anchors, lean = np.vstack([np.eye(m), np.zeros(m)]), np.eye(m) + 0.5
+    else:
+        anchors, lean = rng.uniform(-1.0, 1.0, (m + 1, m)), rng.normal(size=(m, m))
+    anchors, vectors = anchors * draw(_magnitudes(-300, 300)), np.vstack([lean, -lean.sum(axis=0)])
+    vectors *= draw(_magnitudes(-300, 300))
+    spec = constructs_or_raises_a_vecot_error(lambda: CounterexampleSpec(anchors, vectors))
+    if spec is not None:
+        constructs_or_raises_a_vecot_error(lambda: check_counterexample_spec(spec))
+        constructs_or_raises_a_vecot_error(lambda: analytic_optimum(spec))
+        eps, count = draw(_magnitudes(-300, 300)), draw(st.integers(1, 8))
+        constructs_or_raises_a_vecot_error(lambda: smoothed_instance(spec, eps, count))
+    # A density on [-s, s]^dim split into slices or rays, and reassembled
+    # with weights up to 1e308 onto a grid of its own scale.
+    dim = draw(st.integers(1, 3))
+    box = np.array([[-1.0, 1.0]] * dim)
+    samples = rng.uniform(0.0, 1.0, (4,) * dim) * draw(_magnitudes(-300, 308))
+    density = constructs_or_raises_a_vecot_error(
+        lambda: GridDensity(box * draw(_magnitudes(-300, 300)), samples)
+    )
+    if density is None:
+        return
+    if draw(st.booleans()):
+        split = constructs_or_raises_a_vecot_error(lambda: slice_disintegration(density, 1))
+    else:
+        center = density.box[:, 0] + rng.uniform(0.0, 1.0, dim) * (density.box[:, 1] - density.box[:, 0])
+        split = constructs_or_raises_a_vecot_error(
+            lambda: radial_disintegration(density, center, draw(st.integers(1, 8)))
+        )
+    target = constructs_or_raises_a_vecot_error(
+        lambda: GridDensity(box * draw(_magnitudes(-300, 300)), np.ones((draw(st.integers(1, 5)),) * dim))
+    )
+    if split is not None and target is not None:
+        needles, weights = split
+        weights = weights * draw(_magnitudes(-300, 308))
+        rebuilt = constructs_or_raises_a_vecot_error(lambda: reassemble(needles, weights, target))
+        if rebuilt is not None:
+            constructs_or_raises_a_vecot_error(lambda: l1_distance(rebuilt, target))

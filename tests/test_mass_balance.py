@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vecot import (
     BallOverlap,
     CounterexampleSpec,
     DimensionMismatch,
+    DuplicatePoint,
     InvalidParameter,
     InvalidSpec,
     NonzeroTotalMass,
@@ -71,6 +73,23 @@ def test_spec_rejects_vectors_that_are_not_finite(bad):
         CounterexampleSpec(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), vectors)
 
 
+@pytest.mark.parametrize(
+    "scale, error, match",
+    [(1e-200, DuplicatePoint, "points 0 and 1 are at distance 0.0"),
+     (1e-160, DimensionMismatch, "points 0 and 1 is below 2\\^-511"),
+     (1e200, DimensionMismatch, "points 0 and 1 overflows to inf")],
+    ids=["1e-200", "1e-160", "1e200"],
+)
+def test_spec_rejects_anchor_distances_outside_the_numeric_range(scale, error, match):
+    # Unrefused, such anchors give the margin a NaN, which the closed form
+    # took for a valid spec of value 0.0 (1e-200), or overflow (1e200).
+    anchors = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            CounterexampleSpec(anchors, paper_preset().vectors)
+
+
 def test_spec_properties_and_instance():
     spec = paper_preset()
     assert spec.n == 2 and spec.m == 2
@@ -111,7 +130,7 @@ def test_scalar_specs_have_infinite_margin():
     assert value == pytest.approx(3.0)
 
 
-def test_analytic_optimum_requires_positive_margin():
+def test_analytic_optimum_requires_positive_margin(monkeypatch):
     aligned = CounterexampleSpec(
         np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
         np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
@@ -119,6 +138,10 @@ def test_analytic_optimum_requires_positive_margin():
     assert check_counterexample_spec(aligned) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(InvalidSpec):
         analytic_optimum(aligned)
+    # A margin that is not a number is not positive either.
+    monkeypatch.setattr(mass_balance, "check_counterexample_spec", lambda spec: float("nan"))
+    with pytest.raises(InvalidSpec, match="margin nan"):
+        analytic_optimum(paper_preset())
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +191,11 @@ def test_orthant_spec_rejects_bad_parameters():
     for pull in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidSpec, match="finite and positive"):
             orthant_spec(2, pull=pull)
+    # A finite pull whose vectors' sum overflows is refused by the measure.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match="weights must be finite"):
+            orthant_spec(3, pull=1e308)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -24,35 +21,7 @@ import vecot
 from vecot import build_instance, dumps_instance, instance_to_dict
 from vecot.cli import main
 
-# Runs the command line given after the mode, then prints the scipy modules
-# loaded by then to stderr, on exit.  A mode other than "normal" names the
-# module, "scipy" or one of its packages, whose every import fails with
-# ImportError.
-CLI_SCRIPT = """
-import atexit, json, sys
-if sys.argv[1] != "normal":
-    sys.modules[sys.argv[1]] = None
-atexit.register(lambda: print(json.dumps(sorted(
-    name for name, module in sys.modules.items()
-    if name.split(".")[0] == "scipy" and module is not None
-)), file=sys.stderr))
-from vecot.cli import main
-sys.exit(main(sys.argv[2:]))
-"""
-
-
-def python(*args: str) -> subprocess.CompletedProcess:
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vecot.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
-    )
-
-
-def cli(mode: str, *argv: str) -> tuple[subprocess.CompletedProcess, list[str]]:
-    """The finished process and the scipy modules it had loaded."""
-    done = python("-c", CLI_SCRIPT, mode, *argv)
-    return done, json.loads(done.stderr.splitlines()[-1])
+from harness import cli, collinear_instance, python, two_clusters
 
 
 def test_importing_vecot_loads_no_scipy():
@@ -81,9 +50,9 @@ def solution(tmp_path_factory) -> str:
     [
         ["--version"],
         ["certify", "--input", "{solution}"],
-        ["disintegrate", "--box", "-3", "3", "-3", "3", "-3", "3", "--resolution", "17",
+        ["disintegrate", "--box", "-3", "3", "-3", "3", "-3", "3", "--resolution", "33",
          "--cd", "0,inf"],
-        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--mode", "radial",
+        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "65", "--mode", "radial",
          "--center", "0.3", "-0.2"],
     ],
     ids=["version", "certify", "disintegrate-slice", "disintegrate-radial"],
@@ -103,16 +72,14 @@ def test_commands_without_scipy_match_a_normal_run(capsys, solution, argv):
 
 
 @pytest.mark.parametrize(
-    "size, m", [(30, 2), (2, 3), (2, 1)], ids=["collinear", "two-point", "two-point-scalar"]
+    "instance",
+    [collinear_instance(30, 2), collinear_instance(2, 3),
+     build_instance([[0.0, 0.0], [0.6, 0.8]], [[1.5], [-1.5]])],
+    ids=["collinear", "two-point", "two-point-scalar"],
 )
-def test_tree_engine_solves_without_scipy(tmp_path, size, m):
-    rng = np.random.default_rng([size, m])
-    t = rng.uniform(-1.0, 1.0, size)
-    w = rng.normal(size=(size, m))
+def test_tree_engine_solves_without_scipy(tmp_path, instance):
     path = tmp_path / "instance.json"
-    path.write_text(
-        dumps_instance(build_instance(np.column_stack([t, 0.5 * t + 0.25]), w - w.mean(0)))
-    )
+    path.write_text(dumps_instance(instance))
     normal, loaded = cli("normal", "solve", "--input", str(path))
     assert normal.returncode == 0, normal.stderr
     doc = json.loads(normal.stdout)
@@ -124,14 +91,10 @@ def test_tree_engine_solves_without_scipy(tmp_path, size, m):
 
 
 def test_a_disconnected_scalar_solve_loads_no_csgraph(tmp_path):
-    # Two unit squares 20 apart: the 12-nearest-neighbour start graph has two
-    # components, which the solver joins with component_labels.
-    rng = np.random.default_rng(7)
-    points = rng.uniform(-1.0, 1.0, (120, 2))
-    points[60:, 0] += 20.0
-    w = rng.normal(size=(120, 1))
+    # The start graph has two components, which the solver joins with
+    # component_labels.
     path = tmp_path / "instance.json"
-    path.write_text(dumps_instance(build_instance(points, w - w.mean(0))))
+    path.write_text(dumps_instance(two_clusters()))
     normal, loaded = cli("normal", "solve", "--input", str(path))
     assert normal.returncode == 0, normal.stderr
     doc = json.loads(normal.stdout)
