@@ -57,9 +57,9 @@ def seeded_instance(size: int, m: int):
     return build_instance(rng.uniform(-1.0, 1.0, (size, 2)), w - w.mean(axis=0))
 
 
-def collinear_instance(size: int, m: int):
+def collinear_instance(size: int, m: int, seed: list[int]):
     """``size`` points on the line y = x/2 + 1/4 with centred normal R^m weights."""
-    rng = np.random.default_rng([size, 2, m])
+    rng = np.random.default_rng(seed)
     t = rng.uniform(-1.0, 1.0, size)
     w = rng.normal(size=(size, m))
     return build_instance(np.column_stack([t, 0.5 * t + 0.25]), w - w.mean(axis=0))

@@ -8,8 +8,6 @@ import io
 import json
 import os
 import re
-import subprocess
-import sys
 import tempfile
 import time
 import warnings
@@ -33,7 +31,7 @@ from vecot import (
 )
 from vecot.cli import main
 
-from harness import stdlib_layout
+from harness import python, stdlib_layout
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -78,6 +76,15 @@ def test_solve_two_point_document(tmp_path, capsys):
     flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     knobs = {"--" + f.name.replace("_", "-") for f in dataclasses.fields(SolverParams)}
     assert flags - {"--help", "--input", "--output", "--certify-tol"} == knobs
+
+
+def test_solve_output_is_deterministic(tmp_path):
+    path = write_instance(tmp_path)
+    out1 = tmp_path / "a.json"
+    out2 = tmp_path / "b.json"
+    assert main(["solve", "--input", str(path), "--output", str(out1)]) == 0
+    assert main(["solve", "--input", str(path), "--output", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_solution_round_trips_through_certify_leaves_massbalance(tmp_path, capsys):
@@ -193,6 +200,13 @@ def test_an_unwritable_output_exits_2(tmp_path, capsys, command):
     assert captured.err.startswith("vecot: cannot write output: ")
     assert str(target) in captured.err and captured.err.count("\n") == 1
     assert not target.parent.exists()
+
+
+def test_malformed_json_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(["solve", "--input", str(bad)]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -817,6 +831,8 @@ def test_disintegrate_rejects_a_box_that_is_not_finite(tmp_path, capsys, argv):
     [
         (["--grid", {"box": [-1, 1], "samples": [1e308] * 3}, "--mode", "radial", "--center", "0"],
          "the total mass inf"),
+        (["--grid", {"box": [-1, 1, -1, 1], "samples": [[1e308] * 3] * 3}, "--m", "1"],
+         "the total mass inf"),
         (["--grid", {"box": [-1, 1, -1, 1], "samples": [[1e308] * 2] * 2}, "--m", "1"],
          "the total mass inf"),
         (["--box", "0", "1e200", "0", "1", "--resolution", "9"],
@@ -842,9 +858,10 @@ def test_disintegrate_rejects_a_box_that_is_not_finite(tmp_path, capsys, argv):
           "--mode", "radial", "--center", "5e199", "0.5", "5e-201", "--directions", "4"],
          "the volume element r^2 dr underflows to 0 on every ray"),
     ],
-    ids=["radial-mass-overflow", "slice-mass-overflow", "gaussian-underflow", "cd-tiny-step",
-         "cd-huge-step", "cd-tiny-ray-step", "slice-needle-mass", "tiny-ray", "ray-jacobian",
-         "ray-mass", "reassembly", "ray-volume-underflow"],
+    ids=["radial-mass-overflow", "slice-mass-overflow", "slice-mass-overflow-2x2",
+         "gaussian-underflow", "cd-tiny-step", "cd-huge-step", "cd-tiny-ray-step",
+         "slice-needle-mass", "tiny-ray", "ray-jacobian", "ray-mass", "reassembly",
+         "ray-volume-underflow"],
 )
 def test_disintegrate_rejects_values_outside_the_float_range(tmp_path, capsys, argv, message):
     # A mass, a density or a squared needle step past the float range is a
@@ -1031,10 +1048,6 @@ def test_selftest_fails_when_the_balance_holds(monkeypatch, capsys):
 
 
 def test_console_script_entry_point(tmp_path):
-    result = subprocess.run(
-        [sys.executable, "-m", "vecot.cli", "--version"],
-        capture_output=True,
-        text=True,
-    )
+    result = python("-m", "vecot.cli", "--version")
     assert result.returncode == 0
     assert "vecot" in result.stdout

@@ -12,11 +12,13 @@ from vecot import dumps_instance
 from harness import collinear_instance, python, seeded_instance, stdlib_layout, two_clusters
 
 # Runs each command line in this one process, its stdout to <out>/<name>.json,
-# and prints the exit codes.
+# and prints the exit codes.  The mode blocks a module as in CLI_SCRIPT.
 BATTERY_SCRIPT = """
 import contextlib, json, sys
+if sys.argv[1] != "normal":
+    sys.modules[sys.argv[1]] = None
 from vecot.cli import main
-inputs, out, commands = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+inputs, out, commands = sys.argv[2], sys.argv[3], json.loads(sys.argv[4])
 codes = {}
 for name, argv in commands.items():
     with open(f"{out}/{name}.json", "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
@@ -25,14 +27,14 @@ print(json.dumps(codes))
 """
 
 # Edge generation, the interior-point method (vector3's pinned Newton system
-# has order 117), leaves on components of hundreds of points (scalar1000),
-# the tree engine, and a start graph joined across components.
-INSTANCES = {
+# has order 117) and leaves on components of hundreds of points (scalar1000);
+# then the tree engine and a start graph joined across components.
+SEEDED = {
     "scalar20": seeded_instance(20, 1), "scalar": seeded_instance(100, 1),
     "vector": seeded_instance(30, 2), "vector3": seeded_instance(40, 3),
-    "scalar1000": seeded_instance(1000, 1), "collinear": collinear_instance(30, 2),
-    "clusters": two_clusters(),
+    "scalar1000": seeded_instance(1000, 1),
 }
+INSTANCES = {**SEEDED, "collinear": collinear_instance(30, 2, [30, 2, 2]), "clusters": two_clusters()}
 COMMANDS = {}
 for name in INSTANCES:
     COMMANDS[f"{name}.solution"] = ["solve", "--input", f"{{inputs}}/{name}.json"]
@@ -53,11 +55,11 @@ COMMANDS.update({
 })
 
 
-def battery(out, inputs, commands: dict, prefix: str = "", **env: str) -> dict[str, str]:
+def battery(mode: str, out, inputs, commands: dict, **env: str) -> dict[str, str]:
     """Runs ``commands`` in one child process with warnings as errors, each
     exiting 0 with nothing on stderr; the digest of each file they wrote."""
     out.mkdir()
-    done = python("-W", "error", "-c", prefix + BATTERY_SCRIPT, str(inputs), str(out),
+    done = python("-W", "error", "-c", BATTERY_SCRIPT, mode, str(inputs), str(out),
                   json.dumps(commands), **env)
     assert done.returncode == 0, done.stderr
     assert (json.loads(done.stdout), done.stderr) == (dict.fromkeys(commands, 0), "")
@@ -72,18 +74,18 @@ def test_the_battery_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path)
         (inputs / f"{name}.json").write_text(dumps_instance(instance))
     with ThreadPoolExecutor(2) as pool:
         one, two = pool.map(
-            lambda threads: battery(tmp_path / threads, inputs, COMMANDS, OPENBLAS_NUM_THREADS=threads),
+            lambda threads: battery("normal", tmp_path / threads, inputs, COMMANDS,
+                                    OPENBLAS_NUM_THREADS=threads),
             ["1", "2"],
         )
     assert len(one) > len(COMMANDS) and one == two
     for path in [*inputs.iterdir(), *out.glob("*.json")]:
         text = path.read_text(encoding="utf-8")
         assert text == stdlib_layout(text), path.name
-    for doc in [f"{name}.{kind}" for name in INSTANCES for kind in ("solution", "certify")]:
+    for doc in [f"{name}.{kind}" for name in SEEDED for kind in ("solution", "certify")]:
         assert json.loads((out / f"{doc}.json").read_text())["certificate"]["verdict"] == "Optimal", doc
-    assert json.loads((out / "collinear.solution.json").read_text())["report"]["engine"] == "tree"
     # Certify prints the same documents with every scipy import failing.
     certify = {f"{name}.certify": ["certify", "--input", f"{{inputs}}/{name}.solution.json"]
-               for name in INSTANCES}
-    blocked = battery(tmp_path / "blocked", out, certify, 'import sys; sys.modules["scipy"] = None\n')
+               for name in SEEDED}
+    blocked = battery("scipy", tmp_path / "blocked", out, certify)
     assert blocked == {f"{name}.json": one[f"{name}.json"] for name in certify}

@@ -8,15 +8,12 @@ is imported, and its documents must equal a normal run's byte for byte.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import vecot
 from vecot import build_instance, dumps_instance
+
+from harness import python
 
 # Runs the vecot command line given after the mode.  In mode "fallback" the
 # kernel's name is gone before vecot is imported, and vecot must use np.einsum.
@@ -33,13 +30,8 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
-def cli(mode: str, *argv: str) -> subprocess.CompletedProcess:
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vecot.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-W", "error", "-c", SCRIPT, mode, *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+def cli(mode: str, *argv: str):
+    return python("-W", "error", "-c", SCRIPT, mode, *argv)
 
 
 @pytest.mark.skipif(

@@ -50,12 +50,17 @@ def solution(tmp_path_factory) -> str:
     [
         ["--version"],
         ["certify", "--input", "{solution}"],
+        ["disintegrate", "--box", "-3", "3", "-3", "3", "-3", "3", "--resolution", "17",
+         "--cd", "0,inf"],
+        ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "33", "--mode", "radial",
+         "--center", "0.3", "-0.2"],
         ["disintegrate", "--box", "-3", "3", "-3", "3", "-3", "3", "--resolution", "33",
          "--cd", "0,inf"],
         ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "65", "--mode", "radial",
          "--center", "0.3", "-0.2"],
     ],
-    ids=["version", "certify", "disintegrate-slice", "disintegrate-radial"],
+    ids=["version", "certify", "disintegrate-slice", "disintegrate-radial", "disintegrate-slice-33",
+         "disintegrate-radial-65"],
 )
 def test_commands_without_scipy_match_a_normal_run(capsys, solution, argv):
     argv = [a.format(solution=solution) for a in argv]
@@ -73,9 +78,11 @@ def test_commands_without_scipy_match_a_normal_run(capsys, solution, argv):
 
 @pytest.mark.parametrize(
     "instance",
-    [collinear_instance(30, 2), collinear_instance(2, 3),
+    [collinear_instance(30, 2, [30, 2]), collinear_instance(2, 3, [2, 3]),
+     collinear_instance(2, 1, [2, 1]), collinear_instance(30, 2, [30, 2, 2]),
      build_instance([[0.0, 0.0], [0.6, 0.8]], [[1.5], [-1.5]])],
-    ids=["collinear", "two-point", "two-point-scalar"],
+    ids=["collinear", "two-point", "two-point-scalar", "collinear-battery-seed",
+         "two-point-scalar-fixed"],
 )
 def test_tree_engine_solves_without_scipy(tmp_path, instance):
     path = tmp_path / "instance.json"

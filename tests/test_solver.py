@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -41,6 +38,8 @@ from vecot import (
     smoothed_instance,
     solve,
 )
+
+from harness import python
 
 
 def random_instance(rng: np.random.Generator, n_points: int, n: int, m: int):
@@ -1055,6 +1054,8 @@ def test_a_direction_that_is_not_finite_ends_the_engine_at_the_last_finite_itera
     assert np.isnan(flows).any()
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
@@ -1070,15 +1071,9 @@ print(report.engine, report.status, report.iterations, report.primal_value.hex()
 
 
 def test_solve_is_bit_identical_across_runs_and_thread_counts():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vecot.__file__)))
     outputs = []
     for threads in ("1", "2", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = threads
-        done = subprocess.run(
-            [sys.executable, "-c", DIGEST_SCRIPT], env=env, capture_output=True, text=True, timeout=120
-        )
+        done = python("-c", DIGEST_SCRIPT, **dict.fromkeys(THREAD_VARIABLES, threads))
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0].startswith("ipm Converged ")
@@ -1102,16 +1097,9 @@ print(cost(coupling, cloud).hex(), line_oracle(line).hex())
 def test_cost_and_line_oracle_are_bit_identical_across_thread_counts():
     # 44,850 edges and 50,000 gaps: long enough for OpenBLAS to split a dot
     # product over two threads.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(vecot.__file__)))
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = threads
-        done = subprocess.run(
-            [sys.executable, "-c", REDUCTION_SCRIPT],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        done = python("-c", REDUCTION_SCRIPT, **dict.fromkeys(THREAD_VARIABLES, threads))
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[1] == outputs[0]
