@@ -19,12 +19,9 @@ from .core import (
     VectorCoupling,
     _check_solution,
     _check_tolerance,
-    _dot,
-    cost,
+    _values,
     edge_slackness,
     lipschitz_info,
-    marginals,
-    pairing,
 )
 
 __all__ = [
@@ -98,14 +95,9 @@ def certify(
     _check_solution(instance, coupling, potential)
     measure = instance.measure
 
-    _, _, net = marginals(coupling, instance.size)
-    residual = net - measure.weights
-    feas_primal = float(np.sqrt(_dot(residual, residual)))
-    lip = lipschitz_info(potential)
-
-    primal_value = cost(coupling, instance)
-    dual_value = pairing(potential, measure)
+    primal_value, dual_value, feas_primal = _values(instance, coupling, potential)
     gap = primal_value - dual_value
+    lip = lipschitz_info(potential)
 
     edges, flow_norms, saturation, alignment = edge_slackness(
         coupling.pairs, coupling.flows, potential.values, instance.distances, tol

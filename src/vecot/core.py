@@ -507,6 +507,14 @@ def pairing(potential: PotentialField, measure: DiscreteVectorMeasure) -> float:
     return float(np.einsum("ij,ij->", potential.values, measure.weights))
 
 
+def _values(instance: Instance, coupling: VectorCoupling, potential: PotentialField):
+    """``(cost, pairing, ||net(coupling) - mu||_F)`` in original units: the one
+    arithmetic behind the values that ``solve`` reports and ``certify`` checks."""
+    residual = marginals(coupling, instance.size)[2] - instance.measure.weights
+    primal, dual = cost(coupling, instance), pairing(potential, instance.measure)
+    return primal, dual, float(np.sqrt(_dot(residual, residual)))
+
+
 def lipschitz_info(potential: PotentialField) -> LipschitzInfo:
     """Exact Lipschitz constant over all point pairs of the potential's cloud.
 

@@ -28,6 +28,7 @@ from .core import (
     _check_tolerance,
     _same_cloud,
     build_instance,
+    cost,
     total_variation,
 )
 from .leaves import LeafDecomposition, maximal_transport_sets
@@ -120,7 +121,7 @@ def paper_preset() -> CounterexampleSpec:
 
 
 def orthant_spec(m: int, pull: float = 0.5) -> CounterexampleSpec:
-    """A refuting instance for any m = n >= 2.
+    """A refuting instance for any m = n from 2 to 64.
 
     Anchors at the coordinate unit vectors plus the origin hub; weights
     v_i = e_i + pull * (1,..,1) all lean toward the diagonal, so their
@@ -130,6 +131,8 @@ def orthant_spec(m: int, pull: float = 0.5) -> CounterexampleSpec:
     _check_count(m, "m", InvalidSpec)
     if m < 2:
         raise InvalidSpec("need m >= 2 for a genuine counterexample")
+    if m > 64:  # the solver's Newton matrix holds about m^4 floats: 2 GiB at m = 128
+        raise InvalidSpec(f"m = {m} exceeds 64, the largest orthant the solver takes")
     if not (math.isfinite(pull) and pull > 0):
         raise InvalidSpec("pull must be finite and positive to create a margin")
     anchors = np.vstack([np.eye(m), np.zeros(m)])
@@ -184,8 +187,7 @@ def analytic_optimum(
     u = PotentialField(cloud=spec.instance().cloud, values=values)
     pairs = np.column_stack([np.arange(m), np.full(m, m)])
     coupling = VectorCoupling(pairs=pairs, flows=spec.vectors[:m].copy())
-    value = float(np.dot(vnorms, radii))
-    return u, coupling, value
+    return u, coupling, cost(coupling, spec.instance())
 
 
 @dataclass(frozen=True)

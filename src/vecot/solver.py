@@ -46,9 +46,11 @@ potential is repaired into the global 1-Lipschitz set, and the duality gap
 against it and the certifier's own slackness test (``edge_slackness``) must
 both pass at ``tol_gap``.  Because the repair covers every pair of the
 cloud, the answer is certified against every pair, whichever edge set the
-engine ran on.  The instance is normalized internally (unit mass scale,
-unit diameter), so reported values are exactly equivariant under scaling
-of weights or points.
+engine ran on.  The engines run on the instance normalized to unit mass
+scale and unit diameter.  Scaling the weights or the points by a positive
+power of two leaves that problem bit-identical, so the answer and every
+reported value scale exactly.  Other factors scale them up to roundoff only,
+and negated scalar weights can take another HiGHS simplex path.
 
 scipy loads where an engine computes with it, so that ``import vecot``
 loads none of it: HiGHS at the first scalar solve and LAPACK at the first
@@ -76,6 +78,7 @@ from .core import (
     _einsum,
     _lapack,
     _row_norms,
+    _values,
     component_labels,
     edge_slackness,
     stretch_ratios,
@@ -92,8 +95,8 @@ __all__ = [
 ]
 
 # Absolute gap floor of the stopping rule, in normalized (mass * diameter)
-# units: invariant under rescaling, so kr_norm stays exactly homogeneous.  It
-# only matters when the optimum is negligible against mass * diameter.
+# units, so that the rule does not depend on the scale of the weights or the
+# points.  It only matters when the optimum is negligible against mass * diameter.
 _GAP_FLOOR_HAT = 1e-12
 _STEP_TO_BOUNDARY = 0.99  # interior-point steps stop short of the cone boundary
 # Neighbour count of the start graph of the m = 1 edge generation.
@@ -170,6 +173,9 @@ class SolveReport:
     produced the answer: ``"tree"``, ``"lp"`` or ``"ipm"``, or ``"none"``
     when the solve returned before running one.  ``iterations`` counts the
     engine's iterations, for ``lp`` summed over the rounds of edge generation.
+    The values are computed as ``certify`` computes them, so a solve's report
+    and its certificate agree bit for bit.  The zero-measure and Infeasible
+    exits return an empty coupling, so their ``primal_residual`` is ||mu||_F.
     """
 
     primal_value: float
@@ -608,38 +614,39 @@ def solve(instance: Instance, params: SolverParams | None = None):
     if params is None:
         params = SolverParams()
     n, m = instance.size, instance.target_dim
-    weights = instance.measure.weights
     mass_scale = instance.measure.mass_scale
+    notes = []
 
-    def no_engine(status: str, residual: float, notes: str):
-        coupling = VectorCoupling(np.zeros((0, 2), dtype=np.int64), np.zeros((0, m)))
-        potential = PotentialField(instance.cloud, np.zeros((n, m)))
+    def report(pairs, flows, values, it, dual_residual, status, engine):
+        """The answer in original units, its values computed as ``certify`` computes them."""
+        coupling = VectorCoupling(pairs, flows)
+        potential = PotentialField(instance.cloud, values)
+        primal, dual, residual = _values(instance, coupling, potential)
         return coupling, potential, SolveReport(
-            0.0, 0.0, 0.0, 0, residual, 0.0, status, "none", notes
+            primal, dual, primal - dual, it, residual, dual_residual, status, engine, "; ".join(notes)
         )
 
-    if mass_scale == 0.0:
-        return no_engine("Converged", 0.0, "zero measure")
+    def no_engine(status: str, note: str):
+        notes.append(note)
+        empty = np.zeros((0, 2), dtype=np.int64), np.zeros((0, m)), np.zeros((n, m))
+        return report(*empty, 0, 0.0, status, "none")
 
-    # Normalized problem: unit mass scale and unit diameter.  Scaling back at
-    # the end keeps kr_norm exactly homogeneous in the weights and the points.
+    if mass_scale == 0.0:
+        return no_engine("Converged", "zero measure")
+
+    # Normalized problem: unit mass scale and unit diameter.
     dist_scale = float(instance.distances.max())
-    w_hat = weights / mass_scale
+    w_hat = instance.measure.weights / mass_scale
     dist_hat = instance.distances / dist_scale
 
     # Both edge sets below are connected, so the measure is feasible on them
     # exactly when its total mass vanishes.
     if float(np.abs(w_hat.sum(axis=0)).max()) > params.tol_primal:
-        return no_engine(
-            "Infeasible",
-            float(np.linalg.norm(weights.sum(axis=0))),
-            "the total mass of the measure is not zero",
-        )
+        return no_engine("Infeasible", "the total mass of the measure is not zero")
 
     # Edge set: generated with the LP for a scalar measure on three or more
     # points, else (and when HiGHS declines it) the pruned complete graph,
     # which for two points is the tree the closed form solves.
-    notes = []
     generated = _generated_lp(w_hat, dist_hat) if m == 1 and n > 2 else None
     if generated is None:
         pairs, lp = _edge_list(instance), None
@@ -688,31 +695,8 @@ def solve(instance: Instance, params: SolverParams | None = None):
         if it < params.max_iters:
             notes.append("interior-point iterates reached the limits of double precision")
 
-    # Report, in original units.
-    flows = flows_hat * mass_scale
-    coupling = VectorCoupling(pairs, flows)
-    potential = PotentialField(instance.cloud, u_hat * dist_scale)
-
-    value_scale = mass_scale * dist_scale
-    primal_value = _dot(d_edge, np.linalg.norm(flows_hat, axis=1)) * value_scale
-    dual_value = float(np.einsum("ij,ij->", u_hat, w_hat)) * value_scale
-    net = np.zeros((n, m))
-    np.add.at(net, pairs[:, 0], flows)
-    np.add.at(net, pairs[:, 1], -flows)
-    feas = float(np.sqrt(_dot(net - weights, net - weights)))
-
-    report = SolveReport(
-        primal_value=primal_value,
-        dual_value=dual_value,
-        gap=primal_value - dual_value,
-        iterations=it,
-        primal_residual=feas,
-        dual_residual=comp * value_scale,
-        status=status,
-        engine=engine,
-        notes="; ".join(notes),
-    )
-    return coupling, potential, report
+    flows, values = flows_hat * mass_scale, u_hat * dist_scale
+    return report(pairs, flows, values, it, comp * (mass_scale * dist_scale), status, engine)
 
 
 def kr_norm(instance: Instance, params: SolverParams | None = None) -> float:

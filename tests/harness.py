@@ -57,6 +57,16 @@ def seeded_instance(size: int, m: int):
     return build_instance(rng.uniform(-1.0, 1.0, (size, 2)), w - w.mean(axis=0))
 
 
+def batch_instances():
+    """The 100 random instances of the duality batch: N <= 25, n <= 4, m <= 3."""
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        size, n, m = int(rng.integers(2, 26)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        points = rng.uniform(-1.0, 1.0, size=(size, n))
+        w = rng.normal(size=(size, m))
+        yield build_instance(points, w - w.mean(axis=0))
+
+
 def collinear_instance(size: int, m: int, seed: list[int]):
     """``size`` points on the line y = x/2 + 1/4 with centred normal R^m weights."""
     rng = np.random.default_rng(seed)

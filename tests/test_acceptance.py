@@ -40,6 +40,8 @@ from vecot import (
     total_variation,
 )
 
+from harness import batch_instances
+
 SQRT5 = float(np.sqrt(5.0))
 
 
@@ -50,17 +52,9 @@ def rel_gap(report) -> float:
 @pytest.fixture(scope="module")
 def duality_batch():
     """100 random instances with n <= 4, m <= 3, N <= 25 and their solves."""
-    rng = np.random.default_rng(2024)
     results = []
     t0 = time.perf_counter()
-    for _ in range(100):
-        big_n = int(rng.integers(2, 26))
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 4))
-        pts = rng.uniform(-1.0, 1.0, size=(big_n, n))
-        w = rng.normal(size=(big_n, m))
-        w -= w.mean(axis=0)
-        inst = build_instance(pts, w)
+    for inst in batch_instances():
         coupling, potential, report = solve(inst)
         cert = certify(inst, coupling, potential, tol=1e-5)
         results.append((inst, coupling, potential, report, cert))

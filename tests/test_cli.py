@@ -546,6 +546,8 @@ def test_counterexample_paper_preset(capsys):
     assert code == 0
     assert doc["margin"] == pytest.approx(1.0 / SQRT5, rel=1e-12)
     assert doc["analytic_value"] == pytest.approx(1.0 + SQRT5, rel=1e-12)
+    # The closed form's value is the cost of its coupling, as certify computes it.
+    assert doc["analytic_value"] == doc["certificate_analytic"]["primal_value"]
     assert doc["certificate_analytic"]["verdict"] == "Optimal"
     assert doc["certificate_solver"]["verdict"] == "Optimal"
     assert doc["report"]["primal_value"] == pytest.approx(1.0 + SQRT5, rel=1e-6)
@@ -575,6 +577,15 @@ def test_counterexample_orthant_with_smoothing(capsys):
     assert doc["smoothed"]["report"]["primal_value"] == pytest.approx(
         doc["analytic_value"], rel=0.1
     )
+
+
+def test_counterexample_refuses_an_orthant_above_64_dimensions(capsys):
+    # Refused before any m x m array is built: one line and exit 2, not an internal error.
+    assert main(["counterexample", "--preset", "orthant", "--m", "1180591620717411303424"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vecot: ") and captured.err.count("\n") == 1
+    assert "exceeds 64" in captured.err
 
 
 def test_counterexample_rejects_contradictory_flags(capsys):

@@ -198,6 +198,15 @@ def test_orthant_spec_rejects_bad_parameters():
             orthant_spec(3, pull=1e308)
 
 
+def test_orthant_spec_refuses_dimensions_above_64_before_allocating():
+    # The interior-point Newton matrix grows as m^4; 2^70 would ask numpy for
+    # m x m arrays that no machine holds.
+    assert orthant_spec(64).m == 64
+    for m in (65, 2**70):
+        with pytest.raises(InvalidSpec, match=f"m = {m} exceeds 64"):
+            orthant_spec(m)
+
+
 # ---------------------------------------------------------------------------
 # Balance verdicts
 # ---------------------------------------------------------------------------

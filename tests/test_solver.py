@@ -16,6 +16,7 @@ from scipy.optimize._highspy import _core as highs_core
 import vecot
 import vecot.solver
 from vecot import (
+    DimensionMismatch,
     DuplicatePoint,
     InvalidParameter,
     NotConverged,
@@ -39,7 +40,7 @@ from vecot import (
     solve,
 )
 
-from harness import python
+from harness import batch_instances, python, seeded_instance
 
 
 def random_instance(rng: np.random.Generator, n_points: int, n: int, m: int):
@@ -78,6 +79,10 @@ def test_zero_measure_short_circuits():
     assert report.iterations == 0
     assert coupling.edge_count == 0
     np.testing.assert_array_equal(potential.values, np.zeros((2, 1)))
+    # The report is computed as certify computes it, from the cloud's distances,
+    # so a cloud outside the numeric range is refused here too.
+    with pytest.raises(DimensionMismatch, match="below 2\\^-511"):
+        solve(build_instance([[0.0], [1e-160]], [[0.0], [0.0]]))
 
 
 def test_single_point_short_circuits():
@@ -157,6 +162,56 @@ def test_homogeneity_is_exact_in_the_points():
     base = kr_norm(inst)
     scaled = build_instance(2.5 * inst.cloud.points, inst.measure.weights)
     assert kr_norm(scaled) == pytest.approx(2.5 * base, rel=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_scaling_by_a_power_of_two_is_exact(m):
+    # The engines see the instance normalized to unit mass scale and unit
+    # diameter, which these factors leave bit-identical.  Other factors, such
+    # as 3 or 0.1, scale the answer up to roundoff only.
+    inst = random_instance(np.random.default_rng([41, m]), 12, 2, m)
+    coupling, potential, report = solve(inst)
+    for c_w, c_p in ((4.0, 1.0), (2.0**-40, 1.0), (1.0, 2.0), (1.0, 0.25)):
+        scaled = build_instance(c_p * inst.cloud.points, c_w * inst.measure.weights)
+        c2, p2, r2 = solve(scaled)
+        np.testing.assert_array_equal(c2.pairs, coupling.pairs)
+        np.testing.assert_array_equal(c2.flows, c_w * coupling.flows)
+        np.testing.assert_array_equal(p2.values, c_p * potential.values)
+        for name in ("primal_value", "dual_value", "gap", "dual_residual"):
+            assert getattr(r2, name) == c_w * c_p * getattr(report, name), name
+        assert r2.primal_residual == c_w * report.primal_residual
+        assert (r2.status, r2.engine, r2.iterations, r2.notes) == (
+            report.status, report.engine, report.iterations, report.notes
+        )
+
+
+def test_solve_report_matches_its_certificate_bit_for_bit():
+    # The report's values are certify's: cost, pairing and the marginal
+    # residual of the returned pair, in original units.
+    w = np.random.default_rng(59).normal(size=(6, 1))
+    w -= w.mean(axis=0)
+    w[0] += 5e-13 * np.abs(w).sum()
+    infeasible = build_instance(np.random.default_rng(60).uniform(-1.0, 1.0, size=(6, 2)), w)
+    solves = [(inst, None) for inst in batch_instances()] + [
+        (paper_preset().instance(), None),
+        (orthant_spec(3).instance(), None),
+        (orthant_spec(4).instance(), None),
+        (smoothed_instance(paper_preset(), 0.1, 4), None),
+        (seeded_instance(300, 1), None),
+        (build_instance([[0.0], [1.0], [3.0]], np.zeros((3, 2))), None),
+        (infeasible, SolverParams(tol_primal=1e-14)),
+    ]
+    statuses = set()
+    for inst, params in solves:
+        coupling, potential, report = solve(inst, params)
+        cert = certify(inst, coupling, potential)
+        assert (report.primal_value, report.dual_value, report.gap, report.primal_residual) == (
+            cert.primal_value, cert.dual_value, cert.gap, cert.primal_feasibility
+        )
+        statuses.add(report.status)
+    assert statuses == {"Converged", "Infeasible"}
+    # The Infeasible exit's empty coupling leaves the whole measure as residual.
+    assert report.primal_residual == pytest.approx(np.linalg.norm(w), rel=1e-15)
 
 
 def test_triangle_inequality_on_shared_cloud():
