@@ -4,10 +4,12 @@ A 1-Lipschitz map u restricted to a set S is an isometry exactly when every
 pair of points in S has ``||u(x) - u(y)|| = ||x - y||``.  The maximal such
 sets (leaves) are affine: u acts on a leaf as T(y - y0) + b with T a linear
 isometry of the leaf's tangent space into R^m.  On a finite sample we build
-the graph of distance-saturating pairs, carve it into validated leaves, fit
-the affine isometries, and estimate for every member its distance to the
-sampled leaf boundary.  Points shared by two leaves are branch points; they
-are flagged and transport sets do not expand through them.
+the graph of distance-saturating pairs and carve it into validated leaves:
+components shrink until they fit, and the removed points regrow leaves in a
+staged search that fits each round's trials as one stack.  Each leaf keeps
+its affine isometry and, for every member, the distance to the sampled leaf
+boundary.  Points shared by two leaves are branch points; they are flagged
+and transport sets do not expand through them.
 
 Everything here is deterministic: ties are broken by point index and leaves
 are ordered by their member tuples.
@@ -187,12 +189,15 @@ def affine_isometry_fit(
 
 
 def _svd(a: np.ndarray):
-    """``np.linalg.svd(a, full_matrices=False)`` as one LAPACK call.
+    """Thin SVD of one (r, c) matrix, or of each matrix of a (K, r, c) stack.
 
-    numpy runs the same ``dgesdd``; U and V^T come back in Fortran order and
-    are copied to C order, the layout numpy returns, because matmul rounds
+    A stack goes to numpy's LAPACK ``dgesdd``, one matrix to scipy's at half
+    the cost; each gives a matrix the bits of a call on it alone.  scipy's U
+    and V^T are copied to C order, as numpy returns them: matmul rounds
     differently on the two.
     """
+    if a.ndim > 2:
+        return np.linalg.svd(a, full_matrices=False)
     u, s, vt, info = _lapack().dgesdd(a, full_matrices=0)
     if info:
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -201,42 +206,69 @@ def _svd(a: np.ndarray):
 
 def _fit(points: np.ndarray, values: np.ndarray):
     """Procrustes fit returning all intermediates the extractor needs."""
-    k, m = values.shape  # mean and norm below are spelled as the reductions they run
-    y0 = np.add.reduce(points, axis=0) / k
-    b = np.add.reduce(values, axis=0) / k
-    centered = points - y0
-    target = values - b
+    return _fits(points, values)[0]
+
+
+def _fits(points: np.ndarray, values: np.ndarray) -> list[tuple]:
+    """``_fit`` of each set of a (K, k, n) point and (K, k, m) value stack,
+    or of one (k, n) and (k, m) set, with the bits of its own call: each
+    step reduces, decomposes or multiplies the matrices one by one.  The sets
+    of one tangent rank share the tangent and rotation steps.
+    """
+    if values.ndim > 2 and len(values) == 1:
+        points, values = points[0], values[0]
+    one = values.ndim == 2
+    k, m = values.shape[-2:]  # mean and norm below are spelled as the reductions they run
+    y0 = np.add.reduce(points, axis=-2) / k
+    b = np.add.reduce(values, axis=-2) / k
+    centered = points - (y0 if one else y0[:, None])
+    target = values - (b if one else b[:, None])
     _, svals, vt = _svd(centered)
-    rank = int(np.count_nonzero(svals > _RANK_RTOL * float(svals[0])))  # 0 when all are 0
-    tangent = vt[:rank].T
-    coords = centered @ tangent
-    cross = target.T @ coords
-    if rank:
-        uc, _, vct = _svd(cross)
-        rot = uc @ vct
+    if one:  # above the tolerance of each set's largest singular value; no rank when all are 0
+        y0, b, kept = [y0], [b], [(svals > _RANK_RTOL * float(svals[0])).tolist()]
     else:
-        rot = np.zeros((m, 0))
-    tmap = rot @ tangent.T
-    misfit = target - coords @ rot.T
-    errors = np.sqrt(np.add.reduce(misfit * misfit, axis=1))
-    residual = math.sqrt(np.add.reduce(errors * errors) / k)
-    return tmap, b, y0, residual, rank, tangent, errors
+        kept = (svals > _RANK_RTOL * svals[:, :1]).tolist()
+    groups: dict[int, list[int]] = {}
+    for i, row in enumerate(kept):
+        groups.setdefault(sum(row), []).append(i)
+    fits: list = [None] * len(kept)
+    for rank, group in groups.items():
+        sel = ... if len(groups) == 1 else group if len(group) > 1 else group[0]
+        tangent = vt[sel, :rank, :].swapaxes(-1, -2)
+        coords, residue = centered[sel] @ tangent, target[sel]
+        if rank:
+            uc, _, vct = _svd(residue.swapaxes(-1, -2) @ coords)
+            rot = uc @ vct
+        else:
+            rot = np.zeros((*coords.shape[:-2], m, 0))
+        tmap = rot @ tangent.swapaxes(-1, -2)
+        misfit = residue - coords @ rot.swapaxes(-1, -2)
+        errors = np.sqrt(np.add.reduce(misfit * misfit, axis=-1))
+        sums = (np.add.reduce(errors * errors, axis=-1) / k).tolist()
+        if tmap.ndim == 2:
+            tmap, tangent, errors, sums = [tmap], [tangent], [errors], [sums]
+        for i, fit_map, fit_tangent, fit_errors, total in zip(group, tmap, tangent, errors, sums):
+            fits[i] = (fit_map, b[i], y0[i], math.sqrt(total), rank, fit_tangent, fit_errors)
+    return fits
 
 
 def _boundary_distances(coords: np.ndarray) -> np.ndarray:
-    """Per-member distance to the sampled boundary in tangent coordinates.
+    """Per-member distance to the sampled boundary in tangent coordinates,
+    for one leaf's (k, r) coordinates or for a (G, k, r) stack of leaves.
 
     Dimension 0 gives zeros, dimension 1 uses the interval ends, and higher
-    dimensions use the facets of the members' convex hull; a hull Qhull
+    dimensions use the facets of each leaf's convex hull; a hull Qhull
     cannot build gives zeros.  The estimate is conservative: understating
     sigma only weakens diagnostics, never invalidates them.
     """
-    k, r = coords.shape
+    k, r = coords.shape[-2:]
     if r == 0 or k <= r:
-        return np.zeros(k)
+        return np.zeros(coords.shape[:-1])
     if r == 1:
-        c = coords[:, 0]
-        return np.minimum(c - c.min(), c.max() - c)
+        c = coords[..., 0]
+        return np.minimum(c - c.min(axis=-1, keepdims=True), c.max(axis=-1, keepdims=True) - c)
+    if coords.ndim > 2:
+        return np.array([_boundary_distances(c) for c in coords])
     from scipy.spatial import ConvexHull, QhullError  # deferred: keeps it out of `import vecot`
 
     try:
@@ -246,41 +278,6 @@ def _boundary_distances(coords: np.ndarray) -> np.ndarray:
     # equations rows are (normal, offset) with normal . x + offset <= 0 inside
     gaps = -(coords @ hull.equations[:, :-1].T + hull.equations[:, -1])
     return np.maximum(gaps.min(axis=1), 0.0)
-
-
-def _accept(
-    members, pts: np.ndarray, vals: np.ndarray, dist: np.ndarray, eps: float, bound=np.inf
-):
-    """Fit sorted members (a list or an index array) once:
-    ``(residual <= eps * diameter, fit, diameter)``.
-
-    ``bound`` may be any upper bound on the diameter: a residual above
-    ``eps * bound`` fails exactly, skips the k x k gather and returns the bound.
-    """
-    sub = np.asarray(members)
-    fit = _fit(pts[sub], vals[sub])
-    if fit[3] > eps * bound:
-        return False, fit, bound
-    diameter = float(dist[sub[:, None], sub].max())  # eps * diameter may be inf, not a warning
-    return fit[3] <= eps * diameter, fit, diameter
-
-
-def _build_leaf(members: tuple[int, ...], fit, cloud: PointCloud, values: np.ndarray) -> Leaf:
-    idx = np.array(members, dtype=int)
-    pts = cloud.points[idx]
-    tmap, b, y0, residual, rank, tangent, _ = fit
-    return Leaf(
-        member_indices=idx,
-        points=pts,
-        values=values[idx],
-        dimension=rank,
-        tangent=tangent,
-        map_matrix=tmap,
-        base_point=y0,
-        offset=b,
-        fit_residual=residual,
-        sigma=_boundary_distances((pts - y0) @ tangent),
-    )
 
 
 def _validate_component(
@@ -297,8 +294,10 @@ def _validate_component(
     pending: list[int] = []
     diameter = np.inf  # members only leave, so every diameter bounds the next
     while True:
-        ok, fit, diameter = _accept(sub, pts, vals, dist, eps, diameter)
-        if not ok:
+        fit = _fit(pts[sub], vals[sub])
+        if fit[3] <= eps * diameter:  # else it fails on the bound alone: skip the k x k gather
+            diameter = float(dist[sub[:, None], sub].max())  # eps * diameter may be inf
+        if fit[3] > eps * diameter:
             drop = int(np.argmax(fit[-1]))  # the largest per-member misfit
         else:
             missing = (~adj[sub[:, None], sub]).sum(axis=1) - 1
@@ -309,20 +308,31 @@ def _validate_component(
         sub = np.concatenate((sub[:drop], sub[drop + 1 :]))
 
 
-def _grow_leaf(
-    start: int, adj: np.ndarray, dist: np.ndarray, pts: np.ndarray, vals: np.ndarray, eps: float
-):
-    """Greedily grow a clique with a passing fit around one point; return it and that fit."""
-    members, fit = [start], None
-    for q in np.flatnonzero(adj[start]):
-        q = int(q)
-        if not all(adj[q, s] for s in members):
-            continue
-        trial = sorted(members + [q])
-        ok, trial_fit, _ = _accept(trial, pts, vals, dist, eps)
-        if ok:
-            members, fit = trial, trial_fit
-    return members, fit or _accept(members, pts, vals, dist, eps)[1]
+def _regrow(starts: list[int], adj: np.ndarray, graph: IsometryGraph, vals: np.ndarray) -> dict:
+    """Regrow a leaf around each start point: ``{start: [members, fit, queue]}``.
+
+    A regrowth takes, in index order, each neighbour of its start that is
+    adjacent to all members so far and whose trial set fits within
+    ``eps * diameter``.  All advance together, one trial each per round, and
+    a round's trials of one size are fitted as one stack.  A regrowth that
+    takes no neighbour keeps fit None.
+    """
+    pts, dist, eps = graph.cloud.points, graph.cloud.distances, graph.eps
+    grown = {p: [[p], None, np.flatnonzero(adj[p]).tolist()] for p in starts}
+    active = starts
+    while active := [p for p in active if grown[p][2]]:
+        trials: dict[int, list] = {}
+        for p in active:
+            members, _, queue = grown[p]
+            q = queue.pop(0)
+            trials.setdefault(len(members), []).append((p, q, sorted(members + [q])))
+        for group in trials.values():
+            idx = np.array([trial for _, _, trial in group])
+            diameters = dist[idx[:, :, None], idx[:, None, :]].max(axis=(1, 2)).tolist()
+            for (p, q, trial), fit, diameter in zip(group, _fits(pts[idx], vals[idx]), diameters):
+                if fit[3] <= eps * diameter:  # floats: eps * diameter may be inf, not a warning
+                    grown[p][:] = trial, fit, [c for c in grown[p][2] if adj[q, c]]
+    return grown
 
 
 def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition:
@@ -333,37 +343,50 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
     removed points regrow their own leaves, possibly re-using points that
     are already covered.  That is how branch points end up in two leaves.
 
-    Every point lies in some leaf, but not every saturated pair does: a
-    removed point regrows a leaf only when no earlier leaf covers it, and
-    the greedy regrowth need not take all its neighbours, so a pair of the
+    The regrowths of all removed points advance as one staged search, since
+    each depends only on its start.  Each component then walks its removed
+    points in index order, and a point that an earlier leaf covers regrows
+    nothing.  Leaves keep the fits that accepted them, and the leaves of one
+    size and dimension are built as one stack.
+
+    Every point lies in some leaf, but not every saturated pair does: the
+    greedy regrowth need not take all its neighbours, so a pair of the
     graph whose two ends are already covered can lie in no leaf.
     """
     cloud = graph.cloud
     if not _same_cloud(u.cloud, cloud):
         raise DimensionMismatch("potential and graph describe different clouds")
-    n = cloud.size
-    pts = cloud.points
-    vals = u.values
-    eps = graph.eps
-    adj = graph.adjacency()
-    dist = cloud.distances
+    n, pts, vals, adj = cloud.size, cloud.points, u.values, graph.adjacency()
 
-    fits: dict[tuple[int, ...], tuple] = {}
     labels = component_labels(n, graph.edges)
-    by_label = np.argsort(labels, kind="stable")
-    for comp in np.split(by_label, np.cumsum(np.bincount(labels))[:-1]):
-        survivors, fit, pending = _validate_component(comp, adj, dist, pts, vals, eps)
+    comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    carved = [_validate_component(c, adj, cloud.distances, pts, vals, graph.eps) for c in comps]
+    fits = {tuple(survivors): fit for survivors, fit, _ in carved}
+    grown = _regrow([p for *_, pending in carved for p in pending], adj, graph, vals)
+    for survivors, _, pending in carved:
         covered = set(survivors)
-        fits[tuple(survivors)] = fit
         for p in sorted(pending):
-            if p in covered:
-                continue
-            grown, fit = _grow_leaf(p, adj, dist, pts, vals, eps)
-            covered.update(grown)
-            fits[tuple(grown)] = fit
+            if p not in covered:
+                members, fit, _ = grown[p]
+                covered.update(members)
+                fits[tuple(members)] = fit or _fit(pts[members], vals[members])
 
-    member_sets = sorted(fits)
-    leaves = tuple(_build_leaf(s, fits[s], cloud, vals) for s in member_sets)
+    member_sets, shapes, built = sorted(fits), {}, {}
+    for s in member_sets:
+        shapes.setdefault((len(s), fits[s][4]), []).append(s)
+    for sets in shapes.values():  # the leaves of one size and dimension, as one stack
+        idx, group = np.array(sets, dtype=int), [fits[s] for s in sets]
+        points, values, base = pts[idx], vals[idx], np.stack([fit[2] for fit in group])
+        # Each tangent keeps the transposed layout of its fit: matmul rounds by layout.
+        tangents = np.stack([fit[5].T for fit in group]).swapaxes(-1, -2)
+        sigma = _boundary_distances((points - base[:, None]) @ tangents)
+        for j, (tmap, b, y0, residual, rank, tangent, _) in enumerate(group):
+            built[sets[j]] = Leaf(
+                member_indices=idx[j], points=points[j], values=values[j], dimension=rank,
+                tangent=tangent, map_matrix=tmap, base_point=y0, offset=b, fit_residual=residual,
+                sigma=sigma[j],
+            )
+    leaves = tuple(built[s] for s in member_sets)
     # minimum.at, not assignment: numpy does not say which repeated-index write wins.
     flat = np.concatenate(member_sets)
     leaf_ids = np.repeat(np.arange(len(member_sets)), [len(s) for s in member_sets])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -36,7 +38,7 @@ from vecot import (
     transport_set,
 )
 from vecot.core import component_labels
-from vecot.leaves import _boundary_distances, _fit, _validate_component
+from vecot.leaves import _boundary_distances, _fit, _fits, _regrow, _validate_component
 
 
 def grid_projection(side: int = 5):
@@ -276,6 +278,42 @@ def test_fit_matches_the_mean_and_norm_fit_bit_for_bit():
                 assert np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def test_stacked_fits_match_one_at_a_time_bit_for_bit():
+    # Each stack mixes every rank its shape allows: coincident, collinear,
+    # coplanar and general members, with random, isometric and constant
+    # values, m > n among them, and signed zeros in points and values.
+    rng = np.random.default_rng(577)
+    seen = collections.defaultdict(set)
+    for k, n, m in itertools.product(range(1, 7), range(1, 5), range(1, 4)):
+        ranks = range(min(k - 1, n) + 1)
+        sets = []
+        for s in range(int(rng.integers(1, 41))):
+            r = ranks[s % len(ranks)]
+            pts = rng.normal(size=(k, r)) @ rng.normal(size=(r, n)) + rng.normal(size=n)
+            kind = s % 3
+            if kind == 0:
+                vals = rng.normal(size=(k, m))
+            elif kind == 1:
+                q = np.linalg.qr(rng.normal(size=(max(n, m), max(n, m))))[0][:m, :n]
+                vals = pts @ q.T + rng.normal(size=m)
+            else:
+                vals = np.full((k, m), rng.normal())
+            if s % 7 == 6:
+                pts[:, -1], vals[:, 0] = np.copysign(0.0, pts[:, -1]), np.copysign(0.0, vals[:, 0])
+            sets.append((pts, vals))
+        stack = _fits(np.stack([p for p, _ in sets]), np.stack([v for _, v in sets]))
+        assert len(stack) == len(sets)
+        seen[k, n] |= {fit[4] for fit in stack}
+        for got, (pts, vals) in zip(stack, sets):
+            for a, b in zip(got, reference_fit(pts, vals)):
+                assert type(a) is type(b)
+                if isinstance(a, np.ndarray):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (k, n, m)
+                else:
+                    assert np.float64(a).tobytes() == np.float64(b).tobytes(), (k, n, m)
+    assert all(seen[k, n] == set(range(min(k - 1, n) + 1)) for k, n in seen)
+
+
 def test_fit_raises_when_lapack_does_not_converge(monkeypatch):
     dgesdd = scipy.linalg.lapack.dgesdd
 
@@ -286,6 +324,16 @@ def test_fit_raises_when_lapack_does_not_converge(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", no_convergence)
     with pytest.raises(np.linalg.LinAlgError):
         _fit(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros((3, 1)))
+
+
+def test_stacked_fits_raise_when_lapack_does_not_converge(monkeypatch):
+    def no_convergence(a, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")  # as numpy's dgesdd loop does
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    corner = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        _fits(np.stack([corner, 2.0 * corner]), np.zeros((2, 3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +711,13 @@ def reference_cases():
     weights = rng.normal(size=(300, 1))
     points = rng.uniform(-1.0, 1.0, (300, 2))
     yield "scalar-300", solved_potential(points, weights - weights.mean()), 1e-6
+    weights = rng.normal(size=(400, 1))
+    points = rng.uniform(-1.0, 1.0, (400, 3))
+    yield "scalar-400-3d", solved_potential(points, weights - weights.mean()), 1e-6
+    # m = 2, where regrown leaves share members: branch points between regrowths.
+    weights = rng.normal(size=(60, 2))
+    points = rng.uniform(-1.0, 1.0, (60, 2))
+    yield "vector-60", solved_potential(points, weights - weights.mean(axis=0)), 1e-6
     for name, spec in (("paper", paper_preset()), ("orthant", orthant_spec(3))):
         inst = spec.instance()
         yield name, solved_potential(inst.cloud.points, inst.measure.weights), 1e-6
@@ -700,6 +755,58 @@ def test_the_shrink_loop_gathers_a_wide_diameter_once_per_component():
             _validate_component(comp, adj, dist, u.cloud.points, u.values, eps)
             wide = sum(w > 3 for w in dist.widths)
             assert wide == (len(comp) > 3), (name, len(comp), dist.widths)
+
+
+def test_the_regrowth_stage_fits_a_round_of_trials_as_one_stack(monkeypatch):
+    # scalar-300 is one tree: every regrowth tries one neighbour, all in one
+    # round.  vector-60's regrown leaves share members, so some of its branch
+    # points lie in two regrowths.
+    fits, calls = vecot.leaves._fits, []
+    monkeypatch.setattr(vecot.leaves, "_fits", lambda p, v: calls.append(len(p)) or fits(p, v))
+    for name, u, eps in reference_cases():
+        if name not in ("scalar-300", "vector-60"):
+            continue
+        graph = isometry_graph(u, eps=eps)
+        labels = component_labels(u.cloud.size, graph.edges)
+        adj, x, dist = graph.adjacency(), u.cloud.points, u.cloud.distances
+        carved = [
+            _validate_component(np.flatnonzero(labels == label), adj, dist, x, u.values, eps)
+            for label in range(labels.max() + 1)
+        ]
+        pending = sorted(p for *_, removed in carved for p in removed)
+        calls.clear()
+        assert sorted(_regrow(pending, adj, graph, u.values)) == pending
+        if name == "scalar-300":
+            assert len(calls) <= 2, calls
+        else:
+            survivors = {tuple(kept) for kept, _, _ in carved}
+            members = [leaf.member_indices.tolist() for leaf in extract_leaves(graph, u).leaves]
+            grown = [set(s) for s in members if tuple(s) not in survivors]
+            assert any(a & b for a, b in itertools.combinations(grown, 2))
+
+
+def test_a_regrowth_that_takes_no_neighbour_leaves_its_start_alone(monkeypatch):
+    # A trial pair passes its fit up to roundoff, so a failing trial is forced:
+    # every stacked fit, which only the regrowth stage makes, reports an
+    # infinite residual.  The walked starts become one-point leaves.
+    fits = vecot.leaves._fits
+
+    def rejecting(points, values):
+        got = fits(points, values)
+        return [fit[:3] + (math.inf,) + fit[4:] for fit in got] if values.ndim == 3 else got
+
+    monkeypatch.setattr(vecot.leaves, "_fits", rejecting)
+    u = next(u for name, u, _ in reference_cases() if name == "vector-60")
+    graph = isometry_graph(u)
+    dec, adj = extract_leaves(graph, u), graph.adjacency()
+    singles = [leaf for leaf in dec.leaves if leaf.size == 1 and adj[leaf.member_indices[0]].any()]
+    assert singles and (dec.assignment < len(dec.leaves)).all()
+    for leaf in singles:
+        p = leaf.member_indices
+        tmap, offset, y0, residual, rank, _, _ = _fit(u.cloud.points[p], u.values[p])
+        assert (leaf.dimension, leaf.fit_residual) == (rank, residual) == (0, 0.0)
+        for got, want in ((leaf.map_matrix, tmap), (leaf.base_point, y0), (leaf.offset, offset)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_a_stale_diameter_bound_only_defers_the_rejection():

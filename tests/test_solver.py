@@ -146,7 +146,7 @@ def test_line_optimal_potential_is_tight():
 # ---------------------------------------------------------------------------
 
 
-def test_homogeneity_is_exact_in_the_weights():
+def test_homogeneity_holds_to_roundoff_in_the_weights():
     rng = np.random.default_rng(23)
     inst = random_instance(rng, 6, 2, 2)
     base = kr_norm(inst)
@@ -156,7 +156,7 @@ def test_homogeneity_is_exact_in_the_weights():
         assert val == pytest.approx(abs(c) * base, rel=1e-9)
 
 
-def test_homogeneity_is_exact_in_the_points():
+def test_homogeneity_holds_to_roundoff_in_the_points():
     rng = np.random.default_rng(29)
     inst = random_instance(rng, 5, 3, 2)
     base = kr_norm(inst)
