@@ -6,10 +6,15 @@ sets (leaves) are affine: u acts on a leaf as T(y - y0) + b with T a linear
 isometry of the leaf's tangent space into R^m.  On a finite sample we build
 the graph of distance-saturating pairs and carve it into validated leaves:
 components shrink until they fit, and the removed points regrow leaves in a
-staged search that fits each round's trials as one stack.  Each leaf keeps
-its affine isometry and, for every member, the distance to the sampled leaf
-boundary.  Points shared by two leaves are branch points; they are flagged
-and transport sets do not expand through them.
+staged search that fits each round's trials as one stack.  At m = 1 most
+drops of the shrink are decided from running moments of the survivors, but
+only where the decision clears a margin far above the rounding of both
+arithmetics; the other steps, and every accepting fit, are Procrustes fits
+of the survivors, so the leaves are those of a shrink that refits every
+step.  Each leaf keeps its affine isometry and, for every member, the
+distance to the sampled leaf boundary.  Points shared by two leaves are
+branch points; they are flagged and transport sets do not expand through
+them.
 
 Everything here is deterministic: ties are broken by point index and leaves
 are ordered by their member tuples.
@@ -29,6 +34,7 @@ from .core import (
     VecotError,
     WrongDimension,
     _check_tolerance,
+    _einsum,
     _lapack,
     _point_indices,
     _same_cloud,
@@ -55,6 +61,24 @@ __all__ = [
 # Singular values below this fraction of the largest are treated as zero
 # when estimating tangent-space dimension.
 _RANK_RTOL = 1e-7
+
+# Margins of the shrink loop's moment decisions (`_validate_component`, m = 1).
+# The K rows z = (x, t) of a component are centred and scaled by a power of
+# two to entries below 1, and the survivors' sums of z and z z^T are
+# downdated one member at a time.  So with X = sum x.x and T = sum t^2 over
+# the component, C^T C errs by at most about gamma X, C^T r by gamma sqrt(XT)
+# and sum r^2 by gamma T, with gamma = K^1.5 2^-53 (3e-11 at K = 4000), and
+# `_fit`'s SVD arithmetic errs less.  The gradient's direction then errs by
+# gamma (1 + sqrt(XT) / ||C^T r||), a misfit by that times the largest row
+# norm, and the squared residual by gamma (X + T) plus that times
+# trace(C^T C).  A moment decision must clear each of these bounds with
+# _MOMENT_RTOL, over 30 times gamma, in place of gamma.  It needs a full-rank
+# C^T C as well: det / trace^n >= _MOMENT_RANK + _MOMENT_RTOL X / trace
+# bounds its smallest eigenvalue, less its error, below by 1e-6 trace, so its
+# singular values keep a ratio of at least 1e-3, far above `_RANK_RTOL`:
+# `_fit` finds full rank too.
+_MOMENT_RTOL = 1e-9
+_MOMENT_RANK = 1e-6
 
 
 class NotLipschitz(VecotError):
@@ -289,11 +313,79 @@ def _validate_component(
     member with the most missing edges while the set is not a clique.
     Returns the survivors, their accepting fit and the removed members,
     which regrow leaves of their own.
+
+    At m = 1, while more than 4 members remain, a drop is decided from
+    running moments of the survivors (the sums of the rows z = (x, t) and
+    of z z^T, downdated as members leave) when it clears the margins
+    `_MOMENT_RTOL` and `_MOMENT_RANK`: the unit gradient
+    g = C^T r / ||C^T r||, the residual from
+    sum r^2 - 2 ||C^T r|| + g^T (C^T C) g and the misfits |t - x.g - c0|
+    then pick the member `_fit` would.  Every other step, the first (which
+    sets the diameter bound) among them, is decided by `_fit`, and the
+    accepting fit is always `_fit`'s.
     """
-    sub = np.sort(comp)
+    sub = order = np.sort(comp)
+    size, n = len(order), pts.shape[1]
     pending: list[int] = []
     diameter = np.inf  # members only leave, so every diameter bounds the next
+    if moments := vals.shape[1] == 1 and size > 4:  # rows z = (x, t), centred on their centroid
+        z = np.column_stack((pts[order], vals[order]))
+        z -= np.add.reduce(z, axis=0) / size
+        top = float(np.abs(z).max())
+        moments = 0.0 < top < np.inf
+    if moments:  # scaled by a power of two, exactly, to entries below 1
+        scale = math.ldexp(1.0, -math.frexp(top)[1])
+        z *= scale
+        rows, s = z.tolist(), np.add.reduce(z, axis=0).tolist()  # the survivors' sums of z
+        sq = _einsum("ki,kj->ij", z, z).tolist()  # and of z z^T, as Python floats
+        xx, tt = sum(sq[a][a] for a in range(n)), sq[n][n]
+        reach = math.sqrt(float(_einsum("ij,ij->i", z, z).max()))
+        alive = np.ones(size, dtype=bool)
+
+    def leave(row: int):
+        """Remove a member and downdate the survivors' moments."""
+        pending.append(int(order[row]))
+        alive[row] = False
+        zr = rows[row]
+        for a, line in zip(zr, sq):
+            line[:] = [v - a * b for v, b in zip(line, zr)]
+        s[:] = [v - b for v, b in zip(s, zr)]
+
+    def moment_drop(bound: float):
+        """The row of the member to drop, or None where a margin is not cleared."""
+        k = size - len(pending)
+        mean = [v / k for v in s]
+        *gram, last = [[v - a * b for v, b in zip(line, s)] for line, a in zip(sq, mean)]
+        ctr, rr = last[:n], last[n]  # C^T r, also the last column of gram, and sum r^2
+        trace, norm = sum(line[a] for a, line in enumerate(gram)), math.hypot(*ctr)
+        if not (norm > 0.0 and trace > 0.0):
+            return None
+        least = _MOMENT_RANK + _MOMENT_RTOL * xx / trace  # the moments' error added
+        ratio, schur = 1.0, gram  # det / trace^n as the product of the n pivots / trace
+        while schur:
+            (p, *head), *rest = schur
+            if not (ratio := ratio * p / trace) >= least:  # no pivot exceeds the trace
+                return None
+            schur = [[v - line[0] * w / p for v, w in zip(line[1:], head)] for line in rest]
+        g = [v / norm for v in ctr]
+        gmg = sum(a * sum(v * b for v, b in zip(line, g)) for a, line in zip(g, gram))
+        noise = _MOMENT_RTOL * (1.0 + math.sqrt(xx * tt) / norm)
+        if not rr - 2.0 * norm + gmg - k * bound * bound > _MOMENT_RTOL * (xx + tt) + noise * trace:
+            return None
+        # t - x.g in one pass over the rows, summed in a fixed order without BLAS
+        fitted = _einsum("ij,j->i", z, np.array([-v for v in g] + [1.0]))
+        c0 = mean[n] - sum(a * b for a, b in zip(g, mean))
+        misfit = np.where(alive, np.abs(fitted - c0), -np.inf)
+        row = int(misfit.argmax())
+        top, misfit[row] = misfit[row], -np.inf
+        return row if top - misfit.max() > noise * reach else None
+
     while True:
+        if moments:
+            bound = eps * diameter * scale
+            while len(pending) < size - 4 and (row := moment_drop(bound)) is not None:
+                leave(row)
+            sub = order[alive]
         fit = _fit(pts[sub], vals[sub])
         if fit[3] <= eps * diameter:  # else it fails on the bound alone: skip the k x k gather
             diameter = float(dist[sub[:, None], sub].max())  # eps * diameter may be inf
@@ -304,8 +396,11 @@ def _validate_component(
             if not missing.any():
                 return sub.tolist(), fit, pending
             drop = int(np.argmax(missing))
-        pending.append(int(sub[drop]))
-        sub = np.concatenate((sub[:drop], sub[drop + 1 :]))
+        if moments:
+            leave(int(np.searchsorted(order, sub[drop])))
+        else:
+            pending.append(int(sub[drop]))
+            sub = np.concatenate((sub[:drop], sub[drop + 1 :]))
 
 
 def _regrow(starts: list[int], adj: np.ndarray, graph: IsometryGraph, vals: np.ndarray) -> dict:
@@ -317,8 +412,16 @@ def _regrow(starts: list[int], adj: np.ndarray, graph: IsometryGraph, vals: np.n
     a round's trials of one size are fitted as one stack.  A regrowth that
     takes no neighbour keeps fit None.
     """
-    pts, dist, eps = graph.cloud.points, graph.cloud.distances, graph.eps
-    grown = {p: [[p], None, np.flatnonzero(adj[p]).tolist()] for p in starts}
+    pts, dist, eps, e = graph.cloud.points, graph.cloud.distances, graph.eps, graph.edges
+    # Every point's neighbours in index order: both directions of the edges as
+    # point * n + neighbour, sorted, without the duplicate pairs `adjacency` drops.
+    n = graph.cloud.size
+    keys = np.sort(np.concatenate((e @ [n, 1], e @ [1, n])))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    heads, tails = np.divmod(keys[first], n)
+    ends, tails = np.searchsorted(heads, np.arange(n + 1)).tolist(), tails.tolist()
+    grown = {p: [[p], None, tails[ends[p] : ends[p + 1]]] for p in starts}
     active = starts
     while active := [p for p in active if grown[p][2]]:
         trials: dict[int, list] = {}
@@ -342,6 +445,12 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
     clique with an isometric affine fit is shrunk member by member, and the
     removed points regrow their own leaves, possibly re-using points that
     are already covered.  That is how branch points end up in two leaves.
+
+    A scalar component (m = 1) of more than 4 members drops most members on
+    running moments of its survivors, where a drop clears the margins of
+    `_validate_component`; the first step, the steps that miss a margin and
+    the steps at 4 members or less refit the survivors, and the fit that
+    accepts the survivors is always a refit.
 
     The regrowths of all removed points advance as one staged search, since
     each depends only on its start.  Each component then walks its removed

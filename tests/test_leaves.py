@@ -827,6 +827,144 @@ def test_a_stale_diameter_bound_only_defers_the_rejection():
     assert_same_decomposition(extract_leaves(graph, u), reference_extract_leaves(graph, u))
 
 
+def reference_validate_component(comp, adj, dist, pts, vals, eps):
+    """The shrink loop as it stood before its drops were decided from running
+    moments: every step refits the survivors with `_fit`."""
+    sub = np.sort(comp)
+    pending, diameter = [], np.inf
+    while True:
+        fit = _fit(pts[sub], vals[sub])
+        if fit[3] <= eps * diameter:
+            diameter = float(dist[sub[:, None], sub].max())
+        if fit[3] > eps * diameter:
+            drop = int(np.argmax(fit[-1]))
+        else:
+            missing = (~adj[sub[:, None], sub]).sum(axis=1) - 1
+            if not missing.any():
+                return sub.tolist(), fit, pending
+            drop = int(np.argmax(missing))
+        pending.append(int(sub[drop]))
+        sub = np.concatenate((sub[:drop], sub[drop + 1 :]))
+
+
+def symmetric_tie(skew: float = 0.0):
+    """A line u = x on two rows y = -1, 1, an outlier at the origin and a
+    mirror pair: once the outlier leaves, the pair's misfits tie, or differ
+    by about ``skew``."""
+    pts = [(x, y) for x in (-2.0, -1.0, 0.0, 1.0, 2.0) for y in (-1.0, 1.0)]
+    pts += [(0.0, 0.0), (3.0, -0.5), (3.0, 0.5)]
+    vals = [x for x, _ in pts[:10]] + [5.0, 1.0, 1.0 + skew]
+    return np.array(pts), np.array(vals)[:, None]
+
+
+def near_collinear_chain(rng, size: int = 40, offset: float = 1e-9):
+    """Points on a line, ``offset`` off it, with values far from any isometry."""
+    s = np.sort(rng.uniform(-1.0, 1.0, size))
+    pts = np.column_stack([s, 0.5 * s]) + offset * rng.normal(size=(size, 2))
+    return pts, rng.uniform(-0.5, 0.5, (size, 1))
+
+
+def near_duplicate_pairs(rng, size: int = 20):
+    """``size`` points in 2-D and a partner 1e-7 from each, its value within 1e-7."""
+    pts = rng.uniform(-1.0, 1.0, (size, 2))
+    vals = rng.uniform(-0.5, 0.5, (size, 1))
+    step = rng.normal(size=(size, 2))
+    step *= 1e-7 / np.linalg.norm(step, axis=1, keepdims=True)
+    shift = rng.uniform(-1e-7, 1e-7, (size, 1))
+    return np.vstack([pts, pts + step]), np.vstack([vals, vals + shift])
+
+
+def complete_component(pts, vals):
+    """``_validate_component``'s arguments for one component of all pairs."""
+    k = len(pts)
+    dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    return np.arange(k), ~np.eye(k, dtype=bool), dist, pts, vals, 1e-6
+
+
+def test_the_shrink_loop_matches_the_exact_loop_bit_for_bit(monkeypatch):
+    # At m = 1 most drops are decided from running moments; survivors, drops
+    # and the accepting fit must be those of the loop that refits every step.
+    components = []
+    for name, u, eps in reference_cases():
+        graph = isometry_graph(u, eps=eps)
+        labels, adj = component_labels(u.cloud.size, graph.edges), graph.adjacency()
+        for label in range(labels.max() + 1):
+            comp = np.flatnonzero(labels == label)
+            components.append((name, (comp, adj, u.cloud.distances, u.cloud.points, u.values, eps)))
+    rng = np.random.default_rng(35)
+    for k in range(3):
+        components.append((f"collinear-{k}", complete_component(*near_collinear_chain(rng))))
+        components.append((f"near-duplicate-{k}", complete_component(*near_duplicate_pairs(rng))))
+    # 1e-4 off the line, C^T C is of full rank for `_fit`, but det / trace^2 < 1e-6.
+    components.append(("collinear-wide", complete_component(*near_collinear_chain(rng, 40, 1e-4))))
+    components.append(("tie", complete_component(*symmetric_tie())))
+    components.append(("near-tie", complete_component(*symmetric_tie(1e-12))))
+    fits, sizes = vecot.leaves._fit, []
+    monkeypatch.setattr(vecot.leaves, "_fit", lambda p, v: sizes.append(len(p)) or fits(p, v))
+    for name, args in components:
+        sizes.clear()
+        survivors, fit, pending = _validate_component(*args)
+        want, want_fit, want_pending = reference_validate_component(*args)
+        assert (survivors, pending) == (want, want_pending), name
+        assert len(fit) == len(want_fit) == 7
+        for got, expected in zip(fit, want_fit):
+            assert as_bytes(np.asarray(got)) == as_bytes(np.asarray(expected)), name
+        if name.startswith("collinear"):  # no step passes the rank guard
+            assert len(sizes) == len(pending) + 1, name
+        if name == "tie":  # the exact fit decides the tie and drops the first of the pair
+            pts, vals = symmetric_tie()
+            errors = _fit(np.delete(pts, 10, axis=0), np.delete(vals, 10, axis=0))[-1]
+            assert errors[10] == errors[11] == errors.max()
+            assert 12 in sizes and pending == [10, 11, 12]
+        if name == "near-tie":  # misfits 1e-12 apart are within the margin: the exact fit decides
+            assert 12 in sizes and pending[0] == 10, sizes
+
+
+def test_the_scalar_shrink_loop_makes_few_exact_fits(monkeypatch):
+    # One component of 120-400 members shrinks to a pair: the first step, which
+    # sets the diameter bound, the few steps at 4 members or less and the
+    # accepting fit refit the survivors; the moments decide the rest.
+    fits, sizes = vecot.leaves._fit, []
+    monkeypatch.setattr(vecot.leaves, "_fit", lambda p, v: sizes.append(len(p)) or fits(p, v))
+    for name, u, eps in reference_cases():
+        if name not in ("scalar-120", "scalar-300", "scalar-400-3d"):
+            continue
+        graph = isometry_graph(u, eps=eps)
+        labels, adj = component_labels(u.cloud.size, graph.edges), graph.adjacency()
+        sizes.clear()
+        for label in range(labels.max() + 1):
+            comp = np.flatnonzero(labels == label)
+            _validate_component(comp, adj, u.cloud.distances, u.cloud.points, u.values, eps)
+        assert len(sizes) <= 8, (name, sizes)
+        assert max(sizes) == u.cloud.size, name
+
+
+def test_regrowth_queues_drop_duplicate_and_unordered_edges(monkeypatch):
+    # A user-built graph may list a pair twice and in any order; the regrowths
+    # try the neighbours, and make the leaves, of the graph that lists each
+    # pair once.  Every trial is made to fail, as a repeated neighbour that
+    # fails its trial would be tried again.
+    fits, trials = vecot.leaves._fits, []
+
+    def rejecting(points, values):
+        got = fits(points, values)
+        if values.ndim < 3:
+            return got
+        trials.append(points.tobytes())
+        return [fit[:3] + (math.inf,) + fit[4:] for fit in got]
+
+    monkeypatch.setattr(vecot.leaves, "_fits", rejecting)
+    u = next(u for name, u, _ in reference_cases() if name == "vector-60")
+    graph = isometry_graph(u)
+    edges = np.random.default_rng(8).permutation(np.vstack([graph.edges, graph.edges[::2]]))
+    repeated = IsometryGraph(cloud=u.cloud, edges=edges, eps=graph.eps)
+    once = extract_leaves(graph, u)
+    tried, trials[:] = trials[:], []
+    assert tried
+    assert_same_decomposition(extract_leaves(repeated, u), once)
+    assert trials == tried
+
+
 @st.composite
 def solved_instances(draw):
     """A potential solved on 2-15 distinct lattice points in R^n, n <= 3,
