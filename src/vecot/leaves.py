@@ -4,17 +4,14 @@ A 1-Lipschitz map u restricted to a set S is an isometry exactly when every
 pair of points in S has ``||u(x) - u(y)|| = ||x - y||``.  The maximal such
 sets (leaves) are affine: u acts on a leaf as T(y - y0) + b with T a linear
 isometry of the leaf's tangent space into R^m.  On a finite sample we build
-the graph of distance-saturating pairs and carve it into validated leaves:
-components shrink until they fit, and the removed points regrow leaves in a
-staged search that fits each round's trials as one stack.  At m = 1 most
-drops of the shrink are decided from running moments of the survivors, but
-only where the decision clears a margin far above the rounding of both
-arithmetics; the other steps, and every accepting fit, are Procrustes fits
-of the survivors, so the leaves are those of a shrink that refits every
-step.  Each leaf keeps its affine isometry and, for every member, the
-distance to the sampled leaf boundary.  Points shared by two leaves are
-branch points; they are flagged and transport sets do not expand through
-them.
+the graph of distance-saturating pairs and read the leaves off it.  At m = 1
+a set on which u is an isometry is collinear and ordered by u, a transport
+ray, so the leaves are the maximal cliques of the graph.  At m >= 2 the
+graph is carved greedily: components shrink until they fit, and the
+removed points regrow leaves.  Each leaf keeps its affine isometry and,
+for every member, the distance to the sampled leaf boundary.  Points shared
+by two leaves are branch points; they are flagged and transport sets do not
+expand through them.
 
 Everything here is deterministic: ties are broken by point index and leaves
 are ordered by their member tuples.
@@ -34,7 +31,6 @@ from .core import (
     VecotError,
     WrongDimension,
     _check_tolerance,
-    _einsum,
     _lapack,
     _point_indices,
     _same_cloud,
@@ -45,6 +41,7 @@ from .core import (
 __all__ = [
     "NotLipschitz",
     "DegenerateLeaf",
+    "TooManyCliques",
     "IsometryGraph",
     "Leaf",
     "LeafDecomposition",
@@ -62,24 +59,6 @@ __all__ = [
 # when estimating tangent-space dimension.
 _RANK_RTOL = 1e-7
 
-# Margins of the shrink loop's moment decisions (`_validate_component`, m = 1).
-# The K rows z = (x, t) of a component are centred and scaled by a power of
-# two to entries below 1, and the survivors' sums of z and z z^T are
-# downdated one member at a time.  So with X = sum x.x and T = sum t^2 over
-# the component, C^T C errs by at most about gamma X, C^T r by gamma sqrt(XT)
-# and sum r^2 by gamma T, with gamma = K^1.5 2^-53 (3e-11 at K = 4000), and
-# `_fit`'s SVD arithmetic errs less.  The gradient's direction then errs by
-# gamma (1 + sqrt(XT) / ||C^T r||), a misfit by that times the largest row
-# norm, and the squared residual by gamma (X + T) plus that times
-# trace(C^T C).  A moment decision must clear each of these bounds with
-# _MOMENT_RTOL, over 30 times gamma, in place of gamma.  It needs a full-rank
-# C^T C as well: det / trace^n >= _MOMENT_RANK + _MOMENT_RTOL X / trace
-# bounds its smallest eigenvalue, less its error, below by 1e-6 trace, so its
-# singular values keep a ratio of at least 1e-3, far above `_RANK_RTOL`:
-# `_fit` finds full rank too.
-_MOMENT_RTOL = 1e-9
-_MOMENT_RANK = 1e-6
-
 
 class NotLipschitz(VecotError):
     """The potential exceeds the Lipschitz bound the graph would assume."""
@@ -87,6 +66,10 @@ class NotLipschitz(VecotError):
 
 class DegenerateLeaf(VecotError):
     """A leaf lacks the data a diagnostic needs (e.g. a non-member index)."""
+
+
+class TooManyCliques(VecotError):
+    """At m = 1 the saturation graph's cliques are too many to be rays: eps is too large."""
 
 
 @dataclass(frozen=True)
@@ -233,11 +216,12 @@ def _fit(points: np.ndarray, values: np.ndarray):
     return _fits(points, values)[0]
 
 
-def _fits(points: np.ndarray, values: np.ndarray) -> list[tuple]:
+def _fits(points: np.ndarray, values: np.ndarray, max_rank: int | None = None) -> list[tuple]:
     """``_fit`` of each set of a (K, k, n) point and (K, k, m) value stack,
     or of one (k, n) and (k, m) set, with the bits of its own call: each
     step reduces, decomposes or multiplies the matrices one by one.  The sets
-    of one tangent rank share the tangent and rotation steps.
+    of one tangent rank share the tangent and rotation steps.  A set keeps at
+    most ``max_rank`` tangent directions, its leading ones, when given.
     """
     if values.ndim > 2 and len(values) == 1:
         points, values = points[0], values[0]
@@ -248,14 +232,16 @@ def _fits(points: np.ndarray, values: np.ndarray) -> list[tuple]:
     centered = points - (y0 if one else y0[:, None])
     target = values - (b if one else b[:, None])
     _, svals, vt = _svd(centered)
-    if one:  # above the tolerance of each set's largest singular value; no rank when all are 0
-        y0, b, kept = [y0], [b], [(svals > _RANK_RTOL * float(svals[0])).tolist()]
-    else:
-        kept = (svals > _RANK_RTOL * svals[:, :1]).tolist()
+    # above the tolerance of each set's largest singular value; no rank when all are 0
+    ranks = np.count_nonzero(svals > _RANK_RTOL * svals[..., :1], axis=-1)
+    if max_rank is not None:
+        ranks = np.minimum(ranks, max_rank)
+    if one:
+        y0, b, ranks = [y0], [b], ranks[None]
     groups: dict[int, list[int]] = {}
-    for i, row in enumerate(kept):
-        groups.setdefault(sum(row), []).append(i)
-    fits: list = [None] * len(kept)
+    for i, rank in enumerate(ranks.tolist()):
+        groups.setdefault(rank, []).append(i)
+    fits: list = [None] * len(ranks)
     for rank, group in groups.items():
         sel = ... if len(groups) == 1 else group if len(group) > 1 else group[0]
         tangent = vt[sel, :rank, :].swapaxes(-1, -2)
@@ -304,6 +290,81 @@ def _boundary_distances(coords: np.ndarray) -> np.ndarray:
     return np.maximum(gaps.min(axis=1), 0.0)
 
 
+def _maximal_cliques(n: int, edges: np.ndarray) -> list[tuple[int, ...]]:
+    """Every maximal clique of the graph on n points with these edges, as a
+    sorted member tuple: Bron-Kerbosch with Tomita's pivot, iterative, so a
+    clique of any size needs no recursion.
+
+    Neighbours are the bits of a Python int, so a repeated pair sets its bit
+    twice.  Each clique is listed from its smallest member, whose later
+    neighbours are the candidates and earlier ones the excluded.  The pivot
+    is the first point, in index order, adjacent to every candidate but
+    itself, or else the first with the most candidate neighbours.
+
+    Where every pair lies in one maximal clique, as on rays that meet at
+    their ends only, the search takes at most 2n + 8E steps for E pairs:
+    nodes, pivots tried and members listed.  An eps large against the
+    spacing of the cloud can make the cliques exponentially many (2^k for
+    u = x on the 2 x k unit lattice at eps 0.3): past twice that bound the
+    search raises TooManyCliques.
+    """
+    bits = np.zeros((n, n // 8 + 1), dtype=np.uint8)
+    for i, j in ((edges[:, 0], edges[:, 1]), (edges[:, 1], edges[:, 0])):
+        np.bitwise_or.at(bits, (i, j >> 3), np.left_shift(1, j & 7).astype(np.uint8))
+    adj = [int.from_bytes(row, "little") for row in bits]
+    cliques, steps, limit = [], 0, 4 * n + 16 * len(edges)
+    for v, row in enumerate(adj):
+        later = row >> v + 1 << v + 1
+        if not later:  # v is the largest member of every clique it is in
+            cliques += [] if row else [(v,)]
+            continue
+        stack = [((v, None), later, row ^ later)]  # members as a chain (last, rest)
+        while stack and steps <= limit:
+            steps += 1
+            chain, cand, excl = stack.pop()
+            if not cand:
+                if not excl:
+                    members = []
+                    while chain:
+                        w, chain = chain
+                        members.append(w)
+                    steps += len(members)
+                    cliques.append(tuple(sorted(members)))
+                continue
+            best, size, pool = -1, cand.bit_count(), excl | cand
+            while pool:
+                steps += 1
+                p = (pool & -pool).bit_length() - 1  # the lowest point left
+                pool &= pool - 1
+                if (count := (cand & adj[p]).bit_count()) > best:
+                    best, pivot = count, p
+                    if count == size - (cand >> p & 1):  # adjacent to every other candidate
+                        break
+            branch = cand & ~adj[pivot]
+            while branch:
+                w = (branch & -branch).bit_length() - 1
+                branch &= branch - 1
+                stack.append(((w, chain), cand & adj[w], excl & adj[w]))
+                cand ^= 1 << w
+                excl |= 1 << w
+        if stack:
+            raise TooManyCliques(f"the clique search passed {limit} steps: no ray holds the cliques")
+    return cliques
+
+
+def _clique_fits(graph: IsometryGraph, vals: np.ndarray) -> dict:
+    """``{members: fit}`` over the maximal cliques, the leaves at m = 1, each
+    fitted once in a stack of its size with one tangent direction at most."""
+    sizes: dict[int, list] = {}
+    for clique in _maximal_cliques(graph.cloud.size, graph.edges):
+        sizes.setdefault(len(clique), []).append(clique)
+    fits = {}
+    for sets in sizes.values():
+        idx = np.array(sets)
+        fits.update(zip(sets, _fits(graph.cloud.points[idx], vals[idx], max_rank=1)))
+    return fits
+
+
 def _validate_component(
     comp, adj: np.ndarray, dist: np.ndarray, pts: np.ndarray, vals: np.ndarray, eps: float
 ):
@@ -313,79 +374,11 @@ def _validate_component(
     member with the most missing edges while the set is not a clique.
     Returns the survivors, their accepting fit and the removed members,
     which regrow leaves of their own.
-
-    At m = 1, while more than 4 members remain, a drop is decided from
-    running moments of the survivors (the sums of the rows z = (x, t) and
-    of z z^T, downdated as members leave) when it clears the margins
-    `_MOMENT_RTOL` and `_MOMENT_RANK`: the unit gradient
-    g = C^T r / ||C^T r||, the residual from
-    sum r^2 - 2 ||C^T r|| + g^T (C^T C) g and the misfits |t - x.g - c0|
-    then pick the member `_fit` would.  Every other step, the first (which
-    sets the diameter bound) among them, is decided by `_fit`, and the
-    accepting fit is always `_fit`'s.
     """
-    sub = order = np.sort(comp)
-    size, n = len(order), pts.shape[1]
+    sub = np.sort(comp)
     pending: list[int] = []
     diameter = np.inf  # members only leave, so every diameter bounds the next
-    if moments := vals.shape[1] == 1 and size > 4:  # rows z = (x, t), centred on their centroid
-        z = np.column_stack((pts[order], vals[order]))
-        z -= np.add.reduce(z, axis=0) / size
-        top = float(np.abs(z).max())
-        moments = 0.0 < top < np.inf
-    if moments:  # scaled by a power of two, exactly, to entries below 1
-        scale = math.ldexp(1.0, -math.frexp(top)[1])
-        z *= scale
-        rows, s = z.tolist(), np.add.reduce(z, axis=0).tolist()  # the survivors' sums of z
-        sq = _einsum("ki,kj->ij", z, z).tolist()  # and of z z^T, as Python floats
-        xx, tt = sum(sq[a][a] for a in range(n)), sq[n][n]
-        reach = math.sqrt(float(_einsum("ij,ij->i", z, z).max()))
-        alive = np.ones(size, dtype=bool)
-
-    def leave(row: int):
-        """Remove a member and downdate the survivors' moments."""
-        pending.append(int(order[row]))
-        alive[row] = False
-        zr = rows[row]
-        for a, line in zip(zr, sq):
-            line[:] = [v - a * b for v, b in zip(line, zr)]
-        s[:] = [v - b for v, b in zip(s, zr)]
-
-    def moment_drop(bound: float):
-        """The row of the member to drop, or None where a margin is not cleared."""
-        k = size - len(pending)
-        mean = [v / k for v in s]
-        *gram, last = [[v - a * b for v, b in zip(line, s)] for line, a in zip(sq, mean)]
-        ctr, rr = last[:n], last[n]  # C^T r, also the last column of gram, and sum r^2
-        trace, norm = sum(line[a] for a, line in enumerate(gram)), math.hypot(*ctr)
-        if not (norm > 0.0 and trace > 0.0):
-            return None
-        least = _MOMENT_RANK + _MOMENT_RTOL * xx / trace  # the moments' error added
-        ratio, schur = 1.0, gram  # det / trace^n as the product of the n pivots / trace
-        while schur:
-            (p, *head), *rest = schur
-            if not (ratio := ratio * p / trace) >= least:  # no pivot exceeds the trace
-                return None
-            schur = [[v - line[0] * w / p for v, w in zip(line[1:], head)] for line in rest]
-        g = [v / norm for v in ctr]
-        gmg = sum(a * sum(v * b for v, b in zip(line, g)) for a, line in zip(g, gram))
-        noise = _MOMENT_RTOL * (1.0 + math.sqrt(xx * tt) / norm)
-        if not rr - 2.0 * norm + gmg - k * bound * bound > _MOMENT_RTOL * (xx + tt) + noise * trace:
-            return None
-        # t - x.g in one pass over the rows, summed in a fixed order without BLAS
-        fitted = _einsum("ij,j->i", z, np.array([-v for v in g] + [1.0]))
-        c0 = mean[n] - sum(a * b for a, b in zip(g, mean))
-        misfit = np.where(alive, np.abs(fitted - c0), -np.inf)
-        row = int(misfit.argmax())
-        top, misfit[row] = misfit[row], -np.inf
-        return row if top - misfit.max() > noise * reach else None
-
     while True:
-        if moments:
-            bound = eps * diameter * scale
-            while len(pending) < size - 4 and (row := moment_drop(bound)) is not None:
-                leave(row)
-            sub = order[alive]
         fit = _fit(pts[sub], vals[sub])
         if fit[3] <= eps * diameter:  # else it fails on the bound alone: skip the k x k gather
             diameter = float(dist[sub[:, None], sub].max())  # eps * diameter may be inf
@@ -396,11 +389,8 @@ def _validate_component(
             if not missing.any():
                 return sub.tolist(), fit, pending
             drop = int(np.argmax(missing))
-        if moments:
-            leave(int(np.searchsorted(order, sub[drop])))
-        else:
-            pending.append(int(sub[drop]))
-            sub = np.concatenate((sub[:drop], sub[drop + 1 :]))
+        pending.append(int(sub[drop]))
+        sub = np.concatenate((sub[:drop], sub[drop + 1 :]))
 
 
 def _regrow(starts: list[int], adj: np.ndarray, graph: IsometryGraph, vals: np.ndarray) -> dict:
@@ -438,35 +428,19 @@ def _regrow(starts: list[int], adj: np.ndarray, graph: IsometryGraph, vals: np.n
     return grown
 
 
-def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition:
-    """Carve the saturation graph into validated leaves.
+def _carve(graph: IsometryGraph, vals: np.ndarray) -> dict:
+    """``{members: fit}`` over the greedy leaves at m >= 2.
 
     Connected components are candidate leaves; a component that is not a
     clique with an isometric affine fit is shrunk member by member, and the
     removed points regrow their own leaves, possibly re-using points that
     are already covered.  That is how branch points end up in two leaves.
-
-    A scalar component (m = 1) of more than 4 members drops most members on
-    running moments of its survivors, where a drop clears the margins of
-    `_validate_component`; the first step, the steps that miss a margin and
-    the steps at 4 members or less refit the survivors, and the fit that
-    accepts the survivors is always a refit.
-
     The regrowths of all removed points advance as one staged search, since
     each depends only on its start.  Each component then walks its removed
     points in index order, and a point that an earlier leaf covers regrows
-    nothing.  Leaves keep the fits that accepted them, and the leaves of one
-    size and dimension are built as one stack.
-
-    Every point lies in some leaf, but not every saturated pair does: the
-    greedy regrowth need not take all its neighbours, so a pair of the
-    graph whose two ends are already covered can lie in no leaf.
+    nothing.  Leaves keep the fits that accepted them.
     """
-    cloud = graph.cloud
-    if not _same_cloud(u.cloud, cloud):
-        raise DimensionMismatch("potential and graph describe different clouds")
-    n, pts, vals, adj = cloud.size, cloud.points, u.values, graph.adjacency()
-
+    cloud, adj, pts, n = graph.cloud, graph.adjacency(), graph.cloud.points, graph.cloud.size
     labels = component_labels(n, graph.edges)
     comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
     carved = [_validate_component(c, adj, cloud.distances, pts, vals, graph.eps) for c in comps]
@@ -479,6 +453,30 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
                 members, fit, _ = grown[p]
                 covered.update(members)
                 fits[tuple(members)] = fit or _fit(pts[members], vals[members])
+    return fits
+
+
+def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition:
+    """The leaves of the potential ``u`` on its saturation graph ``graph``.
+
+    At m = 1 they are the maximal cliques of ``graph``: a set on which u is
+    an isometry into the line is collinear and ordered by u, a transport
+    ray.  So no leaf lies inside another and every pair of the graph lies
+    in a leaf; each flow edge of ``solve``'s coupling saturates, so it lies
+    in a leaf at the default eps.  A clique keeps one tangent direction at
+    most, so a near-collinear one reports dimension 1.  Where eps is so
+    large that the cliques are no rays, TooManyCliques (``_maximal_cliques``).
+
+    At m >= 2 the graph is carved greedily (``_carve``): every point lies
+    in some leaf, but a saturated pair whose two ends are already covered
+    can lie in no leaf.  The leaves of one size and dimension are built as
+    one stack.
+    """
+    cloud = graph.cloud
+    if not _same_cloud(u.cloud, cloud):
+        raise DimensionMismatch("potential and graph describe different clouds")
+    n, pts, vals = cloud.size, cloud.points, u.values
+    fits = _clique_fits(graph, vals) if vals.shape[1] == 1 else _carve(graph, vals)
 
     member_sets, shapes, built = sorted(fits), {}, {}
     for s in member_sets:

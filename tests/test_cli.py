@@ -336,6 +336,27 @@ def test_malformed_solution_documents_exit_2(tmp_path, capsys, command, case):
         assert captured.err == "vecot: duplicate unordered pair (0, 1) in coupling\n"
 
 
+@pytest.mark.parametrize("command", ["leaves", "massbalance"])
+def test_a_potential_whose_cliques_are_no_rays_exits_2_in_one_line(tmp_path, capsys, command):
+    # u = x on the 2 x 30 unit lattice at eps = 0.3: each point saturates with
+    # both points of every other column, and the graph has 2^30 maximal cliques.
+    points = [[float(c), float(r)] for c in range(30) for r in (0, 1)]
+    weights = [[1.0 if r else -1.0] for _, r in points]
+    doc = {
+        "instance": json.loads(dumps_instance(build_instance(points, weights))),
+        "coupling": {"pairs": [], "flows": []},
+        "potential": [[x] for x, _ in points],
+    }
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main([command, "--input", str(path), "--eps", "0.3"]) == 2
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("vecot: the clique search passed ") and "no ray" in captured.err
+
+
 def test_a_solution_without_edges_round_trips(tmp_path, capsys):
     # A zero measure solves to an empty coupling, written as "pairs": [].
     path = write_instance(tmp_path, points=[[0.0], [1.0]], weights=[[0.0], [0.0]])

@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,12 +25,14 @@ from vecot import (
     NotLipschitz,
     PointCloud,
     PotentialField,
+    TooManyCliques,
     WrongDimension,
     affine_isometry_fit,
     build_instance,
     derivative_modulus_check,
     extract_leaves,
     isometry_graph,
+    line_optimal_potential,
     orthant_spec,
     paper_preset,
     reconstructed_potential,
@@ -220,9 +223,10 @@ def test_fit_rejects_malformed_samples_with_a_typed_error(points, values):
         affine_isometry_fit(points, values)
 
 
-def reference_fit(points: np.ndarray, values: np.ndarray):
+def reference_fit(points: np.ndarray, values: np.ndarray, max_rank: int | None = None):
     """``_fit`` as written with ``mean`` and ``norm``, before it called the
-    reductions underneath them directly."""
+    reductions underneath them directly, keeping at most ``max_rank``
+    tangent directions when given."""
     m = values.shape[1]
     y0 = points.mean(axis=0)
     b = values.mean(axis=0)
@@ -231,6 +235,7 @@ def reference_fit(points: np.ndarray, values: np.ndarray):
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     smax = float(svals[0]) if svals.size else 0.0
     rank = int(np.sum(svals > 1e-7 * smax)) if smax > 0 else 0
+    rank = rank if max_rank is None else min(rank, max_rank)
     tangent = vt[:rank].T
     coords = centered @ tangent
     cross = target.T @ coords
@@ -301,17 +306,19 @@ def test_stacked_fits_match_one_at_a_time_bit_for_bit():
             if s % 7 == 6:
                 pts[:, -1], vals[:, 0] = np.copysign(0.0, pts[:, -1]), np.copysign(0.0, vals[:, 0])
             sets.append((pts, vals))
-        stack = _fits(np.stack([p for p, _ in sets]), np.stack([v for _, v in sets]))
-        assert len(stack) == len(sets)
-        seen[k, n] |= {fit[4] for fit in stack}
-        for got, (pts, vals) in zip(stack, sets):
-            for a, b in zip(got, reference_fit(pts, vals)):
-                assert type(a) is type(b)
-                if isinstance(a, np.ndarray):
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (k, n, m)
-                else:
-                    assert np.float64(a).tobytes() == np.float64(b).tobytes(), (k, n, m)
-    assert all(seen[k, n] == set(range(min(k - 1, n) + 1)) for k, n in seen)
+        points, values = np.stack([p for p, _ in sets]), np.stack([v for _, v in sets])
+        for cap in (None, 1):  # the leaves at m = 1 keep one tangent direction
+            stack = _fits(points, values) if cap is None else _fits(points, values, max_rank=1)
+            assert len(stack) == len(sets)
+            seen[k, n, cap] |= {fit[4] for fit in stack}
+            for got, (pts, vals) in zip(stack, sets):
+                for a, b in zip(got, reference_fit(pts, vals, cap)):
+                    assert type(a) is type(b)
+                    if isinstance(a, np.ndarray):
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (k, n, m, cap)
+                    else:
+                        assert np.float64(a).tobytes() == np.float64(b).tobytes(), (k, n, m, cap)
+    assert all(seen[k, n, cap] == set(range(min(k - 1, n, cap or n) + 1)) for k, n, cap in seen)
 
 
 def test_fit_raises_when_lapack_does_not_converge(monkeypatch):
@@ -729,8 +736,27 @@ def reference_cases():
     yield "stale-bound", stale_bound_line()[1], 0.25
 
 
+def reference_maximal_cliques(n: int, edges: np.ndarray) -> list[tuple[int, ...]]:
+    """Every maximal clique, sorted: every clique is grown by each larger
+    common neighbour of its members, and a clique is maximal when its members
+    have no common neighbour."""
+    neighbours = [set() for _ in range(n)]
+    for i, j in edges.tolist():
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    cliques, layer = [], [(p,) for p in range(n)]
+    while layer:
+        common = [set.intersection(*(neighbours[p] for p in c)) for c in layer]
+        cliques += [c for c, shared in zip(layer, common) if not shared]
+        layer = [c + (q,) for c, shared in zip(layer, common) for q in sorted(shared) if q > c[-1]]
+    return sorted(cliques)
+
+
 def test_extraction_matches_the_reference_bit_for_bit():
+    # The greedy carve at m >= 2 keeps its leaves; m = 1 has its own test.
     for name, u, eps in reference_cases():
+        if u.values.shape[1] == 1:
+            continue
         graph = isometry_graph(u, eps=eps)
         new, ref = extract_leaves(graph, u), reference_extract_leaves(graph, u)
         try:
@@ -739,22 +765,158 @@ def test_extraction_matches_the_reference_bit_for_bit():
             raise AssertionError(f"{name}: {err}") from err
 
 
+def test_scalar_leaves_are_the_maximal_cliques_fitted_bit_for_bit():
+    # Each clique is fitted once, in a stack of its size, with the bits of its
+    # own fit and at most one tangent direction.
+    scalar = 0
+    for name, u, eps in reference_cases():
+        if u.values.shape[1] > 1:
+            continue
+        scalar += 1
+        graph = isometry_graph(u, eps=eps)
+        dec = extract_leaves(graph, u)
+        members = [tuple(leaf.member_indices.tolist()) for leaf in dec.leaves]
+        assert members == reference_maximal_cliques(u.cloud.size, graph.edges), name
+        for leaf in dec.leaves:
+            idx = leaf.member_indices
+            tmap, b, y0, residual, rank, tangent, _ = _fits(u.cloud.points[idx], u.values[idx], 1)[0]
+            assert leaf.dimension == rank <= 1, name
+            assert np.float64(leaf.fit_residual).tobytes() == np.float64(residual).tobytes(), name
+            for got, want in zip(
+                (leaf.map_matrix, leaf.offset, leaf.base_point, leaf.tangent), (tmap, b, y0, tangent)
+            ):
+                assert as_bytes(got) == as_bytes(want), name
+        flat = np.concatenate(members)
+        assert as_bytes(dec.boundary_flags) == as_bytes(np.flatnonzero(np.bincount(flat) >= 2))
+    assert scalar > 10
+
+
+def test_scalar_leaves_of_any_graph_are_its_maximal_cliques():
+    # A saturation graph's cliques at m = 1 are collinear, but a graph built
+    # by hand can be any graph, dense ones among them, with its pairs
+    # repeated and in any order.
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        n = int(rng.integers(1, 16))
+        pairs = np.argwhere(np.triu(rng.uniform(size=(n, n)) < rng.uniform(), 1))
+        edges = rng.permutation(np.vstack([pairs, pairs[::2]]))
+        cloud = PointCloud(rng.uniform(-1.0, 1.0, (n, 2)))
+        u = PotentialField(cloud, rng.uniform(-1.0, 1.0, (n, 1)))
+        leaves = extract_leaves(IsometryGraph(cloud=cloud, edges=edges, eps=1e-6), u).leaves
+        assert [tuple(leaf.member_indices.tolist()) for leaf in leaves] == reference_maximal_cliques(n, pairs)
+
+
+def test_scalar_leaves_hold_the_pairs_the_greedy_carve_left_out():
+    # The greedy carve kept (2, 3), a strict subset of (2, 3, 4), and put the
+    # saturated pair (1, 2) in no leaf.
+    cloud, u = stale_bound_line()
+    leaves = extract_leaves(isometry_graph(u, eps=0.25), u).leaves
+    assert [leaf.member_indices.tolist() for leaf in leaves] == [[0, 1], [1, 2], [2, 3, 4]]
+    # Points the greedy carve left alone in a one-point leaf, beside their
+    # leaves with neighbours, lie in two-point leaves only.
+    singles = {"random-4": (11, [[1, 11], [2, 11], [9, 11]]), "scalar-120": (72, [[31, 72], [72, 97]])}
+    for name, u, eps in reference_cases():
+        if name in singles:
+            p, want = singles.pop(name)
+            leaves = extract_leaves(isometry_graph(u, eps=eps), u).leaves
+            assert [leaf.member_indices.tolist() for leaf in leaves if p in leaf.member_indices] == want
+        if not singles:
+            break
+    assert not singles
+
+
+def test_a_near_collinear_scalar_clique_reports_dimension_one():
+    # The middle point lies 1e-4 off the segment: every pair saturates within
+    # eps = 1e-6, and the centred points have two singular values above the
+    # rank cut.  The leaf keeps the leading direction only.
+    cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 1e-4], [2.0, 0.0]]))
+    u = PotentialField(cloud, np.array([[0.0], [1.0], [2.0]]))
+    assert _fit(cloud.points, u.values)[4] == 2
+    (leaf,) = extract_leaves(isometry_graph(u), u).leaves
+    assert leaf.size == 3 and leaf.dimension == 1 and leaf.tangent.shape == (2, 1)
+    assert abs(leaf.tangent[0, 0]) == pytest.approx(1.0) and leaf.fit_residual < 1e-8
+
+
+def test_a_clique_of_any_size_needs_no_recursion():
+    # u = x on 2,000 points of a line saturates every pair: one clique of all.
+    x = np.arange(2000.0)[:, None]
+    u = PotentialField(PointCloud(x), x.copy())
+    graph = isometry_graph(u)
+    assert len(graph.edges) == 2000 * 1999 // 2
+    start = time.perf_counter()
+    (leaf,) = extract_leaves(graph, u).leaves
+    assert time.perf_counter() - start < 1.0
+    assert leaf.member_indices.tolist() == list(range(2000)) and leaf.dimension == 1
+
+
+def two_rows(k: int, gap: float) -> PotentialField:
+    """u = x on the points (c, 0) and (c, gap), c = 0 .. k - 1."""
+    cloud = PointCloud(np.array([[c, r] for c in range(k) for r in (0.0, gap)]))
+    return PotentialField(cloud, cloud.points[:, :1].copy())
+
+
+def test_cliques_that_are_no_rays_stop_the_search_in_bounded_time():
+    # Each point saturates with both points of every other column, at eps =
+    # 0.3 on the unit lattice and at the default eps when the rows lie 1e-3
+    # apart; the two points of a column do not.  The graph's 2^k maximal
+    # cliques zig-zag between the rows: no ray holds them.
+    u = two_rows(5, 1.0)
+    graph = isometry_graph(u, eps=0.3)
+    leaves = extract_leaves(graph, u).leaves
+    assert len(leaves) == 2**5
+    assert [tuple(leaf.member_indices.tolist()) for leaf in leaves] == reference_maximal_cliques(10, graph.edges)
+    for gap, eps in ((1.0, 0.3), (1e-3, 1e-6)):
+        u = two_rows(30, gap)
+        graph = isometry_graph(u, eps=eps)
+        assert len(graph.edges) == 60 * 59 // 2 - 30
+        start = time.perf_counter()
+        with pytest.raises(TooManyCliques, match="no ray holds"):
+            extract_leaves(graph, u)
+        assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(st.integers(-60, 60), min_size=2, max_size=30, unique=True),
+    st.lists(st.integers(-3, 3), min_size=30, max_size=30),
+)
+def test_line_leaves_are_the_maximal_runs_of_one_slope(xs, ws):
+    # On the line, the optimal potential has slope +-1 on every gap: a leaf
+    # is a maximal run of consecutive points whose gaps share one slope.
+    weights = np.array(ws[: len(xs)], dtype=float)[:, None]
+    inst = build_instance(np.array(xs, dtype=float)[:, None], weights - weights.mean())
+    u = line_optimal_potential(inst)
+    order = np.argsort(xs)
+    slopes = np.sign(np.diff(u.values[order, 0])).tolist()
+    runs, start = [], 0
+    for k in range(1, len(xs)):
+        if k == len(xs) - 1 or slopes[k] != slopes[k - 1]:
+            runs.append(tuple(sorted(order[start : k + 1].tolist())))
+            start = k
+    leaves = extract_leaves(isometry_graph(u), u).leaves
+    assert [tuple(leaf.member_indices.tolist()) for leaf in leaves] == sorted(runs)
+
+
 def test_the_shrink_loop_gathers_a_wide_diameter_once_per_component():
     # Members only leave a component, so its first diameter bounds every
-    # later one; a fit that fails that bound needs no k x k gather.
+    # later one; a fit that fails that bound needs no k x k gather.  The
+    # shrink runs at m >= 2 only, where vector-60 is one component of 60.
+    shrunk = 0
     for name, u, eps in reference_cases():
-        if name not in ("scalar-120", "scalar-300"):
+        if u.values.shape[1] == 1:
             continue
         graph = isometry_graph(u, eps=eps)
         adj, n = graph.adjacency(), u.cloud.size
         labels = component_labels(n, graph.edges)
-        assert name == "scalar-120" or not labels.any()  # scalar-300 is one component
+        assert name != "vector-60" or not labels.any()
         for label in range(labels.max() + 1):
             dist = GatherLog(u.cloud.distances)
             comp = np.flatnonzero(labels == label).tolist()
-            _validate_component(comp, adj, dist, u.cloud.points, u.values, eps)
-            wide = sum(w > 3 for w in dist.widths)
-            assert wide == (len(comp) > 3), (name, len(comp), dist.widths)
+            _, _, pending = _validate_component(comp, adj, dist, u.cloud.points, u.values, eps)
+            wide = sum(w > 4 for w in dist.widths)
+            assert wide == (len(comp) > 4), (name, len(comp), dist.widths)
+            shrunk += len(comp) > 4 and len(pending) > 4
+    assert shrunk > 10
 
 
 def test_the_regrowth_stage_fits_a_round_of_trials_as_one_stack(monkeypatch):
@@ -810,7 +972,9 @@ def test_a_regrowth_that_takes_no_neighbour_leaves_its_start_alone(monkeypatch):
 
 
 def test_a_stale_diameter_bound_only_defers_the_rejection():
+    # The shrink runs at m >= 2: the line's values along a unit vector of R^2.
     cloud, u = stale_bound_line()
+    u = PotentialField(cloud, u.values * np.array([0.6, 0.8]))
     graph = isometry_graph(u, eps=0.25)
     assert not component_labels(5, graph.edges).any()
     x, values = cloud.points, u.values
@@ -824,119 +988,9 @@ def test_a_stale_diameter_bound_only_defers_the_rejection():
     # One gather per passing bound: 4 members fail their exact diameter, 3 fit
     # but are no clique, 2 are accepted.
     assert dist.widths == [5, 4, 3, 2]
-    assert_same_decomposition(extract_leaves(graph, u), reference_extract_leaves(graph, u))
-
-
-def reference_validate_component(comp, adj, dist, pts, vals, eps):
-    """The shrink loop as it stood before its drops were decided from running
-    moments: every step refits the survivors with `_fit`."""
-    sub = np.sort(comp)
-    pending, diameter = [], np.inf
-    while True:
-        fit = _fit(pts[sub], vals[sub])
-        if fit[3] <= eps * diameter:
-            diameter = float(dist[sub[:, None], sub].max())
-        if fit[3] > eps * diameter:
-            drop = int(np.argmax(fit[-1]))
-        else:
-            missing = (~adj[sub[:, None], sub]).sum(axis=1) - 1
-            if not missing.any():
-                return sub.tolist(), fit, pending
-            drop = int(np.argmax(missing))
-        pending.append(int(sub[drop]))
-        sub = np.concatenate((sub[:drop], sub[drop + 1 :]))
-
-
-def symmetric_tie(skew: float = 0.0):
-    """A line u = x on two rows y = -1, 1, an outlier at the origin and a
-    mirror pair: once the outlier leaves, the pair's misfits tie, or differ
-    by about ``skew``."""
-    pts = [(x, y) for x in (-2.0, -1.0, 0.0, 1.0, 2.0) for y in (-1.0, 1.0)]
-    pts += [(0.0, 0.0), (3.0, -0.5), (3.0, 0.5)]
-    vals = [x for x, _ in pts[:10]] + [5.0, 1.0, 1.0 + skew]
-    return np.array(pts), np.array(vals)[:, None]
-
-
-def near_collinear_chain(rng, size: int = 40, offset: float = 1e-9):
-    """Points on a line, ``offset`` off it, with values far from any isometry."""
-    s = np.sort(rng.uniform(-1.0, 1.0, size))
-    pts = np.column_stack([s, 0.5 * s]) + offset * rng.normal(size=(size, 2))
-    return pts, rng.uniform(-0.5, 0.5, (size, 1))
-
-
-def near_duplicate_pairs(rng, size: int = 20):
-    """``size`` points in 2-D and a partner 1e-7 from each, its value within 1e-7."""
-    pts = rng.uniform(-1.0, 1.0, (size, 2))
-    vals = rng.uniform(-0.5, 0.5, (size, 1))
-    step = rng.normal(size=(size, 2))
-    step *= 1e-7 / np.linalg.norm(step, axis=1, keepdims=True)
-    shift = rng.uniform(-1e-7, 1e-7, (size, 1))
-    return np.vstack([pts, pts + step]), np.vstack([vals, vals + shift])
-
-
-def complete_component(pts, vals):
-    """``_validate_component``'s arguments for one component of all pairs."""
-    k = len(pts)
-    dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
-    return np.arange(k), ~np.eye(k, dtype=bool), dist, pts, vals, 1e-6
-
-
-def test_the_shrink_loop_matches_the_exact_loop_bit_for_bit(monkeypatch):
-    # At m = 1 most drops are decided from running moments; survivors, drops
-    # and the accepting fit must be those of the loop that refits every step.
-    components = []
-    for name, u, eps in reference_cases():
-        graph = isometry_graph(u, eps=eps)
-        labels, adj = component_labels(u.cloud.size, graph.edges), graph.adjacency()
-        for label in range(labels.max() + 1):
-            comp = np.flatnonzero(labels == label)
-            components.append((name, (comp, adj, u.cloud.distances, u.cloud.points, u.values, eps)))
-    rng = np.random.default_rng(35)
-    for k in range(3):
-        components.append((f"collinear-{k}", complete_component(*near_collinear_chain(rng))))
-        components.append((f"near-duplicate-{k}", complete_component(*near_duplicate_pairs(rng))))
-    # 1e-4 off the line, C^T C is of full rank for `_fit`, but det / trace^2 < 1e-6.
-    components.append(("collinear-wide", complete_component(*near_collinear_chain(rng, 40, 1e-4))))
-    components.append(("tie", complete_component(*symmetric_tie())))
-    components.append(("near-tie", complete_component(*symmetric_tie(1e-12))))
-    fits, sizes = vecot.leaves._fit, []
-    monkeypatch.setattr(vecot.leaves, "_fit", lambda p, v: sizes.append(len(p)) or fits(p, v))
-    for name, args in components:
-        sizes.clear()
-        survivors, fit, pending = _validate_component(*args)
-        want, want_fit, want_pending = reference_validate_component(*args)
-        assert (survivors, pending) == (want, want_pending), name
-        assert len(fit) == len(want_fit) == 7
-        for got, expected in zip(fit, want_fit):
-            assert as_bytes(np.asarray(got)) == as_bytes(np.asarray(expected)), name
-        if name.startswith("collinear"):  # no step passes the rank guard
-            assert len(sizes) == len(pending) + 1, name
-        if name == "tie":  # the exact fit decides the tie and drops the first of the pair
-            pts, vals = symmetric_tie()
-            errors = _fit(np.delete(pts, 10, axis=0), np.delete(vals, 10, axis=0))[-1]
-            assert errors[10] == errors[11] == errors.max()
-            assert 12 in sizes and pending == [10, 11, 12]
-        if name == "near-tie":  # misfits 1e-12 apart are within the margin: the exact fit decides
-            assert 12 in sizes and pending[0] == 10, sizes
-
-
-def test_the_scalar_shrink_loop_makes_few_exact_fits(monkeypatch):
-    # One component of 120-400 members shrinks to a pair: the first step, which
-    # sets the diameter bound, the few steps at 4 members or less and the
-    # accepting fit refit the survivors; the moments decide the rest.
-    fits, sizes = vecot.leaves._fit, []
-    monkeypatch.setattr(vecot.leaves, "_fit", lambda p, v: sizes.append(len(p)) or fits(p, v))
-    for name, u, eps in reference_cases():
-        if name not in ("scalar-120", "scalar-300", "scalar-400-3d"):
-            continue
-        graph = isometry_graph(u, eps=eps)
-        labels, adj = component_labels(u.cloud.size, graph.edges), graph.adjacency()
-        sizes.clear()
-        for label in range(labels.max() + 1):
-            comp = np.flatnonzero(labels == label)
-            _validate_component(comp, adj, u.cloud.distances, u.cloud.points, u.values, eps)
-        assert len(sizes) <= 8, (name, sizes)
-        assert max(sizes) == u.cloud.size, name
+    # The greedy carve keeps (2, 3) beside the (2, 3, 4) that 4 regrows.
+    leaves = extract_leaves(graph, u).leaves
+    assert [leaf.member_indices.tolist() for leaf in leaves] == [[0, 1], [2, 3], [2, 3, 4]]
 
 
 def test_regrowth_queues_drop_duplicate_and_unordered_edges(monkeypatch):
@@ -966,21 +1020,22 @@ def test_regrowth_queues_drop_duplicate_and_unordered_edges(monkeypatch):
 
 
 @st.composite
-def solved_instances(draw):
-    """A potential solved on 2-15 distinct lattice points in R^n, n <= 3,
-    for integer weights in R^m, m <= 2; lattices make many saturated pairs."""
-    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+def lattice_instances(draw, m=st.integers(1, 2), max_size: int = 15):
+    """An instance on 2 to ``max_size`` distinct lattice points in R^n, n <= 3,
+    with integer weights in R^m; lattices make many saturated pairs."""
+    n, m = draw(st.integers(1, 3)), draw(m)
     lattice = st.tuples(*[st.integers(-3, 3)] * n)
-    points = draw(st.lists(lattice, min_size=2, max_size=15, unique=True))
+    points = draw(st.lists(lattice, min_size=2, max_size=max_size, unique=True))
     size = len(points)
     weights = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m), min_size=size, max_size=size))
     weights = np.array(weights, dtype=float)
-    return solved_potential(np.array(points, dtype=float), weights - weights.mean(axis=0))
+    return build_instance(np.array(points, dtype=float), weights - weights.mean(axis=0))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
-@given(solved_instances())
-def test_leaves_keep_their_contract(u):
+@given(lattice_instances())
+def test_leaves_keep_their_contract(inst):
+    _, u, _ = solve(inst)
     graph = isometry_graph(u)
     dec = extract_leaves(graph, u)
     n = u.cloud.size
@@ -996,7 +1051,29 @@ def test_leaves_keep_their_contract(u):
     np.testing.assert_array_equal(dec.assignment, [h[0] for h in holders])
     shared = [p for p in range(n) if len(holders[p]) > 1]
     np.testing.assert_array_equal(dec.boundary_flags, shared)
-    assert_same_decomposition(dec, reference_extract_leaves(graph, u))
+    if u.values.shape[1] == 1:
+        members = [tuple(leaf.member_indices.tolist()) for leaf in dec.leaves]
+        assert members == reference_maximal_cliques(n, graph.edges)
+    else:
+        assert_same_decomposition(dec, reference_extract_leaves(graph, u))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(lattice_instances(m=st.just(1), max_size=40))
+def test_scalar_leaves_are_maximal_and_hold_every_saturated_pair(inst):
+    coupling, u, _ = solve(inst)
+    graph = isometry_graph(u)
+    dec = extract_leaves(graph, u)
+    members = [set(leaf.member_indices.tolist()) for leaf in dec.leaves]
+    held = {(i, j) for s in members for i in s for j in s if i < j}
+    assert set(map(tuple, graph.edges.tolist())) <= held
+    assert not any(a < b for a, b in itertools.permutations(members, 2))
+    adj = graph.adjacency()
+    for leaf in dec.leaves:
+        assert not adj[:, leaf.member_indices].all(axis=1).any()  # no point can join
+        assert leaf.dimension <= 1
+    flowing = np.linalg.norm(coupling.flows, axis=1) > 1e-6 * inst.measure.mass_scale
+    assert set(map(tuple, np.sort(coupling.pairs[flowing], axis=1).tolist())) <= held
 
 
 def test_pair_diagnostics_keep_the_bits_of_their_formulas():
