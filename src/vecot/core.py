@@ -358,11 +358,16 @@ def distance_matrix(points: np.ndarray) -> np.ndarray:
     """Dense Euclidean distance matrix with an exactly zero diagonal.
 
     Rows may be points or potential values; the norms are ``_row_norms``
-    of the pair differences.
+    of the pair differences, which are filled one axis at a time: a
+    broadcast subtraction of (n, 1, k) and (1, n, k) runs an inner loop of
+    only k elements.
     """
     pts = np.asarray(points, dtype=float)
     n, k = pts.shape
-    d = _row_norms((pts[:, None, :] - pts[None, :, :]).reshape(n * n, k)).reshape(n, n)
+    diff = np.empty((n, n, k))
+    for a in range(k):
+        np.subtract.outer(pts[:, a], pts[:, a], out=diff[:, :, a])
+    d = _row_norms(diff.reshape(n * n, k)).reshape(n, n)
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -558,12 +563,14 @@ def _json_numbers(value, what: str) -> np.ndarray:
     object anywhere in ``value``, ragged nesting, or a NaN or infinity
     (which JSON cannot write) raises DimensionMismatch.
     """
-    level = value
+    level, widths = value, []
     try:
         while type(level) is list and level and type(level[0]) is list:
+            (width,) = set(map(len, level))  # ValueError when ragged
+            widths.append(width)
             level = list(itertools.chain.from_iterable(level))
         if type(level) is list and set(map(type, level)) <= {int, float}:
-            array = np.asarray(value, dtype=float)
+            array = np.array(level, dtype=float).reshape(len(value), *widths)
             if np.isfinite(array).all():
                 return array
     except (TypeError, ValueError, OverflowError):

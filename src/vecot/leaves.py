@@ -166,7 +166,8 @@ def isometry_graph(u: PotentialField, eps: float = 1e-6) -> IsometryGraph:
     the saturation graph of a non-Lipschitz map would be meaningless.
     """
     ratios = stretch_ratios(u.values, u.cloud.distances)
-    graph = IsometryGraph(cloud=u.cloud, edges=np.argwhere(np.triu(ratios >= 1.0 - eps)), eps=eps)
+    edges = np.argwhere(ratios >= 1.0 - eps)  # symmetric: keep each pair once, as i < j
+    graph = IsometryGraph(cloud=u.cloud, edges=edges[edges[:, 0] < edges[:, 1]], eps=eps)
     if float(ratios.max()) > 1.0 + eps:
         i, j = divmod(int(np.argmax(ratios)), u.cloud.size)
         raise NotLipschitz(f"pair ({i}, {j}) stretches by {ratios[i, j]:.6g}")

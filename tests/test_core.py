@@ -41,7 +41,7 @@ from vecot import (
     solve,
     total_variation,
 )
-from vecot.core import _dumps
+from vecot.core import _dumps, _json_numbers, _row_norms
 
 
 def two_point_instance() -> Instance:
@@ -237,6 +237,34 @@ def test_lipschitz_constant_matches_brute_force():
         for j in range(i + 1, 7):
             best = max(best, float(np.linalg.norm(vals[i] - vals[j])) / d[i, j])
     assert lipschitz_constant(u) == pytest.approx(best, rel=1e-14)
+
+
+def reference_distance_matrix(points) -> np.ndarray:
+    """The distance kernel that formed the pair differences by one broadcast."""
+    pts = np.asarray(points, dtype=float)
+    n, k = pts.shape
+    d = _row_norms((pts[:, None, :] - pts[None, :, :]).reshape(n * n, k)).reshape(n, n)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def test_distance_matrix_matches_the_broadcast_kernel_bit_for_bit():
+    # Coordinates near 2^-511 square to subnormals, near 2^511 to inf.
+    rng = np.random.default_rng(43)
+    for k in range(1, 10):
+        for n_points in (0, 1, 2, 17, 60):
+            for scale in (1.0, 2.0**-511, 2.0**511):
+                pts = rng.normal(size=(n_points, k)) * scale
+                pts[rng.random(pts.shape) < 0.2] = 0.0
+                pts[rng.random(pts.shape) < 0.2] = -0.0
+                with np.errstate(all="ignore"):
+                    got, expected = distance_matrix(pts), reference_distance_matrix(pts)
+                assert got.tobytes() == expected.tobytes(), (k, n_points, scale)
+    # Rows of a strided view, and integer rows.
+    pts = rng.normal(size=(30, 8))
+    assert distance_matrix(pts[:, ::3]).tobytes() == reference_distance_matrix(pts[:, ::3]).tobytes()
+    grid = np.argwhere(np.ones((4, 5)))
+    assert distance_matrix(grid).tobytes() == reference_distance_matrix(grid).tobytes()
 
 
 def brute_force_scan(values, distances) -> list:
@@ -548,6 +576,20 @@ def test_instance_from_dict_takes_only_json_numbers(edit):
     assert instance_from_dict(doc).size == 2
     with pytest.raises(DimensionMismatch):
         instance_from_dict({**doc, **edit})
+
+
+def test_json_numbers_have_the_bits_of_a_nested_float_array():
+    # Ints beyond 2^53 round, -0.0 keeps its sign, and empty rows keep their shape.
+    for value in ([], [[]], [[], []], [1, 2.5, -0.0], [[2**53 + 1, 0.1], [-0.0, 10**300]],
+                  [[[1, 2], [3, 4]], [[5.5, 6], [7, 8]]], [[[]], [[]]]):
+        got, expected = _json_numbers(value, "x"), np.asarray(value, dtype=float)
+        assert (got.shape, got.tobytes()) == (expected.shape, expected.tobytes())
+    # Ragged rows, among them ragged rows of the right total count.
+    for value in ([[1.0, 2.0], [3.0]], [[1, 2], [3, 4, 5], [6]], [[], [1]], [[[1, 2]], [3]],
+                  [[[1, 2], [3, 4]], [[5, 6], [7]]], [[1.0], 2.0], [[1.0, 10**400]],
+                  [[1.0, float("nan")]], [[-float("inf")]], [[1, True]], 2.0):
+        with pytest.raises(DimensionMismatch, match="x must be an array of finite numbers"):
+            _json_numbers(value, "x")
 
 
 def test_instance_from_dict_checks_declared_dims():

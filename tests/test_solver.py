@@ -40,7 +40,7 @@ from vecot import (
     solve,
 )
 
-from harness import batch_instances, python, seeded_instance
+from harness import batch_instances, collinear_instance, python, seeded_instance
 
 
 def random_instance(rng: np.random.Generator, n_points: int, n: int, m: int):
@@ -627,11 +627,7 @@ def test_edge_generation_certifies_near_duplicate_points():
     # Pairs of points 1e-7 apart.  At HiGHS's default feasibility tolerance
     # (1e-7) the LP potential overstretches them by more than tol_gap, and
     # the solve fell back to the interior-point method.
-    rng = np.random.default_rng(113)
-    pts = rng.uniform(-1.0, 1.0, size=(25, 2))
-    pts = np.concatenate([pts, pts + 1e-7 * rng.normal(size=(25, 2))])
-    w = rng.normal(size=(50, 1))
-    inst = build_instance(pts, w - w.mean())
+    inst = near_duplicate_pairs()
     coupling, potential, report = solve(inst)
     assert report.status == "Converged"
     assert report.engine == "lp"
@@ -639,6 +635,78 @@ def test_edge_generation_certifies_near_duplicate_points():
     # coupling is cheaper, and its certified lower bound lies below both.
     full = complete_graph_lp_value(inst)
     assert report.dual_value <= report.primal_value <= full
+    assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
+
+
+def first_round_model(inst, monkeypatch):
+    """The HiGHS model of the first round of edge generation on ``inst``."""
+    models = []
+    run = highs_core._Highs.run
+
+    def recorded_run(self):
+        models.append(self.getLp())
+        return run(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(highs_core._Highs, "run", recorded_run)
+        solve(inst)
+    return models[0]
+
+
+def near_duplicate_pairs():
+    """25 uniform planar points and a copy of each 1e-7 away, m = 1."""
+    rng = np.random.default_rng(113)
+    pts = rng.uniform(-1.0, 1.0, size=(25, 2))
+    pts = np.concatenate([pts, pts + 1e-7 * rng.normal(size=(25, 2))])
+    w = rng.normal(size=(50, 1))
+    return build_instance(pts, w - w.mean())
+
+
+@pytest.mark.parametrize(
+    ("make", "dropped_columns"),
+    [
+        (lambda: seeded_instance(120, 1), 0),
+        (near_duplicate_pairs, 0),
+        # The line's first model holds pairs that pass over other points; in
+        # exact arithmetic each costs what the pairs along it cost together.
+        (lambda: collinear_instance(50, 1, [50, 1, 1]), 40),
+    ],
+    ids=["uniform", "near-duplicates", "collinear"],
+)
+def test_presolve_finds_little_more_than_the_redundant_balance_row(make, dropped_columns, monkeypatch):
+    # Edge generation runs HiGHS without presolve (solver._HIGHS_OPTIONS),
+    # because on these models presolve removes one of the n balance rows, whose
+    # sum is the zero total mass, and no column, or on a line a few, and it
+    # takes 0.4-0.9 times as long as the first simplex solve.  If an upgrade
+    # of HiGHS makes presolve reduce more, measure again whether it pays.
+    assert vecot.solver._HIGHS_OPTIONS["presolve"] == "off"
+    inst = make()
+    model = first_round_model(inst, monkeypatch)
+    highs = highs_core._Highs()
+    for option, value in vecot.solver._HIGHS_OPTIONS.items():
+        highs.setOptionValue(option, value)
+    highs.setOptionValue("presolve", "on")
+    highs.passModel(model)
+    highs.presolve()
+    reduced = highs.getPresolvedLp()
+    assert (model.num_row_, reduced.num_row_) == (inst.size, inst.size - 1)
+    assert model.num_col_ - reduced.num_col_ == dropped_columns
+
+
+@pytest.mark.parametrize("n_points", [5, 40, 300])
+@pytest.mark.parametrize("shift", [0.5, 0.99])
+def test_a_scalar_measure_at_the_zero_mass_tolerance_solves_on_the_lp(n_points, shift):
+    # The model keeps every balance row, so the weights' nonzero sum, just
+    # inside the instance check, stays in the LP, within HiGHS's tolerance.
+    rng = np.random.default_rng([n_points, 2, 1])
+    pts = rng.uniform(-1.0, 1.0, size=(n_points, 2))
+    w = rng.normal(size=(n_points, 1))
+    w -= w.mean()
+    w[0] += shift * vecot.ZERO_MASS_RTOL * np.abs(w).sum()
+    inst = build_instance(pts, w)
+    assert abs(float(w.sum())) > 0.4 * vecot.ZERO_MASS_RTOL * inst.measure.mass_scale
+    coupling, potential, report = solve(inst)
+    assert (report.engine, report.status) == ("lp", "Converged")
     assert certify(inst, coupling, potential, tol=1e-6).verdict == "Optimal"
 
 
