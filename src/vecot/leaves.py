@@ -4,11 +4,11 @@ A 1-Lipschitz map u restricted to a set S is an isometry exactly when every
 pair of points in S has ``||u(x) - u(y)|| = ||x - y||``.  The maximal such
 sets (leaves) are affine: u acts on a leaf as T(y - y0) + b with T a linear
 isometry of the leaf's tangent space into R^m.  On a finite sample we build
-the graph of distance-saturating pairs and read the leaves off it.  At m = 1
-a set on which u is an isometry is collinear and ordered by u, a transport
-ray, so the leaves are the maximal cliques of the graph.  At m >= 2 the
-graph is carved greedily: components shrink until they fit, and the
-removed points regrow leaves.  Each leaf keeps its affine isometry and,
+the graph of distance-saturating pairs and read the leaves off its maximal
+cliques.  At m = 1 a set on which u is an isometry is collinear and ordered
+by u, a transport ray, so every clique is a leaf.  At m >= 2 a clique is a
+leaf when an affine isometry fits it within eps, and one that does not
+gives way to its subsets.  Each leaf keeps its affine isometry and,
 for every member, the distance to the sampled leaf boundary.  Points shared
 by two leaves are branch points; they are flagged and transport sets do not
 expand through them.
@@ -69,7 +69,7 @@ class DegenerateLeaf(VecotError):
 
 
 class TooManyCliques(VecotError):
-    """At m = 1 the saturation graph's cliques are too many to be rays: eps is too large."""
+    """The saturation graph's cliques are too many to be leaves: eps is too large."""
 
 
 @dataclass(frozen=True)
@@ -267,13 +267,14 @@ def _boundary_distances(coords: np.ndarray) -> np.ndarray:
     """Per-member distance to the sampled boundary in tangent coordinates,
     for one leaf's (k, r) coordinates or for a (G, k, r) stack of leaves.
 
-    Dimension 0 gives zeros, dimension 1 uses the interval ends, and higher
-    dimensions use the facets of each leaf's convex hull; a hull Qhull
-    cannot build gives zeros.  The estimate is conservative: understating
-    sigma only weakens diagnostics, never invalidates them.
+    Dimension 0 and a simplex (r + 1 members, all vertices) give zeros,
+    dimension 1 uses the interval ends, and higher dimensions use the facets
+    of each leaf's convex hull; a hull Qhull cannot build gives zeros.  The
+    estimate is conservative: understating sigma only weakens diagnostics,
+    never invalidates them.
     """
     k, r = coords.shape[-2:]
-    if r == 0 or k <= r:
+    if r == 0 or k <= r + 1:
         return np.zeros(coords.shape[:-1])
     if r == 1:
         c = coords[..., 0]
@@ -291,29 +292,25 @@ def _boundary_distances(coords: np.ndarray) -> np.ndarray:
     return np.maximum(gaps.min(axis=1), 0.0)
 
 
-def _maximal_cliques(n: int, edges: np.ndarray) -> list[tuple[int, ...]]:
+def _maximal_cliques(n: int, edges: np.ndarray, limit: int) -> tuple[list[tuple[int, ...]], int]:
     """Every maximal clique of the graph on n points with these edges, as a
-    sorted member tuple: Bron-Kerbosch with Tomita's pivot, iterative, so a
-    clique of any size needs no recursion.
+    sorted member tuple, and the steps taken: Bron-Kerbosch with Tomita's
+    pivot, iterative, so a clique of any size needs no recursion.
 
     Neighbours are the bits of a Python int, so a repeated pair sets its bit
     twice.  Each clique is listed from its smallest member, whose later
     neighbours are the candidates and earlier ones the excluded.  The pivot
     is the first point, in index order, adjacent to every candidate but
-    itself, or else the first with the most candidate neighbours.
-
-    Where every pair lies in one maximal clique, as on rays that meet at
-    their ends only, the search takes at most 2n + 8E steps for E pairs:
-    nodes, pivots tried and members listed.  An eps large against the
-    spacing of the cloud can make the cliques exponentially many (2^k for
-    u = x on the 2 x k unit lattice at eps 0.3): past twice that bound the
-    search raises TooManyCliques.
+    itself, or else the first with the most candidate neighbours.  A step is
+    a node, a pivot tried or a member listed.  Where every pair lies in at
+    most c maximal cliques, the search takes at most 2n + 8cE steps for E
+    pairs.  It stops once it passes ``limit``, with the cliques listed so far.
     """
     bits = np.zeros((n, n // 8 + 1), dtype=np.uint8)
     for i, j in ((edges[:, 0], edges[:, 1]), (edges[:, 1], edges[:, 0])):
         np.bitwise_or.at(bits, (i, j >> 3), np.left_shift(1, j & 7).astype(np.uint8))
     adj = [int.from_bytes(row, "little") for row in bits]
-    cliques, steps, limit = [], 0, 4 * n + 16 * len(edges)
+    cliques, steps = [], 0
     for v, row in enumerate(adj):
         later = row >> v + 1 << v + 1
         if not later:  # v is the largest member of every clique it is in
@@ -349,135 +346,104 @@ def _maximal_cliques(n: int, edges: np.ndarray) -> list[tuple[int, ...]]:
                 cand ^= 1 << w
                 excl |= 1 << w
         if stack:
-            raise TooManyCliques(f"the clique search passed {limit} steps: no ray holds the cliques")
-    return cliques
+            break
+    return cliques, steps
+
+
+def _diameters(dist: np.ndarray, idx: np.ndarray) -> list[float]:
+    """The diameter of each member set of a (K, k) stack, read in blocks of
+    about a million distances."""
+    rows = max(1, 2**20 // idx.shape[1] ** 2)
+    blocks = (idx[i : i + rows] for i in range(0, len(idx), rows))
+    return [d for b in blocks for d in dist[b[:, :, None], b[:, None, :]].max(axis=(1, 2)).tolist()]
 
 
 def _clique_fits(graph: IsometryGraph, vals: np.ndarray) -> dict:
-    """``{members: fit}`` over the maximal cliques, the leaves at m = 1, each
-    fitted once in a stack of its size with one tangent direction at most."""
-    sizes: dict[int, list] = {}
-    for clique in _maximal_cliques(graph.cloud.size, graph.edges):
-        sizes.setdefault(len(clique), []).append(clique)
-    fits = {}
-    for sets in sizes.values():
+    """``{members: fit}`` over the leaves, each member set fitted once, in a
+    stack of its size, with at most m tangent directions.
+
+    The candidates are the maximal cliques of the graph.  At m = 1 each one
+    is a ray, so a leaf.  At m >= 2 a candidate is a leaf when its fit
+    residual is at most eps times its diameter; one of k members that fails
+    gives way to its (k - 1)-member subsets that no leaf holds yet.  The
+    candidates go largest first, so no leaf lies inside another.  A pair of
+    the graph fits within eps / 2 of its length, bar rounding, and is a leaf
+    whenever it is a candidate, so every pair of the graph lies in a leaf.
+
+    The clique search and the splits share one budget of 4n + 16mE steps:
+    twice the search where every pair lies in at most m maximal cliques.  At
+    m = 1 every pair lies in one, a ray; at m >= 2 two leaves can share a
+    segment.  A failed candidate of k members costs k (k - 1)^2 steps, the
+    distances its subsets' diameters read, so the splits' work is bounded
+    too.  An eps large against the spacing of the cloud can make the
+    cliques, or the failing subsets of one, exponentially many (2^k for
+    u = x on the 2 x k unit lattice at eps 0.3): past the budget,
+    TooManyCliques.
+    """
+    cloud, eps, m = graph.cloud, graph.eps, vals.shape[1]
+    limit = 4 * cloud.size + 16 * m * len(graph.edges)
+    cliques, steps = _maximal_cliques(cloud.size, graph.edges, limit)
+    pool: dict[int, dict] = {}
+    for clique in cliques:
+        pool.setdefault(len(clique), {})[clique] = None
+    fits, holders = {}, [0] * cloud.size  # holders[p]: the leaves holding p, as bits
+    while pool and steps <= limit:
+        k = max(pool)
+        sets = list(pool.pop(k))
         idx = np.array(sets)
-        fits.update(zip(sets, _fits(graph.cloud.points[idx], vals[idx], max_rank=1)))
-    return fits
-
-
-def _validate_component(
-    comp, adj: np.ndarray, dist: np.ndarray, pts: np.ndarray, vals: np.ndarray, eps: float
-):
-    """Shrink a component until it is a clique with an isometric fit.
-
-    Removes the worst fit violator while the residual is too large, then the
-    member with the most missing edges while the set is not a clique.
-    Returns the survivors, their accepting fit and the removed members,
-    which regrow leaves of their own.
-    """
-    sub = np.sort(comp)
-    pending: list[int] = []
-    diameter = np.inf  # members only leave, so every diameter bounds the next
-    while True:
-        fit = _fit(pts[sub], vals[sub])
-        if fit[3] <= eps * diameter:  # else it fails on the bound alone: skip the k x k gather
-            diameter = float(dist[sub[:, None], sub].max())  # eps * diameter may be inf
-        if fit[3] > eps * diameter:
-            drop = int(np.argmax(fit[-1]))  # the largest per-member misfit
-        else:
-            missing = (~adj[sub[:, None], sub]).sum(axis=1) - 1
-            if not missing.any():
-                return sub.tolist(), fit, pending
-            drop = int(np.argmax(missing))
-        pending.append(int(sub[drop]))
-        sub = np.concatenate((sub[:drop], sub[drop + 1 :]))
-
-
-def _regrow(starts: list[int], adj: np.ndarray, graph: IsometryGraph, vals: np.ndarray) -> dict:
-    """Regrow a leaf around each start point: ``{start: [members, fit, queue]}``.
-
-    A regrowth takes, in index order, each neighbour of its start that is
-    adjacent to all members so far and whose trial set fits within
-    ``eps * diameter``.  All advance together, one trial each per round, and
-    a round's trials of one size are fitted as one stack.  A regrowth that
-    takes no neighbour keeps fit None.
-    """
-    pts, dist, eps, e = graph.cloud.points, graph.cloud.distances, graph.eps, graph.edges
-    # Every point's neighbours in index order: both directions of the edges as
-    # point * n + neighbour, sorted, without the duplicate pairs `adjacency` drops.
-    n = graph.cloud.size
-    keys = np.sort(np.concatenate((e @ [n, 1], e @ [1, n])))
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    heads, tails = np.divmod(keys[first], n)
-    ends, tails = np.searchsorted(heads, np.arange(n + 1)).tolist(), tails.tolist()
-    grown = {p: [[p], None, tails[ends[p] : ends[p + 1]]] for p in starts}
-    active = starts
-    while active := [p for p in active if grown[p][2]]:
-        trials: dict[int, list] = {}
-        for p in active:
-            members, _, queue = grown[p]
-            q = queue.pop(0)
-            trials.setdefault(len(members), []).append((p, q, sorted(members + [q])))
-        for group in trials.values():
-            idx = np.array([trial for _, _, trial in group])
-            diameters = dist[idx[:, :, None], idx[:, None, :]].max(axis=(1, 2)).tolist()
-            for (p, q, trial), fit, diameter in zip(group, _fits(pts[idx], vals[idx]), diameters):
-                if fit[3] <= eps * diameter:  # floats: eps * diameter may be inf, not a warning
-                    grown[p][:] = trial, fit, [c for c in grown[p][2] if adj[q, c]]
-    return grown
-
-
-def _carve(graph: IsometryGraph, vals: np.ndarray) -> dict:
-    """``{members: fit}`` over the greedy leaves at m >= 2.
-
-    Connected components are candidate leaves; a component that is not a
-    clique with an isometric affine fit is shrunk member by member, and the
-    removed points regrow their own leaves, possibly re-using points that
-    are already covered.  That is how branch points end up in two leaves.
-    The regrowths of all removed points advance as one staged search, since
-    each depends only on its start.  Each component then walks its removed
-    points in index order, and a point that an earlier leaf covers regrows
-    nothing.  Leaves keep the fits that accepted them.
-    """
-    cloud, adj, pts, n = graph.cloud, graph.adjacency(), graph.cloud.points, graph.cloud.size
-    labels = component_labels(n, graph.edges)
-    comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
-    carved = [_validate_component(c, adj, cloud.distances, pts, vals, graph.eps) for c in comps]
-    fits = {tuple(survivors): fit for survivors, fit, _ in carved}
-    grown = _regrow([p for *_, pending in carved for p in pending], adj, graph, vals)
-    for survivors, _, pending in carved:
-        covered = set(survivors)
-        for p in sorted(pending):
-            if p not in covered:
-                members, fit, _ = grown[p]
-                covered.update(members)
-                fits[tuple(members)] = fit or _fit(pts[members], vals[members])
+        stack = _fits(cloud.points[idx], vals[idx], max_rank=m)
+        if m == 1:
+            fits.update(zip(sets, stack))
+            continue
+        diameters = _diameters(cloud.distances, idx)
+        failed = []
+        for members, fit, diameter in zip(sets, stack, diameters):
+            if k <= 2 or fit[3] <= eps * diameter:  # floats: eps * diameter may be inf, not a warning
+                for p in members:
+                    holders[p] |= 1 << len(fits)
+                fits[members] = fit
+            else:
+                failed.append(members)
+        for members in failed:
+            steps += k * (k - 1) ** 2
+            if steps > limit:
+                break
+            for j in range(k):
+                subset = members[:j] + members[j + 1 :]
+                held = holders[subset[0]]
+                for p in subset[1:]:
+                    held &= holders[p]
+                if not held:
+                    pool.setdefault(k - 1, {})[subset] = None
+    if steps > limit:
+        what = "ray" if m == 1 else f"leaf of dimension {m} or less"
+        raise TooManyCliques(f"the clique search passed {limit} steps: no {what} holds the cliques")
     return fits
 
 
 def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition:
     """The leaves of the potential ``u`` on its saturation graph ``graph``.
 
-    At m = 1 they are the maximal cliques of ``graph``: a set on which u is
-    an isometry into the line is collinear and ordered by u, a transport
-    ray.  So no leaf lies inside another and every pair of the graph lies
-    in a leaf; each flow edge of ``solve``'s coupling saturates, so it lies
-    in a leaf at the default eps.  A clique keeps one tangent direction at
-    most, so a near-collinear one reports dimension 1.  Where eps is so
-    large that the cliques are no rays, TooManyCliques (``_maximal_cliques``).
+    They come from the maximal cliques of ``graph`` (``_clique_fits``).  At
+    m = 1 every clique is a leaf: a set on which u is an isometry into the
+    line is collinear and ordered by u, a transport ray.  At m >= 2 a clique
+    is a leaf when its affine fit has a residual of at most eps times its
+    diameter, and one that fails is split into its subsets one member
+    smaller until they pass.  A fit keeps at most m tangent directions, so a
+    near-collinear clique at m = 1 reports dimension 1.
 
-    At m >= 2 the graph is carved greedily (``_carve``): every point lies
-    in some leaf, but a saturated pair whose two ends are already covered
-    can lie in no leaf.  The leaves of one size and dimension are built as
-    one stack.
+    At every m no leaf lies inside another, and every pair of the graph lies
+    in a leaf; each flow edge of ``solve``'s coupling saturates, so it lies
+    in a leaf at the default eps.  At m >= 2 no point adjacent to every
+    member of a leaf fits with it.  Where eps is so large that the cliques
+    are too many to be leaves, TooManyCliques.  The leaves of one size and
+    dimension are built as one stack.
     """
     cloud = graph.cloud
     if not _same_cloud(u.cloud, cloud):
         raise DimensionMismatch("potential and graph describe different clouds")
     n, pts, vals = cloud.size, cloud.points, u.values
-    fits = _clique_fits(graph, vals) if vals.shape[1] == 1 else _carve(graph, vals)
+    fits = _clique_fits(graph, vals)
 
     member_sets, shapes, built = sorted(fits), {}, {}
     for s in member_sets:

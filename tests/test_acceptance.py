@@ -262,6 +262,29 @@ def test_criterion_07_strengthened_lipschitz_diagnostics():
     )
 
 
+def test_criterion_07_diagnostics_hold_between_the_solved_batch_leaves(duality_batch):
+    # Every member pair of every two m-dimensional leaves of the batch's
+    # solved potentials: the strengthened residual is at least minus the two
+    # fit residuals, and the derivative modulus bound holds.
+    results, _ = duality_batch
+    pairs, worst = 0, np.inf
+    for _, _, potential, _, _ in results:
+        m = potential.values.shape[1]
+        dec = extract_leaves(isometry_graph(potential), potential)
+        full = [leaf for leaf in dec.leaves if leaf.dimension == m > 1]
+        for a, l1 in enumerate(full):
+            for l2 in full[a + 1 :]:
+                for i in l1.member_indices.tolist():
+                    for j in l2.member_indices.tolist():
+                        res = strengthened_lipschitz_residual(l1, l2, i, j)
+                        worst = min(worst, res + l1.fit_residual + l2.fit_residual)
+                        assert res >= -(l1.fit_residual + l2.fit_residual)
+                        assert derivative_modulus_check(l1, l2, i, j)
+                        pairs += 1
+    assert pairs > 1000
+    print(f"criterion 7 on the batch: PASS ({pairs} member pairs, worst margin {worst:.3e})")
+
+
 def test_criterion_08_disintegration_reassembly():
     box = [[-4.0, 4.0], [-4.0, 4.0]]
     gauss = tabulate_density(box, 129, lambda p: np.exp(-0.5 * (p ** 2).sum(axis=1)))

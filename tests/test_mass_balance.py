@@ -228,6 +228,18 @@ def test_preset_balance_fails_with_hub_witness():
     np.testing.assert_allclose(report.entries[1].mass, [-1.0, 0.0])
 
 
+def test_preset_leaves_are_the_star_segments():
+    # The analytic potential and the solved one: each anchor's segment to the
+    # hub is a leaf of dimension 1, and the hub is the one branch point.
+    for spec in (paper_preset(), orthant_spec(3), orthant_spec(4)):
+        inst, m = spec.instance(), spec.m
+        for potential in (analytic_optimum(spec)[0], solve(inst)[1]):
+            dec = decompose(inst, potential)
+            assert [tuple(l.member_indices.tolist()) for l in dec.leaves] == [(i, m) for i in range(m)]
+            assert all(l.dimension == 1 for l in dec.leaves)
+            np.testing.assert_array_equal(dec.boundary_flags, [m])
+
+
 def test_preset_balance_fails_from_solver_output_too():
     spec = paper_preset()
     inst = spec.instance()
