@@ -93,8 +93,9 @@ class InvalidParameter(VecotError, ValueError):
 
 
 def _check_count(value, name: str, error: type[VecotError] = InvalidParameter) -> None:
-    """Raise ``error`` unless a count argument is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """Raise ``error`` unless a count argument is a Python or numpy integer;
+    a bool, though an int subclass, is no count."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
 
 
@@ -475,16 +476,6 @@ def cost(coupling: VectorCoupling, instance: Instance) -> float:
     """Transport cost: sum over edges of distance times flow norm."""
     d = instance.distances[coupling.pairs[:, 0], coupling.pairs[:, 1]]
     return _dot(d, np.linalg.norm(coupling.flows, axis=1))
-
-
-@functools.cache
-def _lapack():
-    """scipy's LAPACK wrappers, imported at the first Newton factor or leaf
-    fit, so that ``import vecot`` loads no scipy; later calls return the
-    cached module.  Routines are looked up on it once per tile or fit."""
-    from scipy.linalg import lapack
-
-    return lapack
 
 
 try:

@@ -173,7 +173,8 @@ def _product_grid(axes) -> np.ndarray:
 def tabulate_density(box, resolution, fn) -> GridDensity:
     """Evaluate a density function at the cell centers of a regular grid."""
     box = _box(box)
-    resolution = tuple(np.atleast_1d(resolution).tolist())
+    # object entries keep their types: a numeric array would make [5, True] ints
+    resolution = tuple(np.atleast_1d(np.asarray(resolution, dtype=object)).tolist())
     for count in resolution:
         _check_count(count, "a cell count")
     if len(resolution) == 1:

@@ -8,8 +8,11 @@ the graph of distance-saturating pairs and read the leaves off its maximal
 cliques.  At m = 1 a set on which u is an isometry is collinear and ordered
 by u, a transport ray, so every clique is a leaf.  At m >= 2 a clique is a
 leaf when an affine isometry fits it within eps, and one that does not
-gives way to its subsets.  Each leaf keeps its affine isometry and,
-for every member, the distance to the sampled leaf boundary.  Points shared
+gives way to its subsets.  The fit is orthogonal Procrustes on numpy's
+stacked SVD, the same path for one set as for many.  Each leaf keeps its
+affine isometry and, for every member, the distance to the sampled leaf
+boundary, read from the fit's tangent coordinates; only a hull (a leaf of
+dimension r >= 2 with more than r + 1 members) loads scipy.  Points shared
 by two leaves are branch points; they are flagged and transport sets do not
 expand through them.
 
@@ -31,7 +34,6 @@ from .core import (
     VecotError,
     WrongDimension,
     _check_tolerance,
-    _lapack,
     _point_indices,
     _same_cloud,
     component_labels,
@@ -192,74 +194,47 @@ def affine_isometry_fit(
         raise DimensionMismatch(
             f"need finite (k, n) points, (k, m) values, k >= 1; got {points.shape}, {values.shape}"
         )
-    T, b, _, residual, _, _, _ = _fit(points, values)
+    T, b, _, residual, _, _, _ = _fits(points[None], values[None])[0]
     return T, b, residual
 
 
-def _svd(a: np.ndarray):
-    """Thin SVD of one (r, c) matrix, or of each matrix of a (K, r, c) stack.
-
-    A stack goes to numpy's LAPACK ``dgesdd``, one matrix to scipy's at half
-    the cost; each gives a matrix the bits of a call on it alone.  scipy's U
-    and V^T are copied to C order, as numpy returns them: matmul rounds
-    differently on the two.
-    """
-    if a.ndim > 2:
-        return np.linalg.svd(a, full_matrices=False)
-    u, s, vt, info = _lapack().dgesdd(a, full_matrices=0)
-    if info:
-        raise np.linalg.LinAlgError("SVD did not converge")
-    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt)
-
-
-def _fit(points: np.ndarray, values: np.ndarray):
-    """Procrustes fit returning all intermediates the extractor needs."""
-    return _fits(points, values)[0]
-
-
 def _fits(points: np.ndarray, values: np.ndarray, max_rank: int | None = None) -> list[tuple]:
-    """``_fit`` of each set of a (K, k, n) point and (K, k, m) value stack,
-    or of one (k, n) and (k, m) set, with the bits of its own call: each
-    step reduces, decomposes or multiplies the matrices one by one.  The sets
-    of one tangent rank share the tangent and rotation steps.  A set keeps at
-    most ``max_rank`` tangent directions, its leading ones, when given.
+    """The Procrustes fit of each set of a (K, k, n) point and (K, k, m)
+    value stack, as ``(T, b, y0, residual, rank, tangent, coords)`` with
+    ``coords`` the members' (k, rank) tangent coordinates.  Each set gets the
+    bits of its own call: every step reduces, decomposes (numpy's LAPACK
+    ``dgesdd``) or multiplies the matrices one by one.  The sets of one
+    tangent rank share the tangent and rotation steps.  A set keeps at most
+    ``max_rank`` tangent directions, its leading ones, when given.
     """
-    if values.ndim > 2 and len(values) == 1:
-        points, values = points[0], values[0]
-    one = values.ndim == 2
     k, m = values.shape[-2:]  # mean and norm below are spelled as the reductions they run
     y0 = np.add.reduce(points, axis=-2) / k
     b = np.add.reduce(values, axis=-2) / k
-    centered = points - (y0 if one else y0[:, None])
-    target = values - (b if one else b[:, None])
-    _, svals, vt = _svd(centered)
+    centered, target = points - y0[:, None], values - b[:, None]
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     # above the tolerance of each set's largest singular value; no rank when all are 0
     ranks = np.count_nonzero(svals > _RANK_RTOL * svals[..., :1], axis=-1)
     if max_rank is not None:
         ranks = np.minimum(ranks, max_rank)
-    if one:
-        y0, b, ranks = [y0], [b], ranks[None]
     groups: dict[int, list[int]] = {}
     for i, rank in enumerate(ranks.tolist()):
         groups.setdefault(rank, []).append(i)
     fits: list = [None] * len(ranks)
     for rank, group in groups.items():
-        sel = ... if len(groups) == 1 else group if len(group) > 1 else group[0]
+        sel = ... if len(groups) == 1 else group
         tangent = vt[sel, :rank, :].swapaxes(-1, -2)
         coords, residue = centered[sel] @ tangent, target[sel]
         if rank:
-            uc, _, vct = _svd(residue.swapaxes(-1, -2) @ coords)
+            uc, _, vct = np.linalg.svd(residue.swapaxes(-1, -2) @ coords, full_matrices=False)
             rot = uc @ vct
         else:
-            rot = np.zeros((*coords.shape[:-2], m, 0))
+            rot = np.zeros((len(group), m, 0))
         tmap = rot @ tangent.swapaxes(-1, -2)
         misfit = residue - coords @ rot.swapaxes(-1, -2)
         errors = np.sqrt(np.add.reduce(misfit * misfit, axis=-1))
         sums = (np.add.reduce(errors * errors, axis=-1) / k).tolist()
-        if tmap.ndim == 2:
-            tmap, tangent, errors, sums = [tmap], [tangent], [errors], [sums]
-        for i, fit_map, fit_tangent, fit_errors, total in zip(group, tmap, tangent, errors, sums):
-            fits[i] = (fit_map, b[i], y0[i], math.sqrt(total), rank, fit_tangent, fit_errors)
+        for i, fit_map, fit_tangent, fit_coords, total in zip(group, tmap, tangent, coords, sums):
+            fits[i] = (fit_map, b[i], y0[i], math.sqrt(total), rank, fit_tangent, fit_coords)
     return fits
 
 
@@ -437,7 +412,8 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
     in a leaf at the default eps.  At m >= 2 no point adjacent to every
     member of a leaf fits with it.  Where eps is so large that the cliques
     are too many to be leaves, TooManyCliques.  The leaves of one size and
-    dimension are built as one stack.
+    dimension are built as one stack, their boundary distances read from
+    the tangent coordinates of their fits.
     """
     cloud = graph.cloud
     if not _same_cloud(u.cloud, cloud):
@@ -450,10 +426,8 @@ def extract_leaves(graph: IsometryGraph, u: PotentialField) -> LeafDecomposition
         shapes.setdefault((len(s), fits[s][4]), []).append(s)
     for sets in shapes.values():  # the leaves of one size and dimension, as one stack
         idx, group = np.array(sets, dtype=int), [fits[s] for s in sets]
-        points, values, base = pts[idx], vals[idx], np.stack([fit[2] for fit in group])
-        # Each tangent keeps the transposed layout of its fit: matmul rounds by layout.
-        tangents = np.stack([fit[5].T for fit in group]).swapaxes(-1, -2)
-        sigma = _boundary_distances((points - base[:, None]) @ tangents)
+        points, values = pts[idx], vals[idx]
+        sigma = _boundary_distances(np.stack([fit[6] for fit in group]))
         for j, (tmap, b, y0, residual, rank, tangent, _) in enumerate(group):
             built[sets[j]] = Leaf(
                 member_indices=idx[j], points=points[j], values=values[j], dimension=rank,

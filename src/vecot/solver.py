@@ -60,6 +60,7 @@ bit for bit those of scipy's CSR matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,7 +77,6 @@ from .core import (
     _check_tolerance,
     _dot,
     _einsum,
-    _lapack,
     _row_norms,
     _values,
     component_labels,
@@ -405,6 +405,16 @@ _TILE = 32
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _einsum("ij,ij->i", a, b)
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported at the first Newton factor, so that
+    ``import vecot`` loads no scipy; later calls return the cached module.
+    Routines are looked up on it once per factor or solve."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def _tiled_cholesky(r: np.ndarray) -> np.ndarray | None:

@@ -658,11 +658,12 @@ def _count_call(name, count):
         "resolution entry": lambda: vecot.tabulate_density(box, [5, count, 5], gauss),
         "orthant m": lambda: vecot.orthant_spec(count),
         "points_per_ball": lambda: vecot.smoothed_instance(vecot.paper_preset(), 0.1, count),
+        "max_iters": lambda: vecot.SolverParams(max_iters=count),
     }
     return calls[name]
 
 
-@pytest.mark.parametrize("count", [2.5, 3.0, "3"], ids=repr)
+@pytest.mark.parametrize("count", [2.5, 3.0, "3", True], ids=repr)
 @pytest.mark.parametrize(
     "name, error",
     [
@@ -673,11 +674,13 @@ def _count_call(name, count):
         ("resolution entry", vecot.InvalidParameter),
         ("orthant m", vecot.InvalidSpec),
         ("points_per_ball", vecot.InvalidSpec),
+        ("max_iters", vecot.InvalidParameter),
     ],
 )
 def test_count_arguments_must_be_integers(name, error, count):
-    # As SolverParams.max_iters: 2.5 once built a 3-ray fan or 2 cells per
-    # axis, and other counts ended in a raw TypeError.
+    # 2.5 once built a 3-ray fan or 2 cells per axis, and other counts ended
+    # in a raw TypeError.  True, an int to isinstance, sliced at m = 1, built
+    # a 1-ray fan, smoothed with 3 atoms and capped a solve at 1 iteration.
     with pytest.raises(error, match="must be an integer"):
         _count_call(name, count)()
     _count_call(name, np.int64(2))()

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
 import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +39,7 @@ from vecot import (
     strengthened_lipschitz_residual,
     transport_set,
 )
-from vecot.leaves import _boundary_distances, _fit, _fits
+from vecot.leaves import _boundary_distances, _fits
 
 
 def grid_projection(side: int = 5):
@@ -222,9 +221,9 @@ def test_fit_rejects_malformed_samples_with_a_typed_error(points, values):
 
 
 def reference_fit(points: np.ndarray, values: np.ndarray, max_rank: int | None = None):
-    """``_fit`` as written with ``mean`` and ``norm``, before it called the
-    reductions underneath them directly, keeping at most ``max_rank``
-    tangent directions when given."""
+    """A set's ``_fits`` as written with ``mean`` and ``norm``, before it
+    called the reductions underneath them directly, keeping at most
+    ``max_rank`` tangent directions when given."""
     m = values.shape[1]
     y0 = points.mean(axis=0)
     b = values.mean(axis=0)
@@ -245,7 +244,7 @@ def reference_fit(points: np.ndarray, values: np.ndarray, max_rank: int | None =
     tmap = rot @ tangent.T
     errors = np.linalg.norm(target - coords @ rot.T, axis=1)
     residual = float(np.sqrt(np.mean(errors**2)))
-    return tmap, b, y0, residual, rank, tangent, errors
+    return tmap, b, y0, residual, rank, tangent, coords
 
 
 def test_fit_matches_the_mean_and_norm_fit_bit_for_bit():
@@ -272,7 +271,7 @@ def test_fit_matches_the_mean_and_norm_fit_bit_for_bit():
             vals = pts @ q.T + rng.normal(size=m)
         else:
             vals = np.full((k, m), rng.normal())
-        got, expected = _fit(pts, vals), reference_fit(pts, vals)
+        got, expected = _fits(pts[None], vals[None])[0], reference_fit(pts, vals)
         for a, b in zip(got, expected):
             assert type(a) is type(b)
             if isinstance(a, np.ndarray):
@@ -319,26 +318,21 @@ def test_stacked_fits_match_one_at_a_time_bit_for_bit():
     assert all(seen[k, n, cap] == set(range(min(k - 1, n, cap or n) + 1)) for k, n, cap in seen)
 
 
-def test_fit_raises_when_lapack_does_not_converge(monkeypatch):
-    dgesdd = scipy.linalg.lapack.dgesdd
-
-    def no_convergence(a, **kwargs):
-        u, s, vt, _ = dgesdd(a, **kwargs)
-        return u, s, vt, 1  # info > 0: the bidiagonal SVD did not converge
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", no_convergence)
-    with pytest.raises(np.linalg.LinAlgError):
-        _fit(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros((3, 1)))
-
-
-def test_stacked_fits_raise_when_lapack_does_not_converge(monkeypatch):
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda corner: _fits(np.stack([corner, 2.0 * corner]), np.zeros((2, 3, 1))),
+        lambda corner: affine_isometry_fit(corner, np.zeros((3, 1))),  # a stack of one
+    ],
+    ids=["stack", "one-set"],
+)
+def test_stacked_fits_raise_when_lapack_does_not_converge(monkeypatch, fit):
     def no_convergence(a, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")  # as numpy's dgesdd loop does
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    corner = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(np.linalg.LinAlgError):
-        _fits(np.stack([corner, 2.0 * corner]), np.zeros((2, 3, 1)))
+        fit(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +632,7 @@ def reference_decomposition(graph, u, member_sets) -> LeafDecomposition:
     leaves = []
     for members in member_sets:
         idx = np.array(members)
-        tmap, b, y0, residual, rank, tangent, _ = _fits(pts[idx], vals[idx], vals.shape[1])[0]
+        tmap, b, y0, residual, rank, tangent, _ = _fits(pts[idx][None], vals[idx][None], vals.shape[1])[0]
         leaves.append(Leaf(
             member_indices=idx, points=pts[idx], values=vals[idx], dimension=rank,
             tangent=tangent, map_matrix=tmap, base_point=y0, offset=b, fit_residual=residual,
@@ -792,7 +786,7 @@ def test_scalar_leaves_are_the_maximal_cliques_fitted_bit_for_bit():
         assert members == reference_maximal_cliques(u.cloud.size, graph.edges), name
         for leaf in dec.leaves:
             idx = leaf.member_indices
-            tmap, b, y0, residual, rank, tangent, _ = _fits(u.cloud.points[idx], u.values[idx], 1)[0]
+            tmap, b, y0, residual, rank, tangent, _ = _fits(u.cloud.points[idx][None], u.values[idx][None], 1)[0]
             assert leaf.dimension == rank <= 1, name
             assert np.float64(leaf.fit_residual).tobytes() == np.float64(residual).tobytes(), name
             for got, want in zip(
@@ -844,7 +838,7 @@ def test_a_near_collinear_scalar_clique_reports_dimension_one():
     # rank cut.  The leaf keeps the leading direction only.
     cloud = PointCloud(np.array([[0.0, 0.0], [1.0, 1e-4], [2.0, 0.0]]))
     u = PotentialField(cloud, np.array([[0.0], [1.0], [2.0]]))
-    assert _fit(cloud.points, u.values)[4] == 2
+    assert _fits(cloud.points[None], u.values[None])[0][4] == 2
     (leaf,) = extract_leaves(isometry_graph(u), u).leaves
     assert leaf.size == 3 and leaf.dimension == 1 and leaf.tangent.shape == (2, 1)
     assert abs(leaf.tangent[0, 0]) == pytest.approx(1.0) and leaf.fit_residual < 1e-8
@@ -856,7 +850,7 @@ def test_a_near_flat_vector_clique_reports_dimension_m():
     # above the rank cut.  The leaf keeps the two leading directions only.
     points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1e-6]])
     u = PotentialField(PointCloud(points), points[:, :2].copy())
-    assert _fit(points, u.values)[4] == 3
+    assert _fits(points[None], u.values[None])[0][4] == 3
     (leaf,) = extract_leaves(isometry_graph(u), u).leaves
     assert leaf.size == 4 and leaf.dimension == 2 and leaf.tangent.shape == (3, 2)
 
@@ -960,7 +954,7 @@ def test_a_pair_of_the_graph_is_a_leaf_below_the_fit_rounding():
     u = PotentialField(PointCloud(points), points[:, ::-1] * [1.0, -1.0])
     graph = isometry_graph(u, eps=1e-300)
     assert graph.edges.tolist() == [[0, 1]]
-    assert 0.0 < _fits(points, u.values, 2)[0][3]
+    assert 0.0 < _fits(points[None], u.values[None], 2)[0][3]
     (leaf,) = extract_leaves(graph, u).leaves
     assert leaf.member_indices.tolist() == [0, 1] and leaf.dimension == 1
 
@@ -1047,7 +1041,7 @@ def test_leaves_keep_their_contract(inst):
         assert leaf.dimension <= m
         for p in np.flatnonzero(graph.adjacency()[:, leaf.member_indices].all(axis=1)):
             grown = np.sort(np.append(leaf.member_indices, p))
-            residual = _fits(u.cloud.points[grown], u.values[grown], m)[0][3]
+            residual = _fits(u.cloud.points[grown][None], u.values[grown][None], m)[0][3]
             assert residual > graph.eps * u.cloud.distances[np.ix_(grown, grown)].max()
 
 

@@ -1,10 +1,11 @@
 """Which scipy modules each entry point loads.
 
 ``import vecot`` loads none; ``vecot --version``, ``certify``,
-``disintegrate`` and solves that the tree engine answers compute without
-scipy and run with it blocked; the leaf fit
-loads LAPACK but not the optimizer package that holds HiGHS; smoothing never
-loads ``scipy.stats``, and scalar solves never ``scipy.sparse.csgraph``.  No
+``disintegrate``, solves that the tree engine answers, and ``leaves`` and
+``massbalance`` without a convex hull compute without scipy and run with it
+blocked: the leaf fit is numpy's.  A leaf hull loads ``scipy.spatial`` but
+not the optimizer package that holds HiGHS; smoothing never loads
+``scipy.stats``, and scalar solves never ``scipy.sparse.csgraph``.  No
 module of vecot imports ``scipy.stats`` or ``scipy.sparse``.
 """
 
@@ -21,7 +22,7 @@ import vecot
 from vecot import build_instance, dumps_instance, instance_to_dict
 from vecot.cli import main
 
-from harness import cli, collinear_instance, python, two_clusters
+from harness import cli, collinear_instance, python, seeded_instance, two_clusters
 
 
 def test_importing_vecot_loads_no_scipy():
@@ -35,14 +36,30 @@ def test_importing_vecot_loads_no_scipy():
 
 
 @pytest.fixture(scope="module")
-def solution(tmp_path_factory) -> str:
+def documents(tmp_path_factory) -> dict[str, str]:
+    """Paths of a solved m = 2 and a solved 100-point scalar instance, and of a
+    hand-built ray: points 0, 1, 2 on the line with u = x and no coupling."""
+    folder = tmp_path_factory.mktemp("scipy")
+    paths = {}
     rng = np.random.default_rng(17)
     w = rng.normal(size=(10, 2))
-    instance = tmp_path_factory.mktemp("scipy") / "instance.json"
-    instance.write_text(dumps_instance(build_instance(rng.uniform(-1, 1, (10, 2)), w - w.mean(0))))
-    path = instance.with_name("solution.json")
-    assert main(["solve", "--input", str(instance), "--output", str(path)]) == 0
-    return str(path)
+    for name, instance in [
+        ("solution", build_instance(rng.uniform(-1, 1, (10, 2)), w - w.mean(0))),
+        ("scalar", seeded_instance(100, 1)),
+    ]:
+        source = folder / f"{name}-instance.json"
+        source.write_text(dumps_instance(instance))
+        paths[name] = str(folder / f"{name}.json")
+        assert main(["solve", "--input", str(source), "--output", paths[name]]) == 0
+    line = np.arange(3.0)[:, None]
+    ray = {
+        "instance": instance_to_dict(build_instance(line, np.zeros((3, 1)))),
+        "coupling": {"pairs": [], "flows": []},
+        "potential": line.tolist(),
+    }
+    paths["ray"] = str(folder / "ray.json")
+    pathlib.Path(paths["ray"]).write_text(json.dumps(ray))
+    return paths
 
 
 @pytest.mark.parametrize(
@@ -58,12 +75,17 @@ def solution(tmp_path_factory) -> str:
          "--cd", "0,inf"],
         ["disintegrate", "--box", "-4", "4", "-4", "4", "--resolution", "65", "--mode", "radial",
          "--center", "0.3", "-0.2"],
+        ["leaves", "--input", "{ray}"],
+        ["massbalance", "--input", "{ray}"],
+        ["leaves", "--input", "{scalar}"],
+        ["massbalance", "--input", "{scalar}"],
     ],
     ids=["version", "certify", "disintegrate-slice", "disintegrate-radial", "disintegrate-slice-33",
-         "disintegrate-radial-65"],
+         "disintegrate-radial-65", "leaves-ray", "massbalance-ray", "leaves-scalar",
+         "massbalance-scalar"],
 )
-def test_commands_without_scipy_match_a_normal_run(capsys, solution, argv):
-    argv = [a.format(solution=solution) for a in argv]
+def test_commands_without_scipy_match_a_normal_run(capsys, documents, argv):
+    argv = [a.format(**documents) for a in argv]
     try:
         code = main(argv)
     except SystemExit as exit_:  # --version
@@ -113,9 +135,10 @@ def test_a_disconnected_scalar_solve_loads_no_csgraph(tmp_path):
     assert blocked.stdout == normal.stdout
 
 
-def test_leaf_extraction_loads_lapack_but_not_the_optimizer(tmp_path):
+def test_a_leaf_hull_loads_scipy_spatial_but_not_the_optimizer(tmp_path):
     # Points of a 3 x 3 grid mapped isometrically: one two-dimensional leaf,
-    # whose boundary distances come from a convex hull.
+    # whose boundary distances come from a convex hull.  The hull, not the
+    # fit, loads scipy: scipy.spatial brings scipy.linalg with it.
     grid = np.argwhere(np.ones((3, 3))).astype(float)
     doc = {
         "instance": instance_to_dict(build_instance(grid, np.zeros((9, 2)))),
