@@ -18,7 +18,9 @@ array per ambient axis sized by what varies: quadrature stacks them, equal
 to ``base + grid @ directions.T`` bit for bit up to the sign of a zero (a
 -0.0 base coordinate is the only case where they differ), and ray sampling
 and reassembly weigh their multilinear corners in blocks of at most
-``_BLOCK_POINTS`` points, bit-identical to one needle at a time.
+``_BLOCK_POINTS`` points, bit-identical to one needle at a time.  A point
+on a cell center of the grid sits on that cell alone, and a block builds
+only the corners of the axes its points move along.
 
 A 1-D needle with density g = e^(-rho) satisfies the curvature-dimension
 condition CD(kappa, N) when rho'' - (rho')^2/(N-1) >= kappa on its
@@ -151,8 +153,10 @@ def _box(box) -> np.ndarray:
     return box
 
 
-def _cell_centers(lo: float, hi: float, k: int) -> np.ndarray:
-    return lo + (np.arange(k) + 0.5) * (hi - lo) / k
+def _cell_centers(lo: float, hi: float, k: int, cells=None) -> np.ndarray:
+    """Centers of the given cells of an axis, all k of them by default."""
+    cells = np.arange(k) if cells is None else cells
+    return lo + (cells + 0.5) * (hi - lo) / k
 
 
 def _product_grid(axes) -> np.ndarray:
@@ -482,14 +486,20 @@ def radial_disintegration(
 
 
 def _stencil(grid: GridDensity, coordinates):
-    """The flat cell of each point's lowest corner, and per axis the corner weights.
+    """The flat cell of each point's lowest corner, and the weights of the axes it moves along.
 
-    ``coordinates`` hold one array per axis, broadcastable to (..., P).  The
-    lowest corner's cell, of their broadcast shape, is the edge-clamped cell
-    below the point on every axis.  Each axis gives the weights of its lower
-    and upper cells, shape (..., 2, P) after its own coordinates' shape; the
-    upper cell is ``lo + 1``, or ``lo`` itself on a one-cell axis, where its
-    weight is 0.  Their products over the axes are the multilinear
+    ``coordinates`` hold one array per axis, broadcastable to (..., P).  On
+    each axis a point lies between the edge-clamped cell ``lo`` and
+    ``lo + 1``, weighted ``1 - f`` and ``f``, with f its offset in cells
+    from lo's center clipped to [0, 1].  A coordinate equal to a cell
+    center bit for bit, as ``GridDensity.centers`` gives it, sits exactly
+    on that center: f is 0, or 1 at the last center, whose lo is the cell
+    before it.  An axis on which every weight is exactly 0 or 1 is fixed:
+    each point's cell on it is the one weighted 1, it joins the lowest
+    corner, and the axis's entry in the weight list is None.  A moving axis
+    gives its weights, shape (2, ..., P) after its own coordinates' shape,
+    the lower cell's first.  The lowest corner's cell has the broadcast
+    shape; the products of the moving axes' weights are the multilinear
     interpolation weights.
     """
     base, weights = 0.0, []
@@ -501,13 +511,15 @@ def _stencil(grid: GridDensity, coordinates):
         # value; fmax and fmin send NaN to cell 0 and leave its weight NaN.
         lo = np.floor(q)
         np.fmin(np.fmax(lo, 0.0, out=lo), max(res - 2, 0), out=lo)
-        w = np.empty(q.shape[:-1] + (2,) + q.shape[-1:])
+        w = None
         if res > 1:
             q -= lo
-            np.clip(q, 0.0, 1.0, out=w[..., 1, :])
-        else:
-            w[..., 1, :] = 0.0
-        np.subtract(1.0, w[..., 1, :], out=w[..., 0, :])
+            if _moves_at_centers(grid, a, x, lo, q):
+                w = np.empty((2,) + q.shape)
+                np.clip(q, 0.0, 1.0, out=w[1])
+                np.subtract(1.0, w[1], out=w[0])
+            else:
+                lo += q >= 1.0
         weights.append(w)
         # Every flat cell index is an integer below 2^53, so float sums are
         # exact; each sum takes the shape its terms broadcast to.
@@ -516,24 +528,85 @@ def _stencil(grid: GridDensity, coordinates):
     return base.astype(np.intp), weights
 
 
-def _corner_weights(grid: GridDensity, coordinates):
-    """Flat cell index and weight of each of the 2^dim multilinear corners.
+def _sliver_bound(grid: GridDensity, a: int) -> float:
+    """How far q may round from j at a coordinate equal to center j of axis a.
 
-    ``coordinates`` hold one array per axis, broadcastable to (..., P); the
-    results have shape (..., 2^dim, P) after the shapes they broadcast
-    from, the corners in ``np.ndindex`` order.  Each weight is the product
-    of the axes' stencil weights, first axis first.
+    The center c_j = lo + ((j + 1/2) W) / k, as ``_cell_centers`` rounds it,
+    gives q = (c_j - lo) / step - 1/2 within
+
+        delta = u k (7 + 2 M / W) + (k + 2) 2^-1074 / step
+
+    of j, with u = 2^-53, k cells, W the box width and M the larger
+    |bound|.  At cell index k, six roundings (the center's product and
+    quotient, the step, c_j - lo, the quotient and the -1/2) move q by at
+    most u k each, and the center's sum by u M, which is u k M / W cells:
+    u k (6 + M / W) to first order.  The last term covers steps and
+    center parts that underflow.  While delta < 1 the center is one of the
+    point's two stencil cells.
+    """
+    lo, hi = float(grid.box[a, 0]), float(grid.box[a, 1])
+    k, step = grid.resolution[a], float(grid.steps[a])
+    return 2.0**-53 * k * (7.0 + 2.0 * max(abs(lo), abs(hi)) / (hi - lo)) + (k + 2) * 2.0**-1074 / step
+
+
+def _least_nonnegative(values) -> float:
+    """The least value that is not negative, read from the bits, which order
+    nonnegative floats and put negative ones and NaN after them; negative or
+    NaN when there is none."""
+    return np.minimum.reduce(values.view(np.uint64), axis=None).view(np.float64)
+
+
+def _moves_at_centers(grid: GridDensity, a: int, x, lo, f) -> bool:
+    """Put the points whose coordinate is a center of axis ``a`` on it; does any still move?
+
+    ``f`` holds the unclipped offsets from lo's center.  A point on a
+    center is off by at most delta = ``_sliver_bound`` (a sliver), so only
+    offsets within delta of 0 or 1 are compared with the centers of the
+    point's two cells; a hit sets lo and f to those of q = j exactly.  The
+    axis moves when some offset lies strictly between 0 and 1 (or is NaN).
+    Ray points are never slivers: when the least nonnegative offset lies
+    in (delta, 1 - delta) and no offset in [1 - delta, 1], reductions
+    alone show the axis moves with no sliver on it.
+    """
+    delta = _sliver_bound(grid, a)
+    if delta < _least_nonnegative(f) < 1.0 - delta and (
+        f.max() < 1.0 - delta or _least_nonnegative(1.0 - f) > delta
+    ):
+        return True
+    slivers = np.flatnonzero(((0.0 < f) & (f <= delta)) | ((1.0 - delta <= f) & (f < 1.0)))
+    if slivers.size:
+        near, at = x.flat[slivers], lo.flat[slivers]
+        box, res = grid.box[a], grid.resolution[a]
+        lower = near == _cell_centers(*box, res, at)
+        upper = ~lower & (near == _cell_centers(*box, res, at + 1.0))
+        hits = lower | upper
+        center = at[hits] + upper[hits]
+        lo.flat[slivers[hits]] = np.minimum(center, res - 2)
+        f.flat[slivers[hits]] = center - lo.flat[slivers[hits]]
+    return not np.all((f <= 0.0) | (f >= 1.0))
+
+
+def _corner_weights(grid: GridDensity, coordinates):
+    """Flat cell index and weight of each multilinear corner on the moving axes.
+
+    ``coordinates`` hold one array per axis, broadcastable to (..., P).
+    The corners are the 2^k of the k moving axes (``_stencil``), in
+    ``np.ndindex`` order; a fixed axis adds its weight-1 cell to each.
+    Cells have shape (..., 2^k, P) after the shapes the coordinates
+    broadcast to, and weights broadcast to them: each is the product of
+    the moving axes' stencil weights, first axis first, and 1 when no axis
+    moves.  A fixed axis's other cell would get only zero weights, and its
+    factor 1.0 changes no product, so the corners kept have the bits of
+    the full 2^dim stencil's.
     """
     base, weights = _stencil(grid, coordinates)
     # A corner's cell is the lowest corner's plus one stride per upper axis.
-    strides = [
-        math.prod(grid.resolution[a + 1 :]) if res > 1 else 0
-        for a, res in enumerate(grid.resolution)
-    ]
-    offsets = [sum(itertools.compress(strides, c)) for c in np.ndindex(*(2,) * grid.dim)]
+    strides = [math.prod(grid.resolution[a + 1 :]) for a, w in enumerate(weights) if w is not None]
+    offsets = [sum(itertools.compress(strides, c)) for c in np.ndindex(*(2,) * len(strides))]
     cells = base[..., None, :] + np.array(offsets, dtype=np.intp)[:, None]
-    weight = weights[0]
-    for w in weights[1:]:
+    moving = [np.moveaxis(w, 0, -2) for w in weights if w is not None]
+    weight = moving[0] if moving else np.ones((1, 1))
+    for w in moving[1:]:
         # Each new axis's corner bit goes last, so C order is np.ndindex order.
         weight = weight[..., :, None, :] * w[..., None, :, :]
         weight = weight.reshape(weight.shape[:-3] + (-1, weight.shape[-1]))
@@ -550,11 +623,11 @@ def _interpolate(density: GridDensity, coordinates) -> np.ndarray:
     return functools.reduce(np.add, np.moveaxis(weight * density.samples.ravel()[cells], -2, 0))
 
 
-# Points per interpolation or reassembly block.  Each point makes 2^dim
-# (cell, weight) pairs, so in three dimensions a block's index and weight
-# buffers take 2 MiB each, near a core's L2 cache.  Reassembly blocks end
-# between needles and interpolation is pointwise, so no result depends on
-# this size.
+# Points per interpolation or reassembly block.  Each point makes up to
+# 2^dim (cell, weight) pairs, so in three dimensions a block's index and
+# weight buffers take at most 2 MiB each, near a core's L2 cache.
+# Reassembly blocks end between needles and interpolation is pointwise, so
+# no result depends on this size.
 _BLOCK_POINTS = 1 << 15
 
 
@@ -563,8 +636,11 @@ def reassemble(needles: NeedleBatch, weights, target: GridDensity) -> GridDensit
 
     Each needle cell splats its mass multilinearly onto the target cells;
     the result is a unit-mass density regardless of the target's samples
-    (only its geometry is used).  Slice needles land exactly on cell
-    centers, so their reassembly is exact up to rounding.
+    (only its geometry is used).  A point on a target cell center puts
+    all of its mass on that cell (``_stencil``), and a block adds only the
+    corners of the axes its points move along.  Slice needles on their own
+    grid sit on its centers, so each of their cells makes one deposit, of
+    its whole mass, to the cell it sits on.
 
     The weights, one finite nonnegative number per needle, and the batch's
     geometry are checked before anything is deposited.  The needles are
@@ -573,9 +649,9 @@ def reassemble(needles: NeedleBatch, weights, target: GridDensity) -> GridDensit
     of its own), so the index and weight buffers stay near cache size
     whatever the needle count.  Each block is one ``np.add.at`` whose
     entries run needle by needle, then corner by corner, then point by
-    point: every cell receives the same additions in the same order as
-    splatting one needle at a time, so the result does not depend on the
-    block size.
+    point: every cell receives the same nonzero additions in the same
+    order as splatting one needle at a time over all 2^dim corners, so the
+    result does not depend on the block size.
     """
     _check_needle_axis(needles)
     weights = np.asarray(weights, dtype=float)
@@ -602,8 +678,12 @@ def reassemble(needles: NeedleBatch, weights, target: GridDensity) -> GridDensit
 
 
 def l1_distance(a: GridDensity, b: GridDensity) -> float:
-    """L1 distance between two densities on the same grid, each scaled to unit mass."""
-    if a.dim != b.dim or a.resolution != b.resolution or not np.allclose(a.box, b.box):
+    """L1 distance between two densities on the same grid, each scaled to unit mass.
+
+    The grids must have the same cell counts and equal boxes; any other
+    pair raises GeometryMismatch.
+    """
+    if a.dim != b.dim or a.resolution != b.resolution or not np.array_equal(a.box, b.box):
         raise GeometryMismatch("densities live on different grids")
     with np.errstate(over="ignore", invalid="ignore"):
         diff = np.abs(a.samples / a.total_mass - b.samples / b.total_mass)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 
@@ -456,14 +457,21 @@ def reference_stencil(grid: GridDensity, points: np.ndarray) -> list:
 
     ``points`` have shape (..., P, dim).  Each axis gives ``(cells,
     weights)``, two arrays of shape (..., 2, P) holding the lower cell's
-    index and weight first.  It is written out axis by axis, apart from
-    the library's stencil, so that the references below check the library
-    rather than follow it; it needs points less than 2^63 cells from the
-    box.
+    index and weight first.  A coordinate equal to one of the axis's cell
+    centers, bit for bit, is found by a search over all of them and sits
+    on it: its offset q is that center's index j exactly, so the cell
+    weighted 1 is j (the lower cell below the last center, the upper one
+    at it).  It is written out axis by axis, apart from the library's
+    stencil, so that the references below check the library rather than
+    follow it; it needs points less than 2^63 cells from the box.
     """
     stencil = []
     for a, res in enumerate(grid.resolution):
-        q = (points[..., a] - grid.box[a, 0]) / grid.steps[a] - 0.5
+        x = points[..., a]
+        q = (x - grid.box[a, 0]) / grid.steps[a] - 0.5
+        centers = grid.centers(a)
+        j = np.minimum(np.searchsorted(centers, x), res - 1)
+        q = np.where(centers[j] == x, j, q)
         lo = np.clip(np.floor(q).astype(int), 0, max(res - 2, 0))
         f = np.clip(q - lo, 0.0, 1.0) if res > 1 else np.zeros(q.shape)
         cells = np.stack([lo, np.minimum(lo + 1, res - 1)], axis=-2)
@@ -484,6 +492,34 @@ def reference_corners(grid: GridDensity, points: np.ndarray):
         cell = tuple(cells[..., c, :] for (cells, _), c in zip(stencil, corner))
         weight = functools.reduce(np.multiply, [w[..., c, :] for (_, w), c in zip(stencil, corner)])
         yield cell, weight
+
+
+def assert_corners_match_the_reference(grid: GridDensity, points: np.ndarray, cells, weight):
+    """The library's corners of ``points``, taken as one block, against the reference's.
+
+    An axis moves unless every reference weight on it is exactly 0 or 1,
+    and the library keeps the 2^k corners of the k moving axes, in
+    ``np.ndindex`` order.  A reference corner maps to the kept corner with
+    its bits on the moving axes: where it holds each fixed axis's cell of
+    weight 1, the library's cell and weight there have its bits; elsewhere
+    its weight is exactly 0.
+    """
+    stencil = reference_stencil(grid, points)
+    moving = [not np.all((w == 0.0) | (w == 1.0)) for _, w in stencil]
+    kept = (2,) * sum(moving)
+    shape = points.shape[:-2] + (2 ** sum(moving), points.shape[-2])
+    assert cells.shape == np.broadcast_shapes(cells.shape, weight.shape) == shape
+    for corner, (cell, w) in zip(np.ndindex(*(2,) * grid.dim), reference_corners(grid, points)):
+        k = np.ravel_multi_index([c for c, m in zip(corner, moving) if m], kept)
+        held = functools.reduce(
+            np.logical_and,
+            [ws[..., c, :] == 1.0 for (_, ws), c, m in zip(stencil, corner, moving) if not m],
+            np.ones(w.shape, dtype=bool),
+        )
+        assert np.all(w[~held] == 0.0)
+        flat = np.ravel_multi_index(cell, grid.resolution)
+        assert cells[..., k, :][held].tobytes() == flat[held].tobytes()
+        assert np.broadcast_to(weight, shape)[..., k, :][held].tobytes() == w[held].tobytes()
 
 
 def reference_reassemble(needles, weights, target: GridDensity) -> np.ndarray:
@@ -723,11 +759,9 @@ def test_corner_weights_match_the_reference_bit_for_bit(monkeypatch, resolution,
 
     columns = [points[..., a] for a in range(grid.dim)]
     cells, weight = vecot.disintegration._corner_weights(grid, columns)
-    assert cells.shape == weight.shape == shape[:-1] + (2**grid.dim, shape[-1])
+    assert_corners_match_the_reference(grid, points, cells, weight)
     expected = np.zeros(shape)
-    for c, (cell, w) in enumerate(reference_corners(grid, points)):
-        assert cells[..., c, :].tobytes() == np.ravel_multi_index(cell, grid.resolution).tobytes()
-        assert weight[..., c, :].tobytes() == w.tobytes()
+    for cell, w in reference_corners(grid, points):
         expected += w * grid.samples[cell]
     assert vecot.disintegration._interpolate(grid, columns).tobytes() == expected.tobytes()
     weights = rng.uniform(0.5, 1.0, count)
@@ -803,19 +837,122 @@ def test_per_axis_coordinates_match_the_reference_bit_for_bit(monkeypatch, case)
     K, P = len(needles), math.prod(needles.g.shape[1:])
     assert [x.shape for x in coordinates] == [s or (K, P) for s in shapes]
     cells, weight = vecot.disintegration._corner_weights(target, coordinates)
-    cells = np.broadcast_to(cells, (K, 2**target.dim, P))
-    weight = np.broadcast_to(weight, (K, 2**target.dim, P))
     grid = vecot.disintegration._product_grid(needles.axes)
     points = needles.base[:, None, :] + grid @ np.swapaxes(needles.directions, -1, -2)
     # Equal as numbers: only the sign of a zero may differ.
     assert np.array_equal(needles.quadrature()[0], points)
-    for c, (cell, w) in enumerate(reference_corners(target, points)):
-        assert cells[:, c].tobytes() == np.ravel_multi_index(cell, target.resolution).tobytes()
-        assert weight[:, c].tobytes() == w.tobytes()
+    assert_corners_match_the_reference(target, points, cells, weight)
     expected = reference_reassemble(needles, weights, target).tobytes()
     assert reassemble(needles, weights, target).samples.tobytes() == expected
     monkeypatch.setattr(vecot.disintegration, "_BLOCK_POINTS", 5)
     assert reassemble(needles, weights, target).samples.tobytes() == expected
+
+
+def _library_offsets(grid: GridDensity, a: int, x: np.ndarray) -> np.ndarray:
+    """q on axis a, rounded as the stencil rounds it, before any center rule."""
+    q = x - grid.box[a, 0]
+    q /= grid.steps[a]
+    q -= 0.5
+    return q
+
+
+@pytest.mark.parametrize("resolution", [(7,), (1,), (6, 1), (2, 5), (4, 2, 3), (3, 1, 5)], ids=str)
+def test_points_on_centers_interpolate_to_their_samples_bit_for_bit(resolution):
+    # Every combination of first, last and a middle center on each axis,
+    # alone (no axis moves: one corner) and in a block with points off
+    # every center (every axis of more than one cell moves).
+    grid = _stencil_grid(resolution)
+    picks = [sorted({0, k // 2, k - 1}) for k in resolution]
+    index = np.array(list(itertools.product(*picks)))
+    points = np.stack([grid.centers(a)[index[:, a]] for a in range(grid.dim)], axis=-1)
+    expected = grid.samples[tuple(index.T)]
+    columns = [points[:, a] for a in range(grid.dim)]
+    cells, weight = vecot.disintegration._corner_weights(grid, columns)
+    assert cells.shape == (1, len(points)) and np.all(weight == 1.0)
+    assert cells[0].tobytes() == np.ravel_multi_index(tuple(index.T), resolution).astype(np.intp).tobytes()
+    assert vecot.disintegration._interpolate(grid, columns).tobytes() == expected.tobytes()
+    off = np.random.default_rng(5).uniform(grid.box[:, 0], grid.box[:, 1], (50, grid.dim))
+    mixed = np.concatenate([off, points])
+    columns = [mixed[:, a] for a in range(grid.dim)]
+    cells, weight = vecot.disintegration._corner_weights(grid, columns)
+    assert_corners_match_the_reference(grid, mixed, cells, weight)
+    values = vecot.disintegration._interpolate(grid, columns)
+    assert values[50:].tobytes() == expected.tobytes()
+
+
+def test_points_one_ulp_off_a_center_keep_the_two_corner_split_bit_for_bit():
+    # One ulp either side of each center: the offsets are those of the
+    # stencil without the center rule (the reference's off-center path),
+    # and those strictly inside a cell still weigh both of its corners.
+    grid = _stencil_grid((7, 6))
+    centers = [grid.centers(a) for a in range(2)]
+    ulp_off = [np.nextafter(c, side) for c in centers for side in (-np.inf, np.inf)]
+    points = np.concatenate(
+        [np.stack([x, np.full(7, 0.8)], axis=-1) for x in ulp_off[:2]]
+        + [np.stack([np.full(6, -0.1), x], axis=-1) for x in ulp_off[2:]]
+    )
+    for a in range(2):
+        assert not np.isin(points[:, a], centers[a]).any()
+    columns = [points[:, a] for a in range(2)]
+    cells, weight = vecot.disintegration._corner_weights(grid, columns)
+    assert_corners_match_the_reference(grid, points, cells, weight)
+    for (_, w), x, a in zip(reference_stencil(grid, points), columns, range(2)):
+        q = _library_offsets(grid, a, x)
+        lo = np.clip(np.floor(q), 0, grid.resolution[a] - 2)
+        assert w[1].tobytes() == np.clip(q - lo, 0.0, 1.0).tobytes()
+    split = (0.0 < weight) & (weight < 1.0)
+    assert np.count_nonzero(split.all(axis=0)) > len(points) // 2
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_one_center_in_a_full_block_is_found_bit_for_bit(side):
+    # 2^15 points off every center, inside and outside the box, and one
+    # on a center whose q rounds to a sliver on the given side of its
+    # index: the gate that spares ray points the center test misses none.
+    grid = tabulate_density([[-2.5, 2.0], [0.5, 1.25]], (11, 6), lambda p: 1.0 + np.exp(p.sum(axis=1)))
+    rng = np.random.default_rng(8)
+    width = grid.box[:, 1] - grid.box[:, 0]
+    points = rng.uniform(grid.box[:, 0] - 0.2 * width, grid.box[:, 1] + 0.2 * width, (1 << 15, 2))
+    q = _library_offsets(grid, 0, grid.centers(0))
+    index = np.arange(11)
+    j = index[(q < index if side == "below" else q > index) & (0 < index) & (index < 10)][0]
+    k = 3
+    points[12345] = grid.centers(0)[j], grid.centers(1)[k]
+    columns = [points[:, a] for a in range(2)]
+    cells, weight = vecot.disintegration._corner_weights(grid, columns)
+    assert cells.shape == (4, 1 << 15)
+    on = weight[:, 12345] == 1.0
+    assert np.count_nonzero(on) == 1 and np.all(weight[~on, 12345] == 0.0)
+    assert cells[on, 12345] == np.ravel_multi_index((j, k), grid.resolution)
+    assert_corners_match_the_reference(grid, points, cells, weight)
+    value = vecot.disintegration._interpolate(grid, columns)[12345]
+    assert value == grid.samples[j, k]
+
+
+@pytest.mark.parametrize(
+    "box", [[-4.0, 4.0], [0.1, 0.7], [1e6, 1e6 + 3.0], [-3e-9, 5e-9], [0.0, 1e-300], [0.0, 1e-310]], ids=str
+)
+def test_million_cell_centers_lie_within_the_sliver_bound_bit_for_bit(box):
+    # All 2^20 centers of an axis: q rounds within the stated bound of the
+    # center's index, and each sits on its own cell, whether the block
+    # holds every center or all but the last.
+    k = 1 << 20
+    grid = GridDensity(box=[box], samples=np.ones(k))
+    centers = grid.centers(0)
+    slivers = np.abs(_library_offsets(grid, 0, centers) - np.arange(k))
+    bound = vecot.disintegration._sliver_bound(grid, 0)
+    assert slivers.max() <= bound < 0.5
+    for block in (centers, centers[:-1]):
+        base, weights = vecot.disintegration._stencil(grid, [block])
+        assert weights == [None]
+        assert base.tobytes() == np.arange(len(block), dtype=np.intp).tobytes()
+
+
+@pytest.mark.parametrize("case", ["2d-m1", "3d-m1", "3d-m2"])
+def test_slices_reassemble_on_their_own_grid_to_rounding(case):
+    d = gaussian_2d(res=33) if case.startswith("2d") else _skewed_3d((17, 18, 19))
+    needles, weights = slice_disintegration(d, int(case[-1]))
+    assert l1_distance(reassemble(needles, weights, d), d) <= 1e-15
 
 
 def test_far_away_needles_land_on_the_edge_cells():
@@ -865,6 +1002,15 @@ def test_l1_distance_requires_matching_grids():
     b = gaussian_2d(res=19)
     with pytest.raises(GeometryMismatch):
         l1_distance(a, b)
+    # Equal cell counts on boxes that differ by an eighth of a tiny width,
+    # or by 3e-5 of one bound, which an absolute tolerance of 1e-8 let pass.
+    def gaussian(box):
+        return tabulate_density(box, 33, lambda p: np.exp(-0.5 * (p ** 2).sum(axis=1)))
+
+    for lo, hi in (([[-4e-9, 4e-9], [-4.0, 4.0]], [[-3e-9, 5e-9], [-4.0, 4.0]]),
+                   ([[-4.00003, 4.0], [-4.0, 4.0]], [[-4.0, 4.0], [-4.0, 4.0]])):
+        with pytest.raises(GeometryMismatch, match="different grids"):
+            l1_distance(gaussian(lo), gaussian(hi))
 
 
 def test_l1_distance_scales_both_densities_to_unit_mass():
